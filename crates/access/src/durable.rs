@@ -307,12 +307,7 @@ impl<A: AccessMethod> DurableIndex<A> {
     /// to a fresh WAL on `log_device`. The genesis checkpoint (synced
     /// immediately) records `rel`'s current tuple count as the base
     /// the log's records extend.
-    pub fn new(
-        inner: A,
-        rel: &Relation,
-        log_device: impl Into<PageDevice>,
-        config: DurableConfig,
-    ) -> Self {
+    pub fn new(inner: A, rel: &Relation, log_device: PageDevice, config: DurableConfig) -> Self {
         let base_tuples = rel.heap().tuple_count();
         Self {
             inner,
@@ -341,7 +336,7 @@ impl<A: AccessMethod> DurableIndex<A> {
         mut inner: A,
         rel: &Relation,
         log_image: &[u8],
-        log_device: impl Into<PageDevice>,
+        log_device: PageDevice,
         config: DurableConfig,
     ) -> Result<(Self, RecoveryReport), RecoverError> {
         let (records, tail) = WalReader::drain(log_image);

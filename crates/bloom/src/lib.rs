@@ -18,8 +18,6 @@
 //!   accuracy ([`math::blocked_fpp`]) for one cache miss per test.
 //! * [`CountingBloomFilter`] and [`DeletableBloomFilter`] — the
 //!   delete-capable variants the paper's Section 7 points at (\[7\], \[39\]).
-//! * [`ScalableBloomFilter`] — Almeida et al.'s scalable Bloom filter
-//!   \[2\], referenced in Section 2.
 //!
 //! All filters are deterministic: the same seed and the same inserts
 //! produce bit-identical filters, which the storage layer relies on
@@ -34,11 +32,9 @@ pub mod filter;
 pub mod group;
 pub mod hash;
 pub mod math;
-pub mod scalable;
 
 pub use blocked::{BlockedBloomFilter, FilterLayout, BLOCK_BITS};
 pub use counting::CountingBloomFilter;
 pub use deletable::DeletableBloomFilter;
 pub use filter::BloomFilter;
 pub use group::BloomGroup;
-pub use scalable::ScalableBloomFilter;

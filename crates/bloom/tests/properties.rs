@@ -3,7 +3,7 @@
 //! Deterministic seeded random cases stand in for proptest (the build
 //! is dependency-free); failures reproduce exactly from the seed.
 
-use bftree_bloom::{math, BloomFilter, BloomGroup, CountingBloomFilter, ScalableBloomFilter};
+use bftree_bloom::{math, BloomFilter, BloomGroup, CountingBloomFilter};
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 
@@ -189,23 +189,6 @@ fn counting_remove_is_safe() {
         // Second half must remain present (no false negatives).
         for key in &keys[half..] {
             assert!(cbf.contains(key), "case {case}");
-        }
-    }
-}
-
-/// Scalable filter never loses keys as it grows.
-#[test]
-fn scalable_no_false_negatives() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0xB800 + case);
-        let n = rng.random_range(1u64..3_000);
-        let cap = rng.random_range(8u64..256);
-        let mut sbf = ScalableBloomFilter::new(cap, 0.02, rng.next_u64());
-        for key in 0..n {
-            sbf.insert(&key);
-        }
-        for key in 0..n {
-            assert!(sbf.contains(&key), "case {case}");
         }
     }
 }

@@ -325,13 +325,9 @@ fn fixed_k3_matches_paper_prototype_behaviour() {
 
 #[test]
 fn warm_index_cache_absorbs_internal_reads() {
-    use bftree_storage::{CacheMode, DeviceProfile};
     let rel = pk_relation(100_000, 11);
     let t = BfTree::builder().fpp(1e-4).build(&rel).unwrap();
-    let io = IoContext::new(
-        PageDevice::new(DeviceProfile::ssd(), CacheMode::Lru(1 << 20)),
-        PageDevice::cold(DeviceKind::Memory),
-    );
+    let io = IoContext::warm(bftree_storage::StorageConfig::SsdSsd, 1 << 20);
     io.prewarm_index(t.upper_page_ids());
     let r = AccessMethod::probe_first(&t, 55_555, &rel, &io).unwrap();
     assert!(r.found());

@@ -16,8 +16,17 @@ pub const MAX_FRAME: usize = 16 << 20;
 
 /// Write one frame (header + payload) to `w`. Flushing is the
 /// caller's business — pipelined clients batch many frames per flush.
+/// A payload over [`MAX_FRAME`] is refused with
+/// [`ErrorKind::InvalidInput`](std::io::ErrorKind::InvalidInput) and
+/// nothing is written: the peer's [`read_frame`] would reject it
+/// anyway.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    assert!(payload.len() <= MAX_FRAME, "frame payload too large");
+    if payload.len() > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "frame payload exceeds MAX_FRAME",
+        ));
+    }
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(&crc32(payload).to_le_bytes())?;
     w.write_all(payload)
@@ -64,6 +73,15 @@ mod tests {
             let got = read_frame(&mut buf.as_slice()).unwrap().unwrap();
             assert_eq!(got, payload);
         }
+    }
+
+    #[test]
+    fn oversized_payload_is_refused_without_writing() {
+        let mut buf = Vec::new();
+        let err = write_frame(&mut buf, &vec![0u8; MAX_FRAME + 1]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(buf.is_empty(), "no partial frame on the wire");
+        write_frame(&mut buf, &vec![0u8; MAX_FRAME]).unwrap();
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! clients, and keeps the request path readable: read frame, decode,
 //! dispatch against the shared [`ServeState`], encode, write frame.
 
+use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -139,6 +140,12 @@ impl ServeState {
     }
 }
 
+/// The live connections: a handle to each socket (so shutdown can
+/// sever it) and its worker's join handle, keyed by accept order. A
+/// worker removes its own entry when its connection ends, closing the
+/// socket and detaching itself.
+type Conns = Arc<Mutex<HashMap<u64, (TcpStream, JoinHandle<()>)>>>;
+
 /// A running server: acceptor thread plus one worker per connection,
 /// bound to a kernel-assigned loopback port.
 pub struct Server {
@@ -146,8 +153,7 @@ pub struct Server {
     state: Arc<ServeState>,
     shutdown: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Conns,
 }
 
 impl Server {
@@ -159,36 +165,39 @@ impl Server {
         let addr = listener.local_addr()?;
         let state = Arc::new(state);
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let workers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Conns = Arc::default();
 
         let acceptor = {
             let state = Arc::clone(&state);
             let shutdown = Arc::clone(&shutdown);
             let conns = Arc::clone(&conns);
-            let workers = Arc::clone(&workers);
             std::thread::Builder::new()
                 .name("bftree-acceptor".into())
                 .spawn(move || {
-                    for stream in listener.incoming() {
+                    for (id, stream) in (0u64..).zip(listener.incoming()) {
                         if shutdown.load(Ordering::Acquire) {
                             break;
                         }
                         let Ok(stream) = stream else { continue };
-                        if let Ok(clone) = stream.try_clone() {
-                            conns.lock().unwrap_or_else(|e| e.into_inner()).push(clone);
-                        }
+                        let Ok(clone) = stream.try_clone() else {
+                            continue;
+                        };
                         let state = Arc::clone(&state);
+                        let worker_conns = Arc::clone(&conns);
+                        // Held across the spawn, so the worker finds
+                        // its entry however fast its connection ends.
+                        let mut tracked = conns.lock().unwrap_or_else(|e| e.into_inner());
                         let handle = std::thread::Builder::new()
                             .name("bftree-conn".into())
                             .spawn(move || {
                                 let _ = serve_connection(&state, stream);
+                                worker_conns
+                                    .lock()
+                                    .unwrap_or_else(|e| e.into_inner())
+                                    .remove(&id);
                             })
                             .expect("spawn connection worker");
-                        workers
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push(handle);
+                        tracked.insert(id, (clone, handle));
                     }
                 })
                 .expect("spawn acceptor")
@@ -200,7 +209,6 @@ impl Server {
             shutdown,
             acceptor: Some(acceptor),
             conns,
-            workers,
         })
     }
 
@@ -216,6 +224,11 @@ impl Server {
         &self.state
     }
 
+    /// How many accepted connections are still being served.
+    pub fn connections(&self) -> usize {
+        self.conns.lock().unwrap_or_else(|e| e.into_inner()).len()
+    }
+
     /// Stop accepting, sever every live connection, and join all
     /// threads. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
@@ -227,23 +240,20 @@ impl Server {
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
-        // Severing the connections unblocks workers mid-read.
-        for conn in self
+        // Severing the connections unblocks workers mid-read. The
+        // lock is released before joining: a finishing worker takes it
+        // to drop its (already drained) entry.
+        let live: Vec<_> = self
             .conns
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-        {
+            .drain()
+            .collect();
+        for (_, (conn, _)) in &live {
             let _ = conn.shutdown(Shutdown::Both);
         }
-        let handles: Vec<_> = self
-            .workers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-            .collect();
-        for h in handles {
-            let _ = h.join();
+        for (_, (_, worker)) in live {
+            let _ = worker.join();
         }
     }
 }

@@ -185,3 +185,37 @@ fn stats_reports_the_layout_and_serving_metrics() {
     );
     server.shutdown();
 }
+
+/// A finished connection must not stay tracked (each one used to leak
+/// a socket and a join handle until shutdown): after 200 clients come
+/// and go the tracked set drains to empty, and the server still serves.
+#[test]
+fn finished_connections_are_released_while_the_server_keeps_serving() {
+    let mut server = Server::spawn(serve_state(relation(), 2)).expect("server up");
+    let mut survivor = Client::connect(server.addr()).expect("connect");
+    for i in 0..200u64 {
+        let mut client = Client::connect(server.addr()).expect("connect");
+        assert_eq!(client.probe_batch(&[i]).expect("probe")[0].len(), 1);
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while server.connections() > 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{} connections still tracked after their clients hung up",
+            server.connections()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(survivor.probe_batch(&[7]).expect("probe")[0].len(), 1);
+    drop(survivor);
+    while server.connections() > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "survivor still tracked"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let mut late = Client::connect(server.addr()).expect("connect after the churn");
+    assert_eq!(late.probe_batch(&[N - 1]).expect("probe")[0].len(), 1);
+    server.shutdown();
+}

@@ -1,16 +1,15 @@
-//! [`IoContext`]: the pair of simulated devices a query charges its
-//! page accesses to, plus [`StorageConfig`] — the paper's five
+//! [`IoContext`]: the pair of devices a query charges its page
+//! accesses to, plus [`StorageConfig`] — the paper's five
 //! index/data device placements (§6.2, Figures 5–12).
 
 use std::sync::Arc;
 
 use bftree_bufferpool::{BufferManager, BufferStats, PolicyKind};
 
-use crate::backend::{Backend, FileDevice, PageDevice};
+use crate::backend::{Backend, PageDevice};
 use crate::device::{DeviceKind, DeviceProfile};
 use crate::file::DeviceError;
 use crate::page::PageId;
-use crate::sim::CacheMode;
 
 /// One of the paper's index/data device placements.
 ///
@@ -86,9 +85,9 @@ impl std::fmt::Display for StorageConfig {
     }
 }
 
-/// The pair of simulated devices a query charges against: one holding
-/// index nodes, one holding the heap file. Optionally the index device
-/// carries an LRU [`crate::BufferPool`] (warm-cache experiments).
+/// The pair of devices a query charges against: one holding index
+/// nodes, one holding the heap file. Either may be cached in a pool of
+/// one [`BufferManager`] (warm-cache and shared-budget experiments).
 ///
 /// Cloning is cheap and shares both devices' stats and pools. An
 /// `IoContext` may be charged from many threads at once: cold devices
@@ -110,17 +109,13 @@ pub struct IoContext {
     pub index: PageDevice,
     /// Device holding the heap file.
     pub data: PageDevice,
-    /// Shared buffer manager both devices charge, when built with
-    /// [`IoContext::with_shared_budget`].
+    /// The buffer manager the devices' caches live in, if any.
     manager: Option<Arc<BufferManager>>,
 }
 
 impl IoContext {
-    /// An explicit device pair ([`crate::SimDevice`]s and
-    /// [`FileDevice`]s both convert into [`PageDevice`]).
-    pub fn new(index: impl Into<PageDevice>, data: impl Into<PageDevice>) -> Self {
-        let index = index.into();
-        let data = data.into();
+    /// An explicit device pair.
+    pub fn new(index: PageDevice, data: PageDevice) -> Self {
         let manager = index
             .shared_cache()
             .or_else(|| data.shared_cache())
@@ -134,11 +129,10 @@ impl IoContext {
 
     /// Cold devices for `config` — the paper's default O_DIRECT runs.
     pub fn cold(config: StorageConfig) -> Self {
-        Self {
-            index: PageDevice::cold(config.index_kind()),
-            data: PageDevice::cold(config.data_kind()),
-            manager: None,
-        }
+        Self::new(
+            PageDevice::cold(config.index_kind()),
+            PageDevice::cold(config.data_kind()),
+        )
     }
 
     /// Cold devices for `config` on an explicit [`Backend`]:
@@ -146,11 +140,10 @@ impl IoContext {
     /// puts each non-memory device in its own page store (`index.bfs`
     /// / `data.bfs`) under the backend's directory.
     pub fn cold_on(backend: &Backend, config: StorageConfig) -> Result<Self, DeviceError> {
-        Ok(Self {
-            index: backend.device(config.index_kind(), "index")?,
-            data: backend.device(config.data_kind(), "data")?,
-            manager: None,
-        })
+        Ok(Self::new(
+            backend.device(config.index_kind(), "index")?,
+            backend.device(config.data_kind(), "data")?,
+        ))
     }
 
     /// One buffer manager with a single `budget_bytes` memory budget
@@ -182,25 +175,9 @@ impl IoContext {
         policy: PolicyKind,
     ) -> Result<Self, DeviceError> {
         let manager = Arc::new(BufferManager::new(budget_bytes, policy));
-        let device = |kind: DeviceKind, label: &str| -> Result<PageDevice, DeviceError> {
-            if kind == DeviceKind::Memory {
-                return Ok(PageDevice::cold(kind));
-            }
-            let profile = DeviceProfile::of(kind);
-            let pool = manager.register_pool(label);
-            Ok(match backend.store_for(label)? {
-                None => PageDevice::with_shared_cache(profile, Arc::clone(&manager), pool),
-                Some(store) => PageDevice::File(FileDevice::with_shared_cache(
-                    profile,
-                    Arc::clone(&manager),
-                    pool,
-                    store,
-                )),
-            })
-        };
         Ok(Self {
-            index: device(config.index_kind(), "index")?,
-            data: device(config.data_kind(), "data")?,
+            index: backend.device_in(config.index_kind(), "index", Some(&manager))?,
+            data: backend.device_in(config.data_kind(), "data", Some(&manager))?,
             manager: Some(manager),
         })
     }
@@ -222,31 +199,16 @@ impl IoContext {
         manager: &Arc<BufferManager>,
         label: &str,
     ) -> Result<Self, DeviceError> {
-        let device = |kind: DeviceKind, name: &str| -> Result<PageDevice, DeviceError> {
-            if kind == DeviceKind::Memory {
-                return Ok(PageDevice::cold(kind));
-            }
-            let profile = DeviceProfile::of(kind);
-            let pool = manager.register_pool(name);
-            Ok(match backend.store_for(name)? {
-                None => PageDevice::with_shared_cache(profile, Arc::clone(manager), pool),
-                Some(store) => PageDevice::File(FileDevice::with_shared_cache(
-                    profile,
-                    Arc::clone(manager),
-                    pool,
-                    store,
-                )),
-            })
-        };
+        let device =
+            |kind, role: &str| backend.device_in(kind, &format!("{label}-{role}"), Some(manager));
         Ok(Self {
-            index: device(config.index_kind(), &format!("{label}-index"))?,
-            data: device(config.data_kind(), &format!("{label}-data"))?,
+            index: device(config.index_kind(), "index")?,
+            data: device(config.data_kind(), "data")?,
             manager: Some(Arc::clone(manager)),
         })
     }
 
-    /// The shared buffer manager, when this context was built with
-    /// [`IoContext::with_shared_budget`].
+    /// The buffer manager the devices' caches live in, if any.
     pub fn buffer_manager(&self) -> Option<&Arc<BufferManager>> {
         self.manager.as_ref()
     }
@@ -274,32 +236,29 @@ impl IoContext {
     }
 
     /// Warm-cache devices (§6.2 "Warm caches"): the index device gets
-    /// an LRU pool sized to hold everything *above* the leaf level —
-    /// callers prewarm it with the index's upper-node page ids, so
-    /// "only accessing the leaf node would cause an I/O operation".
+    /// a strict-LRU cache (a one-shard [`BufferManager`] of
+    /// `upper_pages` pages) sized to hold everything *above* the leaf
+    /// level — callers prewarm it with the index's upper-node page
+    /// ids, so "only accessing the leaf node would cause an I/O
+    /// operation".
     /// The data device stays cold (the experiments' probe keys are
     /// random, so data re-reads are negligible and the paper's bars
     /// move only through the index component).
     pub fn warm(config: StorageConfig, upper_pages: usize) -> Self {
-        Self {
-            index: PageDevice::new(
-                DeviceProfile::of(config.index_kind()),
-                CacheMode::Lru(upper_pages.max(1)),
-            ),
-            data: PageDevice::cold(config.data_kind()),
-            manager: None,
-        }
+        Self::new(
+            PageDevice::with_lru_cache(DeviceProfile::of(config.index_kind()), upper_pages.max(1)),
+            PageDevice::cold(config.data_kind()),
+        )
     }
 
     /// A context whose accesses are all memory-speed — for
     /// correctness-only runs where simulated latency is irrelevant
     /// (the replacement for the old `None` device arguments).
     pub fn unmetered() -> Self {
-        Self {
-            index: PageDevice::cold(DeviceKind::Memory),
-            data: PageDevice::cold(DeviceKind::Memory),
-            manager: None,
-        }
+        Self::new(
+            PageDevice::cold(DeviceKind::Memory),
+            PageDevice::cold(DeviceKind::Memory),
+        )
     }
 
     /// Pre-load index pages into the index device's pool (no charge).
@@ -335,8 +294,8 @@ impl bftree_obs::MetricSource for IoContext {
             reg.collect_from(manager.as_ref());
         }
         for (label, device) in [("index", &self.index), ("data", &self.data)] {
-            if let PageDevice::File(f) = device {
-                f.store().register_metrics(reg, label);
+            if let Some(file) = device.file() {
+                file.store().register_metrics(reg, label);
             }
         }
     }

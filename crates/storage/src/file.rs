@@ -35,11 +35,12 @@
 //! # Durability
 //!
 //! Writes are plain `pwrite`s — no `O_DSYNC` — and become durable
-//! through explicit [`FileStore::sync`] barriers whose frequency a
-//! [`SyncPolicy`] batches, mirroring the WAL's `DurabilityMode`
-//! shapes (per-request, windowed, deferred). Wall-clock nanoseconds of
-//! every read, write, and issued fsync accumulate in a
-//! [`WallSnapshot`], the measured twin of the simulator's `sim_ns`.
+//! through explicit [`FileStore::sync`] barriers that a
+//! [`SyncPolicy`] either issues or defers (batching barriers is the
+//! WAL's job, one layer up: `DurabilityMode::GroupCommit`).
+//! Wall-clock nanoseconds of every read, write, and issued fsync
+//! accumulate in a [`WallSnapshot`], the measured twin of the
+//! simulator's `sim_ns`.
 
 use bftree_obs::WallTimer;
 use std::collections::HashMap;
@@ -231,23 +232,13 @@ impl From<io::Error> for DeviceError {
     }
 }
 
-/// When [`FileStore::sync`] requests reach the medium — the file
-/// store's mirror of the WAL's `DurabilityMode` shapes.
+/// When [`FileStore::sync`] requests reach the medium.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// Every sync request issues a real `fdatasync` (the per-record
-    /// shape).
+    /// Every sync request issues a real `fdatasync`.
     PerRequest,
-    /// Collapse sync requests: one real `fdatasync` per window of
-    /// this many requests (the group-commit shape). The window
-    /// counter resets on every issued barrier, including forced
-    /// [`FileStore::flush`]es.
-    Window {
-        /// Requests per issued barrier.
-        requests: usize,
-    },
     /// Sync requests are counted but never issued on their own; only
-    /// [`FileStore::flush`] reaches the medium (the async shape).
+    /// [`FileStore::flush`] reaches the medium.
     Deferred,
 }
 
@@ -263,7 +254,7 @@ pub struct WallSnapshot {
     pub writes: u64,
     /// Pages materialized on first access (subset of `writes`).
     pub materialized: u64,
-    /// Sync requests received (before batching).
+    /// Sync requests received (issued or deferred).
     pub sync_requests: u64,
     /// `fdatasync` barriers actually issued.
     pub syncs_issued: u64,
@@ -388,8 +379,6 @@ struct Inner {
     next_id: u64,
     /// Next page LSN (monotone across the whole store).
     next_lsn: u64,
-    /// Sync requests since the last issued barrier.
-    pending_syncs: u64,
 }
 
 /// Outcome of a charging-path operation ([`FileStore::charged_read`]
@@ -434,7 +423,7 @@ impl Default for FaultPlane {
 }
 
 /// A page-granular file store: checksummed slots, a persistent free
-/// list, batched fsync, and wall-clock accounting. See the
+/// list, fsync barriers, and wall-clock accounting. See the
 /// [module docs](self) for the layout.
 ///
 /// All methods take `&self`; a mutex serializes file access and a
@@ -468,7 +457,6 @@ impl FileStore {
                 free_len: 0,
                 next_id: 0,
                 next_lsn: 1,
-                pending_syncs: 0,
             }),
             policy,
             wall: WallStats::default(),
@@ -540,7 +528,6 @@ impl FileStore {
                 free_len,
                 next_id,
                 next_lsn: max_lsn + 1,
-                pending_syncs: 0,
             }),
             policy,
             wall: WallStats::default(),
@@ -1153,56 +1140,32 @@ impl FileStore {
     /// Request a durability barrier; the [`SyncPolicy`] decides
     /// whether a real `fdatasync` is issued now.
     ///
-    /// A failed barrier (injected or real) leaves the pending window
-    /// uncleared, so the next barrier on this store covers the same
-    /// writes — `fdatasync` barriers are cumulative, which is what
-    /// makes "retry on the next sync" a correct recovery.
+    /// After a failed barrier (injected or real) the next barrier on
+    /// this store covers the same writes — `fdatasync` barriers are
+    /// cumulative, which is what makes "retry on the next sync" a
+    /// correct recovery.
     pub fn sync(&self) -> Result<(), DeviceError> {
-        let mut inner = self.lock();
         self.wall.sync_requests.fetch_add(1, Ordering::Relaxed);
-        inner.pending_syncs += 1;
-        let issue = match self.policy {
-            SyncPolicy::PerRequest => true,
-            SyncPolicy::Window { requests } => inner.pending_syncs >= requests.max(1) as u64,
-            SyncPolicy::Deferred => false,
-        };
-        if issue {
-            self.issue_sync(&mut inner)?;
+        match self.policy {
+            SyncPolicy::PerRequest => self.flush(),
+            SyncPolicy::Deferred => Ok(()),
         }
-        Ok(())
     }
 
     /// [`FileStore::sync`] with the retry policy applied to the
     /// barrier itself (the request is counted once; only the issued
     /// `fdatasync` retries).
     pub fn sync_verified(&self) -> Result<(), DeviceError> {
-        let issue = {
-            let mut inner = self.lock();
-            self.wall.sync_requests.fetch_add(1, Ordering::Relaxed);
-            inner.pending_syncs += 1;
-            match self.policy {
-                SyncPolicy::PerRequest => true,
-                SyncPolicy::Window { requests } => inner.pending_syncs >= requests.max(1) as u64,
-                SyncPolicy::Deferred => false,
-            }
-        };
-        if !issue {
-            return Ok(());
+        self.wall.sync_requests.fetch_add(1, Ordering::Relaxed);
+        match self.policy {
+            SyncPolicy::PerRequest => self.with_retries(|| self.flush()),
+            SyncPolicy::Deferred => Ok(()),
         }
-        self.with_retries(|| {
-            let mut inner = self.lock();
-            self.issue_sync(&mut inner)
-        })
     }
 
-    /// Force a real barrier regardless of policy (and reset the
-    /// batching window).
+    /// Force a real barrier regardless of policy.
     pub fn flush(&self) -> Result<(), DeviceError> {
-        let mut inner = self.lock();
-        self.issue_sync(&mut inner)
-    }
-
-    fn issue_sync(&self, inner: &mut Inner) -> Result<(), DeviceError> {
+        let inner = self.lock();
         let fault = {
             let injector = self
                 .faults
@@ -1212,7 +1175,7 @@ impl FileStore {
             injector.as_ref().and_then(|inj| inj.roll_fsync())
         };
         if fault.is_some() {
-            // Pending window stays dirty: the next barrier covers it.
+            // The writes stay dirty: the next barrier covers them.
             return Err(DeviceError::Io(io::Error::other("injected fsync failure")));
         }
         let t = WallTimer::start();
@@ -1221,11 +1184,10 @@ impl FileStore {
             .sync_ns
             .fetch_add(t.elapsed_ns(), Ordering::Relaxed);
         self.wall.syncs_issued.fetch_add(1, Ordering::Relaxed);
-        inner.pending_syncs = 0;
         Ok(())
     }
 
-    /// The configured fsync batching policy.
+    /// The configured sync policy.
     pub fn policy(&self) -> SyncPolicy {
         self.policy
     }
@@ -1446,20 +1408,6 @@ mod tests {
         store.write_page(12, b"c").unwrap();
         assert_eq!(store.slot_count(), slots, "slot of 10 recycled for 12");
         assert_eq!(store.read_page(11).unwrap(), b"b", "neighbor untouched");
-    }
-
-    #[test]
-    fn sync_policy_batches_barriers() {
-        let (_dir, path) = scratch("syncpolicy");
-        let store = FileStore::create(&path, SyncPolicy::Window { requests: 4 }).unwrap();
-        for _ in 0..7 {
-            store.sync().unwrap();
-        }
-        let w = store.wall();
-        assert_eq!(w.sync_requests, 7);
-        assert_eq!(w.syncs_issued, 1, "one window of 4 tripped");
-        store.flush().unwrap();
-        assert_eq!(store.wall().syncs_issued, 2, "flush forces a barrier");
     }
 
     #[test]

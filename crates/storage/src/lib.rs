@@ -14,25 +14,20 @@
 //! * [`device`] — latency models for Memory / SSD / HDD plus the
 //!   Figure 2 device survey.
 //! * [`io`] — I/O accounting: operation counters and a simulated clock.
-//! * [`sim`] — [`sim::SimDevice`]: a device profile + stats + optional
-//!   buffer pool, the thing indexes charge their accesses to. Its warm
-//!   path is either a private per-device LRU ([`sim::CacheMode::Lru`])
-//!   or one pool of a shared, sharded [`BufferManager`] whose byte
-//!   budget all devices compete for
-//!   ([`context::IoContext::with_shared_budget`]).
-//! * [`buffer`] — a byte-denominated LRU buffer pool, the per-device
-//!   compatibility mode of the warm-cache experiments.
 //! * [`relation`] — [`relation::Relation`]: heap file + indexed
 //!   attribute + duplicate layout, the handle access methods build on.
 //! * [`context`] — [`context::IoContext`]: the index/data device pair a
 //!   query charges, and the paper's five [`context::StorageConfig`]s.
-//! * [`backend`] — [`backend::PageDevice`]: the pluggable device front.
-//!   Every layer charges a `PageDevice`; the [`backend::Backend`]
-//!   selector decides whether that is the pure simulator or a
-//!   [`backend::FileDevice`] that mirrors every device-reaching access
-//!   with real, checksum-verified file I/O.
+//! * [`backend`] — [`backend::PageDevice`]: the one device type every
+//!   layer charges — a latency profile + [`io::IoStats`], optionally
+//!   cached in a pool of a [`BufferManager`] (a private strict-LRU
+//!   for the §6.2 warm-cache sweeps, or one byte budget all devices
+//!   compete for via [`context::IoContext::with_shared_budget`]) and
+//!   optionally mirrored by real, checksum-verified file I/O. The
+//!   [`backend::Backend`] selector decides whether devices get a
+//!   [`file::FileStore`] behind them.
 //! * [`mod@file`] — [`file::FileStore`]: the byte-hitting page store
-//!   (CRC-32 page headers, persistent free list, batched fsync,
+//!   (CRC-32 page headers, persistent free list, fsync barriers,
 //!   wall-clock counters) behind the file backend.
 //! * [`fault`] — the fault plane: a deterministic seeded
 //!   [`fault::FaultInjector`], [`fault::RetryPolicy`] backoff,
@@ -50,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod buffer;
 pub mod context;
 pub mod device;
 pub mod fault;
@@ -61,12 +55,10 @@ pub mod page;
 pub mod relation;
 pub mod scrub;
 pub mod search;
-pub mod sim;
 pub mod tuple;
 
 pub use backend::{Backend, FileDevice, PageDevice};
 pub use bftree_bufferpool::{BufferManager, BufferStats, PolicyKind, PoolId};
-pub use buffer::{BufferPool, PoolAccess};
 pub use context::{IoContext, StorageConfig};
 pub use device::{DeviceKind, DeviceProfile};
 pub use fault::{
@@ -82,5 +74,4 @@ pub use page::{PageId, PAGE_SIZE};
 pub use relation::{Duplicates, Relation, RelationError, SharedRelation};
 pub use scrub::{ScrubReport, Scrubber};
 pub use search::{binary_search, interpolation_search, SearchResult};
-pub use sim::{CacheMode, SimDevice};
 pub use tuple::TupleLayout;

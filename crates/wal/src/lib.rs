@@ -33,10 +33,10 @@ pub use record::{crc32, WalRecord, FRAME_HEADER, MAX_PAYLOAD};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bftree_storage::{DeviceKind, SimDevice, PAGE_SIZE};
+    use bftree_storage::{DeviceKind, PageDevice, PAGE_SIZE};
 
     fn ssd_wal(mode: DurabilityMode) -> Wal {
-        Wal::open(SimDevice::cold(DeviceKind::Ssd), mode, 1_000)
+        Wal::open(PageDevice::cold(DeviceKind::Ssd), mode, 1_000)
     }
 
     fn genesis() -> WalRecord {

@@ -71,11 +71,11 @@ impl Wal {
     /// `tuple_count` heap tuples, everything after is replayed from
     /// here. A log whose creation was never durable cannot promise
     /// anything, so genesis ignores the durability mode.
-    pub fn open(device: impl Into<PageDevice>, mode: DurabilityMode, tuple_count: u64) -> Self {
+    pub fn open(device: PageDevice, mode: DurabilityMode, tuple_count: u64) -> Self {
         let mut wal = Self {
             buf: Vec::new(),
             mode,
-            device: device.into(),
+            device,
             synced_len: 0,
             pending_records: 0,
             records: 0,

@@ -146,7 +146,7 @@ fn index_size_tracks_equation_10() {
 
 #[test]
 fn probe_charges_devices_consistently() {
-    use bftree_storage::{DeviceKind, SimDevice};
+    use bftree_storage::{DeviceKind, PageDevice};
     let config = SyntheticConfig {
         n_tuples: 20_000,
         ..SyntheticConfig::scaled_mb(8)
@@ -154,8 +154,8 @@ fn probe_charges_devices_consistently() {
     let rel = Relation::new(build_relation_r(&config), PK_OFFSET, Duplicates::Unique).unwrap();
     let tree = BfTree::builder().fpp(1e-6).build(&rel).unwrap();
     let io = IoContext::new(
-        SimDevice::cold(DeviceKind::Ssd),
-        SimDevice::cold(DeviceKind::Hdd),
+        PageDevice::cold(DeviceKind::Ssd),
+        PageDevice::cold(DeviceKind::Hdd),
     );
     let r = AccessMethod::probe_first(&tree, 9_999, &rel, &io).unwrap();
     assert!(r.found());

@@ -17,9 +17,9 @@ use bftree_access::{DurableConfig, DurableIndex};
 use bftree_bench::{build_index, IndexKind};
 use bftree_storage::tuple::PK_OFFSET;
 use bftree_storage::{
-    Backend, CacheMode, DeviceKind, DeviceProfile, Duplicates, FaultConfig, FaultInjector,
-    FaultKind, FileDevice, FileStore, HeapFile, IoContext, IoOutcome, Relation, RetryPolicy,
-    ScheduledFault, ScratchDir, Scrubber, StorageConfig, SyncPolicy, TupleLayout,
+    Backend, DeviceKind, Duplicates, FaultConfig, FaultInjector, FaultKind, FileStore, HeapFile,
+    IoContext, IoOutcome, Relation, RetryPolicy, ScheduledFault, ScratchDir, Scrubber,
+    StorageConfig, SyncPolicy, TupleLayout,
 };
 use bftree_wal::{DurabilityMode, Wal, WalReader, WalRecord};
 
@@ -123,11 +123,9 @@ fn bit_rot_quarantines_and_is_never_recached_until_repair() {
     let store = fresh_store(&dir, "d.bfs");
     // A caching device: clean re-reads must be absorbed, so the "never
     // re-cached while quarantined" property is observable.
-    let device = FileDevice::new(
-        DeviceProfile::of(DeviceKind::Ssd),
-        CacheMode::Lru(16),
-        Arc::clone(&store),
-    );
+    let device = IoContext::warm(StorageConfig::SsdSsd, 16)
+        .index
+        .with_store(Arc::clone(&store));
 
     device.read_random(5); // materialize + cache
     let cold_reads = store.wall().reads;

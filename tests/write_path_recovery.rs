@@ -20,7 +20,7 @@ use bftree_shard::{ShardPlan, ShardedIndex};
 use bftree_storage::tuple::PK_OFFSET;
 use bftree_storage::{
     Backend, DeviceKind, Duplicates, HeapFile, IoContext, PageDevice, PageId, Relation, ScratchDir,
-    SimDevice, TupleLayout,
+    TupleLayout,
 };
 use bftree_wal::{DurabilityMode, TailState, Wal, WalReader, WalRecord};
 
@@ -151,7 +151,12 @@ fn uncrashed_prefix(
     .expect("base prefix is a valid relation");
     let mut inner = make();
     inner.build(&base_rel).expect("oracle build");
-    let mut index = DurableIndex::new(inner, &base_rel, SimDevice::cold(DeviceKind::Ssd), config());
+    let mut index = DurableIndex::new(
+        inner,
+        &base_rel,
+        PageDevice::cold(DeviceKind::Ssd),
+        config(),
+    );
     for &(_, rec) in records {
         match rec {
             WalRecord::Insert { key, page, slot } => index
@@ -226,7 +231,7 @@ fn kill_at_every_record_boundary(make: &dyn Fn() -> Box<dyn AccessMethod>) {
             make(),
             &rel,
             truncated,
-            SimDevice::cold(DeviceKind::Ssd),
+            PageDevice::cold(DeviceKind::Ssd),
             config(),
         )
         .expect("boundary cut recovers");
@@ -266,7 +271,7 @@ fn kill_at_every_record_boundary(make: &dyn Fn() -> Box<dyn AccessMethod>) {
         make(),
         &rel,
         &image,
-        SimDevice::cold(DeviceKind::Ssd),
+        PageDevice::cold(DeviceKind::Ssd),
         config(),
     )
     .expect("full image recovers");
@@ -327,7 +332,7 @@ fn a_torn_tail_recovers_the_longest_valid_prefix() {
         make_bf_tree(),
         &rel,
         torn,
-        SimDevice::cold(DeviceKind::Ssd),
+        PageDevice::cold(DeviceKind::Ssd),
         config(),
     )
     .expect("torn tail still recovers");
@@ -361,7 +366,7 @@ fn a_corrupt_frame_truncates_recovery_at_the_damage() {
         make_bf_tree(),
         &rel,
         &corrupt,
-        SimDevice::cold(DeviceKind::Ssd),
+        PageDevice::cold(DeviceKind::Ssd),
         config(),
     )
     .expect("corruption is a torn tail, not a crash");
@@ -667,7 +672,7 @@ fn recovery_without_a_genesis_checkpoint_is_rejected() {
             make_bf_tree(),
             &rel,
             bad,
-            SimDevice::cold(DeviceKind::Ssd),
+            PageDevice::cold(DeviceKind::Ssd),
             config(),
         )
         .err()
