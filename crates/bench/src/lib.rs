@@ -27,6 +27,7 @@
 //! micro-benchmarks live in `benches/`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod configs;
 pub mod experiments;

@@ -21,6 +21,7 @@
 //! the harness can place the index on memory / SSD / HDD.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod access;
 pub mod compress;

@@ -53,6 +53,7 @@
 //!   probed (Table 3).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod access;
 pub mod builder;

@@ -23,6 +23,7 @@
 //! read-only probe experiments never exercise.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod access;
 

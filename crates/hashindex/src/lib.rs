@@ -8,6 +8,7 @@
 //! page fetch it triggers is charged to a device.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod access;
 

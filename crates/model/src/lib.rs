@@ -26,6 +26,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bftree;
 pub mod btree;

@@ -10,7 +10,7 @@
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{poll_readable, read_frame, write_frame};
 use crate::proto::{Request, Response};
 use crate::NetError;
 
@@ -55,9 +55,11 @@ impl Client {
         self.in_flight
     }
 
-    /// Receive the reply to the oldest unanswered request.
+    /// Receive the reply to the oldest unanswered request, polling the
+    /// socket briefly before parking (see `frame::poll_readable`).
     pub fn recv(&mut self) -> Result<Response, NetError> {
         self.writer.flush()?;
+        poll_readable(&self.reader)?;
         let payload = read_frame(&mut self.reader)?.ok_or_else(|| {
             NetError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,

@@ -24,6 +24,7 @@
 //!   `STATS` for the Prometheus snapshot instead.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod frame;

@@ -1,11 +1,16 @@
 //! A blocking server: one acceptor thread, one worker per connection.
 //!
 //! Deliberately boring concurrency — `std::net` sockets, no async
-//! runtime — because the parallelism that matters lives *below* the
-//! wire, in the sharded index's scatter-gather executor. A worker
+//! runtime. The connection workers *are* the serving parallelism: a
+//! request is decoded, routed through the sharded index and answered
+//! on the thread that read it, with no hand-off in between, and
+//! concurrent connections meet only on the per-shard locks. A worker
 //! thread per connection is plenty for a benchmark fleet of tens of
 //! clients, and keeps the request path readable: read frame, decode,
 //! dispatch against the shared [`ServeState`], encode, write frame.
+//! Between a reply and the next request a worker polls its socket for
+//! a few microseconds before it parks (`frame::poll_readable` has the
+//! reasoning); the client end does the same while it awaits a reply.
 
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
@@ -19,7 +24,7 @@ use bftree_obs::{span, MetricsRegistry, SpanKind};
 use bftree_shard::{ShardedContinuation, ShardedIndex};
 use bftree_storage::{IoContext, Relation};
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{poll_readable, read_frame, write_frame, MAX_FRAME};
 use crate::proto::{RemoteError, Request, Response, StatsReply};
 use crate::NetError;
 
@@ -264,6 +269,24 @@ impl Drop for Server {
     }
 }
 
+/// Encode `resp` as a frame payload. A reply too large to frame is
+/// swapped for a typed error the client can read: `write_frame` would
+/// refuse it, and failing the write severs the connection after the
+/// server has already done all the work.
+fn encode_reply(resp: &Response) -> Vec<u8> {
+    let payload = resp.encode();
+    if payload.len() <= MAX_FRAME {
+        return payload;
+    }
+    Response::Error(RemoteError::Internal {
+        detail: format!(
+            "reply exceeds MAX_FRAME ({} > {MAX_FRAME} bytes); ask for less per request",
+            payload.len()
+        ),
+    })
+    .encode()
+}
+
 /// One connection's request loop: frames in, frames out, until the
 /// peer hangs up or a frame fails to parse (on which the connection is
 /// dropped — a framing error means we have lost byte sync and cannot
@@ -272,7 +295,11 @@ fn serve_connection(state: &ServeState, stream: TcpStream) -> Result<(), NetErro
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    while let Some(payload) = read_frame(&mut reader)? {
+    loop {
+        poll_readable(&reader)?;
+        let Some(payload) = read_frame(&mut reader)? else {
+            break;
+        };
         let resp = match Request::decode(&payload) {
             Ok(req) => state.handle(req),
             Err(NetError::Protocol { why }) => Response::Error(RemoteError::Internal {
@@ -280,7 +307,7 @@ fn serve_connection(state: &ServeState, stream: TcpStream) -> Result<(), NetErro
             }),
             Err(e) => return Err(e),
         };
-        write_frame(&mut writer, &resp.encode())?;
+        write_frame(&mut writer, &encode_reply(&resp))?;
         // Flush only when no further request is already buffered, so a
         // pipelined burst gets one coalesced reply write.
         if reader.buffer().is_empty() {
@@ -289,4 +316,33 @@ fn serve_connection(state: &ServeState, stream: TcpStream) -> Result<(), NetErro
     }
     writer.flush()?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unframeable_reply_becomes_a_typed_error() {
+        let small = Response::RangePage {
+            matches: vec![(7, 3)],
+            token: None,
+        };
+        assert_eq!(encode_reply(&small), small.encode());
+
+        let huge = Response::RangePage {
+            matches: vec![(0, 0); MAX_FRAME / 16 + 1],
+            token: None,
+        };
+        assert!(huge.encode().len() > MAX_FRAME);
+        let payload = encode_reply(&huge);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).expect("the substitute reply frames");
+        match Response::decode(&payload).expect("and decodes") {
+            Response::Error(RemoteError::Internal { detail }) => {
+                assert!(detail.contains("reply exceeds MAX_FRAME"), "{detail}")
+            }
+            other => panic!("expected an Internal error, got {other:?}"),
+        }
+    }
 }

@@ -7,7 +7,7 @@ use bftree_access::{AccessMethod, DurableConfig};
 use bftree_net::server::ServeState;
 use bftree_net::{Client, NetError, RemoteError, Request, Response, Server};
 use bftree_shard::{ShardPlan, ShardedIndex};
-use bftree_storage::tuple::PK_OFFSET;
+use bftree_storage::tuple::{ATT1_OFFSET, PK_OFFSET};
 use bftree_storage::{
     DeviceKind, Duplicates, HeapFile, IoContext, PageDevice, Relation, TupleLayout,
 };
@@ -70,6 +70,27 @@ fn networked_answers_match_the_in_process_dispatch_path() {
     );
     assert!(wire[0].len() == 1 && wire[6].is_empty());
     server.shutdown();
+}
+
+#[test]
+fn a_connection_idle_past_the_poll_budget_parks_and_still_answers() {
+    // Both ends poll for ~40 us before parking in a blocking read. An
+    // idle gap hundreds of times that long puts the worker in the
+    // parked state; a reply that takes longer than the budget (a
+    // 4 096-key batch) puts the client there.
+    let mut server = Server::spawn(serve_state(relation(), 2)).expect("server up");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let keys: Vec<u64> = (0..4096).map(|i| i * 7 % N).collect();
+    for _ in 0..3 {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let probes = client.probe_batch(&keys).expect("answered after idling");
+        assert!(probes.iter().all(|p| p.len() == 1));
+    }
+    // A parked worker is still severed and joined by shutdown.
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    server.shutdown();
+    assert_eq!(server.connections(), 0);
+    assert!(client.probe_batch(&keys).is_err());
 }
 
 #[test]
@@ -166,6 +187,35 @@ fn foreign_tokens_and_bad_input_are_typed_errors_over_the_wire() {
 
     four.shutdown();
     two.shutdown();
+}
+
+/// A reply over `MAX_FRAME` used to fail the server's `write_frame`
+/// and drop the socket after all the work was done; it must come back
+/// as a typed error on a connection that keeps serving.
+#[test]
+fn an_unframeable_reply_is_a_typed_error_and_the_connection_survives() {
+    // Four attribute values of 500 contiguous duplicates each: one
+    // probe answers 500 locations (8 KB encoded), so 2 200 of them
+    // overflow the 16 MiB frame while the request stays 18 KB.
+    let mut heap = HeapFile::new(TupleLayout::new(128));
+    for pk in 0..N {
+        heap.append_record(pk, pk / 500);
+    }
+    let rel = Relation::new(heap, ATT1_OFFSET, Duplicates::Contiguous).expect("ordered on att1");
+    let mut server = Server::spawn(serve_state(rel, 2)).expect("server up");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    match client.probe_batch(&[1; 2_200]) {
+        Err(NetError::Remote(RemoteError::Internal { detail })) => {
+            assert!(detail.contains("reply exceeds MAX_FRAME"), "{detail}")
+        }
+        other => panic!("expected a typed Internal error, got {other:?}"),
+    }
+    let next = client
+        .probe_batch(&[1])
+        .expect("same connection, next request");
+    assert_eq!(next[0].len(), 500);
+    server.shutdown();
 }
 
 #[test]

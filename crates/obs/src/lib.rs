@@ -29,6 +29,7 @@
 //!   the analytical model's prediction as a regret stream.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod histogram;

@@ -50,12 +50,9 @@ pub enum SpanKind {
     /// One wire-protocol request handled by a server worker
     /// (`detail` = opcode).
     Rpc,
-    /// One fan-out of a batched operation across shards (`detail` =
-    /// shards involved).
+    /// One batched operation routed across shards (`detail` = shards
+    /// touched).
     Scatter,
-    /// One order-preserving merge of per-shard results (`detail` =
-    /// results merged).
-    Gather,
 }
 
 impl SpanKind {
@@ -76,7 +73,6 @@ impl SpanKind {
             SpanKind::Scrub => "scrub",
             SpanKind::Rpc => "rpc",
             SpanKind::Scatter => "scatter",
-            SpanKind::Gather => "gather",
         }
     }
 }

@@ -12,6 +12,7 @@
 //! configuration" requirement needs.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
 

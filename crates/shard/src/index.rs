@@ -4,10 +4,15 @@
 //! a [`ShardPlan`]; each shard owns a full PR-4/PR-5 write path — a
 //! [`DurableIndex`] wrapping a [`RangeView`] over any inner index,
 //! with its own WAL — so durability, recovery, and memtable flushing
-//! shard for free. The router scatter-gathers batched probes over a
-//! thread-per-shard [`ShardExecutor`] and stitches range scans across
-//! shard boundaries with a cursor that honors the PR-5 continuation
-//! protocol exactly.
+//! shard for free. The router splits a batched probe at the shard
+//! boundaries and serves it shard by shard on the calling thread
+//! (concurrent callers are the parallelism; every shard is behind its
+//! own `RwLock`), and stitches range scans across shard boundaries
+//! with a cursor that honors the PR-5 continuation protocol exactly.
+//!
+//! Each shard's simulated clock is the sum of the `thread_sim_ns`
+//! deltas taken around the work done *for that shard*, whichever
+//! thread did it, so the makespan needs no thread per shard.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -20,7 +25,6 @@ use bftree_obs::{span, MetricSource, MetricsRegistry, SpanKind};
 use bftree_storage::{thread_sim_ns, IoContext, PageDevice, PageId, Relation};
 
 use crate::envelope::ShardedContinuation;
-use crate::executor::ShardExecutor;
 use crate::plan::ShardPlan;
 use crate::view::RangeView;
 use crate::ShardError;
@@ -32,10 +36,6 @@ pub type ShardStack = DurableIndex<RangeView<Box<dyn AccessMethod>>>;
 /// locations in key order, the continuation token when more remain,
 /// and the I/O accounting for the pull.
 pub type RangePage = (Vec<(PageId, usize)>, Option<ShardedContinuation>, ScanIo);
-
-/// One shard's gathered probe results, each tagged with its key's
-/// original position in the batch.
-type ShardGather = Result<Vec<(usize, Probe)>, ProbeError>;
 
 struct ShardCell {
     state: RwLock<ShardStack>,
@@ -98,15 +98,13 @@ impl<'a> IoSel<'a> {
     }
 }
 
-/// A range-partitioned, durable, scatter-gather index — the serving
+/// A range-partitioned, durable index behind a batch router — the serving
 /// layer's data plane, itself a sixth [`AccessMethod`] implementation
 /// so the whole single-node conformance battery applies verbatim.
 pub struct ShardedIndex {
     plan: ShardPlan,
     shards: Vec<ShardCell>,
-    executor: ShardExecutor,
     scatters: AtomicU64,
-    gathers: AtomicU64,
 }
 
 impl std::fmt::Debug for ShardedIndex {
@@ -145,9 +143,7 @@ impl ShardedIndex {
         Self {
             plan,
             shards,
-            executor: ShardExecutor::new(n),
             scatters: AtomicU64::new(0),
-            gathers: AtomicU64::new(0),
         }
     }
 
@@ -182,9 +178,7 @@ impl ShardedIndex {
             Self {
                 plan,
                 shards,
-                executor: ShardExecutor::new(n),
                 scatters: AtomicU64::new(0),
-                gathers: AtomicU64::new(0),
             },
             reports,
         ))
@@ -267,7 +261,7 @@ impl ShardedIndex {
         cell.timed(|| cell.write().delete(key, rel))
     }
 
-    /// Scatter-gather a probe batch with one [`IoContext`] per shard —
+    /// Route a probe batch with one [`IoContext`] per shard —
     /// the serving configuration, where each shard owns its device
     /// channels and all contexts share one buffer-manager budget.
     ///
@@ -322,76 +316,45 @@ impl ShardedIndex {
         Ok((out, cont, cursor.io()))
     }
 
-    /// Router core: split the batch by shard boundary (preserving each
-    /// key's original position), fan out to the per-shard worker
-    /// threads, and merge per-key results back into input order.
+    /// Router core: split the batch by shard boundary (remembering each
+    /// key's input position), then — on the calling thread — visit the
+    /// shards in ascending order, probing each one's keys under a single
+    /// read lock and writing every answer straight into its input
+    /// position. Callers are the parallelism: concurrent batches meet
+    /// only on the shard read locks.
     fn batch_on(
         &self,
         keys: &[u64],
         rel: &Relation,
         ios: IoSel<'_>,
     ) -> Result<Vec<Probe>, ProbeError> {
-        let n = self.shard_count();
-        let mut by_shard: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
+        let mut by_shard: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.shard_count()];
         for (i, &key) in keys.iter().enumerate() {
             by_shard[self.plan.shard_of(key)].push((i, key));
         }
-        let involved: Vec<usize> = (0..n).filter(|&s| !by_shard[s].is_empty()).collect();
+        let mut scatter_span = span(SpanKind::Scatter);
+        self.scatters.fetch_add(1, Ordering::Relaxed);
 
-        let run_shard = |s: usize| -> ShardGather {
+        let mut out = vec![Probe::default(); keys.len()];
+        let mut touched = 0;
+        for (s, batch) in by_shard.iter().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
+            touched += 1;
             let cell = &self.shards[s];
             let io = ios.get(s);
-            cell.probes
-                .fetch_add(by_shard[s].len() as u64, Ordering::Relaxed);
-            cell.timed(|| {
+            cell.probes.fetch_add(batch.len() as u64, Ordering::Relaxed);
+            cell.timed(|| -> Result<(), ProbeError> {
                 let guard = cell.read();
-                by_shard[s]
-                    .iter()
-                    .map(|&(i, key)| guard.probe(key, rel, io).map(|p| (i, p)))
-                    .collect()
-            })
-        };
-
-        let mut slots: Vec<Option<ShardGather>> = (0..involved.len()).map(|_| None).collect();
-        {
-            let mut scatter_span = span(SpanKind::Scatter);
-            scatter_span.set_detail(involved.len() as u64);
-            self.scatters.fetch_add(1, Ordering::Relaxed);
-            if involved.len() <= 1 {
-                // Single-shard batches skip the executor round trip.
-                for (&s, slot) in involved.iter().zip(slots.iter_mut()) {
-                    *slot = Some(run_shard(s));
+                for &(i, key) in batch {
+                    out[i] = guard.probe(key, rel, io)?;
                 }
-            } else {
-                let jobs: Vec<(usize, Box<dyn FnOnce() + Send + '_>)> = involved
-                    .iter()
-                    .zip(slots.iter_mut())
-                    .map(|(&s, slot)| {
-                        let run_shard = &run_shard;
-                        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                            *slot = Some(run_shard(s));
-                        });
-                        (s, job)
-                    })
-                    .collect();
-                self.executor.scatter(jobs);
-            }
+                Ok(())
+            })?;
         }
-
-        let mut gather_span = span(SpanKind::Gather);
-        gather_span.set_detail(keys.len() as u64);
-        self.gathers.fetch_add(1, Ordering::Relaxed);
-        let mut out: Vec<Option<Probe>> = (0..keys.len()).map(|_| None).collect();
-        for slot in slots {
-            let results = slot.expect("every involved shard reports")?;
-            for (i, probe) in results {
-                out[i] = Some(probe);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|p| p.expect("every key routed to exactly one shard"))
-            .collect())
+        scatter_span.set_detail(touched);
+        Ok(out)
     }
 }
 
@@ -499,12 +462,6 @@ impl MetricSource for ShardedIndex {
             "Batched operations fanned out across shards.",
             &[],
             self.scatters.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            "bftree_shard_gathers_total",
-            "Order-preserving merges of per-shard results.",
-            &[],
-            self.gathers.load(Ordering::Relaxed),
         );
         for (s, cell) in self.shards.iter().enumerate() {
             let shard = s.to_string();

@@ -12,11 +12,12 @@
 //!   `build` as "index my slice", the whole durable write path
 //!   (`DurableIndex`: memtable, WAL, crash recovery) shards verbatim.
 //! * [`ShardedIndex`] — N durable stacks behind one `AccessMethod`: a
-//!   scatter-gather router for batched probes (split the batch at
-//!   shard boundaries, fan out on a thread-per-shard
-//!   [`ShardExecutor`], merge back in input order) and a range cursor
-//!   that stitches shards together under the PR-5 continuation
-//!   protocol. Itself passes the full access-method conformance
+//!   router for batched probes (split the batch at shard boundaries,
+//!   probe shard by shard on the calling thread, write each answer
+//!   into its input position) and a range cursor that stitches shards
+//!   together under the PR-5 continuation protocol. It starts no
+//!   threads: the callers (one per connection in `bftree-net`) are the
+//!   parallelism. Itself passes the full access-method conformance
 //!   battery.
 //! * [`ShardedContinuation`] — a pagination token stamped with the
 //!   shard layout it was minted under, so resuming under a different
@@ -35,15 +36,15 @@
 //!
 //! [`AccessMethod`]: bftree_access::AccessMethod
 
+#![forbid(unsafe_code)]
+
 pub mod envelope;
-pub mod executor;
 pub mod index;
 pub mod plan;
 pub mod storage;
 pub mod view;
 
 pub use envelope::ShardedContinuation;
-pub use executor::ShardExecutor;
 pub use index::{ShardStack, ShardedIndex};
 pub use plan::ShardPlan;
 pub use storage::ShardedIo;

@@ -1,11 +1,20 @@
 //! End-to-end checks of the sharded serving data plane against a
-//! direct (unsharded) oracle: routing, scatter-gather batches,
+//! direct (unsharded) oracle: routing, batches split across shards,
 //! cross-shard range pagination, durable write routing, and the
 //! shared-budget I/O fleet.
 
+use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::RwLock;
+
 use bftree::BfTree;
-use bftree_access::{AccessMethod, DurableConfig};
+use bftree_access::{
+    AccessMethod, BuildError, Continuation, DurableConfig, IndexStats, MatchSink, ProbeError,
+    ProbeIo, RangeCursor,
+};
 use bftree_btree::{BPlusTree, BTreeConfig};
+use bftree_obs::MetricsRegistry;
 use bftree_shard::{ShardError, ShardPlan, ShardedContinuation, ShardedIndex, ShardedIo};
 use bftree_storage::tuple::PK_OFFSET;
 use bftree_storage::{
@@ -34,25 +43,32 @@ fn durable() -> DurableConfig {
     }
 }
 
-/// A built 4-shard index over BF-Trees, with sim WAL devices.
-fn sharded(rel: &Relation, shards: usize) -> ShardedIndex {
+fn bf_tree(rel: &Relation) -> Box<dyn AccessMethod> {
+    Box::new(
+        BfTree::builder()
+            .fpp(1e-4)
+            .empty(rel)
+            .expect("valid config"),
+    )
+}
+
+/// A built index over `factory`'s inner indexes, with sim WAL devices.
+fn sharded_over(
+    rel: &Relation,
+    shards: usize,
+    factory: impl FnMut(usize) -> Box<dyn AccessMethod>,
+) -> ShardedIndex {
     let plan = ShardPlan::uniform(N, shards);
-    let mut index = ShardedIndex::new(
-        plan,
-        rel,
-        durable(),
-        |_| {
-            Box::new(
-                BfTree::builder()
-                    .fpp(1e-4)
-                    .empty(rel)
-                    .expect("valid config"),
-            )
-        },
-        |_| PageDevice::cold(DeviceKind::Ssd),
-    );
+    let mut index = ShardedIndex::new(plan, rel, durable(), factory, |_| {
+        PageDevice::cold(DeviceKind::Ssd)
+    });
     index.build(rel).expect("sharded build");
     index
+}
+
+/// A built index over BF-Trees.
+fn sharded(rel: &Relation, shards: usize) -> ShardedIndex {
+    sharded_over(rel, shards, |_| bf_tree(rel))
 }
 
 fn brute_range(rel: &Relation, lo: u64, hi: u64) -> Vec<(PageId, usize)> {
@@ -83,7 +99,7 @@ fn probes_match_an_unsharded_oracle() {
 }
 
 #[test]
-fn scatter_gather_batch_preserves_input_order() {
+fn routed_batch_preserves_input_order() {
     let rel = relation();
     let index = sharded(&rel, 4);
     let io = IoContext::unmetered();
@@ -237,4 +253,216 @@ fn sharded_io_fleet_shares_one_budget() {
     // Decommission shard 2: its carve-out returns to the cache.
     assert_eq!(fleet.release_all_for(2), 4096);
     assert_eq!(fleet.buffer_stats().reserved_bytes, 4096);
+}
+
+/// Routing a batch must charge exactly what probing its keys one by
+/// one charges: same answers, same per-shard simulated clocks, same
+/// per-shard probe counters, same per-shard device counters.
+#[test]
+fn a_routed_batch_charges_exactly_what_a_scalar_loop_charges() {
+    let rel = relation();
+    let (batched, scalar) = (sharded(&rel, 4), sharded(&rel, 4));
+    let fleet = || -> Vec<IoContext> {
+        (0..4)
+            .map(|_| IoContext::cold(StorageConfig::SsdHdd))
+            .collect()
+    };
+    let (ios_batched, ios_scalar) = (fleet(), fleet());
+    let probes_of = |index: &ShardedIndex, s: usize| {
+        let mut reg = MetricsRegistry::new();
+        reg.collect_from(index);
+        reg.value("bftree_shard_probes_total", &[("shard", &s.to_string())])
+            .expect("per-shard probe counter")
+    };
+
+    let shapes: [(&str, Vec<u64>); 7] = [
+        ("empty", vec![]),
+        ("one key", vec![2500]),
+        ("all in one shard", vec![1999, 1000, 1500, 1001]),
+        (
+            "spanning every shard",
+            vec![3999, 0, 1000, 999, 2500, 1, 3000, 2999],
+        ),
+        ("duplicate keys", vec![42, 3000, 42, 42, 3000]),
+        ("above the last bound", vec![N, N + 7, u64::MAX]),
+        ("absent keys among present", vec![N + 1, 17, N + 900, 2017]),
+    ];
+    for (shape, keys) in &shapes {
+        let got = batched
+            .probe_batch_sharded(keys, &rel, &ios_batched)
+            .expect("routed batch");
+        let want: Vec<_> = keys
+            .iter()
+            .map(|&key| {
+                let io = &ios_scalar[scalar.plan().shard_of(key)];
+                scalar.probe(key, &rel, io).expect("scalar probe")
+            })
+            .collect();
+        assert_eq!(got, want, "{shape}: answers");
+        for s in 0..4 {
+            assert_eq!(
+                batched.shard_sim_ns(s),
+                scalar.shard_sim_ns(s),
+                "{shape}: shard {s} clock"
+            );
+            assert_eq!(
+                probes_of(&batched, s),
+                probes_of(&scalar, s),
+                "{shape}: shard {s} probe counter"
+            );
+            assert_eq!(
+                ios_batched[s].snapshot_total(),
+                ios_scalar[s].snapshot_total(),
+                "{shape}: shard {s} device counters"
+            );
+        }
+    }
+    assert!(batched.makespan_sim_ns() > 0, "the probes cost sim time");
+    assert_eq!(probes_of(&batched, 0), 7.0, "shard 0 served 7 of the keys");
+}
+
+/// The router starts no threads; its callers are the parallelism.
+/// Four readers route mixed-shard batches while a writer routes fresh
+/// ordered keys, under the same relation lock discipline the server
+/// uses: every base-key answer equals the oracle, and every acked
+/// insert is visible afterwards.
+#[test]
+fn concurrent_callers_route_batches_while_a_writer_inserts() {
+    const FRESH: u64 = 300;
+    let rel = relation();
+    let index = sharded(&rel, 4);
+    let oracle: HashMap<u64, (PageId, usize)> = rel
+        .heap()
+        .iter_attr(rel.attr())
+        .map(|(pid, slot, key)| (key, (pid, slot)))
+        .collect();
+    let rel = RwLock::new(rel);
+    let ios: Vec<IoContext> = (0..4).map(|_| IoContext::unmetered()).collect();
+    let writer_done = AtomicBool::new(false);
+
+    let acked = std::thread::scope(|scope| {
+        for t in 0..4u64 {
+            let (index, rel, ios, oracle, writer_done) =
+                (&index, &rel, &ios, &oracle, &writer_done);
+            scope.spawn(move || {
+                let mut round = t;
+                // At least a few rounds even if the writer wins the race.
+                while round < t + 40 || !writer_done.load(Ordering::Acquire) {
+                    // 16 keys striding across all four shards.
+                    let keys: Vec<u64> = (0..16).map(|i| (round * 131 + i * 1009) % N).collect();
+                    let got = index
+                        .probe_batch_sharded(&keys, &rel.read().unwrap(), ios)
+                        .expect("routed batch");
+                    for (key, probe) in keys.iter().zip(&got) {
+                        assert_eq!(probe.matches, vec![oracle[key]], "key {key}");
+                    }
+                    round += 4;
+                }
+            });
+        }
+        let writer = scope.spawn(|| {
+            let acked: Vec<(u64, (PageId, usize))> = (0..FRESH)
+                .map(|i| {
+                    let key = N + i;
+                    let mut rel = rel.write().unwrap();
+                    let loc = rel.append_tuple(key, key * 10, &ios[3]);
+                    index.route_insert(key, loc, &rel).expect("insert");
+                    (key, loc)
+                })
+                .collect();
+            writer_done.store(true, Ordering::Release);
+            acked
+        });
+        writer.join().expect("writer")
+    });
+
+    let rel = rel.into_inner().unwrap();
+    let keys: Vec<u64> = acked.iter().map(|&(key, _)| key).collect();
+    let got = index
+        .probe_batch_sharded(&keys, &rel, &ios)
+        .expect("read back");
+    for ((key, loc), probe) in acked.iter().zip(&got) {
+        assert_eq!(probe.matches, vec![*loc], "acked insert {key} is visible");
+    }
+}
+
+/// An inner index that panics when probed for one key.
+struct PanicsOn {
+    poison: u64,
+    inner: Box<dyn AccessMethod>,
+}
+
+impl AccessMethod for PanicsOn {
+    fn name(&self) -> &'static str {
+        "panics-on"
+    }
+    fn build(&mut self, rel: &Relation) -> Result<(), BuildError> {
+        self.inner.build(rel)
+    }
+    fn probe_into(
+        &self,
+        key: u64,
+        rel: &Relation,
+        io: &IoContext,
+        sink: &mut dyn MatchSink,
+    ) -> Result<ProbeIo, ProbeError> {
+        assert_ne!(key, self.poison, "inner index exploded");
+        self.inner.probe_into(key, rel, io, sink)
+    }
+    fn range_cursor<'c>(
+        &'c self,
+        lo: u64,
+        hi: u64,
+        rel: &'c Relation,
+        io: &'c IoContext,
+    ) -> Result<Box<dyn RangeCursor + 'c>, ProbeError> {
+        self.inner.range_cursor(lo, hi, rel, io)
+    }
+    fn resume_range_cursor<'c>(
+        &'c self,
+        cont: &Continuation,
+        rel: &'c Relation,
+        io: &'c IoContext,
+    ) -> Result<Box<dyn RangeCursor + 'c>, ProbeError> {
+        self.inner.resume_range_cursor(cont, rel, io)
+    }
+    fn insert(&mut self, key: u64, loc: (PageId, usize), rel: &Relation) -> Result<(), ProbeError> {
+        self.inner.insert(key, loc, rel)
+    }
+    fn delete(&mut self, key: u64, rel: &Relation) -> Result<u64, ProbeError> {
+        self.inner.delete(key, rel)
+    }
+    fn size_bytes(&self) -> u64 {
+        self.inner.size_bytes()
+    }
+    fn stats(&self) -> IndexStats {
+        self.inner.stats()
+    }
+}
+
+/// A panic in one shard's probe unwinds through the caller — there is
+/// no other thread for it to happen on — and the index keeps serving:
+/// read guards do not poison.
+#[test]
+fn a_panicking_shard_unwinds_to_the_caller_and_the_index_keeps_serving() {
+    const POISON: u64 = 1500;
+    let rel = relation();
+    let index = sharded_over(&rel, 4, |_| {
+        Box::new(PanicsOn {
+            poison: POISON,
+            inner: bf_tree(&rel),
+        })
+    });
+    let ios: Vec<IoContext> = (0..4).map(|_| IoContext::unmetered()).collect();
+
+    let blown = catch_unwind(AssertUnwindSafe(|| {
+        index.probe_batch_sharded(&[7, POISON, 3000], &rel, &ios)
+    }));
+    assert!(blown.is_err(), "the panic reaches the caller");
+
+    // Same shards, poisoned one included, answer the next batch.
+    let got = index
+        .probe_batch_sharded(&[7, POISON + 1, 3000], &rel, &ios)
+        .expect("next batch");
+    assert!(got.iter().all(|p| p.matches.len() == 1));
 }

@@ -23,6 +23,7 @@
 //! tests enforce for all four access methods.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod log;
 pub mod record;

@@ -25,6 +25,7 @@
 //! configuration" extends here to whole datasets.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod mixed;
 pub mod popularity;

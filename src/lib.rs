@@ -27,7 +27,7 @@
 //!   registry, exportable traces.
 //! * [`shard`](bftree_shard) — the sharded serving layer:
 //!   [`bftree_shard::ShardedIndex`] range-partitions a relation across
-//!   N durable shards behind a scatter-gather router, with
+//!   N durable shards behind a batch router, with
 //!   [`bftree_shard::ShardedContinuation`] tokens resuming paginated
 //!   scans across shard boundaries.
 //! * [`net`](bftree_net) — the wire-protocol front end: a
@@ -56,6 +56,8 @@
 //! assert!(probe.found());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use bftree;
 pub use bftree_access;
