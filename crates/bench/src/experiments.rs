@@ -5,11 +5,11 @@
 use bftree_storage::tuple::{ATT1_OFFSET, PK_OFFSET};
 use bftree_storage::{Duplicates, IoContext, Relation, StorageConfig};
 use bftree_workloads::synthetic::{att1_domain, build_relation_r};
-use bftree_workloads::{probes_from_domain, probes_with_hit_rate, SyntheticConfig};
+use bftree_workloads::{probes_from_domain, SyntheticConfig};
+use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::indexes::{build_bftree, build_btree, run_probes, RunResult};
-use crate::scale;
 
 /// A relation plus the label an experiment reports under.
 pub struct Dataset {
@@ -26,10 +26,10 @@ impl Dataset {
     }
 }
 
-/// Relation R with the PK as the indexed attribute (§6.2), sized by
-/// [`scale::relation_mb`].
-pub fn relation_r_pk() -> Dataset {
-    let config = SyntheticConfig::scaled_mb(scale::relation_mb());
+/// Relation R, `mb` megabytes of it, with the PK as the indexed
+/// attribute (§6.2).
+pub fn relation_r_pk(mb: u64) -> Dataset {
+    let config = SyntheticConfig::scaled_mb(mb);
     let relation = Relation::new(build_relation_r(&config), PK_OFFSET, Duplicates::Unique)
         .expect("conventional layout");
     Dataset {
@@ -39,8 +39,8 @@ pub fn relation_r_pk() -> Dataset {
 }
 
 /// Relation R with ATT1 as the indexed attribute (§6.3).
-pub fn relation_r_att1() -> Dataset {
-    let config = SyntheticConfig::scaled_mb(scale::relation_mb());
+pub fn relation_r_att1(mb: u64) -> Dataset {
+    let config = SyntheticConfig::scaled_mb(mb);
     let relation = Relation::new(
         build_relation_r(&config),
         ATT1_OFFSET,
@@ -53,45 +53,51 @@ pub fn relation_r_att1() -> Dataset {
     }
 }
 
-/// The §6.2 probe workload: random existing PKs (every probe matches).
-pub fn pk_probes(ds: &Dataset) -> Vec<u64> {
+/// The §6.2 probe workload: `n` random existing PKs (every probe
+/// matches).
+pub fn pk_probes(ds: &Dataset, n: usize) -> Vec<u64> {
     let domain: Vec<u64> = (0..ds.relation.heap().tuple_count()).collect();
-    probes_from_domain(&domain, scale::n_probes(), 0xF165)
+    probes_from_domain(&domain, n, 0xF165)
 }
 
-/// The §6.3 probe workload: random timestamps with the paper's 14 %
-/// average hit rate.
+/// The §6.3 probe workload: `n` random timestamps with the paper's
+/// 14 % average hit rate.
 ///
 /// Misses are timestamps *after* the data's time range — ATT1 "is a
 /// timestamp attribute" and random timestamps mostly postdate the
 /// archive. (This is the reading consistent with Table 3's magnitudes:
 /// its ATT1 false-read counts match `hit_rate × fpp × S`, i.e. misses
 /// are rejected by the leaf's `[min_key, max_key]` check and only hits
-/// pay the full filter sweep. In-range misses are exercised separately
-/// by [`att1_probes_in_range_misses`].)
-pub fn att1_probes(ds: &Dataset) -> Vec<u64> {
+/// pay the full filter sweep.)
+pub fn att1_probes(ds: &Dataset, n: usize) -> Vec<u64> {
     let domain = att1_domain(ds.relation.heap());
     let max = *domain.last().expect("non-empty relation");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xF168);
-    let n = scale::n_probes();
+    probes_at_hit_rate(&domain, n, 0.14, 0xF168, |rng| {
+        max + 1 + rng.random_range(0..domain.len() as u64)
+    })
+}
+
+/// `n` probes of which exactly the `hit_rate` share, evenly spread
+/// through the stream, are random keys of `domain`; `miss` draws the
+/// others.
+pub fn probes_at_hit_rate(
+    domain: &[u64],
+    n: usize,
+    hit_rate: f64,
+    seed: u64,
+    mut miss: impl FnMut(&mut StdRng) -> u64,
+) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|i| {
-            let want_hit = (((i + 1) as f64) * 0.14).floor() > ((i as f64) * 0.14).floor();
+            let want_hit = (((i + 1) as f64) * hit_rate).floor() > ((i as f64) * hit_rate).floor();
             if want_hit {
                 domain[rng.random_range(0..domain.len())]
             } else {
-                max + 1 + rng.random_range(0..domain.len() as u64)
+                miss(&mut rng)
             }
         })
         .collect()
-}
-
-/// The adversarial variant: misses are drawn from the *gaps* of ATT1's
-/// domain, so every probe lands inside the indexed key range and pays
-/// the full filter sweep. Used by the ablation benches.
-pub fn att1_probes_in_range_misses(ds: &Dataset) -> Vec<u64> {
-    let domain = att1_domain(ds.relation.heap());
-    probes_with_hit_rate(&domain, scale::n_probes(), 0.14, 0xF168)
 }
 
 /// One cell of the Figure-5/8 grid.
@@ -254,7 +260,7 @@ mod tests {
             relation,
             label: "ATT1",
         };
-        let probes = att1_probes(&ds);
+        let probes = att1_probes(&ds, 1_000);
         let domain = att1_domain(ds.relation.heap());
         let hits = probes
             .iter()

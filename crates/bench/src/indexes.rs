@@ -7,7 +7,7 @@
 //! over `&dyn AccessMethod` — adding a backend to every figure means
 //! implementing the trait, nothing here changes.
 
-use bftree::{BfTree, BfTreeConfig};
+use bftree::BfTree;
 use bftree_access::AccessMethod;
 use bftree_btree::{relation_entries, BPlusTree, BTreeConfig, DuplicateMode};
 use bftree_fdtree::FdTree;
@@ -25,27 +25,6 @@ pub struct RunResult {
     pub false_reads: f64,
     /// Fraction of probes that found at least one tuple.
     pub hit_rate: f64,
-    /// Fraction of page reads absorbed by the buffer pool (0 on cold
-    /// devices).
-    pub cache_hit_rate: f64,
-    /// Buffer-pool evictions across the run.
-    pub cache_evictions: u64,
-    /// Probes executed.
-    pub ops: u64,
-    /// Host wall-clock seconds for the run — the CPU-side cost the
-    /// batched pipeline optimizes (simulated I/O time is `mean_us`).
-    pub wall_seconds: f64,
-}
-
-impl RunResult {
-    /// Host-side throughput in probes per wall-clock second.
-    pub fn wall_ops_per_sec(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / self.wall_seconds
-        }
-    }
 }
 
 /// The four competitors of the paper's evaluation.
@@ -106,7 +85,6 @@ pub fn run_probes(
     io: &IoContext,
 ) -> RunResult {
     io.reset();
-    let wall_start = bftree_obs::WallTimer::start();
     let mut hits = 0u64;
     let mut false_reads = 0u64;
     for &key in probes {
@@ -119,86 +97,12 @@ pub fn run_probes(
         hits += u64::from(probe.found());
         false_reads += probe.false_reads;
     }
-    assemble_run(
-        index,
-        io,
-        probes.len(),
-        hits,
-        false_reads,
-        wall_start.elapsed_secs(),
-    )
-}
-
-/// [`run_probes`] with a **batch-size knob**: probes are cut into
-/// `batch_size` chunks and served through
-/// [`AccessMethod::probe_batch`], the batched pipeline (sorted keys,
-/// one hash per key, amortized descent, scratch reuse for the
-/// BF-Tree; a plain probe loop for indexes without an override).
-///
-/// `batch_size <= 1` degenerates to a scalar [`AccessMethod::probe`]
-/// loop. Unlike [`run_probes`], *both* arms use all-matches `probe`
-/// semantics — the batch contract guarantees identical matches and
-/// identical `IoStats` totals either way, so any throughput difference
-/// between batch sizes is pure CPU/cache effect.
-pub fn run_probes_batched(
-    index: &dyn AccessMethod,
-    rel: &Relation,
-    probes: &[u64],
-    io: &IoContext,
-    batch_size: usize,
-) -> RunResult {
-    io.reset();
-    let wall_start = bftree_obs::WallTimer::start();
-    let mut hits = 0u64;
-    let mut false_reads = 0u64;
-    if batch_size <= 1 {
-        for &key in probes {
-            let probe = index
-                .probe(key, rel, io)
-                .expect("relation validated at construction");
-            hits += u64::from(probe.found());
-            false_reads += probe.false_reads;
-        }
-    } else {
-        for chunk in probes.chunks(batch_size) {
-            for probe in index
-                .probe_batch(chunk, rel, io)
-                .expect("relation validated at construction")
-            {
-                hits += u64::from(probe.found());
-                false_reads += probe.false_reads;
-            }
-        }
-    }
-    assemble_run(
-        index,
-        io,
-        probes.len(),
-        hits,
-        false_reads,
-        wall_start.elapsed_secs(),
-    )
-}
-
-fn assemble_run(
-    index: &dyn AccessMethod,
-    io: &IoContext,
-    ops: usize,
-    hits: u64,
-    false_reads: u64,
-    wall_seconds: f64,
-) -> RunResult {
-    let n = ops.max(1) as f64;
-    let total = io.snapshot_total();
+    let n = probes.len().max(1) as f64;
     RunResult {
         mean_us: io.sim_us() / n,
         index_pages: index.stats().pages,
         false_reads: false_reads as f64 / n,
         hit_rate: hits as f64 / n,
-        cache_hit_rate: total.cache_hit_rate(),
-        cache_evictions: total.cache_evictions,
-        ops: ops as u64,
-        wall_seconds,
     }
 }
 
@@ -215,14 +119,6 @@ pub fn build_bftree(rel: &Relation, fpp: f64) -> BfTree {
         // SHD cardinalities); for uniform data it coincides with the
         // Property-1 even split.
         .bit_allocation(bftree::BitAllocation::Proportional)
-        .build(rel)
-        .expect("harness configuration is valid")
-}
-
-/// Build a BF-Tree with an explicit configuration (ablations).
-pub fn build_bftree_with_config(rel: &Relation, config: BfTreeConfig) -> BfTree {
-    BfTree::builder()
-        .config(config)
         .build(rel)
         .expect("harness configuration is valid")
 }

@@ -18,11 +18,9 @@
 //! deployment would see if every worker drove its own device channel
 //! (the multi-channel SSD/NVMe setting §8 of the paper points at).
 //! Aggregate throughput is `total_ops / makespan`, which is exactly
-//! reproducible on any host — including single-core CI — unlike
-//! wall-clock throughput, which is also reported but informational.
+//! reproducible on any host — including single-core CI.
 
-use bftree_access::{AccessMethod, ConcurrentIndex};
-use bftree_obs::WallTimer;
+use bftree_access::{AccessMethod, ConcurrentIndex, Probe, ProbeError};
 use bftree_storage::{thread_sim_ns, IoContext, IoSnapshot, PageId, Relation};
 use bftree_workloads::Op;
 
@@ -47,6 +45,14 @@ pub struct ThreadStats {
     pub sim_ns: u64,
 }
 
+impl ThreadStats {
+    fn tally(&mut self, probe: Result<Probe, ProbeError>) {
+        let probe = probe.expect("relation validated at construction");
+        self.hits += u64::from(probe.found());
+        self.false_reads += probe.false_reads;
+    }
+}
+
 /// Outcome of a parallel run.
 #[derive(Debug, Clone)]
 pub struct ParallelRunResult {
@@ -63,8 +69,6 @@ pub struct ParallelRunResult {
     pub makespan_sim_ns: u64,
     /// Sum of all threads' simulated time (device-time demand).
     pub total_sim_ns: u64,
-    /// Host wall-clock seconds (informational; host-dependent).
-    pub wall_seconds: f64,
     /// Merged per-operation latency histogram (simulated ns).
     pub latencies: LatencyHistogram,
     /// Per-thread breakdown, indexed by stream position.
@@ -94,17 +98,6 @@ impl ParallelRunResult {
         self.total_ops as f64 * 1e9 / self.makespan_sim_ns as f64
     }
 
-    /// Fraction of page reads absorbed by the buffer pool (0 on cold
-    /// devices).
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.io_total.cache_hit_rate()
-    }
-
-    /// Buffer-pool evictions across the run.
-    pub fn cache_evictions(&self) -> u64 {
-        self.io_total.cache_evictions
-    }
-
     /// How close the run is to ideal scaling: total device-time demand
     /// divided by `threads × makespan` (1.0 = perfectly balanced).
     pub fn parallel_efficiency(&self) -> f64 {
@@ -130,115 +123,14 @@ pub fn run_probes_parallel(
     streams: &[Vec<u64>],
     io: &IoContext,
 ) -> ParallelRunResult {
-    io.reset();
-    let wall_start = WallTimer::start();
-    let worker_results: Vec<(ThreadStats, LatencyHistogram)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = streams
-            .iter()
-            .map(|stream| {
-                scope.spawn(move || {
-                    let mut stats = ThreadStats::default();
-                    let mut hist = LatencyHistogram::new();
-                    let t_start = thread_sim_ns();
-                    for &key in stream {
-                        let op_start = thread_sim_ns();
-                        let probe = if rel.is_unique() {
-                            index.probe_first(key, rel, io)
-                        } else {
-                            index.probe(key, rel, io)
-                        }
-                        .expect("relation validated at construction");
-                        hist.record(thread_sim_ns() - op_start);
-                        stats.ops += 1;
-                        stats.hits += u64::from(probe.found());
-                        stats.false_reads += probe.false_reads;
-                    }
-                    stats.sim_ns = thread_sim_ns() - t_start;
-                    (stats, hist)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("probe worker panicked"))
-            .collect()
-    });
-    assemble(
-        worker_results,
-        wall_start.elapsed_secs(),
-        io.snapshot_total(),
-    )
-}
-
-/// [`run_probes_parallel`] with a **batch-size knob**: each worker
-/// serves its stream in `batch_size` chunks through
-/// [`AccessMethod::probe_batch`] (all-matches semantics on both arms,
-/// like [`crate::indexes::run_probes_batched`]).
-///
-/// The latency histogram records one entry per *batch* (its whole
-/// simulated duration): with batching, the batch — not the single
-/// probe — is the unit a serving thread blocks on. `batch_size <= 1`
-/// degenerates to a scalar `probe` loop recording per-probe latencies.
-pub fn run_probes_parallel_batched(
-    index: &dyn AccessMethod,
-    rel: &Relation,
-    streams: &[Vec<u64>],
-    io: &IoContext,
-    batch_size: usize,
-) -> ParallelRunResult {
-    io.reset();
-    let wall_start = WallTimer::start();
-    let worker_results: Vec<(ThreadStats, LatencyHistogram)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = streams
-            .iter()
-            .map(|stream| {
-                scope.spawn(move || {
-                    let mut stats = ThreadStats::default();
-                    let mut hist = LatencyHistogram::new();
-                    let t_start = thread_sim_ns();
-                    if batch_size <= 1 {
-                        // Scalar arm: a plain probe loop, free of any
-                        // batch bookkeeping, so comparisons against
-                        // batched runs measure the pipeline alone.
-                        for &key in stream {
-                            let op_start = thread_sim_ns();
-                            let probe = index
-                                .probe(key, rel, io)
-                                .expect("relation validated at construction");
-                            hist.record(thread_sim_ns() - op_start);
-                            stats.ops += 1;
-                            stats.hits += u64::from(probe.found());
-                            stats.false_reads += probe.false_reads;
-                        }
-                    } else {
-                        for chunk in stream.chunks(batch_size) {
-                            let op_start = thread_sim_ns();
-                            let probes = index
-                                .probe_batch(chunk, rel, io)
-                                .expect("relation validated at construction");
-                            hist.record(thread_sim_ns() - op_start);
-                            for probe in probes {
-                                stats.ops += 1;
-                                stats.hits += u64::from(probe.found());
-                                stats.false_reads += probe.false_reads;
-                            }
-                        }
-                    }
-                    stats.sim_ns = thread_sim_ns() - t_start;
-                    (stats, hist)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("probe worker panicked"))
-            .collect()
-    });
-    assemble(
-        worker_results,
-        wall_start.elapsed_secs(),
-        io.snapshot_total(),
-    )
+    run_workers(streams, io, |key, stats| {
+        let probe = if rel.is_unique() {
+            index.probe_first(key, rel, io)
+        } else {
+            index.probe(key, rel, io)
+        };
+        stats.tally(probe);
+    })
 }
 
 /// Serve per-thread mixed read/insert streams concurrently through a
@@ -253,42 +145,50 @@ pub fn run_mixed_parallel<A: AccessMethod>(
     io: &IoContext,
     locate: &(dyn Fn(u64) -> (PageId, usize) + Sync),
 ) -> ParallelRunResult {
+    run_workers(streams, io, |op, stats| match op {
+        Op::Probe(key) => {
+            let probe = if rel.is_unique() {
+                index.probe_first(key, rel, io)
+            } else {
+                index.probe(key, rel, io)
+            };
+            stats.tally(probe);
+        }
+        Op::Insert(key) => {
+            index
+                .insert(key, locate(key), rel)
+                .expect("insert of a pre-loaded tuple");
+            stats.inserts += 1;
+        }
+        Op::Delete(key) => {
+            index
+                .delete(key, rel)
+                .expect("delete under a validated relation");
+            stats.deletes += 1;
+        }
+    })
+}
+
+/// One scoped worker per stream, each serving its elements through
+/// `serve` and timing every one in simulated nanoseconds.
+fn run_workers<T: Copy + Sync>(
+    streams: &[Vec<T>],
+    io: &IoContext,
+    serve: impl Fn(T, &mut ThreadStats) + Sync,
+) -> ParallelRunResult {
     io.reset();
-    let wall_start = WallTimer::start();
     let worker_results: Vec<(ThreadStats, LatencyHistogram)> = std::thread::scope(|scope| {
         let handles: Vec<_> = streams
             .iter()
             .map(|stream| {
+                let serve = &serve;
                 scope.spawn(move || {
                     let mut stats = ThreadStats::default();
                     let mut hist = LatencyHistogram::new();
                     let t_start = thread_sim_ns();
-                    for &op in stream {
+                    for &item in stream {
                         let op_start = thread_sim_ns();
-                        match op {
-                            Op::Probe(key) => {
-                                let probe = if rel.is_unique() {
-                                    index.probe_first(key, rel, io)
-                                } else {
-                                    index.probe(key, rel, io)
-                                }
-                                .expect("relation validated at construction");
-                                stats.hits += u64::from(probe.found());
-                                stats.false_reads += probe.false_reads;
-                            }
-                            Op::Insert(key) => {
-                                index
-                                    .insert(key, locate(key), rel)
-                                    .expect("insert of a pre-loaded tuple");
-                                stats.inserts += 1;
-                            }
-                            Op::Delete(key) => {
-                                index
-                                    .delete(key, rel)
-                                    .expect("delete under a validated relation");
-                                stats.deletes += 1;
-                            }
-                        }
+                        serve(item, &mut stats);
                         hist.record(thread_sim_ns() - op_start);
                         stats.ops += 1;
                     }
@@ -299,78 +199,15 @@ pub fn run_mixed_parallel<A: AccessMethod>(
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("mixed worker panicked"))
+            .map(|h| h.join().expect("worker panicked"))
             .collect()
     });
-    assemble(
-        worker_results,
-        wall_start.elapsed_secs(),
-        io.snapshot_total(),
-    )
-}
-
-/// Exactness cross-check for a mixed run's **final state**: replay
-/// every write of `streams` into `reference` single-threaded, then
-/// compare sorted probe answers for every written key. Per-op results
-/// of the concurrent run legitimately race (a probe may or may not see
-/// a concurrent insert), but [`crate::mixed_streams`-style] streams
-/// give each thread disjoint write keys, so the final state is
-/// interleaving-invariant and must match the serial replay exactly.
-/// Returns the first divergence as an error string.
-///
-/// [`crate::mixed_streams`-style]: bftree_workloads::mixed_streams
-pub fn verify_mixed_final_state<A: AccessMethod>(
-    index: &ConcurrentIndex<A>,
-    reference: &mut dyn AccessMethod,
-    rel: &Relation,
-    streams: &[Vec<Op>],
-    locate: &(dyn Fn(u64) -> (PageId, usize) + Sync),
-) -> Result<(), String> {
-    let io = IoContext::unmetered();
-    let mut touched: Vec<u64> = Vec::new();
-    for stream in streams {
-        for &op in stream {
-            match op {
-                Op::Probe(_) => {}
-                Op::Insert(key) => {
-                    reference
-                        .insert(key, locate(key), rel)
-                        .map_err(|e| e.to_string())?;
-                    touched.push(key);
-                }
-                Op::Delete(key) => {
-                    reference.delete(key, rel).map_err(|e| e.to_string())?;
-                    touched.push(key);
-                }
-            }
-        }
-    }
-    touched.sort_unstable();
-    touched.dedup();
-    for &key in &touched {
-        let mut got = index
-            .probe(key, rel, &io)
-            .map_err(|e| e.to_string())?
-            .matches;
-        let mut want = reference
-            .probe(key, rel, &io)
-            .map_err(|e| e.to_string())?
-            .matches;
-        got.sort_unstable();
-        want.sort_unstable();
-        if got != want {
-            return Err(format!(
-                "key {key}: concurrent run answers {got:?}, serial replay {want:?}"
-            ));
-        }
-    }
-    Ok(())
+    assemble(worker_results, io.snapshot_total())
 }
 
 /// Merge per-worker results into one [`ParallelRunResult`].
 fn assemble(
     worker_results: Vec<(ThreadStats, LatencyHistogram)>,
-    wall_seconds: f64,
     io_total: IoSnapshot,
 ) -> ParallelRunResult {
     let mut latencies = LatencyHistogram::new();
@@ -382,8 +219,7 @@ fn assemble(
         per_thread.push(stats);
     }
     // The merge must lose nothing: the merged histogram holds exactly
-    // the entries the workers recorded. (Batched runs record one entry
-    // per batch, so this is entries — not ops — on both sides.)
+    // the entries the workers recorded.
     assert_eq!(
         latencies.count(),
         recorded,
@@ -396,7 +232,6 @@ fn assemble(
         false_reads: per_thread.iter().map(|t| t.false_reads).sum(),
         makespan_sim_ns: per_thread.iter().map(|t| t.sim_ns).max().unwrap_or(0),
         total_sim_ns: per_thread.iter().map(|t| t.sim_ns).sum(),
-        wall_seconds,
         latencies,
         per_thread,
         io_total,
@@ -453,33 +288,6 @@ mod tests {
                 "{}: thread-local clock drifted from device clock",
                 index.name()
             );
-        }
-    }
-
-    #[test]
-    fn batched_parallel_matches_scalar_parallel_exactly() {
-        let rel = relation();
-        let domain: Vec<u64> = (0..4_000).collect();
-        let streams = popular_probe_streams(&domain, KeyPopularity::Uniform, 250, 4, 9);
-        for kind in [IndexKind::BfTree, IndexKind::BPlusTree] {
-            let index = build_index(kind, &rel, 1e-4);
-            let io_scalar = IoContext::cold(StorageConfig::SsdHdd);
-            let a = run_probes_parallel_batched(index.as_ref(), &rel, &streams, &io_scalar, 1);
-            let expect = io_scalar.snapshot_total();
-            let io_batch = IoContext::cold(StorageConfig::SsdHdd);
-            let b = run_probes_parallel_batched(index.as_ref(), &rel, &streams, &io_batch, 64);
-            let got = io_batch.snapshot_total();
-            assert_eq!(a.total_ops, 1_000);
-            assert_eq!(b.total_ops, 1_000);
-            assert_eq!(a.hits, b.hits, "{}", index.name());
-            assert_eq!(a.false_reads, b.false_reads, "{}", index.name());
-            assert_eq!(
-                got.device_reads(),
-                expect.device_reads(),
-                "{}",
-                index.name()
-            );
-            assert_eq!(got.sim_ns, expect.sim_ns, "{}", index.name());
         }
     }
 
@@ -571,9 +379,28 @@ mod tests {
         let r = run_mixed_parallel(&shared, &rel, &streams, &io, &|k| locs[&k]);
         let deleted: u64 = r.per_thread.iter().map(|t| t.deletes).sum();
         assert_eq!(deleted, delete_keys.len() as u64, "every delete executed");
+        // Per-op results legitimately race, but each thread writes its
+        // own keys, so the final state is interleaving-invariant: it
+        // must match a serial replay of every write.
         let mut reference = build_index(IndexKind::BfTree, &rel, 1e-4);
-        verify_mixed_final_state(&shared, &mut reference, &rel, &streams, &|k| locs[&k])
-            .expect("concurrent final state diverged from the serial replay");
+        let mut written = Vec::new();
+        for &op in streams.iter().flatten() {
+            match op {
+                Op::Probe(_) => continue,
+                Op::Insert(key) => reference.insert(key, locs[&key], &rel).unwrap(),
+                Op::Delete(key) => drop(reference.delete(key, &rel).unwrap()),
+            }
+            written.push(op);
+        }
+        let check = IoContext::unmetered();
+        for op in written {
+            let (Op::Insert(key) | Op::Delete(key) | Op::Probe(key)) = op;
+            let mut got = shared.probe(key, &rel, &check).unwrap().matches;
+            let mut want = reference.probe(key, &rel, &check).unwrap().matches;
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "key {key}: concurrent run vs serial replay");
+        }
         // Deleted keys really miss now.
         let io = IoContext::unmetered();
         for &k in &delete_keys {

@@ -2,22 +2,38 @@
 //! paper's tables and figures show) plus machine-readable CSV blocks.
 
 /// An experiment report: header + rows, printable as an aligned table
-/// or CSV.
+/// or CSV, with the free-text lines that frame it on stdout.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     title: String,
     columns: Vec<String>,
     rows: Vec<Vec<String>>,
+    preface: Option<String>,
+    note: Option<String>,
 }
 
 impl Report {
-    /// Start a report with the figure/table title.
-    pub fn new(title: impl Into<String>, columns: &[&str]) -> Self {
+    /// Start a report with the figure/table title and its column
+    /// names, comma-separated as the CSV block prints them.
+    pub fn new(title: impl Into<String>, columns: &str) -> Self {
         Self {
             title: title.into(),
-            columns: columns.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
+            columns: columns.split(',').map(str::to_string).collect(),
+            ..Self::default()
         }
+    }
+
+    /// The line printed (with a blank one after it) above the table:
+    /// what was run, at what scale.
+    pub fn preface(mut self, line: impl Into<String>) -> Self {
+        self.preface = Some(line.into());
+        self
+    }
+
+    /// The line printed below the CSV block: a summary statistic or
+    /// the paper's number the table is held against.
+    pub fn note(&mut self, line: impl Into<String>) {
+        self.note = Some(line.into());
     }
 
     /// Append one row; must match the column count.
@@ -79,12 +95,19 @@ impl Report {
         out
     }
 
-    /// Print the table and, under a marker line, the CSV block.
+    /// Print the preface, the table and, under a marker line, the CSV
+    /// block, then the note.
     pub fn print(&self) {
+        if let Some(preface) = &self.preface {
+            println!("{preface}\n");
+        }
         println!("{}", self.to_table());
         println!("--- csv: {} ---", self.title);
         print!("{}", self.to_csv());
         println!();
+        if let Some(note) = &self.note {
+            println!("{note}");
+        }
     }
 }
 
@@ -116,7 +139,7 @@ mod tests {
 
     #[test]
     fn table_aligns_and_csv_round_trips() {
-        let mut r = Report::new("Table X", &["fpp", "pages"]);
+        let mut r = Report::new("Table X", "fpp,pages");
         r.row(&["0.2".into(), "406".into()]);
         r.row(&["1e-15".into(), "8565".into()]);
         let t = r.to_table();
@@ -132,7 +155,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width mismatch")]
     fn rejects_ragged_rows() {
-        let mut r = Report::new("t", &["a", "b"]);
+        let mut r = Report::new("t", "a,b");
         r.row(&["1".into()]);
     }
 

@@ -52,24 +52,28 @@ fn serve_state(rel: Relation, shards: usize) -> ServeState {
 
 #[test]
 fn networked_answers_match_the_in_process_dispatch_path() {
-    let mut server = Server::spawn(serve_state(relation(), 4)).expect("server up");
-    let mut client = Client::connect(server.addr()).expect("connect");
+    // Boundary keys and a miss, then a strided sample of the domain.
+    let mut keys: Vec<u64> = vec![0, 1999, 3, 500, 999, 1000, N + 50, 7, 1500];
+    keys.extend((0..256).map(|i| i * 37 % N));
+    for shards in [1, 2, 4, 8] {
+        let mut server = Server::spawn(serve_state(relation(), shards)).expect("server up");
+        let mut client = Client::connect(server.addr()).expect("connect");
 
-    let keys: Vec<u64> = vec![0, 1999, 3, 500, 999, 1000, N + 50, 7, 1500];
-    let wire = client.probe_batch(&keys).expect("wire batch");
-    let direct = match server
-        .state()
-        .handle(Request::ProbeBatch { keys: keys.clone() })
-    {
-        Response::ProbeBatch { probes } => probes,
-        other => panic!("direct dispatch failed: {other:?}"),
-    };
-    assert_eq!(
-        wire, direct,
-        "wire and in-process answers must be identical"
-    );
-    assert!(wire[0].len() == 1 && wire[6].is_empty());
-    server.shutdown();
+        let wire = client.probe_batch(&keys).expect("wire batch");
+        let direct = match server
+            .state()
+            .handle(Request::ProbeBatch { keys: keys.clone() })
+        {
+            Response::ProbeBatch { probes } => probes,
+            other => panic!("direct dispatch failed: {other:?}"),
+        };
+        assert_eq!(
+            wire, direct,
+            "{shards} shards: wire and in-process answers must be identical"
+        );
+        assert!(wire[0].len() == 1 && wire[6].is_empty());
+        server.shutdown();
+    }
 }
 
 #[test]

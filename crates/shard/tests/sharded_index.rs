@@ -22,6 +22,10 @@ use bftree_storage::{
     ScratchDir, StorageConfig, TupleLayout,
 };
 use bftree_wal::DurabilityMode;
+use bftree_workloads::popularity::KeySampler;
+use bftree_workloads::{mixed_stream, KeyPopularity, Op, OpMix};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const N: u64 = 4_000;
 
@@ -206,20 +210,39 @@ fn writes_route_to_their_owning_shard_and_read_back() {
     let mut index = sharded(&rel, 4);
     let io = IoContext::unmetered();
 
-    // Fresh keys, one per shard.
-    for key in [N + 1, N + 401, N + 801, N + 1201] {
+    // Fresh keys, enough of them for the owning shard to drain its
+    // memtable mid-loop (the flush batch is 8).
+    let fresh: Vec<u64> = (0..12).map(|i| N + 1 + 400 * i).collect();
+    let mut acked = Vec::new();
+    for &key in &fresh {
         let loc = rel.append_tuple(key, key * 10, &io);
         index.insert(key, loc, &rel).expect("insert");
         let got = index.probe(key, &rel, &io).expect("probe").matches;
         assert_eq!(got, vec![loc], "inserted key {key} reads back");
+        acked.push((key, loc));
     }
 
     // Deletes land on the right shard too.
-    for key in [3, 1003, 2003, 3003] {
+    let deleted = [3, 1003, 2003, 3003];
+    for key in deleted {
         assert_eq!(index.delete(key, &rel).expect("delete"), 1);
         assert!(
             !index.probe(key, &rel, &io).expect("probe").found(),
             "deleted key {key} still visible"
+        );
+    }
+
+    // After every shard drains into its base index the merged view
+    // answers the same: acked inserts found, deleted keys gone.
+    index.flush_all(&rel).expect("final drain");
+    for (key, loc) in acked {
+        let got = index.probe(key, &rel, &io).expect("probe").matches;
+        assert_eq!(got, vec![loc], "inserted key {key} lost in the drain");
+    }
+    for key in deleted {
+        assert!(
+            !index.probe(key, &rel, &io).expect("probe").found(),
+            "deleted key {key} came back in the drain"
         );
     }
 }
@@ -465,4 +488,157 @@ fn a_panicking_shard_unwinds_to_the_caller_and_the_index_keeps_serving() {
         .probe_batch_sharded(&[7, POISON + 1, 3000], &rel, &ios)
         .expect("next batch");
     assert!(got.iter().all(|p| p.matches.len() == 1));
+}
+
+/// The serving setting of the retired `serve_scale` experiment, in
+/// process: a relation of `keys` even PKs (odd keys stay free for the
+/// stream's inserts), BF-Tree shards under group commit with one
+/// simulated SSD log each, and a fleet of SSD/SSD devices behind one
+/// shared 64 MB LRU budget.
+fn serving_fleet(rel: &Relation, plan: ShardPlan) -> (ShardedIndex, Vec<IoContext>) {
+    let shards = plan.shards();
+    let config = DurableConfig {
+        flush_batch: 256,
+        durability: DurabilityMode::GroupCommit {
+            max_records: 32,
+            max_bytes: 32 * 1024,
+        },
+    };
+    let mut index = ShardedIndex::new(
+        plan,
+        rel,
+        config,
+        |_| bf_tree(rel),
+        |_| PageDevice::cold(DeviceKind::Ssd),
+    );
+    index.build(rel).expect("sharded build");
+    let ios = ShardedIo::new(
+        &Backend::Sim,
+        StorageConfig::SsdSsd,
+        64 << 20,
+        PolicyKind::Lru,
+        shards,
+    )
+    .expect("shard I/O fleet")
+    .into_ios();
+    (index, ios)
+}
+
+/// Serve `ops` the way one closed-loop client drives the server:
+/// probes pipelined in 16-key batches, each insert on its own (append
+/// to the owning shard's data device, then route). Every probe must
+/// find its key. Returns the bottleneck shard's simulated clock.
+fn serve(index: &ShardedIndex, ios: &[IoContext], rel: &mut Relation, ops: &[Op]) -> u64 {
+    let flush = |batch: &mut Vec<u64>, rel: &Relation| {
+        for probe in index
+            .probe_batch_sharded(batch, rel, ios)
+            .expect("routed batch")
+        {
+            assert!(probe.found(), "a probe of a base key missed");
+        }
+        batch.clear();
+    };
+    let mut batch = Vec::with_capacity(16);
+    for op in ops {
+        match *op {
+            Op::Probe(key) => {
+                batch.push(key);
+                if batch.len() == 16 {
+                    flush(&mut batch, rel);
+                }
+            }
+            Op::Insert(key) => {
+                flush(&mut batch, rel);
+                let loc = rel.append_tuple(key, key * 10, &ios[index.plan().shard_of(key)]);
+                index.route_insert(key, loc, rel).expect("insert");
+            }
+            Op::Delete(_) => unreachable!("YCSB-B schedules no deletes"),
+        }
+    }
+    flush(&mut batch, rel);
+    index.makespan_sim_ns()
+}
+
+/// The sharding claim: with one device channel per shard, eight
+/// shards serve a YCSB-B stream (Zipfian probes, 5 % fresh inserts
+/// spread over the key space) in under a third of one shard's
+/// simulated time. The plan cuts at the quantiles of a cost-weighted
+/// sample of the workload — an insert pays the shard log's write and
+/// weighs as many probes as it costs — so the shards split simulated
+/// *cost*, which is what the makespan rewards.
+#[test]
+fn eight_shards_cut_the_simulated_makespan_at_least_threefold() {
+    const KEYS: u64 = 8_192;
+    const OPS: usize = 9_600;
+    let mut heap = HeapFile::new(TupleLayout::new(256));
+    for i in 0..KEYS {
+        heap.append_record(2 * i, i);
+    }
+    let base = Relation::new(heap, PK_OFFSET, Duplicates::Unique).expect("conventional layout");
+    let domain: Vec<u64> = (0..KEYS).map(|i| 2 * i).collect();
+    let popularity = KeyPopularity::Zipfian { theta: 0.99 };
+    let sampler = KeySampler::new(domain.len(), popularity);
+    let odd_keys = |n: u64| (0..n).map(move |i| 2 * (i * KEYS / n) + 1);
+    // One fresh key per scheduled write: YCSB-B writes 5 %.
+    let fresh: Vec<u64> = odd_keys(OPS as u64 / 20).collect();
+    let ops = mixed_stream(
+        &domain,
+        popularity,
+        OpMix::YCSB_B,
+        &fresh,
+        &[],
+        OPS,
+        0xC11E27,
+    );
+
+    // What an insert weighs in warm probes, measured on a throwaway
+    // single-shard stack.
+    let cost_ratio = {
+        let (index, ios) = serving_fleet(&base, ShardPlan::single());
+        let mut rel = base.clone();
+        let mut rng = StdRng::seed_from_u64(0xCA1B);
+        let probes: Vec<Op> = (0..512)
+            .map(|_| Op::Probe(domain[sampler.sample(&mut rng)]))
+            .collect();
+        serve(&index, &ios, &mut rel, &probes);
+        index.reset_shard_clocks();
+        let probe_ns = (serve(&index, &ios, &mut rel, &probes) / 512).max(1);
+        index.reset_shard_clocks();
+        let inserts: Vec<Op> = odd_keys(64).map(Op::Insert).collect();
+        (serve(&index, &ios, &mut rel, &inserts) / 64 / probe_ns).max(1)
+    };
+    let plan = {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut sample: Vec<u64> = (0..4096)
+            .map(|_| domain[sampler.sample(&mut rng)])
+            .collect();
+        let write_share = OpMix::YCSB_B.write_fraction() / OpMix::YCSB_B.read_fraction;
+        sample.extend(odd_keys((4096.0 * write_share * cost_ratio as f64) as u64));
+        sample.sort_unstable();
+        ShardPlan::from_sample(&sample, 8)
+    };
+    assert_eq!(plan.shards(), 8, "the sample has eight distinct quantiles");
+
+    let (index, ios) = serving_fleet(&base, ShardPlan::single());
+    let one = serve(&index, &ios, &mut base.clone(), &ops);
+    let (index, ios) = serving_fleet(&base, plan);
+    let mut rel = base.clone();
+    let eight = serve(&index, &ios, &mut rel, &ops);
+    assert!(
+        one as f64 / eight as f64 >= 3.0,
+        "8 shards: {eight} ns against {one} ns on one"
+    );
+    // Simulated clocks repeat to the nanosecond on any host.
+    assert_eq!((one, eight), (20_820_900, 2_550_400));
+
+    // The write half of the stream, through the merged view: after
+    // every shard drains its memtable each acked insert still answers.
+    index.flush_all(&rel).expect("final drain");
+    let io = IoContext::unmetered();
+    for &key in &fresh {
+        assert!(
+            index.probe(key, &rel, &io).expect("probe").found(),
+            "acked insert {key} lost in the drain"
+        );
+    }
 }

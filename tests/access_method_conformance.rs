@@ -261,7 +261,7 @@ fn conformance_on_contiguous_duplicates() {
 /// Send + Sync` supertrait and the sharded `IoStats` exist to uphold.
 #[test]
 fn concurrent_probes_match_single_threaded_baseline() {
-    const THREADS: u64 = 4;
+    const THREADS: u64 = 16;
     let rel = relation(Duplicates::Unique);
     for mut index in all_indexes(&rel) {
         let name = index.name();
@@ -612,6 +612,9 @@ fn battery_io_counts_are_backend_invariant() {
                 let _ = index.probe(key, &rel, &io).unwrap();
             }
             let _ = index.probe_first(3, &rel, &io).unwrap();
+            // The batched pipeline over the same hits and misses.
+            let batch: Vec<u64> = (0..2 * N).step_by(41).collect();
+            let _ = index.probe_batch(&batch, &rel, &io).unwrap();
             // Range scans: small, large, and empty.
             for (lo, hi) in [(0u64, 80u64), (1_000, 1_500), (N * 3, N * 4)] {
                 let _ = index.range_scan(lo, hi, &rel, &io).unwrap();

@@ -134,16 +134,49 @@ fn recording_leaves_the_durable_write_path_bit_identical() {
 
 /// The span tree accounts for every device read exactly once (root
 /// spans sum to the `IoSnapshot` total), and its Chrome-trace
-/// serialization is balanced.
+/// serialization is balanced — over a window that holds the read
+/// workload on a bare BF-Tree and, through a group-commit
+/// `DurableIndex`, WAL appends, fsyncs, memtable flushes, the same
+/// reads again and a replay of the log into a fresh tree.
 #[test]
 fn span_tree_reconciles_with_io_and_serializes_balanced() {
     let _gate = gate();
     let rel = relation();
     let index = build_index(IndexKind::BfTree, &rel, 1e-3);
+    let mut grown = rel.clone();
+    let mut durable = DurableIndex::new(
+        BfTree::builder().fpp(1e-3).build(&grown).expect("valid"),
+        &grown,
+        PageDevice::cold(DeviceKind::Ssd),
+        DurableConfig {
+            flush_batch: 64,
+            durability: DurabilityMode::GroupCommit {
+                max_records: 16,
+                max_bytes: 4 * 1024,
+            },
+        },
+    );
 
     bftree_obs::drain_spans(); // discard anything a prior test left
     bftree_obs::set_recording(true);
-    let total = drive(index.as_ref(), &rel);
+    let mut total = drive(index.as_ref(), &rel);
+    let io = IoContext::cold(StorageConfig::SsdSsd);
+    for key in N..N + 200 {
+        let loc = grown.append_tuple(key, key, &io);
+        durable.insert(key, loc, &grown).expect("valid relation");
+    }
+    durable.flush(&grown).expect("final drain");
+    total = total.plus(&io.snapshot_total());
+    total = total.plus(&drive(&durable, &grown));
+    let (_, recovery) = DurableIndex::recover(
+        BfTree::builder().fpp(1e-3).build(&rel).expect("valid"),
+        &grown,
+        durable.wal().bytes(),
+        PageDevice::cold(DeviceKind::Ssd),
+        durable.config(),
+    )
+    .expect("recover from own log");
+    assert_eq!(recovery.tail, TailState::Clean);
     bftree_obs::set_recording(false);
     let spans = bftree_obs::drain_spans();
 
@@ -156,7 +189,15 @@ fn span_tree_reconciles_with_io_and_serializes_balanced() {
     let trace = chrome_trace_json(&spans);
     let pairs = check_balanced(&trace).expect("trace must be balanced");
     assert_eq!(pairs, spans.len() as u64, "one B/E pair per span");
-    for name in ["probe", "batch-probe", "range-page-pull"] {
+    for name in [
+        "probe",
+        "batch-probe",
+        "range-page-pull",
+        "wal-append",
+        "fsync",
+        "memtable-flush",
+        "recovery-replay",
+    ] {
         assert!(
             trace.contains(&format!("\"name\":\"{name}\"")),
             "workload must produce {name} spans"

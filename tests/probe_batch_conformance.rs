@@ -18,7 +18,8 @@ use bftree_storage::{
 
 const N: u64 = 5_000;
 const CARD: u64 = 7;
-const BATCH_SIZES: [usize; 4] = [1, 7, 64, 1024];
+/// The last size swallows the whole 3 000-key workload in one batch.
+const BATCH_SIZES: [usize; 5] = [1, 7, 64, 1024, 4096];
 
 fn relation(duplicates: Duplicates) -> Relation {
     let mut heap = HeapFile::new(TupleLayout::new(256));
@@ -34,30 +35,25 @@ fn relation(duplicates: Duplicates) -> Relation {
 }
 
 /// Every implementation under test, built over `rel` — the four
-/// competitors, plus the BF-Tree again in the blocked filter layout.
+/// competitors, with the BF-Tree in both filter layouts at a loose
+/// fpp (members smaller than a cache-line block, so the layouts
+/// coincide) and at a tight one (where blocking moves bits).
 fn built_indexes(rel: &Relation) -> Vec<(String, Box<dyn AccessMethod>)> {
-    let mut out: Vec<(String, Box<dyn AccessMethod>)> = vec![
-        (
-            "bf-tree/standard".into(),
-            Box::new(
-                BfTree::builder()
-                    .fpp(1e-3)
-                    .filter_layout(FilterLayout::Standard)
-                    .build(rel)
-                    .expect("valid config"),
-            ),
-        ),
-        (
-            "bf-tree/blocked".into(),
-            Box::new(
-                BfTree::builder()
-                    .fpp(1e-3)
-                    .filter_layout(FilterLayout::Blocked)
-                    .build(rel)
-                    .expect("valid config"),
-            ),
-        ),
-    ];
+    let mut out: Vec<(String, Box<dyn AccessMethod>)> = Vec::new();
+    for fpp in [1e-3, 1e-9] {
+        for layout in [FilterLayout::Standard, FilterLayout::Blocked] {
+            out.push((
+                format!("bf-tree/{}/{fpp:.0e}", layout.label()),
+                Box::new(
+                    BfTree::builder()
+                        .fpp(fpp)
+                        .filter_layout(layout)
+                        .build(rel)
+                        .expect("valid config"),
+                ),
+            ));
+        }
+    }
     let mut btree = BPlusTree::new(BTreeConfig::paper_default());
     btree.build(rel).expect("b+tree build");
     out.push(("b+tree".into(), Box::new(btree)));

@@ -93,7 +93,7 @@ fn limited_cursors_read_a_bounded_prefix_and_resume_exactly() {
                 let full_data_reads = io_full.data.snapshot().device_reads();
                 assert_eq!(full.pages_read, full_data_reads, "{name}: accounting");
 
-                for k in [1u64, 10, 100] {
+                for k in [1u64, 10, 100, 1000] {
                     let io = IoContext::cold(StorageConfig::SsdHdd);
                     let (head, token, pages) = drain_limited(index.as_ref(), lo, hi, k, &rel, &io);
                     assert_eq!(

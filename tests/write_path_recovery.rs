@@ -142,6 +142,7 @@ fn uncrashed_prefix(
     rel: &Relation,
     base_tuples: u64,
     records: &[(usize, WalRecord)],
+    config: DurableConfig,
 ) -> DurableIndex<Box<dyn AccessMethod>> {
     let base_rel = Relation::new(
         rel.heap().truncated(base_tuples),
@@ -151,12 +152,7 @@ fn uncrashed_prefix(
     .expect("base prefix is a valid relation");
     let mut inner = make();
     inner.build(&base_rel).expect("oracle build");
-    let mut index = DurableIndex::new(
-        inner,
-        &base_rel,
-        PageDevice::cold(DeviceKind::Ssd),
-        config(),
-    );
+    let mut index = DurableIndex::new(inner, &base_rel, PageDevice::cold(DeviceKind::Ssd), config);
     for &(_, rec) in records {
         match rec {
             WalRecord::Insert { key, page, slot } => index
@@ -184,17 +180,21 @@ struct Crashed {
 /// Run the script through a `DurableIndex` over `make()`'s index,
 /// logging to a simulated SSD device.
 fn run_script(make: &dyn Fn() -> Box<dyn AccessMethod>) -> Crashed {
-    run_script_on(make, PageDevice::cold(DeviceKind::Ssd))
+    run_script_on(make, PageDevice::cold(DeviceKind::Ssd), config())
 }
 
 /// The same scripted run with an explicit log device — how the
 /// backend-invariance case drives the script against file-backed
 /// storage.
-fn run_script_on(make: &dyn Fn() -> Box<dyn AccessMethod>, log: PageDevice) -> Crashed {
+fn run_script_on(
+    make: &dyn Fn() -> Box<dyn AccessMethod>,
+    log: PageDevice,
+    config: DurableConfig,
+) -> Crashed {
     let mut rel = base_relation();
     let mut inner = make();
     inner.build(&rel).expect("base build");
-    let mut index = DurableIndex::new(inner, &rel, log, config());
+    let mut index = DurableIndex::new(inner, &rel, log, config);
     let io = IoContext::unmetered();
     for op in script_ops() {
         match op {
@@ -217,9 +217,31 @@ fn run_script_on(make: &dyn Fn() -> Box<dyn AccessMethod>, log: PageDevice) -> C
 }
 
 /// The battery: kill at every record boundary, recover, and demand
-/// answers identical to the direct-apply reference.
+/// answers identical to the direct-apply reference — under the
+/// suite's small group-commit window, and at the two far corners of
+/// the durability × flush-batch plane: every record synced and every
+/// op drained on its own, and nothing synced with a batch the script
+/// never fills.
 fn kill_at_every_record_boundary(make: &dyn Fn() -> Box<dyn AccessMethod>) {
-    let Crashed { rel, live, image } = run_script(make);
+    let direct = DurableConfig {
+        flush_batch: 1,
+        durability: DurabilityMode::PerRecord,
+    };
+    let lazy = DurableConfig {
+        flush_batch: 4096,
+        durability: DurabilityMode::Async,
+    };
+    for config in [config(), direct, lazy] {
+        kill_at_every_record_boundary_under(make, config);
+    }
+}
+
+fn kill_at_every_record_boundary_under(
+    make: &dyn Fn() -> Box<dyn AccessMethod>,
+    config: DurableConfig,
+) {
+    let Crashed { rel, live, image } =
+        run_script_on(make, PageDevice::cold(DeviceKind::Ssd), config);
     let (all_records, tail) = WalReader::drain(&image);
     assert_eq!(tail, TailState::Clean, "uncrashed log must parse cleanly");
     let keys = watched_keys();
@@ -232,7 +254,7 @@ fn kill_at_every_record_boundary(make: &dyn Fn() -> Box<dyn AccessMethod>) {
             &rel,
             truncated,
             PageDevice::cold(DeviceKind::Ssd),
-            config(),
+            config,
         )
         .expect("boundary cut recovers");
         assert_eq!(report.tail, TailState::Clean, "cut at {boundary}");
@@ -255,7 +277,7 @@ fn kill_at_every_record_boundary(make: &dyn Fn() -> Box<dyn AccessMethod>) {
                 recovered.name(),
             );
         }
-        let oracle = uncrashed_prefix(make, &rel, N, surviving);
+        let oracle = uncrashed_prefix(make, &rel, N, surviving, config);
         assert_eq!(
             sorted_scan(&recovered, &rel),
             sorted_scan(&oracle, &rel),
@@ -272,7 +294,7 @@ fn kill_at_every_record_boundary(make: &dyn Fn() -> Box<dyn AccessMethod>) {
         &rel,
         &image,
         PageDevice::cold(DeviceKind::Ssd),
-        config(),
+        config,
     )
     .expect("full image recovers");
     assert_eq!(report.tail, TailState::Clean);
@@ -400,7 +422,7 @@ fn scripted_run_is_backend_invariant_and_recovers_from_disk() {
     let backend = Backend::file(dir.path());
     let log = backend.device(DeviceKind::Ssd, "wal").expect("file log");
     assert!(log.file().is_some(), "file backend must materialize");
-    let file = run_script_on(&make_bf_tree, log.clone());
+    let file = run_script_on(&make_bf_tree, log.clone(), config());
 
     // Identical logical outcome: same log bytes, same device charges.
     assert_eq!(sim.image, file.image, "log images diverged across backends");
