@@ -95,19 +95,27 @@ impl Report {
         out
     }
 
-    /// Print the preface, the table and, under a marker line, the CSV
-    /// block, then the note.
+    /// Print the report (its [`Display`](std::fmt::Display) form) on
+    /// stdout.
     pub fn print(&self) {
+        print!("{self}");
+    }
+}
+
+/// The preface, the table and, under a marker line, the CSV block,
+/// then the note: what `figures <id>` prints and the goldens hold.
+impl std::fmt::Display for Report {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if let Some(preface) = &self.preface {
-            println!("{preface}\n");
+            writeln!(f, "{preface}\n")?;
         }
-        println!("{}", self.to_table());
-        println!("--- csv: {} ---", self.title);
-        print!("{}", self.to_csv());
-        println!();
+        writeln!(f, "{}", self.to_table())?;
+        writeln!(f, "--- csv: {} ---", self.title)?;
+        writeln!(f, "{}", self.to_csv())?;
         if let Some(note) = &self.note {
-            println!("{note}");
+            writeln!(f, "{note}")?;
         }
+        Ok(())
     }
 }
 

@@ -1,6 +1,7 @@
 //! Every artifact of the `figures` table runs in process at a tiny
-//! scale and reports something, the two figure pairs keep their grid
-//! shapes, and two of the paper's anchors hold at the scale CI smokes.
+//! scale and prints exactly its committed golden, the two figure pairs
+//! keep their grid shapes, and two of the paper's anchors hold at the
+//! scale CI smokes.
 
 use bftree_bench::figures::FIGURES;
 use bftree_bench::{Report, Scale};
@@ -38,6 +39,44 @@ fn column(report: &Report, name: &str) -> Vec<String> {
         .collect()
 }
 
+/// `table2_sizes` prints the evaluation's one wall-clock quantity: the
+/// last cell of every table and CSV row and the two build times of the
+/// closing note. Both sides of the comparison pass through this, so a
+/// golden regenerated with the raw command compares like a masked one.
+fn mask_wall_clock(text: &str) -> String {
+    let mask_line = |line: &str| -> String {
+        let row = line.trim_start();
+        if row.starts_with("B+-Tree build:") {
+            let tokens: Vec<&str> = line.split(' ').collect();
+            let is_ms = |t: &&str| t.trim_end_matches(',') == "ms";
+            let masked: Vec<&str> = (0..tokens.len())
+                .map(|i| match tokens.get(i + 1).is_some_and(is_ms) {
+                    true => "*",
+                    false => tokens[i],
+                })
+                .collect();
+            masked.join(" ")
+        } else if row.starts_with("B+-Tree") || row.starts_with("BF-Tree") {
+            let cut = line.rfind([',', ' ']).expect("a row has several cells") + 1;
+            if line[..cut].ends_with(',') {
+                format!("{}*", &line[..cut])
+            } else {
+                let kept = line[..cut].trim_end();
+                format!("{kept}{:>w$}", "*", w = line.len() - kept.len())
+            }
+        } else {
+            line.to_string()
+        }
+    };
+    text.lines().map(|l| mask_line(l) + "\n").collect()
+}
+
+/// Every id's output at [`TINY`] is its committed golden,
+/// `golden/<id>.csv`: the stdout of
+/// `BFTREE_SCALE_MB=1 BFTREE_PROBES=50 BFTREE_TPCH_SF=0.002
+/// BFTREE_SHD_TIMESTAMPS=300 cargo run -p bftree-bench --bin figures -- <id>`.
+/// A change that moves a figure on purpose regenerates the file with
+/// that command in the same commit.
 #[test]
 fn every_figure_runs_and_reports() {
     for figure in &FIGURES {
@@ -46,6 +85,20 @@ fn every_figure_runs_and_reports() {
         for report in &reports {
             assert!(!report.is_empty(), "{}: an empty report", figure.id);
         }
+        let path = format!("{}/golden/{}.csv", env!("CARGO_MANIFEST_DIR"), figure.id);
+        let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let (mut printed, mut golden) = (
+            reports.iter().map(Report::to_string).collect::<String>(),
+            golden,
+        );
+        if figure.id == "table2_sizes" {
+            (printed, golden) = (mask_wall_clock(&printed), mask_wall_clock(&golden));
+        }
+        assert!(
+            printed == golden,
+            "{}: output differs from {path}\n--- printed\n{printed}--- golden\n{golden}",
+            figure.id
+        );
     }
 }
 
