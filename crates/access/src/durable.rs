@@ -27,6 +27,10 @@
 //! recovered index answers **identically** to the uncrashed one, the
 //! property the workspace's kill-at-every-record tests enforce for all
 //! four access methods.
+//!
+//! The fault-recovery surface ([`DurableIndex::probe_degraded`],
+//! [`DurableIndex::repair_quarantined`]) is driven by
+//! `tests/self_healing.rs` only; it stays, as recovery code does.
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;

@@ -9,6 +9,9 @@
 //! read/insert streams through a [`ConcurrentIndex`] (readers share,
 //! writers exclude).
 //!
+//! Drivers: `examples/concurrent_probes.rs` (both entry points) and
+//! `tests/buffer_manager.rs` (parallel counters ≡ single-threaded).
+//!
 //! ## Timing model
 //!
 //! Each worker accumulates *simulated* nanoseconds — deltas of

@@ -103,8 +103,7 @@ impl BlockedBloomFilter {
     /// Create a filter sized for `n` keys at *standard-layout*
     /// false-positive probability `p` with the optimal `k`. The
     /// realized rate is the slightly larger
-    /// [`math::blocked_fpp`]`(m, 512, k, n)`; use
-    /// [`Self::design_fpp`] to read it.
+    /// [`math::blocked_fpp`]`(m, 512, k, n)`.
     pub fn with_capacity(n: u64, p: f64, seed: u64) -> Self {
         let m = math::bits_for(n.max(1), p).max(64);
         let k = math::optimal_k(m, n.max(1));
@@ -133,12 +132,6 @@ impl BlockedBloomFilter {
     #[inline]
     pub fn n_inserted(&self) -> u64 {
         self.n_inserted
-    }
-
-    /// The analytic expected false-positive rate at the current load
-    /// ([`math::blocked_fpp`] with this filter's geometry).
-    pub fn design_fpp(&self) -> f64 {
-        math::blocked_fpp(self.m, BLOCK_BITS, self.k, self.n_inserted)
     }
 
     #[inline]
@@ -251,7 +244,7 @@ mod tests {
         let trials = 100_000u64;
         let fps = (n..n + trials).filter(|k| bf.contains(k)).count();
         let measured = fps as f64 / trials as f64;
-        let bound = bf.design_fpp();
+        let bound = math::blocked_fpp(bf.m_bits(), BLOCK_BITS, bf.k(), n);
         assert!(
             measured < bound * 1.5,
             "measured {measured} vs analytic {bound}"

@@ -73,12 +73,6 @@ impl BloomFilter {
         self.n_inserted
     }
 
-    /// Size of the bit array in bytes.
-    #[inline]
-    pub fn byte_len(&self) -> usize {
-        self.bits.len() * 8
-    }
-
     #[inline]
     fn set_bit(&mut self, bit: u64) {
         self.bits[(bit / 64) as usize] |= 1u64 << (bit % 64);
@@ -154,18 +148,6 @@ impl BloomFilter {
     pub fn clear(&mut self) {
         self.bits.fill(0);
         self.n_inserted = 0;
-    }
-
-    /// Bitwise union with a filter of identical geometry (`m`, `k`,
-    /// seed). The union contains every key either filter contains.
-    pub fn union_with(&mut self, other: &Self) {
-        assert_eq!(self.m, other.m, "m mismatch");
-        assert_eq!(self.k, other.k, "k mismatch");
-        assert_eq!(self.seed, other.seed, "seed mismatch");
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a |= *b;
-        }
-        self.n_inserted += other.n_inserted;
     }
 
     /// Serialize the filter into a byte buffer:
@@ -250,31 +232,6 @@ mod tests {
         }
         let fill = bf.fill_ratio();
         assert!((0.44..0.55).contains(&fill), "fill = {fill}");
-    }
-
-    #[test]
-    fn union_contains_both_sides() {
-        let mut a = BloomFilter::new(4096, 3, 5);
-        let mut b = BloomFilter::new(4096, 3, 5);
-        for k in 0u64..100 {
-            a.insert(&k);
-        }
-        for k in 100u64..200 {
-            b.insert(&k);
-        }
-        a.union_with(&b);
-        for k in 0u64..200 {
-            assert!(a.contains(&k));
-        }
-        assert_eq!(a.n_inserted(), 200);
-    }
-
-    #[test]
-    #[should_panic(expected = "m mismatch")]
-    fn union_rejects_mismatched_geometry() {
-        let mut a = BloomFilter::new(4096, 3, 5);
-        let b = BloomFilter::new(8192, 3, 5);
-        a.union_with(&b);
     }
 
     #[test]

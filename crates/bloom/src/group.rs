@@ -160,23 +160,6 @@ impl BloomGroup {
         self.s == 0
     }
 
-    /// Bits per member filter (uniform layout; for the weighted layout
-    /// this is the mean — use [`Self::member_bits`] per member).
-    #[inline]
-    pub fn bits_per_filter(&self) -> u64 {
-        if self.starts.is_empty() {
-            self.per_filter_bits
-        } else {
-            self.total_bits() / self.s as u64
-        }
-    }
-
-    /// Whether members are sized proportionally to their load.
-    #[inline]
-    pub fn is_weighted(&self) -> bool {
-        !self.starts.is_empty()
-    }
-
     /// Per-member probe layout.
     #[inline]
     pub fn layout(&self) -> FilterLayout {
@@ -263,22 +246,8 @@ impl BloomGroup {
         self.matching_buckets_fp_range_into(fp, 0, self.s, out)
     }
 
-    /// [`Self::matching_buckets_into`] restricted to buckets in
-    /// `lo..hi` — the unit of work for §8's parallel probing, where
-    /// each worker sweeps a disjoint bucket range.
-    pub fn matching_buckets_range_into<K: BloomKey>(
-        &self,
-        key: &K,
-        lo: usize,
-        hi: usize,
-        out: &mut Vec<usize>,
-    ) {
-        let fp = KeyFingerprint::new(key, self.seed);
-        self.matching_buckets_fp_range_into(&fp, lo, hi, out)
-    }
-
-    /// [`Self::matching_buckets_range_into`] over a precomputed
-    /// fingerprint.
+    /// [`Self::matching_buckets_fp_into`] restricted to buckets in
+    /// `lo..hi`.
     pub fn matching_buckets_fp_range_into(
         &self,
         fp: &KeyFingerprint,
@@ -455,7 +424,9 @@ impl BloomGroup {
         out
     }
 
-    /// Deserialize a group written by [`Self::to_bytes`].
+    /// Deserialize a group written by [`Self::to_bytes`]; `None` for
+    /// any image that is not one (the bytes may come from disk, so a
+    /// group this returns never panics a probe).
     pub fn from_bytes(data: &[u8]) -> Option<Self> {
         if data.len() < 36 {
             return None;
@@ -491,10 +462,20 @@ impl BloomGroup {
             if per == 0 {
                 return None;
             }
-            per * s as u64
+            per.checked_mul(s as u64)?
         } else {
+            // Member `b` owns `[starts[b], starts[b + 1])`: the offsets
+            // begin at 0 and every member has at least one bit.
+            if starts[0] != 0 || starts.windows(2).any(|w| w[0] >= w[1]) {
+                return None;
+            }
             *starts.last().expect("non-empty")
         };
+        // More probes per key than the group has bits is no written
+        // group, and a probe would spin through all of them.
+        if u64::from(k) > total {
+            return None;
+        }
         let n_words = total.div_ceil(64) as usize;
         let body = &data[at..];
         if body.len() != n_words * 8 {
@@ -701,14 +682,58 @@ mod tests {
         }
     }
 
+    /// No image decodes to a group that panics: a valid uniform and a
+    /// valid weighted image, truncated at every length and with each
+    /// header field (and each `starts` entry) overwritten by boundary
+    /// values, is `None` or a group on which a probe completes. Two
+    /// of these used to die: a `per` whose product with `s` overflows
+    /// (inside the decoder) and out-of-order `starts` (in the probe).
+    #[test]
+    fn from_bytes_is_none_or_a_group_that_probes() {
+        fn probe_if_some(image: &[u8], case: &str) {
+            if let Some(g) = BloomGroup::from_bytes(image) {
+                let mut out = Vec::new();
+                g.matching_buckets_into(&7u64, &mut out);
+                assert!(out.iter().all(|&b| b < g.len()), "{case}");
+            }
+        }
+        let mut uniform = BloomGroup::new(1 << 12, 4, 3, 0);
+        let mut weighted = BloomGroup::new_weighted(1 << 12, &[10, 0, 40, 5], 3, 0);
+        for key in 0u64..40 {
+            uniform.insert((key % 4) as usize, &key);
+            weighted.insert((key % 4) as usize, &key);
+        }
+        for (name, group) in [("uniform", uniform), ("weighted", weighted)] {
+            let image = group.to_bytes();
+            assert_eq!(BloomGroup::from_bytes(&image), Some(group.clone()));
+            for cut in 0..image.len() {
+                assert!(
+                    BloomGroup::from_bytes(&image[..cut]).is_none(),
+                    "{name}: cut {cut}"
+                );
+            }
+            // (offset, width) of s, k, per, seed, n_inserted, n_starts
+            // and every `starts` entry.
+            let mut fields = vec![(0, 4), (4, 4), (8, 8), (16, 8), (24, 8), (32, 4)];
+            fields.extend((0..group.starts.len()).map(|i| (36 + 8 * i, 8)));
+            for (at, width) in fields {
+                for value in [0u64, 1, u32::MAX as u64, u64::MAX] {
+                    let mut bad = image.clone();
+                    bad[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                    probe_if_some(&bad, &format!("{name}: {value:#x} at byte {at}"));
+                }
+            }
+        }
+    }
+
     #[test]
     fn division_is_honest_even_when_tiny() {
         // 32768 bits over 6800 members: ~4 bits each, physically packed
         // — the whole group still fits the page budget it was given.
         let g = BloomGroup::new(32_768, 6_800, 2, 0);
-        assert_eq!(g.bits_per_filter(), 4);
+        assert_eq!(g.member_bits(0), 4);
         assert!(g.total_bits() <= 32_768);
-        assert_eq!(BloomGroup::new(10, 40, 1, 0).bits_per_filter(), 1);
+        assert_eq!(BloomGroup::new(10, 40, 1, 0).member_bits(39), 1);
     }
 
     #[test]

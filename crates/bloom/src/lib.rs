@@ -16,8 +16,17 @@
 //!   probing (Putze et al.): the first hash picks one 512-bit block
 //!   and the remaining probes stay inside it, trading a little
 //!   accuracy ([`math::blocked_fpp`]) for one cache miss per test.
-//! * [`CountingBloomFilter`] and [`DeletableBloomFilter`] — the
-//!   delete-capable variants the paper's Section 7 points at (\[7\], \[39\]).
+//!
+//! Drivers: every `figures <id>` and `bfbench` workload builds
+//! BF-leaves over [`BloomGroup`]; `figures fig14_inserts` measures
+//! Equation 14 on a [`BloomFilter`]; `bfbench`'s ladder builds a
+//! stand-alone group with an explicit [`FilterLayout`];
+//! [`BlockedBloomFilter`] is the measured reference
+//! `crates/bloom/tests/properties.rs` holds [`math::blocked_fpp`]
+//! against. The delete-capable variants Section
+//! 7 points at (counting \[7\], deletable \[39\]) are not here: a BF-leaf
+//! handles deletes with a tombstone list and a rebuild (CHANGES.md,
+//! PR 21, has the arithmetic).
 //!
 //! All filters are deterministic: the same seed and the same inserts
 //! produce bit-identical filters, which the storage layer relies on
@@ -26,15 +35,11 @@
 #![warn(missing_docs)]
 
 pub mod blocked;
-pub mod counting;
-pub mod deletable;
 pub mod filter;
 pub mod group;
 pub mod hash;
 pub mod math;
 
 pub use blocked::{BlockedBloomFilter, FilterLayout, BLOCK_BITS};
-pub use counting::CountingBloomFilter;
-pub use deletable::DeletableBloomFilter;
 pub use filter::BloomFilter;
 pub use group::BloomGroup;

@@ -50,18 +50,6 @@ pub fn prefix_compressed_leaf_pages(
     pages.max(1)
 }
 
-/// Total pages including the internal levels above the compressed
-/// leaves, assuming `fanout` children per internal node.
-pub fn prefix_compressed_total_pages(leaf_pages: u64, fanout: u64) -> u64 {
-    let mut total = leaf_pages;
-    let mut level = leaf_pages;
-    while level > 1 {
-        level = level.div_ceil(fanout);
-        total += level;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,15 +90,6 @@ mod tests {
         let plain_pages = (sorted.len() as u64 * 16).div_ceil(4096);
         let compressed = prefix_compressed_leaf_pages(sorted.iter().copied(), 8, 8, 4096);
         assert!(compressed as f64 > plain_pages as f64 * 0.5);
-    }
-
-    #[test]
-    fn internal_levels_add_geometric_tail() {
-        assert_eq!(prefix_compressed_total_pages(1, 256), 1);
-        // 256 leaves -> +1 root.
-        assert_eq!(prefix_compressed_total_pages(256, 256), 257);
-        // 65536 leaves -> 256 internal + 1 root.
-        assert_eq!(prefix_compressed_total_pages(65_536, 256), 65_536 + 256 + 1);
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //!
 //! All three are fully deterministic: a fixed access sequence produces
 //! a fixed eviction order, which the golden tests pin exactly.
+//!
+//! Every benchmark workload runs [`Lru`]; [`Clock`] and [`TwoQ`] are
+//! driven by `tests/buffer_manager.rs` only, until `bfbench` takes the
+//! policy as a parameter (ROADMAP item 1(b)).
 
 use std::collections::VecDeque;
 

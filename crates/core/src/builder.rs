@@ -26,8 +26,7 @@ use bftree_access::BuildError;
 use bftree_storage::{Duplicates, Relation};
 
 use crate::config::{
-    BfTreeConfig, BitAllocation, DuplicateHandling, FilterLayout, KStrategy, ProbeOrder,
-    SplitStrategy,
+    BfTreeConfig, BitAllocation, DuplicateHandling, FilterLayout, KStrategy, SplitStrategy,
 };
 use crate::tree::BfTree;
 
@@ -82,12 +81,6 @@ impl BfTreeBuilder {
     /// Split strategy for Algorithm 2.
     pub fn split(mut self, split: SplitStrategy) -> Self {
         self.config.split = split;
-        self
-    }
-
-    /// Candidate-page fetch order for unique probes.
-    pub fn probe_order(mut self, order: ProbeOrder) -> Self {
-        self.config.probe_order = order;
         self
     }
 
@@ -243,7 +236,6 @@ mod tests {
             .pages_per_bf(2)
             .seed(7)
             .k_strategy(KStrategy::Fixed(3))
-            .probe_order(ProbeOrder::Interpolated)
             .bit_allocation(BitAllocation::Proportional)
             .build(&rel)
             .unwrap();
@@ -252,7 +244,6 @@ mod tests {
         assert_eq!(c.pages_per_bf, 2);
         assert_eq!(c.seed, 7);
         assert_eq!(c.k_strategy, KStrategy::Fixed(3));
-        assert_eq!(c.probe_order, ProbeOrder::Interpolated);
         assert_eq!(c.bit_allocation, BitAllocation::Proportional);
     }
 }

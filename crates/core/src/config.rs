@@ -1,4 +1,11 @@
 //! BF-Tree tuning knobs.
+//!
+//! Two values no default selects stay because tests hold the defaults
+//! against them as the paper's own references: [`KStrategy::Fixed`]
+//! (the prototype's `k = 3`;
+//! `crates/core/tests/bftree.rs::fixed_k3_matches_paper_prototype_behaviour`)
+//! and [`SplitStrategy::ProbeDomain`] (Algorithm 2 as printed;
+//! `tests/inserts_and_splits.rs::split_strategies_agree_on_enumerable_domains`).
 
 use bftree_access::BuildError;
 use bftree_bloom::math;
@@ -57,22 +64,6 @@ pub enum BitAllocation {
     Proportional,
 }
 
-/// The order in which a unique-key probe fetches its candidate pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeOrder {
-    /// Ascending page order (the natural batch the paper's Equation 13
-    /// charges at sequential cost).
-    PageOrder,
-    /// Distance from the *interpolated* position of the key within the
-    /// leaf's `[min_key, max_key] -> [min_pid, max_pid]` mapping. For
-    /// near-uniform ordered data the true page is checked first and a
-    /// probe-with-early-out pays ~zero false reads instead of
-    /// `fpp . S/2` (cf. the paper's §7 interpolation-search
-    /// discussion). Only consulted by first-match probes
-    /// (`AccessMethod::probe_first`).
-    Interpolated,
-}
-
 /// How Algorithm 2 rebuilds the filters of a splitting leaf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SplitStrategy {
@@ -109,8 +100,6 @@ pub struct BfTreeConfig {
     pub split: SplitStrategy,
     /// Duplicate-occurrence handling (see [`DuplicateHandling`]).
     pub duplicates: DuplicateHandling,
-    /// Candidate-page fetch order for unique probes.
-    pub probe_order: ProbeOrder,
     /// Per-filter bit budgeting (see [`BitAllocation`]).
     pub bit_allocation: BitAllocation,
     /// Probe layout of the leaf filters:
@@ -145,7 +134,6 @@ impl BfTreeConfig {
             k_strategy: KStrategy::Optimal,
             split: SplitStrategy::RebuildFromData,
             duplicates: DuplicateHandling::AllCoveringPages,
-            probe_order: ProbeOrder::PageOrder,
             bit_allocation: BitAllocation::Uniform,
             filter_layout: FilterLayout::Standard,
             leaf_header_reserve: 128,

@@ -138,11 +138,6 @@ impl BfLeaf {
         ((max_pid - min_pid + 1).div_ceil(pages_per_bf)) as usize
     }
 
-    /// Number of Bloom filters `S`.
-    pub fn n_filters(&self) -> usize {
-        self.group.len()
-    }
-
     /// Number of data pages covered.
     pub fn n_pages(&self) -> u64 {
         if self.n_keys == 0 && self.min_key > self.max_key {
@@ -206,54 +201,6 @@ impl BfLeaf {
             }
         }
         self.group.len() as u64
-    }
-
-    /// Parallel variant of [`Self::matching_pages`] (§8: "These probes
-    /// can be parallelized if there are enough CPU resources
-    /// available"): `n_threads` workers sweep disjoint bucket ranges.
-    /// Results are identical to the serial sweep, in the same
-    /// ascending-pid order.
-    pub fn matching_pages_parallel(
-        &self,
-        key: u64,
-        out: &mut Vec<PageId>,
-        n_threads: usize,
-    ) -> u64 {
-        let s = self.group.len();
-        let threads = n_threads.clamp(1, s.max(1));
-        if threads <= 1 || s < 2 * threads {
-            return self.matching_pages(key, out);
-        }
-        let chunk = s.div_ceil(threads);
-        let parts: Vec<Vec<usize>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let group = &self.group;
-                    scope.spawn(move || {
-                        let lo = t * chunk;
-                        let hi = ((t + 1) * chunk).min(s);
-                        let mut local = Vec::new();
-                        group.matching_buckets_range_into(&key, lo, hi, &mut local);
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("probe worker panicked"))
-                .collect()
-        });
-        for bucket in parts.into_iter().flatten() {
-            let start = self.min_pid + bucket as u64 * self.pages_per_bf;
-            let end = (start + self.pages_per_bf - 1).min(self.max_pid);
-            for pid in start..=end {
-                out.push(pid);
-            }
-        }
-        // Attribute the workers' probes to the calling thread: op
-        // counters are thread-local and the open span lives here.
-        bftree_obs::note_filter_probes(s as u64);
-        s as u64
     }
 
     /// Insert `key` residing on page `pid` (Algorithm 3 lines 2–6):
@@ -359,7 +306,7 @@ mod tests {
     #[test]
     fn covers_and_ranges() {
         let l = leaf_over(&[(10, vec![100, 101]), (11, vec![102, 103]), (12, vec![104])]);
-        assert_eq!(l.n_filters(), 3);
+        assert_eq!(l.group().len(), 3);
         assert_eq!(l.n_pages(), 3);
         assert!(l.covers_key(102));
         assert!(!l.covers_key(99));
@@ -405,7 +352,7 @@ mod tests {
         let pages: Vec<(PageId, Vec<u64>)> =
             (0..8u64).map(|p| (p, vec![p * 2, p * 2 + 1])).collect();
         let l = BfLeaf::from_pages(&config, &pages, 16);
-        assert_eq!(l.n_filters(), 2);
+        assert_eq!(l.group().len(), 2);
         let mut out = Vec::new();
         l.matching_pages(0, &mut out);
         // Bucket 0 expands to its whole 4-page group.
@@ -420,7 +367,7 @@ mod tests {
         assert!(l.covers_key(42));
         assert_eq!(l.n_keys, 1);
         l.insert(50, 7); // extends page range by two pages
-        assert_eq!(l.n_filters(), 3);
+        assert_eq!(l.group().len(), 3);
         assert!(l.covers_pid(7));
         let mut out = Vec::new();
         l.matching_pages(50, &mut out);

@@ -51,6 +51,14 @@
 //!   boundary-probing scan.
 //! * [`stats`] — probe statistics: false reads, pages fetched, BFs
 //!   probed (Table 3).
+//! * [`page_image`] — a BF-leaf as one fixed-size node (§4.1): the
+//!   checked proof that the reported index size is honest.
+//!
+//! Drivers: every `figures <id>` that builds a BF-Tree, all four
+//! `bfbench` workloads and the `examples/`. Of the paper's §7/§8
+//! "could also" list, what is here is what one of those (or a test
+//! that checks a default against it) runs; CHANGES.md (PR 21) lists
+//! what was cut and why.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -58,7 +66,6 @@
 pub mod access;
 pub mod builder;
 pub mod config;
-pub mod intersect;
 pub mod leaf;
 pub mod page_image;
 pub mod scan;
@@ -68,10 +75,8 @@ pub mod tree;
 pub use bftree_access::{AccessMethod, BuildError, IndexStats, Probe, ProbeError, RangeScan};
 pub use builder::BfTreeBuilder;
 pub use config::{
-    BfTreeConfig, BitAllocation, DuplicateHandling, FilterLayout, KStrategy, ProbeOrder,
-    SplitStrategy,
+    BfTreeConfig, BitAllocation, DuplicateHandling, FilterLayout, KStrategy, SplitStrategy,
 };
-pub use intersect::{probe_intersection, IndexPredicate};
 pub use leaf::BfLeaf;
 pub use page_image::PageImageError;
 pub use stats::{ProbeResult, ProbeStats};

@@ -11,6 +11,11 @@
 //! round-tripping through the image is tested to preserve probe
 //! behavior bit-for-bit.
 //!
+//! Nothing writes these images to a device yet (ROADMAP item 7 gives
+//! them that caller). The module stays as the proof that a leaf *with
+//! its tombstones* fits its node, i.e. that the `size_bytes` behind
+//! `bfbench`'s `index_bytes_per_key` counts nodes that really exist.
+//!
 //! Layout (little-endian):
 //!
 //! ```text

@@ -63,14 +63,6 @@ impl ProbeStats {
         self.false_reads as f64 / self.probes as f64
     }
 
-    /// Mean data pages fetched per search.
-    pub fn pages_per_search(&self) -> f64 {
-        if self.probes == 0 {
-            return 0.0;
-        }
-        self.pages_read as f64 / self.probes as f64
-    }
-
     /// Hit rate over the aggregated probes.
     pub fn hit_rate(&self) -> f64 {
         if self.probes == 0 {
@@ -99,7 +91,6 @@ mod tests {
         assert_eq!(s.probes, 2);
         assert_eq!(s.hits, 1);
         assert!((s.false_reads_per_search() - 1.0).abs() < 1e-12);
-        assert!((s.pages_per_search() - 1.5).abs() < 1e-12);
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
@@ -107,7 +98,6 @@ mod tests {
     fn empty_stats_are_zero() {
         let s = ProbeStats::default();
         assert_eq!(s.false_reads_per_search(), 0.0);
-        assert_eq!(s.pages_per_search(), 0.0);
         assert_eq!(s.hit_rate(), 0.0);
     }
 }

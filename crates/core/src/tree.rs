@@ -1,5 +1,9 @@
 //! The BF-Tree: bulk load, search (Algorithm 1), insert (Algorithm 3),
 //! split (Algorithm 2), delete.
+//!
+//! [`BfTree::rebuild_leaf`] (§7: "recalculate the BF from the
+//! beginning" once the deleted-keys list has grown) has no caller in
+//! the write path yet; `examples/cold_storage.rs` drives it.
 
 use std::collections::HashSet;
 use std::ops::ControlFlow;
@@ -306,10 +310,10 @@ impl BfTree {
     /// Algorithm 1: probe for `key`, returning every matching tuple.
     ///
     /// Thin materializing wrapper over [`Self::probe_sink_impl`] with
-    /// a collect-everything sink; identical I/O by construction. Kept
-    /// for the in-crate equivalence tests (the trait path streams
+    /// a collect-everything sink; identical I/O by construction. Only
+    /// the in-crate equivalence tests use it (the trait path streams
     /// through the sink form instead).
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn probe_impl(
         &self,
@@ -394,8 +398,30 @@ impl BfTree {
     /// pages (window × ~1 page) sit comfortably in L1/L2.
     const PIPELINE_WINDOW: usize = 5;
 
-    /// Batched Algorithm 1: probe every key of `keys`, returning one
-    /// [`ProbeResult`] per key **in input order**.
+    /// [`Self::probe_batch_each`] materialized as one [`ProbeResult`]
+    /// per key in input order, for the in-crate equivalence tests.
+    #[cfg(test)]
+    pub(crate) fn probe_batch_impl(
+        &self,
+        keys: &[u64],
+        heap: &HeapFile,
+        attr: AttrOffset,
+        idx_dev: Option<&PageDevice>,
+        data_dev: Option<&PageDevice>,
+        scratch: &mut ProbeScratch,
+    ) -> Vec<ProbeResult> {
+        let mut results: Vec<ProbeResult> = Vec::with_capacity(keys.len());
+        results.resize_with(keys.len(), ProbeResult::default);
+        self.probe_batch_each(keys, heap, attr, idx_dev, data_dev, scratch, |slot, r| {
+            results[slot] = r;
+        });
+        results
+    }
+
+    /// Batched Algorithm 1: probe every key of `keys`, delivering each
+    /// finished probe to `sink(input_position, result)` — the
+    /// `AccessMethod::probe_batch` override converts straight into its
+    /// output buffer, with no intermediate vector.
     ///
     /// The batch is processed in sorted key order through a two-stage
     /// software pipeline, which is where it wins its throughput
@@ -419,32 +445,6 @@ impl BfTree {
     /// Every key is still *charged* exactly as if probed alone (the
     /// `AccessMethod::probe_batch` contract), so batch and scalar runs
     /// report bit-identical `IoStats` totals on cold devices.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn probe_batch_impl(
-        &self,
-        keys: &[u64],
-        heap: &HeapFile,
-        attr: AttrOffset,
-        idx_dev: Option<&PageDevice>,
-        data_dev: Option<&PageDevice>,
-        scratch: &mut ProbeScratch,
-    ) -> Vec<ProbeResult> {
-        // Thin materializing wrapper over `probe_batch_each`, kept for
-        // the in-crate equivalence tests (the trait path streams
-        // through the sink form instead).
-        let mut results: Vec<ProbeResult> = Vec::with_capacity(keys.len());
-        results.resize_with(keys.len(), ProbeResult::default);
-        self.probe_batch_each(keys, heap, attr, idx_dev, data_dev, scratch, |slot, r| {
-            results[slot] = r;
-        });
-        results
-    }
-
-    /// [`Self::probe_batch_impl`] delivering each finished probe to
-    /// `sink(input_position, result)` instead of materializing an
-    /// intermediate vector — the `AccessMethod::probe_batch` override
-    /// converts straight into its output buffer, saving one full pass
-    /// over the batch.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn probe_batch_each(
         &self,
@@ -651,20 +651,6 @@ impl BfTree {
         pages.clear();
         result.bfs_probed += leaf.matching_pages_fp(fp, pages, buckets);
         pages.dedup();
-        if stop_at_first
-            && self.config.probe_order == crate::config::ProbeOrder::Interpolated
-            && leaf.max_key > leaf.min_key
-        {
-            // Check pages nearest the key's interpolated position
-            // first: with near-uniform ordered data the true page
-            // leads the order and the early-out skips almost every
-            // false positive.
-            let span_keys = (leaf.max_key - leaf.min_key) as f64;
-            let span_pids = (leaf.max_pid - leaf.min_pid) as f64;
-            let interp =
-                leaf.min_pid + ((key - leaf.min_key) as f64 / span_keys * span_pids).round() as u64;
-            pages.sort_by_key(|&pid| pid.abs_diff(interp));
-        }
         self.probe_leaf_data(
             key,
             leaf,

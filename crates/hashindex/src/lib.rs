@@ -13,7 +13,6 @@
 pub mod access;
 
 use bftree_btree::TupleRef;
-use bftree_storage::PageDevice;
 
 /// A bucket-chained hash index from u64 keys to tuple references.
 #[derive(Debug, Clone)]
@@ -123,14 +122,6 @@ impl HashIndex {
         let bucket_hdr = std::mem::size_of::<Vec<(u64, TupleRef)>>() as u64;
         self.buckets.len() as u64 * bucket_hdr + self.n_entries * entry
     }
-
-    /// Probe + fetch: look up `key` and charge the data page read to
-    /// `data_dev`, mirroring what the harness does for tree probes.
-    pub fn probe_and_fetch(&self, key: u64, data_dev: &PageDevice) -> Option<TupleRef> {
-        let r = self.get(key)?;
-        data_dev.read_random(r.pid());
-        Some(r)
-    }
 }
 
 /// xxh64-style avalanche of a u64 key (splitmix64 finalizer) — enough
@@ -147,7 +138,6 @@ fn bftree_bloom_hash(key: u64, seed: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bftree_storage::DeviceKind;
 
     #[test]
     fn build_and_get() {
@@ -192,16 +182,6 @@ mod tests {
         assert!(!idx.remove(1, TupleRef::new(10, 0)));
         assert_eq!(idx.get_all(1), vec![TupleRef::new(11, 0)]);
         assert_eq!(idx.n_entries(), 1);
-    }
-
-    #[test]
-    fn probe_and_fetch_charges_one_data_read() {
-        let idx = HashIndex::build((0u64..100).map(|k| (k, TupleRef::new(k, 0))), 0);
-        let dev = PageDevice::cold(DeviceKind::Ssd);
-        assert!(idx.probe_and_fetch(50, &dev).is_some());
-        assert!(idx.probe_and_fetch(1_000, &dev).is_none());
-        let s = dev.snapshot();
-        assert_eq!(s.random_reads, 1, "miss must not touch the data device");
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! Requests open with a one-byte opcode; responses open with a
 //! one-byte status (0 = OK, else an error code from the typed
 //! taxonomy in [`RemoteError`]). Pagination tokens travel as opaque
-//! [`ShardedContinuation`] envelope bytes — the server, not the
-//! client, owns their meaning.
+//! [`bftree_shard::ShardedContinuation`] envelope bytes — the server,
+//! not the client, owns their meaning.
 
-use bftree_shard::{ShardError, ShardedContinuation};
+use bftree_shard::ShardError;
 
 use crate::NetError;
 
@@ -58,7 +58,8 @@ pub enum Request {
         hi: u64,
         /// Max matches in this page.
         limit: u64,
-        /// Encoded [`ShardedContinuation`] from the previous page.
+        /// Encoded [`bftree_shard::ShardedContinuation`] from the
+        /// previous page.
         token: Option<Vec<u8>>,
     },
     /// Append a tuple with `key` on the indexed attribute and `attr`
@@ -569,11 +570,6 @@ impl Response {
         r.finish()?;
         Ok(resp)
     }
-}
-
-/// Decode an opaque wire token into a validated envelope.
-pub fn decode_token(bytes: &[u8]) -> Result<ShardedContinuation, ShardError> {
-    ShardedContinuation::decode(bytes)
 }
 
 #[cfg(test)]

@@ -77,11 +77,6 @@ impl WallTimer {
     pub fn elapsed_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
     }
-
-    /// Wall seconds elapsed since [`WallTimer::start`].
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
 }
 
 /// Nanoseconds as microseconds.
@@ -126,7 +121,6 @@ mod tests {
         let t = WallTimer::start();
         std::hint::black_box((0..1000).sum::<u64>());
         assert!(t.elapsed_ns() > 0);
-        assert!(t.elapsed_secs() >= 0.0);
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! [`crate::OpCounters`] — recording must be armed via
 //! [`crate::set_recording`]) plus the model's predicted I/O, giving a
 //! per-query regret stream: `measured − predicted` device reads.
+//!
+//! `tests/observability.rs` is the only caller today; ROADMAP item 4
+//! wires the regret stream to a live per-index metric.
 
 use crate::clock::{self, WallTimer};
 use crate::span::{thread_op_counters, OpCounters};

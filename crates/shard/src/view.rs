@@ -45,11 +45,6 @@ impl<A: AccessMethod> RangeView<A> {
         &self.inner
     }
 
-    /// Inclusive key range this view owns.
-    pub fn key_range(&self) -> (u64, u64) {
-        (self.lo, self.hi)
-    }
-
     fn in_range(&self, key: u64) -> bool {
         self.lo <= key && key <= self.hi
     }

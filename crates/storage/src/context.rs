@@ -221,15 +221,6 @@ impl IoContext {
         self.manager.as_ref().map_or(0, |m| m.reserve(bytes))
     }
 
-    /// Return `bytes` of a previous
-    /// [`IoContext::reserve_index_footprint`] to the shared budget —
-    /// the inverse carve-out for a footprint that shrank (a memtable
-    /// drained, a shard retired). Returns the remaining page budget;
-    /// no-op returning 0 on contexts without a shared manager.
-    pub fn release_index_footprint(&self, bytes: u64) -> u64 {
-        self.manager.as_ref().map_or(0, |m| m.release(bytes))
-    }
-
     /// Counters and residency of the shared manager, if any.
     pub fn buffer_stats(&self) -> Option<BufferStats> {
         self.manager.as_ref().map(|m| m.stats())

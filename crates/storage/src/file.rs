@@ -77,9 +77,10 @@ const STATE_LIVE: u32 = 1;
 /// Slot state: on the free list.
 const STATE_FREE: u32 = 2;
 
-/// CRC-32 (IEEE 802.3, reflected), table-driven; the same polynomial
-/// the WAL frames use, built at compile time so the crate stays
-/// dependency-free.
+/// CRC-32 (IEEE 802.3, reflected), table-driven: the workspace's one
+/// checksum (page slots here, WAL records and wire frames through
+/// `bftree_wal::crc32`). The table is built at compile time, so the
+/// crate stays dependency-free.
 pub fn crc32(bytes: &[u8]) -> u32 {
     const TABLE: [u32; 256] = {
         let mut table = [0u32; 256];
@@ -794,15 +795,6 @@ impl FileStore {
             .injector
             .lock()
             .unwrap_or_else(|e| e.into_inner()) = Some(injector);
-    }
-
-    /// The installed fault injector, if any.
-    pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
-        self.faults
-            .injector
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
     }
 
     /// Set how transient errors are retried (default:

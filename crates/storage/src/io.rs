@@ -298,16 +298,6 @@ impl IoSnapshot {
         }
     }
 
-    /// Total bytes that crossed the device interface.
-    pub fn bytes_total(&self) -> u64 {
-        self.bytes_read + self.bytes_written
-    }
-
-    /// Simulated time in milliseconds.
-    pub fn sim_ms(&self) -> f64 {
-        self.sim_ns as f64 / 1e6
-    }
-
     /// Simulated time in microseconds.
     pub fn sim_us(&self) -> f64 {
         self.sim_ns as f64 / 1e3
@@ -392,7 +382,6 @@ mod tests {
         assert_eq!(snap.cache_hit_rate(), 0.25, "1 hit, 3 device reads");
         assert_eq!(snap.bytes_read, 3 * 4096);
         assert_eq!(snap.bytes_written, 4096);
-        assert_eq!(snap.bytes_total(), 4 * 4096);
         assert_eq!(snap.sim_ns, 261);
         assert_eq!(snap.device_reads(), 3);
     }

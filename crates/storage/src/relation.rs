@@ -185,11 +185,6 @@ impl Relation {
         self.duplicates == Duplicates::Unique
     }
 
-    /// Give the heap file back.
-    pub fn into_heap(self) -> HeapFile {
-        self.heap
-    }
-
     /// Wrap the relation in an [`Arc`] for concurrent probe serving.
     /// Heap reads through `&self` are safe from any number of threads;
     /// mutation ([`Relation::heap_mut`]) requires sole ownership, which
@@ -222,7 +217,6 @@ mod tests {
         assert_eq!(rel.duplicates(), Duplicates::Contiguous);
         assert!(!rel.is_unique());
         assert_eq!(rel.heap().tuple_count(), 1);
-        assert_eq!(rel.into_heap().tuple_count(), 1);
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //! interval; [`BackgroundScrubber::stop`] joins it and returns the
 //! accumulated totals. Experiments that want deterministic timing
 //! call [`Scrubber::scrub_pass`] synchronously instead.
+//!
+//! No figure, workload or example runs a scrubber; `tests/self_healing.rs`
+//! does. It stays because detecting and containing faults is not code a
+//! dead-weight audit removes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

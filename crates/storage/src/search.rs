@@ -6,6 +6,9 @@
 //! Both operate at page granularity, as an access method would: each
 //! step reads one page (charged to the optional device) and compares
 //! against the page's key range.
+//!
+//! Driver: `figures sec7_access_methods` (the index-free rows of the
+//! §7 comparison).
 
 use crate::backend::PageDevice;
 use crate::heap::HeapFile;

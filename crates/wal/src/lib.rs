@@ -28,8 +28,11 @@
 pub mod log;
 pub mod record;
 
+/// The workspace's one CRC-32 (the page store's), framing log records
+/// and, through this path, wire frames.
+pub use bftree_storage::file::crc32;
 pub use log::{DurabilityMode, TailState, Wal, WalReader, WalRepairOutcome};
-pub use record::{crc32, WalRecord, FRAME_HEADER, MAX_PAYLOAD};
+pub use record::{WalRecord, FRAME_HEADER, MAX_PAYLOAD};
 
 #[cfg(test)]
 mod tests {

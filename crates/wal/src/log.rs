@@ -1,9 +1,10 @@
 //! The log itself: append, durability modes, sync accounting, and the
 //! torn-tail-tolerant recovery reader.
 
+use bftree_storage::file::crc32;
 use bftree_storage::{PageDevice, PageId, PAGE_SIZE};
 
-use crate::record::{crc32, WalRecord, FRAME_HEADER, MAX_PAYLOAD};
+use crate::record::{WalRecord, FRAME_HEADER, MAX_PAYLOAD};
 
 /// When an appended record becomes durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,6 +8,8 @@
 //! a one-byte tag followed by fixed-width little-endian fields, so
 //! records are self-describing and the reader never needs the index.
 
+use bftree_storage::file::crc32;
+
 /// Framing overhead per record: the `len` and `crc32` words.
 pub const FRAME_HEADER: usize = 8;
 
@@ -111,45 +113,9 @@ impl WalRecord {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected), table-driven. The table is built at
-/// compile time, so the crate stays dependency-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    };
-    let mut c = !0u32;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // The classic check value of CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn payloads_round_trip() {

@@ -125,12 +125,6 @@ pub fn build_heap_by_shipdate(config: &TpchConfig) -> HeapFile {
     build_heap(config, &rows)
 }
 
-/// Materialize in creation order (Figure 1(a)'s x-axis).
-pub fn build_heap_by_creation(config: &TpchConfig) -> HeapFile {
-    let rows = generate_lineitem_dates(config);
-    build_heap(config, &rows)
-}
-
 fn build_heap(config: &TpchConfig, rows: &[LineitemDates]) -> HeapFile {
     let layout = TupleLayout::new(config.tuple_size);
     let mut heap = HeapFile::new(layout);

@@ -1,11 +1,12 @@
-//! Integration tests for the Section-7/8 optimizations: parallel
-//! filter probing, interpolated probe order, index intersection, and
-//! the index-free comparators.
+//! Section 7's index-free comparators (binary and interpolation
+//! search over the ordered heap, the access methods `figures
+//! sec7_access_methods` reports) against the BF-Tree: same answers,
+//! more data pages.
 
-use bftree::{probe_intersection, AccessMethod, BfTree, IndexPredicate, ProbeOrder};
-use bftree_storage::tuple::{ATT1_OFFSET, PK_OFFSET};
+use bftree::{AccessMethod, BfTree};
+use bftree_storage::tuple::PK_OFFSET;
 use bftree_storage::{
-    binary_search, interpolation_search, Duplicates, HeapFile, IoContext, Relation, TupleLayout,
+    binary_search, interpolation_search, Duplicates, HeapFile, IoContext, Relation,
 };
 use bftree_workloads::{build_relation_r, SyntheticConfig};
 
@@ -18,102 +19,6 @@ fn heap() -> HeapFile {
 
 fn pk_relation() -> Relation {
     Relation::new(heap(), PK_OFFSET, Duplicates::Unique).unwrap()
-}
-
-#[test]
-fn parallel_filter_probing_matches_serial() {
-    let rel = pk_relation();
-    let tree = BfTree::builder().fpp(1e-2).build(&rel).unwrap();
-    for key in (0..30_000u64).step_by(501) {
-        for leaf_idx in 0..tree.leaf_pages() as u32 {
-            let leaf = tree.leaf(leaf_idx);
-            let mut serial = Vec::new();
-            leaf.matching_pages(key, &mut serial);
-            for threads in [1usize, 2, 4, 7] {
-                let mut par = Vec::new();
-                leaf.matching_pages_parallel(key, &mut par, threads);
-                assert_eq!(par, serial, "key {key}, leaf {leaf_idx}, {threads} threads");
-            }
-        }
-    }
-}
-
-#[test]
-fn interpolated_probe_order_cuts_false_reads_on_uniform_pk() {
-    let rel = pk_relation();
-    let io = IoContext::unmetered();
-    let builder = BfTree::builder().fpp(0.05);
-    let page_order = builder.clone().build(&rel).unwrap();
-    let interpolated = builder
-        .probe_order(ProbeOrder::Interpolated)
-        .build(&rel)
-        .unwrap();
-
-    let mut fr_page = 0u64;
-    let mut fr_interp = 0u64;
-    for key in (0..30_000u64).step_by(97) {
-        let a = AccessMethod::probe_first(&page_order, key, &rel, &io).unwrap();
-        let b = AccessMethod::probe_first(&interpolated, key, &rel, &io).unwrap();
-        assert!(a.found() && b.found(), "key {key}");
-        fr_page += a.false_reads;
-        fr_interp += b.false_reads;
-    }
-    assert!(
-        fr_interp * 5 < fr_page.max(5),
-        "interpolated {fr_interp} vs page-order {fr_page} false reads"
-    );
-}
-
-#[test]
-fn intersection_fpp_is_multiplicative() {
-    // Probe deliberately loose indexes with absent keys: pages survive
-    // the intersection only if both sides fire falsely, so the
-    // intersected false reads should be far below either side's.
-    let rel_pk = pk_relation();
-    let rel_att1 =
-        Relation::new(rel_pk.heap().clone(), ATT1_OFFSET, Duplicates::Contiguous).unwrap();
-    let io = IoContext::unmetered();
-    let builder = BfTree::builder().fpp(0.2);
-    let a = builder.clone().build(&rel_pk).unwrap();
-    let b = builder.build(&rel_att1).unwrap();
-
-    let mut single = 0u64;
-    let mut both = 0u64;
-    let mut probes = 0u64;
-    for pk in (0..30_000u64).step_by(211) {
-        let att1 = {
-            // The true ATT1 value of this pk's tuple, so the predicate
-            // pair is consistent.
-            let r = AccessMethod::probe_first(&a, pk, &rel_pk, &io).unwrap();
-            let (pid, slot) = r.matches[0];
-            rel_pk.heap().attr(pid, slot, ATT1_OFFSET)
-        };
-        single += AccessMethod::probe(&a, pk, &rel_pk, &io)
-            .unwrap()
-            .false_reads;
-        both += probe_intersection(
-            IndexPredicate {
-                tree: &a,
-                attr: PK_OFFSET,
-                key: pk,
-            },
-            IndexPredicate {
-                tree: &b,
-                attr: ATT1_OFFSET,
-                key: att1,
-            },
-            rel_pk.heap(),
-            None,
-            None,
-        )
-        .false_reads;
-        probes += 1;
-    }
-    assert!(probes > 100);
-    assert!(
-        both * 4 < single.max(4),
-        "intersection false reads {both} vs single-index {single}"
-    );
 }
 
 #[test]
@@ -149,18 +54,4 @@ fn bftree_reads_fewer_pages_than_binary_search() {
         tree_pages * 3 < bin_pages,
         "BF-Tree {tree_pages} vs binary search {bin_pages} data pages"
     );
-}
-
-#[test]
-fn parallel_probe_on_tiny_leaf_falls_back_to_serial() {
-    let mut heap = HeapFile::new(TupleLayout::new(256));
-    for pk in 0..20u64 {
-        heap.append_record(pk, pk);
-    }
-    let rel = Relation::new(heap, PK_OFFSET, Duplicates::Unique).unwrap();
-    let tree = BfTree::builder().build(&rel).unwrap();
-    let leaf = tree.leaf(0);
-    let mut out = Vec::new();
-    leaf.matching_pages_parallel(7, &mut out, 16);
-    assert!(out.contains(&0));
 }
