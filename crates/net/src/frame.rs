@@ -113,6 +113,22 @@ mod tests {
         }
     }
 
+    /// Recorded at the parent of the slicing-by-8 `crc32` (byte-loop
+    /// checksum): the wire format may not move with the checksum's
+    /// implementation.
+    #[test]
+    fn a_frame_is_byte_identical_to_the_recorded_parent() {
+        const HELLO_FRAME: [u8; 19] = [
+            0x0B, 0x00, 0x00, 0x00, 0x0B, 0x3C, 0xC5, 0x82, 0x68, 0x65, 0x6C, 0x6C, 0x6F, 0x20,
+            0x66, 0x72, 0x61, 0x6D, 0x65,
+        ];
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"hello frame").unwrap();
+        assert_eq!(buf, HELLO_FRAME);
+        let got = read_frame(&mut &HELLO_FRAME[..]).unwrap().unwrap();
+        assert_eq!(got, b"hello frame");
+    }
+
     #[test]
     fn oversized_payload_is_refused_without_writing() {
         let mut buf = Vec::new();

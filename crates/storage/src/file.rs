@@ -49,7 +49,7 @@ use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,7 +68,7 @@ const SUPER_SIZE: u64 = PAGE_SIZE as u64;
 /// Per-slot header bytes.
 pub const PAGE_HEADER: usize = 40;
 /// Bytes per slot: header plus a full page of payload capacity.
-const SLOT_SIZE: u64 = (PAGE_HEADER + PAGE_SIZE) as u64;
+const SLOT_SIZE: usize = PAGE_HEADER + PAGE_SIZE;
 /// "No slot" sentinel in free-list links.
 const NO_SLOT: u64 = u64::MAX;
 
@@ -77,35 +77,69 @@ const STATE_LIVE: u32 = 1;
 /// Slot state: on the free list.
 const STATE_FREE: u32 = 2;
 
-/// CRC-32 (IEEE 802.3, reflected), table-driven: the workspace's one
-/// checksum (page slots here, WAL records and wire frames through
-/// `bftree_wal::crc32`). The table is built at compile time, so the
-/// crate stays dependency-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Slicing-by-8 tables for CRC-32 (IEEE 802.3, reflected), built at
+/// compile time so the crate stays dependency-free. `CRC_TABLES[0]` is
+/// the classic byte table; `CRC_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
-    let mut c = !0u32;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        k += 1;
     }
-    !c
+    t
+};
+
+/// Feed `bytes` into a running (pre-inverted) CRC-32 state, eight
+/// bytes per step. Start from `!0`, invert the result: feeding a
+/// buffer in pieces gives the value of feeding it whole.
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// CRC-32 (IEEE 802.3, reflected): the workspace's one checksum (page
+/// slots here, WAL records and wire frames through
+/// `bftree_wal::crc32`).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0, bytes)
 }
 
 /// Why a [`FileStore`] operation failed. Every corruption mode the
@@ -357,14 +391,11 @@ impl SlotHeader {
 
 /// CRC coverage: `page_id ++ lsn ++ payload_len ++ payload`, all
 /// little-endian — so a tampered id, lsn, or length fails the same
-/// check a flipped payload bit does.
-fn page_crc(page_id: u64, lsn: u64, payload: &[u8]) -> u32 {
-    let mut covered = Vec::with_capacity(20 + payload.len());
-    covered.extend_from_slice(&page_id.to_le_bytes());
-    covered.extend_from_slice(&lsn.to_le_bytes());
-    covered.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    covered.extend_from_slice(payload);
-    crc32(&covered)
+/// check a flipped payload bit does. Checksummed where the bytes sit
+/// in the slot image: header bytes 8..28, then `len` payload bytes.
+fn page_crc(slot: &[u8], len: usize) -> u32 {
+    let c = crc32_update(!0, &slot[8..28]);
+    !crc32_update(c, &slot[PAGE_HEADER..PAGE_HEADER + len])
 }
 
 /// Mutable state behind the store's lock.
@@ -380,6 +411,9 @@ struct Inner {
     next_id: u64,
     /// Next page LSN (monotone across the whole store).
     next_lsn: u64,
+    /// Rolled by every read, write and issued sync once installed.
+    injector: Option<Arc<FaultInjector>>,
+    retry: RetryPolicy,
 }
 
 /// Outcome of a charging-path operation ([`FileStore::charged_read`]
@@ -398,12 +432,12 @@ pub enum IoOutcome {
     Quarantined,
 }
 
-/// The fault-tolerance state of one store: optional injector, retry
-/// policy, jitter RNG, shared counters, and the page quarantine.
+/// The fault-tolerance state of one store outside its lock: jitter
+/// RNG, shared counters, and the page quarantine (the injector and
+/// the retry policy sit in [`Inner`], read under the lock every
+/// operation already holds).
 #[derive(Debug)]
 struct FaultPlane {
-    injector: Mutex<Option<Arc<FaultInjector>>>,
-    retry: Mutex<RetryPolicy>,
     /// Jitter stream for retry backoff — seeded at construction so
     /// backoff sequences are reproducible run to run.
     rng: Mutex<StdRng>,
@@ -414,8 +448,6 @@ struct FaultPlane {
 impl Default for FaultPlane {
     fn default() -> Self {
         Self {
-            injector: Mutex::new(None),
-            retry: Mutex::new(RetryPolicy::exponential()),
             rng: Mutex::new(StdRng::seed_from_u64(0xBF09)),
             stats: Arc::new(FaultStats::default()),
             quarantine: Arc::new(Quarantine::new()),
@@ -458,6 +490,8 @@ impl FileStore {
                 free_len: 0,
                 next_id: 0,
                 next_lsn: 1,
+                injector: None,
+                retry: RetryPolicy::exponential(),
             }),
             policy,
             wall: WallStats::default(),
@@ -515,6 +549,14 @@ impl FileStore {
             }
             let h = SlotHeader::decode(&hb);
             if h.magic == PAGE_MAGIC && h.state == STATE_LIVE {
+                // Headers are unverified here: an LSN with no successor
+                // must not wrap the store's monotone horizon.
+                if h.lsn == u64::MAX {
+                    return Err(DeviceError::BadHeader {
+                        page: h.page_id,
+                        reason: "lsn horizon exhausted",
+                    });
+                }
                 map.insert(h.page_id, slot);
                 max_lsn = max_lsn.max(h.lsn);
             }
@@ -529,6 +571,8 @@ impl FileStore {
                 free_len,
                 next_id,
                 next_lsn: max_lsn + 1,
+                injector: None,
+                retry: RetryPolicy::exponential(),
             }),
             policy,
             wall: WallStats::default(),
@@ -554,7 +598,7 @@ impl FileStore {
         &self.path
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -579,7 +623,7 @@ impl FileStore {
         let mut inner = self.lock();
         let page = inner.next_id;
         inner.next_id += 1;
-        self.write_locked(&mut inner, page, &[], false)?;
+        self.write_locked(&mut inner, page, Some(&[]), false)?;
         Ok(page)
     }
 
@@ -641,21 +685,30 @@ impl FileStore {
     /// injector is installed; [`FileStore::read_page_verified`] wraps
     /// it in the store's [`RetryPolicy`].
     pub fn read_page(&self, page: PageId) -> Result<Vec<u8>, DeviceError> {
-        self.read_page_attempt(page, true)
+        let mut buf = [0u8; SLOT_SIZE];
+        let len = self.read_slot(&self.lock(), page, true, &mut buf)?;
+        Ok(buf[PAGE_HEADER..PAGE_HEADER + len].to_vec())
     }
 
-    fn read_page_attempt(&self, page: PageId, inject: bool) -> Result<Vec<u8>, DeviceError> {
-        let inner = self.lock();
+    /// One verified read of `page`'s slot image into `buf`: the
+    /// payload is `buf[PAGE_HEADER..PAGE_HEADER + len]` for the
+    /// returned `len`, and only once every check has passed.
+    fn read_slot(
+        &self,
+        inner: &Inner,
+        page: PageId,
+        inject: bool,
+        buf: &mut [u8; SLOT_SIZE],
+    ) -> Result<usize, DeviceError> {
         let slot = *inner
             .map
             .get(&page)
             .ok_or(DeviceError::UnknownPage { page })?;
         if inject {
-            self.inject_read_fault(&inner, page, slot)?;
+            self.inject_read_fault(inner, page, slot)?;
         }
         let t = WallTimer::start();
-        let mut buf = vec![0u8; SLOT_SIZE as usize];
-        let got = read_full_at(&inner.file, &mut buf, slot_offset(slot))?;
+        let got = read_full_at(&inner.file, buf, slot_offset(slot))?;
         self.wall
             .read_ns
             .fetch_add(t.elapsed_ns(), Ordering::Relaxed);
@@ -704,8 +757,7 @@ impl FileStore {
                 got,
             });
         }
-        let payload = &buf[PAGE_HEADER..PAGE_HEADER + len];
-        let actual = page_crc(h.page_id, h.lsn, payload);
+        let actual = page_crc(buf, len);
         if actual != h.crc {
             return Err(DeviceError::ChecksumMismatch {
                 page,
@@ -713,19 +765,14 @@ impl FileStore {
                 actual,
             });
         }
-        Ok(payload.to_vec())
+        Ok(len)
     }
 
     /// Roll the read-path injector; a fired fault either returns the
     /// corresponding typed error (transient kinds) or actually flips a
     /// stored bit (bit rot), letting the real verification catch it.
     fn inject_read_fault(&self, inner: &Inner, page: PageId, slot: u64) -> Result<(), DeviceError> {
-        let injector = self
-            .faults
-            .injector
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let Some(inj) = injector.as_ref() else {
+        let Some(inj) = inner.injector.as_ref() else {
             return Ok(());
         };
         match inj.roll_read() {
@@ -790,22 +837,18 @@ impl FileStore {
     /// Install a fault injector; every subsequent read, write, and
     /// issued sync rolls it.
     pub fn set_fault_injector(&self, injector: Arc<FaultInjector>) {
-        *self
-            .faults
-            .injector
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = Some(injector);
+        self.lock().injector = Some(injector);
     }
 
     /// Set how transient errors are retried (default:
     /// [`RetryPolicy::exponential`]).
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        *self.faults.retry.lock().unwrap_or_else(|e| e.into_inner()) = policy;
+        self.lock().retry = policy;
     }
 
     /// The active retry policy.
     pub fn retry_policy(&self) -> RetryPolicy {
-        *self.faults.retry.lock().unwrap_or_else(|e| e.into_inner())
+        self.lock().retry
     }
 
     /// The store's fault-plane counters.
@@ -825,18 +868,20 @@ impl FileStore {
         }
     }
 
-    /// Run `op` under the store's [`RetryPolicy`]: transient errors
-    /// wait out a bounded, jittered exponential backoff and retry;
-    /// permanent errors (and exhaustion) escalate. `op` must not hold
-    /// the store lock — each attempt re-acquires it.
-    fn with_retries<T>(
-        &self,
-        mut op: impl FnMut() -> Result<T, DeviceError>,
+    /// Run `op` under the store's [`RetryPolicy`], the first attempt
+    /// on the lock the caller already holds: transient errors wait out
+    /// a bounded, jittered exponential backoff and retry; permanent
+    /// errors (and exhaustion) escalate. The lock is released across
+    /// each backoff and re-acquired for the next attempt.
+    fn with_retries<'a, T>(
+        &'a self,
+        mut inner: MutexGuard<'a, Inner>,
+        mut op: impl FnMut(&mut Inner) -> Result<T, DeviceError>,
     ) -> Result<T, DeviceError> {
-        let policy = self.retry_policy();
+        let policy = inner.retry;
         let mut attempt = 1u32;
         loop {
-            match op() {
+            match op(&mut inner) {
                 Ok(v) => {
                     if attempt > 1 {
                         self.faults.stats.note_retry_success();
@@ -849,6 +894,7 @@ impl FileStore {
                         self.faults.stats.note_exhausted();
                         return Err(e);
                     }
+                    drop(inner);
                     let wait = {
                         let mut rng = self.faults.rng.lock().unwrap_or_else(|e| e.into_inner());
                         policy.backoff_ns(attempt, &mut rng)
@@ -862,6 +908,7 @@ impl FileStore {
                     }
                     self.faults.stats.note_retry(wait);
                     attempt += 1;
+                    inner = self.lock();
                 }
                 Err(e) => {
                     self.faults.stats.note_permanent();
@@ -875,12 +922,18 @@ impl FileStore {
     /// transient failures are retried with backoff, permanent ones
     /// escalate untouched.
     pub fn read_page_verified(&self, page: PageId) -> Result<Vec<u8>, DeviceError> {
-        self.with_retries(|| self.read_page(page))
+        let mut buf = [0u8; SLOT_SIZE];
+        let len = self.with_retries(self.lock(), |inner| {
+            self.read_slot(inner, page, true, &mut buf)
+        })?;
+        Ok(buf[PAGE_HEADER..PAGE_HEADER + len].to_vec())
     }
 
     /// [`FileStore::write_page`] under the store's retry policy.
     pub fn write_page_verified(&self, page: PageId, payload: &[u8]) -> Result<u64, DeviceError> {
-        self.with_retries(|| self.write_page(page, payload))
+        self.with_retries(self.lock(), |inner| {
+            self.write_locked(inner, page, Some(payload), false)
+        })
     }
 
     /// Ids of every live page (the scrubber's sweep list), sorted.
@@ -897,17 +950,9 @@ impl FileStore {
     /// caller bytes). Repair runs on an injection-free path — it is
     /// the verified-write primitive the healing story bottoms out on.
     pub fn repair_page(&self, page: PageId, payload: Option<&[u8]>) -> Result<u64, DeviceError> {
-        let lsn = {
-            let mut inner = self.lock();
-            match payload {
-                Some(bytes) => self.write_locked_raw(&mut inner, page, bytes, false)?,
-                None => {
-                    let stamped = Self::stamped_payload(page, inner.next_lsn);
-                    self.write_locked_raw(&mut inner, page, &stamped, false)?
-                }
-            }
-        };
-        self.read_page_attempt(page, false)?;
+        let mut inner = self.lock();
+        let lsn = self.write_locked_impl(&mut inner, page, payload, false, false)?;
+        self.read_slot(&inner, page, false, &mut [0u8; SLOT_SIZE])?;
         if self.faults.quarantine.release(page) {
             self.faults.stats.note_repaired();
         }
@@ -940,68 +985,52 @@ impl FileStore {
     /// One attempt, fault injection armed;
     /// [`FileStore::write_page_verified`] adds the retry policy.
     pub fn write_page(&self, page: PageId, payload: &[u8]) -> Result<u64, DeviceError> {
-        let mut inner = self.lock();
-        self.write_locked(&mut inner, page, payload, false)
+        self.write_locked(&mut self.lock(), page, Some(payload), false)
     }
 
     /// Injection-armed write: a transient fault fails before touching
     /// the file; a torn write persists only a prefix of the frame —
     /// reporting success now and failing the page's next verified
-    /// read, exactly like a real torn sector.
+    /// read, exactly like a real torn sector. A `None` payload is the
+    /// charged image (see [`stamp_payload`]).
     fn write_locked(
         &self,
         inner: &mut Inner,
         page: PageId,
-        payload: &[u8],
+        payload: Option<&[u8]>,
         materialize: bool,
     ) -> Result<u64, DeviceError> {
-        let fault = {
-            let injector = self
-                .faults
-                .injector
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            injector.as_ref().and_then(|inj| inj.roll_write())
-        };
-        match fault {
-            Some(FaultKind::TransientIo) => {
-                return Err(DeviceError::Io(io::Error::other(
-                    "injected transient I/O error",
-                )))
+        match inner.injector.as_ref().and_then(|inj| inj.roll_write()) {
+            Some(FaultKind::TransientIo) => Err(DeviceError::Io(io::Error::other(
+                "injected transient I/O error",
+            ))),
+            fault => {
+                let torn = fault == Some(FaultKind::TornWrite);
+                self.write_locked_impl(inner, page, payload, materialize, torn)
             }
-            Some(FaultKind::TornWrite) => {
-                return self.write_locked_impl(inner, page, payload, materialize, true)
-            }
-            _ => {}
         }
-        self.write_locked_raw(inner, page, payload, materialize)
     }
 
-    /// Injection-free write (the repair path's primitive).
-    fn write_locked_raw(
-        &self,
-        inner: &mut Inner,
-        page: PageId,
-        payload: &[u8],
-        materialize: bool,
-    ) -> Result<u64, DeviceError> {
-        self.write_locked_impl(inner, page, payload, materialize, false)
-    }
-
+    /// The write itself, injection-free unless `torn` (the repair
+    /// path's primitive): header, payload and checksum are built in
+    /// one slot-sized frame and land in one `pwrite`.
     fn write_locked_impl(
         &self,
         inner: &mut Inner,
         page: PageId,
-        payload: &[u8],
+        payload: Option<&[u8]>,
         materialize: bool,
         torn: bool,
     ) -> Result<u64, DeviceError> {
-        if payload.len() > PAGE_SIZE {
-            return Err(DeviceError::PayloadTooLarge {
-                page,
-                len: payload.len(),
-            });
+        let len = payload.map_or(PAGE_SIZE, <[u8]>::len);
+        if len > PAGE_SIZE {
+            return Err(DeviceError::PayloadTooLarge { page, len });
         }
+        let lsn = inner.next_lsn;
+        let next_lsn = lsn.checked_add(1).ok_or(DeviceError::BadHeader {
+            page,
+            reason: "lsn horizon exhausted",
+        })?;
         let (slot, superblock_dirty) = match inner.map.get(&page) {
             Some(&slot) => (slot, false),
             None if inner.free_head != NO_SLOT => {
@@ -1016,7 +1045,16 @@ impl FileStore {
                         got,
                     });
                 }
-                inner.free_head = SlotHeader::decode(&hb).next_free;
+                let h = SlotHeader::decode(&hb);
+                if h.magic != PAGE_MAGIC || h.state != STATE_FREE {
+                    // A stale or corrupt superblock: the slot may hold
+                    // a live page, which this write must not clobber.
+                    return Err(DeviceError::BadHeader {
+                        page,
+                        reason: "free-list head is not a free slot",
+                    });
+                }
+                inner.free_head = h.next_free;
                 inner.free_len -= 1;
                 inner.map.insert(page, slot);
                 (slot, true)
@@ -1028,31 +1066,38 @@ impl FileStore {
                 (slot, true)
             }
         };
-        let lsn = inner.next_lsn;
-        inner.next_lsn += 1;
+        inner.next_lsn = next_lsn;
+        let mut frame = [0u8; SLOT_SIZE];
         let header = SlotHeader {
             magic: PAGE_MAGIC,
             state: STATE_LIVE,
             page_id: page,
             lsn,
-            payload_len: payload.len() as u32,
-            crc: page_crc(page, lsn, payload),
+            payload_len: len as u32,
+            crc: 0,
             next_free: NO_SLOT,
         };
-        let t = WallTimer::start();
-        let mut frame = Vec::with_capacity(PAGE_HEADER + payload.len());
-        frame.extend_from_slice(&header.encode());
-        frame.extend_from_slice(payload);
+        frame[..PAGE_HEADER].copy_from_slice(&header.encode());
+        let body = &mut frame[PAGE_HEADER..PAGE_HEADER + len];
+        match payload {
+            Some(bytes) => body.copy_from_slice(bytes),
+            None => stamp_payload(body, page, lsn),
+        }
+        let crc = page_crc(&frame, len);
+        frame[28..32].copy_from_slice(&crc.to_le_bytes());
         if torn {
             // A torn write persists the header (with the full-payload
             // CRC) and the first half of the payload; the tail holds
             // garbage instead of the intended bytes, so the page's
             // next verified read fails its checksum.
-            for b in &mut frame[PAGE_HEADER + payload.len() / 2..] {
+            for b in &mut frame[PAGE_HEADER + len / 2..PAGE_HEADER + len] {
                 *b ^= 0xFF;
             }
         }
-        inner.file.write_all_at(&frame, slot_offset(slot))?;
+        let t = WallTimer::start();
+        inner
+            .file
+            .write_all_at(&frame[..PAGE_HEADER + len], slot_offset(slot))?;
         self.wall
             .write_ns
             .fetch_add(t.elapsed_ns(), Ordering::Relaxed);
@@ -1066,23 +1111,10 @@ impl FileStore {
         Ok(lsn)
     }
 
-    /// A full-page deterministic payload for `page` — what the device
-    /// front writes when an index charges a page the store has never
-    /// seen (the simulator's pages have no caller-supplied bytes).
-    fn stamped_payload(page: PageId, seed: u64) -> Vec<u8> {
-        let mut payload = vec![0u8; PAGE_SIZE];
-        for (i, chunk) in payload.chunks_exact_mut(8).enumerate() {
-            let word = page
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(seed)
-                .wrapping_add(i as u64);
-            chunk.copy_from_slice(&word.to_le_bytes());
-        }
-        payload
-    }
-
     /// Hot-path read for device charging: materialize the page on
-    /// first access, then read and verify it under the retry policy.
+    /// first access, then read and verify it under the retry policy —
+    /// for a page the store already holds, in one lock acquisition
+    /// and without touching the heap.
     ///
     /// Never panics on device faults. Transient failures that outlive
     /// every retry report [`IoOutcome::Unavailable`]; a permanent
@@ -1090,18 +1122,21 @@ impl FileStore {
     /// [`IoOutcome::Quarantined`] — the caller (the device front)
     /// evicts it from any cache so no pool ever serves the bad image.
     pub fn charged_read(&self, page: PageId) -> IoOutcome {
-        let materialized = self.with_retries(|| {
-            let mut inner = self.lock();
-            if !inner.map.contains_key(&page) {
-                let payload = Self::stamped_payload(page, inner.next_lsn);
-                self.write_locked(&mut inner, page, &payload, true)?;
+        let mut inner = self.lock();
+        if !inner.map.contains_key(&page) {
+            let materialized = self.with_retries(inner, |inner| {
+                if !inner.map.contains_key(&page) {
+                    self.write_locked(inner, page, None, true)?;
+                }
+                Ok(())
+            });
+            if materialized.is_err() {
+                return IoOutcome::Unavailable;
             }
-            Ok(())
-        });
-        if materialized.is_err() {
-            return IoOutcome::Unavailable;
+            inner = self.lock();
         }
-        match self.with_retries(|| self.read_page(page)) {
+        let mut buf = [0u8; SLOT_SIZE];
+        match self.with_retries(inner, |inner| self.read_slot(inner, page, true, &mut buf)) {
             Ok(_) => IoOutcome::Ok,
             Err(e) if e.is_transient() => IoOutcome::Unavailable,
             Err(_) => {
@@ -1117,14 +1152,11 @@ impl FileStore {
     /// [`IoOutcome::Unavailable`]; a torn write reports `Ok` — torn
     /// writes are silent until the page's next verified read.
     pub fn charged_write(&self, page: PageId) -> IoOutcome {
-        let wrote = self.with_retries(|| {
-            let mut inner = self.lock();
-            let payload = Self::stamped_payload(page, inner.next_lsn);
-            self.write_locked(&mut inner, page, &payload, false)?;
-            Ok(())
+        let wrote = self.with_retries(self.lock(), |inner| {
+            self.write_locked(inner, page, None, false)
         });
         match wrote {
-            Ok(()) => IoOutcome::Ok,
+            Ok(_) => IoOutcome::Ok,
             Err(_) => IoOutcome::Unavailable,
         }
     }
@@ -1150,22 +1182,20 @@ impl FileStore {
     pub fn sync_verified(&self) -> Result<(), DeviceError> {
         self.wall.sync_requests.fetch_add(1, Ordering::Relaxed);
         match self.policy {
-            SyncPolicy::PerRequest => self.with_retries(|| self.flush()),
+            SyncPolicy::PerRequest => {
+                self.with_retries(self.lock(), |inner| self.flush_locked(inner))
+            }
             SyncPolicy::Deferred => Ok(()),
         }
     }
 
     /// Force a real barrier regardless of policy.
     pub fn flush(&self) -> Result<(), DeviceError> {
-        let inner = self.lock();
-        let fault = {
-            let injector = self
-                .faults
-                .injector
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            injector.as_ref().and_then(|inj| inj.roll_fsync())
-        };
+        self.flush_locked(&self.lock())
+    }
+
+    fn flush_locked(&self, inner: &Inner) -> Result<(), DeviceError> {
+        let fault = inner.injector.as_ref().and_then(|inj| inj.roll_fsync());
         if fault.is_some() {
             // The writes stay dirty: the next barrier covers them.
             return Err(DeviceError::Io(io::Error::other("injected fsync failure")));
@@ -1270,8 +1300,21 @@ impl Drop for FileStore {
     }
 }
 
+/// Fill `out` with the deterministic image of a charged `page` — what
+/// the device front writes for a page that carries no caller bytes
+/// (the simulator's pages have none), seeded with the write's LSN.
+fn stamp_payload(out: &mut [u8], page: PageId, seed: u64) {
+    for (i, chunk) in out.chunks_exact_mut(8).enumerate() {
+        let word = page
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(seed)
+            .wrapping_add(i as u64);
+        chunk.copy_from_slice(&word.to_le_bytes());
+    }
+}
+
 fn slot_offset(slot: u64) -> u64 {
-    SUPER_SIZE + slot * SLOT_SIZE
+    SUPER_SIZE + slot * SLOT_SIZE as u64
 }
 
 /// `read_at` until `buf` is full or EOF; returns bytes read (a short
@@ -1333,10 +1376,164 @@ mod tests {
         (dir, path)
     }
 
+    /// The byte-at-a-time loop `crc32` was until slicing-by-8: the
+    /// reference the table-sliced form is checked against.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    fn seeded_bytes(n: usize) -> Vec<u8> {
+        use rand::RngExt;
+        let mut rng = StdRng::seed_from_u64(0xC2C);
+        (0..n).map(|_| rng.random_range(0..=u8::MAX)).collect()
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_byte_loop_at_every_length_and_alignment() {
+        let buf = seeded_bytes(65_539 + 8);
+        for start in 0..8 {
+            for len in (0..=300).chain([4_096, 4_116, 4_136, 65_539]) {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_any_two_way_split_equals_the_one_shot_crc() {
+        let buf = seeded_bytes(SLOT_SIZE);
+        let whole = crc32(&buf);
+        assert_eq!(whole, crc32_bytewise(&buf));
+        for cut in 0..=buf.len() {
+            let c = crc32_update(crc32_update(!0, &buf[..cut]), &buf[cut..]);
+            assert_eq!(!c, whole, "cut at {cut}");
+        }
+    }
+
+    /// On-disk bytes recorded at the parent of the slicing-by-8 change
+    /// (byte-loop CRC, `Vec`-built frames), for a fresh store after
+    /// `write_page(7, b"abc")`, `charged_write(9)`, `charged_read(11)`.
+    /// `VERSION` is still 1, so these may never move.
+    const PINNED_SLOT_7_ABC: [u8; 43] = [
+        0x42, 0x46, 0x50, 0x47, 0x01, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x4F, 0xE5,
+        0x6F, 0x46, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x61, 0x62, 0x63,
+    ];
+    const PINNED_HEADER_STAMPED_9: [u8; PAGE_HEADER] = [
+        0x42, 0x46, 0x50, 0x47, 0x01, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x39, 0x2B,
+        0x59, 0xAF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+    ];
+    const PINNED_HEADER_MATERIALIZED_11: [u8; PAGE_HEADER] = [
+        0x42, 0x46, 0x50, 0x47, 0x01, 0x00, 0x00, 0x00, 0x0B, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0xBF, 0x85,
+        0xCF, 0x31, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+    ];
+    /// Byte-loop CRC-32 of the parent's whole 16 504-byte file image
+    /// (superblock, three slots, both full stamped payloads).
+    const PINNED_IMAGE_LEN: usize = 16_504;
+    const PINNED_IMAGE_CRC: u32 = 0x26BB_AFC0;
+
+    #[test]
+    fn on_disk_format_is_byte_identical_to_the_recorded_parent() {
+        let (_dir, path) = scratch("format-pin");
+        {
+            let store = FileStore::create(&path, SyncPolicy::Deferred).unwrap();
+            assert_eq!(store.write_page(7, b"abc").unwrap(), 1);
+            assert_eq!(store.charged_write(9), IoOutcome::Ok);
+            assert_eq!(store.charged_read(11), IoOutcome::Ok);
+        }
+        let raw = std::fs::read(&path).unwrap();
+        let slot = |i: u64| slot_offset(i) as usize;
+        assert_eq!(raw[slot(0)..slot(0) + 43], PINNED_SLOT_7_ABC);
+        assert_eq!(raw[slot(1)..slot(1) + PAGE_HEADER], PINNED_HEADER_STAMPED_9);
+        assert_eq!(
+            raw[slot(2)..slot(2) + PAGE_HEADER],
+            PINNED_HEADER_MATERIALIZED_11
+        );
+        assert_eq!(raw.len(), PINNED_IMAGE_LEN);
+        assert_eq!(crc32_bytewise(&raw), PINNED_IMAGE_CRC);
+        // ...and the new reader verifies what the old writer wrote.
+        let store = FileStore::open(&path, SyncPolicy::Deferred).unwrap();
+        assert_eq!(store.read_page(7).unwrap(), b"abc");
+        assert_eq!(store.read_page(9).unwrap().len(), PAGE_SIZE);
+        assert_eq!(store.charged_read(11), IoOutcome::Ok);
+        assert_eq!(store.wall().materialized, 0);
+    }
+
+    fn patch(path: &Path, offset: u64, bytes: &[u8]) {
+        let file = OpenOptions::new().write(true).open(path).unwrap();
+        file.write_all_at(bytes, offset).unwrap();
+    }
+
+    #[test]
+    fn an_exhausted_lsn_horizon_is_a_typed_error_not_a_wrap() {
+        let (_dir, path) = scratch("lsn-horizon");
+        FileStore::create(&path, SyncPolicy::Deferred)
+            .unwrap()
+            .write_page(4, b"live")
+            .unwrap();
+        let lsn_at = slot_offset(0) + 16;
+        patch(&path, lsn_at, &u64::MAX.to_le_bytes());
+        assert!(matches!(
+            FileStore::open(&path, SyncPolicy::Deferred),
+            Err(DeviceError::BadHeader {
+                page: 4,
+                reason: "lsn horizon exhausted"
+            })
+        ));
+        // One LSN short of the end opens, and the write that would
+        // step past it fails typed instead of wrapping to 0.
+        patch(&path, lsn_at, &(u64::MAX - 1).to_le_bytes());
+        let store = FileStore::open(&path, SyncPolicy::Deferred).unwrap();
+        assert!(matches!(
+            store.write_page(5, b"x"),
+            Err(DeviceError::BadHeader {
+                page: 5,
+                reason: "lsn horizon exhausted"
+            })
+        ));
+        assert!(!store.contains(5), "a refused write allocates nothing");
+    }
+
+    #[test]
+    fn a_free_list_head_on_a_live_slot_fails_the_write_and_spares_the_page() {
+        let (_dir, path) = scratch("stale-free-head");
+        {
+            let store = FileStore::create(&path, SyncPolicy::Deferred).unwrap();
+            store.write_page(1, b"live page").unwrap(); // slot 0
+            store.write_page(2, b"doomed").unwrap(); // slot 1
+            store.free(2).unwrap(); // free_head = 1
+        }
+        // A stale superblock: the free list now starts at slot 0.
+        patch(&path, 24, &0u64.to_le_bytes());
+        let store = FileStore::open(&path, SyncPolicy::Deferred).unwrap();
+        let slots = store.slot_count();
+        assert!(matches!(
+            store.write_page(3, b"would clobber page 1"),
+            Err(DeviceError::BadHeader {
+                page: 3,
+                reason: "free-list head is not a free slot"
+            })
+        ));
+        assert_eq!(store.read_page(1).unwrap(), b"live page");
+        assert!(!store.contains(3));
+        assert_eq!((store.slot_count(), store.free_slots()), (slots, 1));
     }
 
     #[test]

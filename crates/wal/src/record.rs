@@ -157,4 +157,37 @@ mod tests {
         assert_eq!(len, 9);
         assert_eq!(crc, crc32(&log[8..]));
     }
+
+    /// Recorded at the parent of the slicing-by-8 `crc32` (byte-loop
+    /// checksum): the log format may not move with the checksum's
+    /// implementation.
+    #[test]
+    fn record_frames_are_byte_identical_to_the_recorded_parent() {
+        const INSERT_42_7_3: [u8; 33] = [
+            0x19, 0x00, 0x00, 0x00, 0xDC, 0x6F, 0xD2, 0xCA, 0x01, 0x2A, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00,
+        ];
+        const CHECKPOINT_10000_256: [u8; 25] = [
+            0x11, 0x00, 0x00, 0x00, 0x97, 0xAE, 0xE1, 0xC9, 0x03, 0x10, 0x27, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        ];
+        let insert = WalRecord::Insert {
+            key: 42,
+            page: 7,
+            slot: 3,
+        };
+        let checkpoint = WalRecord::Checkpoint {
+            tuple_count: 10_000,
+            flushed_ops: 256,
+        };
+        let mut log = Vec::new();
+        insert.encode_frame(&mut log);
+        assert_eq!(log, INSERT_42_7_3);
+        checkpoint.encode_frame(&mut log);
+        assert_eq!(log[INSERT_42_7_3.len()..], CHECKPOINT_10000_256);
+        let (records, tail) = crate::WalReader::drain(&log);
+        assert_eq!(records, [(33, insert), (58, checkpoint)]);
+        assert_eq!(tail, crate::TailState::Clean);
+    }
 }
