@@ -11,23 +11,48 @@
 //! BF-Tree, one data page or one group of consecutive pages). It is the
 //! in-memory shape of a BF-leaf's filter block.
 //!
-//! Members are **bit-packed into one shared array**: member `b` owns
-//! bits `[b·per, (b+1)·per)`. This matters because a BF-leaf's budget
-//! is one fixed page — with thousands of pages per leaf at loose fpps,
-//! members are only a handful of bits each, and rounding every member
-//! up to a word would silently inflate the node ~10× past its page
-//! budget (and understate the measured false-positive rate just as
-//! much).
+//! **The image** ([`BloomGroup::to_bytes`]) is filter-major and
+//! bit-packed: member `b` owns bits `[b·per, (b+1)·per)` of one shared
+//! array. This matters because a BF-leaf's budget is one fixed page —
+//! with thousands of pages per leaf at loose fpps, members are only a
+//! handful of bits each, and rounding every member up to a word would
+//! silently inflate the node ~10× past its page budget (and understate
+//! the measured false-positive rate just as much).
+//!
+//! **In memory** an evenly divided group is stored the way Algorithm 1
+//! reads it. A probe tests one key against *every* member, and members
+//! of equal size share the key's `k` probe positions, so the group is
+//! bit-sliced (position-major): members are taken in *tiles* of 64,
+//! tile `c` is `per` words, and bit `b mod 64` of word `c·per + j` is
+//! position `j` of member `b`. One word load then answers position `j`
+//! for 64 members at once, and the sweep is `k` loads and ANDs per
+//! tile instead of `64 · k` scattered bit probes. Tiles are 64 wide
+//! because that is the word the AND runs on; growing the group
+//! ([`BloomGroup::extend_to`]) fills the last tile's spare columns and
+//! appends a zeroed tile only when `S` crosses a multiple of 64, so
+//! nothing is ever laid out again. The image is converted at the
+//! boundary (`to_bytes` / `from_bytes` transpose), so what a leaf's
+//! page holds does not depend on it. The price is RAM for the last
+//! tile's unused columns: `⌈S/64⌉·64 / S` times the image — 1.24× at
+//! `S = 103`, and 64× (256 KB for a 4 KB page) for the single-filter
+//! leaf an empty tree starts with, of which there is one per tree.
+//!
+//! Members sized by weight ([`BloomGroup::new_weighted`]) differ in
+//! size and so in probe positions: they stay filter-major in memory
+//! too and are swept member by member.
 
 use crate::blocked::FilterLayout;
 use crate::hash::{BloomKey, KeyFingerprint};
 
-/// `S` Bloom filters bit-packed into one shared budget — equally sized
+/// `S` Bloom filters sharing one bit budget — equally sized
 /// ([`Self::new`]) or sized proportionally to each member's expected
 /// load ([`Self::new_weighted`]), each member laid out
 /// [`FilterLayout::Standard`] or cache-line-[`FilterLayout::Blocked`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomGroup {
+    /// Uniform: `⌈s/64⌉` tiles of `per_filter_bits` words, bit-sliced
+    /// (module docs); columns `≥ s` of the last tile stay zero.
+    /// Weighted: the members' bits packed end to end.
     words: Vec<u64>,
     /// Uniform fast path: bits per member. 0 when weighted.
     per_filter_bits: u64,
@@ -42,6 +67,18 @@ pub struct BloomGroup {
     /// probes to one 512-bit block of the member's range; members that
     /// fit a single block behave identically under both layouts.
     layout: FilterLayout,
+}
+
+/// Indices of the set bits of `word`, ascending.
+#[inline]
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let i = word.trailing_zeros() as usize;
+            word &= word - 1;
+            i
+        })
+    })
 }
 
 impl BloomGroup {
@@ -67,7 +104,7 @@ impl BloomGroup {
         assert!(s > 0, "group needs at least one filter");
         assert!(k >= 1, "need at least one hash function");
         let per = (total_bits / s as u64).max(1);
-        let words = vec![0u64; (per * s as u64).div_ceil(64) as usize];
+        let words = vec![0u64; per as usize * s.div_ceil(64)];
         Self {
             words,
             per_filter_bits: per,
@@ -133,19 +170,32 @@ impl BloomGroup {
         }
     }
 
-    /// Member `b`'s bit range `(base, len)`.
+    /// Bits owned by member `b`.
     #[inline]
-    fn member_range(&self, b: usize) -> (u64, u64) {
+    pub fn member_bits(&self, b: usize) -> u64 {
         if self.starts.is_empty() {
-            (b as u64 * self.per_filter_bits, self.per_filter_bits)
+            self.per_filter_bits
         } else {
-            (self.starts[b], self.starts[b + 1] - self.starts[b])
+            self.starts[b + 1] - self.starts[b]
         }
     }
 
-    /// Bits owned by member `b`.
-    pub fn member_bits(&self, b: usize) -> u64 {
-        self.member_range(b).1
+    /// Word index and bit mask of position `pos` of member `b`.
+    #[inline]
+    fn locate(&self, b: usize, pos: u64) -> (usize, u64) {
+        if self.starts.is_empty() {
+            let tile = (b / 64) * self.per_filter_bits as usize;
+            (tile + pos as usize, 1 << (b % 64))
+        } else {
+            let bit = self.starts[b] + pos;
+            ((bit / 64) as usize, 1 << (bit % 64))
+        }
+    }
+
+    #[inline]
+    fn get(&self, b: usize, pos: u64) -> bool {
+        let (word, mask) = self.locate(b, pos);
+        self.words[word] & mask != 0
     }
 
     /// Number of member filters `S`.
@@ -187,16 +237,6 @@ impl BloomGroup {
         self.seed
     }
 
-    #[inline]
-    fn set_bit(&mut self, bit: u64) {
-        self.words[(bit / 64) as usize] |= 1u64 << (bit % 64);
-    }
-
-    #[inline]
-    fn get_bit(&self, bit: u64) -> bool {
-        self.words[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0
-    }
-
     /// Insert `key` into the filter of `bucket`.
     #[inline]
     pub fn insert<K: BloomKey>(&mut self, bucket: usize, key: &K) {
@@ -206,11 +246,10 @@ impl BloomGroup {
             self.s
         );
         let fp = KeyFingerprint::new(key, self.seed);
-        let (base, m) = self.member_range(bucket);
-        let (off, window) = self.layout.probe_window(&fp, m);
+        let (off, window) = self.layout.probe_window(&fp, self.member_bits(bucket));
         for i in 0..self.k {
-            let bit = base + off + fp.probe(i, window);
-            self.set_bit(bit);
+            let (word, mask) = self.locate(bucket, off + fp.probe(i, window));
+            self.words[word] |= mask;
         }
         self.n_inserted += 1;
     }
@@ -224,18 +263,16 @@ impl BloomGroup {
 
     #[inline]
     fn contains_fp(&self, bucket: usize, fp: &KeyFingerprint) -> bool {
-        let (base, m) = self.member_range(bucket);
-        let (off, window) = self.layout.probe_window(fp, m);
-        (0..self.k).all(|i| self.get_bit(base + off + fp.probe(i, window)))
+        let (off, window) = self.layout.probe_window(fp, self.member_bits(bucket));
+        (0..self.k).all(|i| self.get(bucket, off + fp.probe(i, window)))
     }
 
-    /// Probe all buckets, appending matches to a caller-provided
-    /// buffer (the hot path avoids per-probe allocation). The key is
-    /// hashed once; its `k` in-filter offsets are then tested against
-    /// every bucket's bit range.
+    /// Probe all buckets, appending matches in ascending order to a
+    /// caller-provided buffer (the hot path avoids per-probe
+    /// allocation).
     pub fn matching_buckets_into<K: BloomKey>(&self, key: &K, out: &mut Vec<usize>) {
         let fp = KeyFingerprint::new(key, self.seed);
-        self.matching_buckets_fp_range_into(&fp, 0, self.s, out)
+        self.matching_buckets_fp_into(&fp, out)
     }
 
     /// [`Self::matching_buckets_into`] over a precomputed fingerprint —
@@ -243,101 +280,39 @@ impl BloomGroup {
     /// same fingerprint (probe positions depend only on each member's
     /// geometry, not on which group is being swept).
     pub fn matching_buckets_fp_into(&self, fp: &KeyFingerprint, out: &mut Vec<usize>) {
-        self.matching_buckets_fp_range_into(fp, 0, self.s, out)
-    }
-
-    /// [`Self::matching_buckets_fp_into`] restricted to buckets in
-    /// `lo..hi`.
-    pub fn matching_buckets_fp_range_into(
-        &self,
-        fp: &KeyFingerprint,
-        lo: usize,
-        hi: usize,
-        out: &mut Vec<usize>,
-    ) {
-        assert!(
-            lo <= hi && hi <= self.s,
-            "bucket range {lo}..{hi} out of 0..{}",
-            self.s
-        );
-        let k = self.k.min(64) as usize;
-        if self.starts.is_empty() {
-            // Uniform fast path: members share one geometry, so the
-            // block choice and probe-offset set are computed once and
-            // serve every bucket. Under the blocked layout all k
-            // offsets land inside one 512-bit window of each member.
-            let (off, window) = self.layout.probe_window(fp, self.per_filter_bits);
-            let mut offsets = [0u64; 64];
-            for (i, slot) in offsets.iter_mut().take(k).enumerate() {
-                *slot = off + fp.probe(i as u32, window);
-            }
-            // Pad to four probes so the pre-test below needs no length
-            // branch; re-testing a bit is a no-op.
-            for i in k..4 {
-                offsets[i] = offsets[i % k];
-            }
-            let w = self.words.as_slice();
-            // Every probed bit lies below `hi · per` ≤ `s · per`, and
-            // the words vector was sized to `ceil(s · per / 64)` at
-            // construction (and only ever grows), so the word index of
-            // any probe is in bounds — asserted once here so the hot
-            // loop can skip per-load bounds checks.
-            let max_bit = hi as u64 * self.per_filter_bits;
-            assert!(
-                max_bit.div_ceil(64) as usize <= w.len(),
-                "probe range exceeds backing words"
-            );
-            #[inline(always)]
-            fn bit64(w: &[u64], bit: u64) -> u64 {
-                // SAFETY: `bit < max_bit` and the assertion above
-                // guarantees `bit / 64 < w.len()`.
-                (unsafe { *w.get_unchecked((bit >> 6) as usize) }) >> (bit & 63)
-            }
-            // Branchless 4-probe pre-test, two buckets per iteration.
-            // A plain early-exit scan branches on every probe, and at
-            // ~50% fill those branches are coin flips the predictor
-            // cannot learn — the mispredicts dominate the whole sweep.
-            // ANDing the first four probes' bits gives one
-            // data-dependent branch per bucket that is taken for ~6%
-            // of buckets; processing two buckets per iteration lets
-            // the core overlap the two pre-tests' loads. Together this
-            // measures ~3x faster across the sweep.
-            let (o0, o1, o2, o3) = (offsets[0], offsets[1], offsets[2], offsets[3]);
-            let rest = &offsets[4..k.max(4)];
-            let per = self.per_filter_bits;
-            let pre4 = |base: u64| {
-                bit64(w, base + o0)
-                    & bit64(w, base + o1)
-                    & bit64(w, base + o2)
-                    & bit64(w, base + o3)
-                    & 1
-            };
-            let tail = |base: u64| rest.iter().all(|&o| bit64(w, base + o) & 1 != 0);
-            let mut b = lo;
-            let mut base = lo as u64 * per;
-            while b + 1 < hi {
-                let pre_a = pre4(base);
-                let pre_b = pre4(base + per);
-                if pre_a != 0 && tail(base) {
-                    out.push(b);
-                }
-                if pre_b != 0 && tail(base + per) {
-                    out.push(b + 1);
-                }
-                b += 2;
-                base += 2 * per;
-            }
-            if b < hi && pre4(base) != 0 && tail(base) {
-                out.push(b);
-            }
-        } else {
+        if !self.starts.is_empty() {
             // Weighted layout: member sizes differ, so probe positions
             // must be reduced per member.
-            for b in lo..hi {
-                if self.contains_fp(b, fp) {
-                    out.push(b);
+            out.extend((0..self.s).filter(|&b| self.contains_fp(b, fp)));
+            return;
+        }
+        // Members share one geometry, so the block choice and the probe
+        // positions are the same in every member: word `j` of a tile
+        // answers position `j` for its 64 members, and ANDing the key's
+        // `k` words leaves exactly the members that hold all of them.
+        // At half fill each AND halves the survivors, so a tile without
+        // a match is dropped after about six loads.
+        let (off, window) = self.layout.probe_window(fp, self.per_filter_bits);
+        let position = |i: u32| (off + fp.probe(i, window)) as usize;
+        // The first 64 positions are computed once for all tiles; a
+        // sparse member's `k` beyond that is reached only by a tile
+        // that survived 64 ANDs.
+        let mut head = [0usize; 64];
+        let head = &mut head[..self.k.min(64) as usize];
+        for (i, slot) in head.iter_mut().enumerate() {
+            *slot = position(i as u32);
+        }
+        let tiles = self.words.chunks_exact(self.per_filter_bits as usize);
+        for (c, tile) in tiles.enumerate() {
+            let members = (self.s - c * 64).min(64);
+            let mut hits = u64::MAX >> (64 - members);
+            for j in head.iter().copied().chain((64..self.k).map(position)) {
+                hits &= tile[j];
+                if hits == 0 {
+                    break;
                 }
             }
+            out.extend(set_bits(hits).map(|b| c * 64 + b));
         }
     }
 
@@ -349,11 +324,11 @@ impl BloomGroup {
             return;
         }
         if self.starts.is_empty() {
+            // New members take the last tile's spare columns; a zeroed
+            // tile is appended when `s` crosses a multiple of 64.
             self.s = s;
-            let need = (self.per_filter_bits * s as u64).div_ceil(64) as usize;
-            if self.words.len() < need {
-                self.words.resize(need, 0);
-            }
+            let need = self.per_filter_bits as usize * s.div_ceil(64);
+            self.words.resize(need, 0);
         } else {
             // Weighted layout: append mean-sized members.
             let mean = (self.total_bits() / self.s as u64).max(1);
@@ -363,10 +338,7 @@ impl BloomGroup {
                 self.starts.push(acc);
                 self.s += 1;
             }
-            let need = acc.div_ceil(64) as usize;
-            if self.words.len() < need {
-                self.words.resize(need, 0);
-            }
+            self.words.resize(acc.div_ceil(64) as usize, 0);
         }
     }
 
@@ -375,16 +347,15 @@ impl BloomGroup {
         self.n_inserted
     }
 
-    /// Set bits within member `bucket`'s range.
+    /// Set bits of member `bucket`.
     pub fn ones(&self, bucket: usize) -> u64 {
-        let (base, m) = self.member_range(bucket);
-        (base..base + m).filter(|&b| self.get_bit(b)).count() as u64
+        let m = self.member_bits(bucket);
+        (0..m).filter(|&pos| self.get(bucket, pos)).count() as u64
     }
 
     /// Fill ratio of member `bucket`.
     pub fn fill_ratio(&self, bucket: usize) -> f64 {
-        let (_, m) = self.member_range(bucket);
-        self.ones(bucket) as f64 / m as f64
+        self.ones(bucket) as f64 / self.member_bits(bucket) as f64
     }
 
     /// Estimated current false-positive probability of member `bucket`
@@ -401,9 +372,12 @@ impl BloomGroup {
     /// Serialize:
     /// `[s: u32][k: u32][per: u64][seed: u64][n: u64][n_starts: u32]
     /// [starts...][words...]` — `n_starts` is 0 for the uniform bit
-    /// division; bit 31 of `s` carries the probe layout.
+    /// division; bit 31 of `s` carries the probe layout. `words` is
+    /// filter-major for both divisions (module docs): member `b`'s
+    /// bits follow member `b - 1`'s.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(36 + self.starts.len() * 8 + self.words.len() * 8);
+        let n_words = self.total_bits().div_ceil(64) as usize;
+        let mut out = Vec::with_capacity(36 + self.starts.len() * 8 + n_words * 8);
         let s_word = self.s as u32
             | match self.layout {
                 FilterLayout::Standard => 0,
@@ -418,7 +392,25 @@ impl BloomGroup {
         for v in &self.starts {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        for w in &self.words {
+        let transposed;
+        let image = if self.starts.is_empty() {
+            // Bit `b mod 64` of word `j` of tile `c` is image bit
+            // `b·per + j`.
+            let per = self.per_filter_bits as usize;
+            let mut image = vec![0u64; n_words];
+            for (at, &word) in self.words.iter().enumerate() {
+                let (c, j) = (at / per, at % per);
+                for b in set_bits(word) {
+                    let bit = (c * 64 + b) * per + j;
+                    image[bit / 64] |= 1u64 << (bit % 64);
+                }
+            }
+            transposed = image;
+            &transposed
+        } else {
+            &self.words
+        };
+        for w in image {
             out.extend_from_slice(&w.to_le_bytes());
         }
         out
@@ -481,10 +473,29 @@ impl BloomGroup {
         if body.len() != n_words * 8 {
             return None;
         }
-        let words = body
+        let image = body
             .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect();
+            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")));
+        let words = if starts.is_empty() {
+            // Image bit `b·per + j` is bit `b mod 64` of word `j` of
+            // tile `b / 64`. The body's length was checked against
+            // `per · s` above, so this allocates at most 64× the image
+            // (`⌈s/64⌉ ≤ s`).
+            let per = per as usize;
+            let mut words = vec![0u64; per * s.div_ceil(64)];
+            for (w, word) in image.enumerate() {
+                for bit in set_bits(word).map(|i| w * 64 + i) {
+                    let (b, j) = (bit / per, bit % per);
+                    if b >= s {
+                        return None; // set padding: not a written group
+                    }
+                    words[(b / 64) * per + j] |= 1u64 << (b % 64);
+                }
+            }
+            words
+        } else {
+            image.collect()
+        };
         Some(Self {
             words,
             per_filter_bits: per,
@@ -570,17 +581,38 @@ mod tests {
 
     #[test]
     fn matching_buckets_into_matches_per_bucket_contains() {
-        let mut g = BloomGroup::new(1 << 14, 10, 3, 2);
-        for key in 0u64..500 {
-            g.insert((key % 10) as usize, &key);
+        // k = 220 is what `math::optimal_k` gives a 318-bit filter
+        // expecting one key.
+        for k in [3u32, 64, 65, 220] {
+            let mut g = BloomGroup::new(1 << 14, 10, k, 2);
+            for key in 0u64..500 {
+                g.insert((key % 10) as usize, &key);
+            }
+            let mut buf = Vec::new();
+            for key in 0u64..600 {
+                buf.clear();
+                g.matching_buckets_into(&key, &mut buf);
+                let reference: Vec<usize> = (0..g.len()).filter(|&b| g.contains(b, &key)).collect();
+                assert_eq!(buf, reference, "k {k}, key {key}");
+            }
         }
-        let mut buf = Vec::new();
-        for key in 0u64..600 {
-            buf.clear();
-            g.matching_buckets_into(&key, &mut buf);
-            let reference: Vec<usize> = (0..g.len()).filter(|&b| g.contains(b, &key)).collect();
-            assert_eq!(buf, reference);
+    }
+
+    /// A member that holds a key's first 64 probe positions and not
+    /// the rest does not hold the key, and the sweep says so.
+    #[test]
+    fn sweep_tests_every_probe_beyond_the_first_64() {
+        let mut g = BloomGroup::new(318 * 3, 3, 220, 0);
+        g.insert(1, &1u64);
+        let fp = KeyFingerprint::new(&1u64, 0);
+        for i in 0..64 {
+            let (word, mask) = g.locate(2, fp.probe(i, 318));
+            g.words[word] |= mask;
         }
+        assert!(!g.contains(2, &1u64));
+        let mut out = Vec::new();
+        g.matching_buckets_into(&1u64, &mut out);
+        assert_eq!(out, [1]);
     }
 
     #[test]
@@ -622,9 +654,7 @@ mod tests {
         // bits spanning < 512 bits.
         let mut g = BloomGroup::new_with_layout(1 << 16, 8, 5, 7, FilterLayout::Blocked);
         g.insert(3, &99u64);
-        let m = g.member_bits(3);
-        let base = 3 * m;
-        let set: Vec<u64> = (0..m).filter(|&b| g.get_bit(base + b)).collect();
+        let set: Vec<u64> = (0..g.member_bits(3)).filter(|&pos| g.get(3, pos)).collect();
         assert!(!set.is_empty());
         let span = set.last().unwrap() - set.first().unwrap();
         assert!(span < 512, "probe span {span} exceeds one block");
@@ -695,6 +725,9 @@ mod tests {
                 let mut out = Vec::new();
                 g.matching_buckets_into(&7u64, &mut out);
                 assert!(out.iter().all(|&b| b < g.len()), "{case}");
+                // A hostile `per`/`s` pair buys at most the tile
+                // padding, never an allocation of its own choosing.
+                assert!(g.words.len() * 8 <= 64 * image.len(), "{case}");
             }
         }
         let mut uniform = BloomGroup::new(1 << 12, 4, 3, 0);
@@ -734,6 +767,60 @@ mod tests {
         assert_eq!(g.member_bits(0), 4);
         assert!(g.total_bits() <= 32_768);
         assert_eq!(BloomGroup::new(10, 40, 1, 0).member_bits(39), 1);
+    }
+
+    /// The RAM the bit-sliced layout pays over the image is the last
+    /// tile's unused columns and nothing else.
+    #[test]
+    fn in_memory_words_are_whole_tiles_of_per_words() {
+        let mut g = BloomGroup::new(32_768, 103, 14, 0);
+        assert_eq!(g.member_bits(0), 318);
+        assert_eq!(g.words.len(), 2 * 318);
+        g.extend_to(128);
+        assert_eq!(g.words.len(), 2 * 318, "spare columns absorb growth");
+        g.extend_to(129);
+        assert_eq!(g.words.len(), 3 * 318);
+        assert_eq!(BloomGroup::new(32_768, 1, 14, 0).words.len(), 32_768);
+    }
+
+    /// The serialized image is what the filter-major group of the
+    /// parent commit wrote (length and `xxh64` under seed 0 of the
+    /// bytes, recorded by running these constructions there).
+    #[test]
+    fn the_group_image_is_byte_identical_to_the_recorded_parent() {
+        let mut standard = BloomGroup::new(32_768, 103, 14, 7);
+        for key in 0u64..400 {
+            standard.insert((key % 103) as usize, &key);
+        }
+        let mut blocked = BloomGroup::new_with_layout(1 << 16, 5, 4, 3, FilterLayout::Blocked);
+        for key in 0u64..500 {
+            blocked.insert((key % 5) as usize, &key);
+        }
+        let mut grown = BloomGroup::new(1 << 12, 60, 3, 9);
+        for (step, s) in [60usize, 64, 65, 130].into_iter().enumerate() {
+            grown.extend_to(s);
+            for key in 0u64..50 {
+                let key = key + 1_000 * step as u64;
+                grown.insert((key % s as u64) as usize, &key);
+            }
+        }
+        let mut weighted = BloomGroup::new_weighted(1 << 12, &[10, 0, 40, 5, 120], 3, 2);
+        for key in 0u64..150 {
+            weighted.insert((key % 5) as usize, &key);
+        }
+        weighted.extend_to(7);
+        weighted.insert(6, &77u64);
+        for (name, group, len, hash) in [
+            ("standard", standard, 4132, 0xa96b_0543_406d_3a92u64),
+            ("blocked", blocked, 8228, 0xf3d0_944e_a149_3ae2),
+            ("grown", grown, 1148, 0x97af_78c7_4a01_2963),
+            ("weighted", weighted, 820, 0x7168_5bf0_56df_b527),
+        ] {
+            let image = group.to_bytes();
+            assert_eq!(image.len(), len, "{name}");
+            assert_eq!(crate::hash::xxh64(&image, 0), hash, "{name}");
+            assert_eq!(BloomGroup::from_bytes(&image), Some(group), "{name}");
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! produce bit-identical filters, which the storage layer relies on
 //! when persisting BF-leaves.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blocked;

@@ -3,7 +3,8 @@
 //! Deterministic seeded random cases stand in for proptest (the build
 //! is dependency-free); failures reproduce exactly from the seed.
 
-use bftree_bloom::{math, BloomFilter, BloomGroup};
+use bftree_bloom::hash::KeyFingerprint;
+use bftree_bloom::{math, BloomFilter, BloomGroup, FilterLayout};
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 
@@ -100,6 +101,147 @@ fn group_finds_home_bucket() {
             m.clear();
             g.matching_buckets_into(key, &mut m);
             assert!(m.contains(&(i % s)), "case {case}");
+        }
+    }
+}
+
+/// The filter-major group as the paper draws it and as the image
+/// stores it: member `b` owns bits `[b·per, (b+1)·per)` of one packed
+/// array, read and written a bit at a time. The reference the
+/// bit-sliced [`BloomGroup`] is held against.
+struct FilterMajorModel {
+    words: Vec<u64>,
+    per: u64,
+    s: usize,
+    k: u32,
+    seed: u64,
+    layout: FilterLayout,
+}
+
+impl FilterMajorModel {
+    fn bit(&self, at: u64) -> bool {
+        self.words[(at / 64) as usize] & (1 << (at % 64)) != 0
+    }
+
+    /// The key's `k` probe positions inside a member.
+    fn positions(&self, key: u64) -> Vec<u64> {
+        let fp = KeyFingerprint::new(&key, self.seed);
+        let (off, window) = self.layout.probe_window(&fp, self.per);
+        (0..self.k).map(|i| off + fp.probe(i, window)).collect()
+    }
+
+    fn extend_to(&mut self, s: usize) {
+        self.s = s;
+        let bits = self.per * s as u64;
+        self.words.resize(bits.div_ceil(64) as usize, 0);
+    }
+
+    fn insert(&mut self, b: usize, key: u64) {
+        for pos in self.positions(key) {
+            let at = b as u64 * self.per + pos;
+            self.words[(at / 64) as usize] |= 1 << (at % 64);
+        }
+    }
+
+    fn matching(&self, key: u64) -> Vec<usize> {
+        let positions = self.positions(key);
+        let holds = |b: &usize| {
+            let base = *b as u64 * self.per;
+            positions.iter().all(|&pos| self.bit(base + pos))
+        };
+        (0..self.s).filter(holds).collect()
+    }
+
+    fn ones(&self, b: usize) -> u64 {
+        let base = b as u64 * self.per;
+        (base..base + self.per).filter(|&at| self.bit(at)).count() as u64
+    }
+
+    /// The body of the serialized image: the packed words,
+    /// little-endian.
+    fn body(&self) -> Vec<u8> {
+        self.words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+}
+
+/// The bit-sliced in-memory layout answers exactly as the filter-major
+/// one: across tile-boundary sizes, member widths around a word and a
+/// block, `k` beyond 64 and both probe layouts, with inserts
+/// interleaved with growth that crosses a tile boundary, the sweep,
+/// `contains`, `ones` and the serialized bytes all equal the model's
+/// after every step.
+#[test]
+fn bit_sliced_group_equals_the_filter_major_model() {
+    let mut rng = StdRng::seed_from_u64(0xB700);
+    for s0 in [1usize, 2, 63, 64, 65, 103, 128, 129, 6_800] {
+        for per in [1u64, 4, 63, 64, 318, 513, 32_768] {
+            if per == 32_768 && s0 > 3 {
+                continue;
+            }
+            for k in [1u32, 3, 4, 5, 14, 65] {
+                for layout in [FilterLayout::Standard, FilterLayout::Blocked] {
+                    let seed = rng.next_u64();
+                    let mut g = BloomGroup::new_with_layout(per * s0 as u64, s0, k, seed, layout);
+                    let mut model = FilterMajorModel {
+                        words: Vec::new(),
+                        per,
+                        s: 0,
+                        k,
+                        seed,
+                        layout,
+                    };
+                    let mut inserted = Vec::new();
+                    // `s0 + 64` always crosses a multiple of 64.
+                    for s in [s0, s0 + 1, s0 + 64] {
+                        let case = format!("s {s0}->{s} per {per} k {k} {layout:?}");
+                        g.extend_to(s);
+                        model.extend_to(s);
+                        assert_eq!(g.len(), s, "{case}");
+                        for _ in 0..24 {
+                            // Half the inserts go to the newest members.
+                            let b = if rng.random_range(0u32..2) == 0 {
+                                s - 1 - rng.random_range(0..s.min(3))
+                            } else {
+                                rng.random_range(0..s)
+                            };
+                            let key = rng.next_u64();
+                            g.insert(b, &key);
+                            model.insert(b, key);
+                            inserted.push((b, key));
+                        }
+                        let present = inserted.iter().rev().step_by(17).map(|&(_, key)| key);
+                        let absent = (0..2).map(|_| rng.next_u64());
+                        let mut swept = Vec::new();
+                        for key in present.chain(absent).collect::<Vec<_>>() {
+                            swept.clear();
+                            g.matching_buckets_into(&key, &mut swept);
+                            let scalar: Vec<usize> =
+                                (0..s).filter(|&b| g.contains(b, &key)).collect();
+                            assert_eq!(swept, scalar, "{case}: sweep vs contains");
+                            assert_eq!(swept, model.matching(key), "{case}: sweep vs model");
+                        }
+                        for &(b, key) in &inserted {
+                            assert!(g.contains(b, &key), "{case}: false negative");
+                        }
+                        // About 20 000 bits' worth of members, and both
+                        // ends of the last tile.
+                        let stride = (s * per as usize / 20_000).max(1);
+                        for b in (0..s).step_by(stride).chain([s - 1, (s - 1) / 64 * 64]) {
+                            assert_eq!(g.ones(b), model.ones(b), "{case}: ones({b})");
+                        }
+                        let image = g.to_bytes();
+                        assert_eq!(image[36..], model.body(), "{case}: image body");
+                        // `from_bytes` refuses more probes than bits.
+                        if u64::from(k) <= g.total_bits() {
+                            assert_eq!(
+                                BloomGroup::from_bytes(&image).as_ref(),
+                                Some(&g),
+                                "{case}: roundtrip"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }
