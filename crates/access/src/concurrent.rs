@@ -140,8 +140,8 @@ impl<A: AccessMethod> ConcurrentIndex<A> {
     }
 
     /// [`AccessMethod::probe_batch`] under **one** shared read lock
-    /// for the whole batch — mixed-workload servers amortize the lock
-    /// acquisition the same way the index amortizes its descent.
+    /// for the whole batch — mixed-workload servers pay one lock
+    /// acquisition per batch instead of one per key.
     pub fn probe_batch(
         &self,
         keys: &[u64],

@@ -272,8 +272,8 @@ pub trait AccessMethod: Send + Sync {
     ///
     /// The default drives [`AccessMethod::probe_into`] with a
     /// [`FirstMatch`] sink, whose break stops all further I/O;
-    /// implementations with a cheaper single-result index path (or an
-    /// early-exit page-ordering heuristic) override it.
+    /// implementations with a cheaper single-result index path
+    /// override it.
     fn probe_first(&self, key: u64, rel: &Relation, io: &IoContext) -> Result<Probe, ProbeError> {
         let _span = bftree_obs::span(bftree_obs::SpanKind::Probe);
         let mut first = FirstMatch::default();
@@ -291,19 +291,16 @@ pub trait AccessMethod: Send + Sync {
     /// **Contract:** the result of `probe_batch(keys)` is element-wise
     /// identical to calling [`AccessMethod::probe`] per key, and each
     /// key is charged the same accesses as if probed alone — batching
-    /// is a CPU/cache optimization, never a change of the simulated
-    /// cost model. On **cold** devices (no buffer pool — the default
-    /// of every paper experiment) this makes the `IoStats` totals
-    /// bit-identical to a scalar loop; on cached devices the access
-    /// *set* is preserved but implementations may reorder it (the
-    /// BF-Tree processes the batch sorted), so hit/eviction
-    /// attribution can differ from an input-order replay. The batch
+    /// never changes the simulated cost model. On **cold** devices (no
+    /// buffer pool — the default of every paper experiment) the
+    /// `IoStats` totals are bit-identical to a scalar loop; the batch
     /// conformance suite holds every implementation to this.
     ///
-    /// The default just loops [`AccessMethod::probe`]; indexes with a
-    /// batch-friendly layout override it (the BF-Tree sorts the batch,
-    /// hashes each key once, amortizes its upper-structure descent and
-    /// reuses probe scratch across keys).
+    /// The default is that loop in input order, so on cached devices
+    /// hits and evictions match it access for access too; all four
+    /// indexes use it. Only a router overrides it: `bftree-shard`'s
+    /// `ShardedIndex` visits each shard once, grouping the batch by
+    /// shard.
     fn probe_batch(
         &self,
         keys: &[u64],

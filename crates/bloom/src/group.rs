@@ -276,9 +276,9 @@ impl BloomGroup {
     }
 
     /// [`Self::matching_buckets_into`] over a precomputed fingerprint —
-    /// batched probes hash each key once and sweep many groups with the
-    /// same fingerprint (probe positions depend only on each member's
-    /// geometry, not on which group is being swept).
+    /// a probe hashes its key once and sweeps every candidate group
+    /// with the same fingerprint (probe positions depend only on each
+    /// member's geometry, not on which group is being swept).
     pub fn matching_buckets_fp_into(&self, fp: &KeyFingerprint, out: &mut Vec<usize>) {
         if !self.starts.is_empty() {
             // Weighted layout: member sizes differ, so probe positions

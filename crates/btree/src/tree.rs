@@ -661,11 +661,10 @@ impl BPlusTree {
 /// `search_le` would: separators are always stored entry keys, so two
 /// keys with the same floor entry take branch-for-branch the same path
 /// down the tree, and replaying the recorded path is
-/// indistinguishable — read for read — from re-descending. That
-/// equivalence is what lets the BF-Tree's `probe_batch` amortize its
-/// upper-structure descent while keeping `IoStats` bit-identical to
-/// scalar probes (and it is pinned by tests and the batch conformance
-/// suite).
+/// indistinguishable — read for read — from re-descending (pinned by
+/// `floor_cursor_matches_search_le_result_and_charges`). The
+/// `bfbench` ladder drives it to time the BF-Tree's upper-structure
+/// descent over a sorted key stream.
 ///
 /// The cursor borrows the tree, so the cache can never go stale
 /// mid-stream: any mutation requires `&mut BPlusTree`, which ends the
@@ -699,7 +698,9 @@ impl FloorCursor<'_> {
         if self.valid && key >= self.lo && self.hi.is_none_or(|h| key < h) {
             self.hits += 1;
             if let Some(d) = dev {
-                d.read_random_many(self.path.iter().map(|&node| node as u64));
+                for &node in &self.path {
+                    d.read_random(node as u64);
+                }
             }
             return self.floor;
         }

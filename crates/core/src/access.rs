@@ -4,35 +4,20 @@
 use std::cell::RefCell;
 
 use bftree_access::{
-    check_relation, AccessMethod, BuildError, Continuation, FirstMatch, IndexStats, MatchSink,
-    Probe, ProbeError, ProbeIo, RangeCursor,
+    check_relation, AccessMethod, BuildError, Continuation, IndexStats, MatchSink, ProbeError,
+    ProbeIo, RangeCursor,
 };
 use bftree_storage::{IoContext, PageId, Relation};
 
 use crate::builder::BfTreeBuilder;
 use crate::scan::BfRangeCursor;
-use crate::stats::ProbeResult;
 use crate::tree::{BfTree, ProbeScratch};
-
-impl From<ProbeResult> for Probe {
-    fn from(r: ProbeResult) -> Self {
-        Probe {
-            matches: r.matches,
-            pages_read: r.pages_read,
-            false_reads: r.false_reads,
-        }
-    }
-}
 
 std::thread_local! {
     /// One probe scratch per thread: the trait's probe signatures take
-    /// `&self`, so reuse lives here — every scalar or batched probe on
-    /// this thread runs allocation-free once the buffers are warm.
+    /// `&self`, so reuse lives here — every probe on this thread runs
+    /// allocation-free once the buffers are warm.
     static SCRATCH: RefCell<ProbeScratch> = RefCell::new(ProbeScratch::default());
-}
-
-fn with_scratch<R>(f: impl FnOnce(&mut ProbeScratch) -> R) -> R {
-    SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
 impl AccessMethod for BfTree {
@@ -59,15 +44,14 @@ impl AccessMethod for BfTree {
         sink: &mut dyn MatchSink,
     ) -> Result<ProbeIo, ProbeError> {
         check_relation(rel)?;
-        let r = with_scratch(|scratch| {
+        let r = SCRATCH.with(|scratch| {
             self.probe_sink_impl(
                 key,
                 rel.heap(),
                 rel.attr(),
                 Some(&io.index),
                 Some(&io.data),
-                false,
-                scratch,
+                &mut scratch.borrow_mut(),
                 sink,
             )
         });
@@ -75,59 +59,6 @@ impl AccessMethod for BfTree {
             pages_read: r.pages_read,
             false_reads: r.false_reads,
         })
-    }
-
-    /// Override: the paper's first-match shortcut also switches the
-    /// candidate-page order to interpolated distance (near-uniform
-    /// ordered data puts the true page first), which only pays when
-    /// the probe stops at the first hit — the generic
-    /// [`FirstMatch`]-sink default cannot know to do that.
-    fn probe_first(&self, key: u64, rel: &Relation, io: &IoContext) -> Result<Probe, ProbeError> {
-        let _span = bftree_obs::span(bftree_obs::SpanKind::Probe);
-        check_relation(rel)?;
-        let mut first = FirstMatch::default();
-        let r = with_scratch(|scratch| {
-            self.probe_sink_impl(
-                key,
-                rel.heap(),
-                rel.attr(),
-                Some(&io.index),
-                Some(&io.data),
-                true,
-                scratch,
-                &mut first,
-            )
-        });
-        Ok(Probe {
-            matches: first.found.into_iter().collect(),
-            pages_read: r.pages_read,
-            false_reads: r.false_reads,
-        })
-    }
-
-    fn probe_batch(
-        &self,
-        keys: &[u64],
-        rel: &Relation,
-        io: &IoContext,
-    ) -> Result<Vec<Probe>, ProbeError> {
-        let mut span = bftree_obs::span(bftree_obs::SpanKind::BatchProbe);
-        span.set_detail(keys.len() as u64);
-        check_relation(rel)?;
-        let mut out: Vec<Probe> = Vec::with_capacity(keys.len());
-        out.resize_with(keys.len(), Probe::default);
-        with_scratch(|scratch| {
-            self.probe_batch_each(
-                keys,
-                rel.heap(),
-                rel.attr(),
-                Some(&io.index),
-                Some(&io.data),
-                scratch,
-                |slot, result| out[slot] = result.into(),
-            )
-        });
-        Ok(out)
     }
 
     fn range_cursor<'c>(

@@ -179,11 +179,10 @@ impl BfLeaf {
     }
 
     /// [`Self::matching_pages`] over a precomputed fingerprint and a
-    /// caller-provided bucket buffer — the allocation-free entry the
-    /// probe pipeline uses: a batched probe hashes each key once and
-    /// sweeps every candidate leaf with the same fingerprint (probe
-    /// positions depend only on member geometry, and all leaves share
-    /// the tree's hash seed).
+    /// caller-provided bucket buffer — the allocation-free entry every
+    /// probe uses: it hashes the key once and sweeps each candidate
+    /// leaf with the same fingerprint (probe positions depend only on
+    /// member geometry, and all leaves share the tree's hash seed).
     pub fn matching_pages_fp(
         &self,
         fp: &KeyFingerprint,

@@ -80,4 +80,4 @@ pub use config::{
 pub use leaf::BfLeaf;
 pub use page_image::PageImageError;
 pub use stats::{ProbeResult, ProbeStats};
-pub use tree::{BfTree, ProbeScratch};
+pub use tree::BfTree;

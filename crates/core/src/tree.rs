@@ -18,19 +18,16 @@ use crate::config::{BfTreeConfig, DuplicateHandling, SplitStrategy};
 use crate::leaf::BfLeaf;
 use crate::stats::ProbeResult;
 
-/// Reusable buffers for the probe pipeline.
+/// Reusable buffers for one probe.
 ///
 /// Every BF-Tree probe needs a handful of small vectors (matching
 /// buckets, candidate pages, matching slots, candidate leaves); at
 /// millions of probes per second, allocating them per probe dominates
-/// the data path. One `ProbeScratch` threaded through the scalar and
-/// batched probe implementations makes the whole
-/// pipeline allocation-free once the buffers have grown to the
-/// workload's high-water mark. The `AccessMethod` entry points keep one
-/// per thread; harnesses driving the `pub(crate)` internals directly
-/// construct their own with `Default`.
+/// the data path. The `AccessMethod` entry points keep one per thread,
+/// so a probe allocates nothing once the buffers have grown to the
+/// workload's high-water mark.
 #[derive(Debug, Default)]
-pub struct ProbeScratch {
+pub(crate) struct ProbeScratch {
     /// Matching bucket indices of one leaf sweep.
     buckets: Vec<usize>,
     /// Candidate data pages of one `(key, leaf)` pair.
@@ -39,37 +36,6 @@ pub struct ProbeScratch {
     slots: Vec<usize>,
     /// Candidate leaves of the key under probe.
     candidates: Vec<u32>,
-    /// Batch sort permutation as packed `key << 32 | position` words —
-    /// sorting primitives beats an indirect `sort_by_key` (no key
-    /// lookups inside the comparator), and the low 32 bits recover the
-    /// input slot (batched probes only).
-    order: Vec<u128>,
-    /// One fingerprint per batch key, hashed in a single tight pass
-    /// (batched probes only).
-    fps: Vec<KeyFingerprint>,
-    /// In-flight probes of the batched pipeline (batched probes only).
-    pipeline: Vec<PendingProbe>,
-}
-
-/// One in-flight probe of the batched pipeline: its candidate pages
-/// have been discovered (and prefetched) but not yet scanned.
-#[derive(Debug, Default)]
-struct PendingProbe {
-    /// Position in the input batch (results come out in input order).
-    slot: u32,
-    /// The key under probe.
-    key: u64,
-    /// Per-candidate-leaf segments `(leaf, start, end)` into `pages`.
-    segs: Vec<(u32, u32, u32)>,
-    /// Candidate data pages, ascending within each segment.
-    pages: Vec<PageId>,
-    /// Pre-resolved binary-search windows, aligned with `pages`
-    /// (ordered heaps only; empty otherwise). Filled by the pipeline's
-    /// narrowing step, which runs once the pages' probe lines are
-    /// warm, so the final scan reads only prefetched lines.
-    windows: Vec<(u32, u32)>,
-    /// Accumulated counters/matches for this probe.
-    result: ProbeResult,
 }
 
 /// Index-device page-id base for BF-leaves (upper-structure nodes use
@@ -276,82 +242,38 @@ impl BfTree {
         out
     }
 
-    /// [`Self::candidate_leaves`] into a reused buffer.
-    pub(crate) fn candidate_leaves_into(
-        &self,
-        key: u64,
-        idx_dev: Option<&PageDevice>,
-        out: &mut Vec<u32>,
-    ) {
+    /// [`Self::candidate_leaves`] into a reused buffer: descend to the
+    /// floor leaf, then add left siblings while a duplicate run spans
+    /// leaves.
+    fn candidate_leaves_into(&self, key: u64, idx_dev: Option<&PageDevice>, out: &mut Vec<u32>) {
         out.clear();
-        if let Some((_, tref)) = self.upper.search_le(key, idx_dev) {
-            self.push_candidates(tref.pid() as u32, key, out);
-        }
-    }
-
-    /// Expand the floor leaf `idx` to the full candidate list: left
-    /// siblings join while a duplicate run spans leaves; the list comes
-    /// out in left-to-right order.
-    fn push_candidates(&self, idx: u32, key: u64, out: &mut Vec<u32>) {
-        let mut idx = idx;
+        let Some((_, tref)) = self.upper.search_le(key, idx_dev) else {
+            return;
+        };
+        let mut idx = tref.pid() as u32;
         out.push(idx);
         while let Some(prev) = self.leaves[idx as usize].prev {
             let pl = &self.leaves[prev as usize];
-            if pl.n_keys > 0 && pl.max_key >= key {
-                out.push(prev);
-                idx = prev;
-            } else {
+            if pl.n_keys == 0 || pl.max_key < key {
                 break;
             }
+            out.push(prev);
+            idx = prev;
         }
         out.reverse();
     }
 
-    /// Algorithm 1: probe for `key`, returning every matching tuple.
-    ///
-    /// Thin materializing wrapper over [`Self::probe_sink_impl`] with
-    /// a collect-everything sink; identical I/O by construction. Only
-    /// the in-crate equivalence tests use it (the trait path streams
-    /// through the sink form instead).
-    #[cfg(test)]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probe_impl(
-        &self,
-        key: u64,
-        heap: &HeapFile,
-        attr: AttrOffset,
-        idx_dev: Option<&PageDevice>,
-        data_dev: Option<&PageDevice>,
-        stop_at_first: bool,
-        scratch: &mut ProbeScratch,
-    ) -> ProbeResult {
-        let mut matches: Vec<(PageId, usize)> = Vec::new();
-        let mut result = self.probe_sink_impl(
-            key,
-            heap,
-            attr,
-            idx_dev,
-            data_dev,
-            stop_at_first,
-            scratch,
-            &mut matches,
-        );
-        result.matches = matches;
-        result
-    }
-
     /// Algorithm 1 as a streaming core: every match is pushed into
     /// `sink` the moment its page has been scanned, and the probe
-    /// stops charging I/O the moment the sink breaks (or, with
-    /// `stop_at_first`, after the first matching page).
+    /// stops charging I/O the moment the sink breaks.
     ///
     /// Charges index reads (internal descent + one read per BF-leaf
     /// visited) to `idx_dev` and data-page fetches to `data_dev`
     /// (sorted batch: adjacent pages at sequential cost, as the
     /// paper's Equation 13 models). `scratch` supplies the working
     /// buffers, so the path allocates nothing once they are warm. The
-    /// public entry points are `AccessMethod::probe_into` /
-    /// `probe` / `probe_first` over a `Relation` and an `IoContext`.
+    /// public entry points are `AccessMethod::probe_into` and the
+    /// trait's `probe` / `probe_first` / `probe_batch` over it.
     /// The returned [`ProbeResult`] carries the counters; its
     /// `matches` vector stays empty (the sink received them).
     #[allow(clippy::too_many_arguments)]
@@ -362,7 +284,6 @@ impl BfTree {
         attr: AttrOffset,
         idx_dev: Option<&PageDevice>,
         data_dev: Option<&PageDevice>,
-        stop_at_first: bool,
         scratch: &mut ProbeScratch,
         sink: &mut dyn MatchSink,
     ) -> ProbeResult {
@@ -379,7 +300,6 @@ impl BfTree {
                 attr,
                 idx_dev,
                 data_dev,
-                stop_at_first,
                 scratch,
                 sink,
                 &mut result,
@@ -392,233 +312,11 @@ impl BfTree {
         result
     }
 
-    /// Keys in flight between candidate-page discovery and the heap
-    /// scan. Enough distance to hide DRAM latency behind the filter
-    /// sweeps of the keys in between; small enough that the prefetched
-    /// pages (window × ~1 page) sit comfortably in L1/L2.
-    const PIPELINE_WINDOW: usize = 5;
-
-    /// [`Self::probe_batch_each`] materialized as one [`ProbeResult`]
-    /// per key in input order, for the in-crate equivalence tests.
-    #[cfg(test)]
-    pub(crate) fn probe_batch_impl(
-        &self,
-        keys: &[u64],
-        heap: &HeapFile,
-        attr: AttrOffset,
-        idx_dev: Option<&PageDevice>,
-        data_dev: Option<&PageDevice>,
-        scratch: &mut ProbeScratch,
-    ) -> Vec<ProbeResult> {
-        let mut results: Vec<ProbeResult> = Vec::with_capacity(keys.len());
-        results.resize_with(keys.len(), ProbeResult::default);
-        self.probe_batch_each(keys, heap, attr, idx_dev, data_dev, scratch, |slot, r| {
-            results[slot] = r;
-        });
-        results
-    }
-
-    /// Batched Algorithm 1: probe every key of `keys`, delivering each
-    /// finished probe to `sink(input_position, result)` — the
-    /// `AccessMethod::probe_batch` override converts straight into its
-    /// output buffer, with no intermediate vector.
-    ///
-    /// The batch is processed in sorted key order through a two-stage
-    /// software pipeline, which is where it wins its throughput
-    /// without touching the cost model:
-    ///
-    /// * each key is hashed **once** into a [`KeyFingerprint`] and the
-    ///   same fingerprint sweeps every candidate leaf;
-    /// * the upper-structure descent is amortized through a
-    ///   [`bftree_btree::FloorCursor`] — runs of keys routing to the
-    ///   same BF-leaf skip the re-descent while charging the identical
-    ///   index reads;
-    /// * consecutive keys sweep the same leaf's filter block while it
-    ///   is CPU-cache-hot, and their candidate pages emerge
-    ///   left-to-right, one deduplicated ascending run per leaf;
-    /// * stage one collects each key's candidate pages and issues
-    ///   hardware prefetches for them; the heap scan runs a
-    ///   `PIPELINE_WINDOW`-key window later, after DRAM has had the
-    ///   sweeps of the intervening keys to deliver the lines;
-    /// * `scratch` makes the whole walk allocation-free.
-    ///
-    /// Every key is still *charged* exactly as if probed alone (the
-    /// `AccessMethod::probe_batch` contract), so batch and scalar runs
-    /// report bit-identical `IoStats` totals on cold devices.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probe_batch_each(
-        &self,
-        keys: &[u64],
-        heap: &HeapFile,
-        attr: AttrOffset,
-        idx_dev: Option<&PageDevice>,
-        data_dev: Option<&PageDevice>,
-        scratch: &mut ProbeScratch,
-        mut sink: impl FnMut(usize, ProbeResult),
-    ) {
-        assert!(u32::try_from(keys.len()).is_ok(), "batch too large");
-        let mut order = std::mem::take(&mut scratch.order);
-        order.clear();
-        order.extend(
-            keys.iter()
-                .enumerate()
-                .map(|(i, &key)| (key as u128) << 32 | i as u128),
-        );
-        order.sort_unstable();
-
-        // Hash every key once, in one pass: the two 8-byte hashes per
-        // key have short dependency chains, so a dedicated loop lets
-        // the core overlap several keys' hashing.
-        let mut fps = std::mem::take(&mut scratch.fps);
-        fps.clear();
-        fps.extend(
-            order
-                .iter()
-                .map(|&v| KeyFingerprint::new(&((v >> 32) as u64), self.config.seed)),
-        );
-
-        let mut pipeline = std::mem::take(&mut scratch.pipeline);
-        let window = Self::PIPELINE_WINDOW.min(keys.len()).max(1);
-        pipeline.resize_with(window, PendingProbe::default);
-
-        let mut cursor = self.upper.floor_cursor();
-        let mut candidates = std::mem::take(&mut scratch.candidates);
-        for j in 0..order.len() + window {
-            // Stage two: the key that entered the pipeline one window
-            // ago has had its pages prefetched — scan them now.
-            if j >= window {
-                let entry = &mut pipeline[(j - window) % window];
-                let PendingProbe {
-                    key,
-                    segs,
-                    pages,
-                    windows,
-                    result,
-                    slot,
-                } = entry;
-                let resolved = windows.len() == pages.len();
-                // The batch contract materializes every match, so the
-                // per-key sink is the result's own vector (taken out
-                // to satisfy the borrow checker); it never breaks.
-                let mut collected = std::mem::take(&mut result.matches);
-                for &(leaf_idx, start, end) in segs.iter() {
-                    let leaf = &self.leaves[leaf_idx as usize];
-                    let (start, end) = (start as usize, end as usize);
-                    let flow = self.probe_leaf_data(
-                        *key,
-                        leaf,
-                        &pages[start..end],
-                        resolved.then(|| &windows[start..end]),
-                        heap,
-                        attr,
-                        data_dev,
-                        false,
-                        true,
-                        &mut scratch.slots,
-                        &mut collected,
-                        result,
-                    );
-                    debug_assert!(flow.is_continue(), "vec sinks never break");
-                }
-                result.matches = collected;
-                sink(*slot as usize, std::mem::take(result));
-            }
-            // Stage one: route the next key, sweep its candidate
-            // leaves, and prefetch the pages the sweep names.
-            if j < order.len() {
-                let packed = order[j];
-                let i = packed as u32;
-                let key = (packed >> 32) as u64;
-                let fp = fps[j];
-                candidates.clear();
-                if let Some((_, tref)) = cursor.search_le(key, idx_dev) {
-                    self.push_candidates(tref.pid() as u32, key, &mut candidates);
-                }
-                let entry = &mut pipeline[j % window];
-                entry.slot = i;
-                entry.key = key;
-                entry.segs.clear();
-                entry.pages.clear();
-                entry.windows.clear();
-                for &leaf_idx in &candidates {
-                    let leaf = &self.leaves[leaf_idx as usize];
-                    if let Some(d) = idx_dev {
-                        d.read_random(Self::leaf_page_id(leaf_idx));
-                    }
-                    entry.result.leaves_visited += 1;
-                    if !leaf.covers_key(key) {
-                        continue;
-                    }
-                    let staging = &mut scratch.pages;
-                    staging.clear();
-                    entry.result.bfs_probed +=
-                        leaf.matching_pages_fp(&fp, staging, &mut scratch.buckets);
-                    staging.dedup();
-                    let start = entry.pages.len() as u32;
-                    for &pid in staging.iter() {
-                        if pid < heap.page_count() {
-                            heap.warm_page_attr(pid, attr);
-                        }
-                        entry.pages.push(pid);
-                    }
-                    entry.segs.push((leaf_idx, start, entry.pages.len() as u32));
-                }
-            }
-            // Intermediate prefetch step: the previous key's pages had
-            // their TLB walks started a whole stage ago (the
-            // stage-one demand read of each page's middle attribute);
-            // now that the walks have landed, line prefetches for the
-            // quarter-point probe lines stick. (Issued together with
-            // the walk they would be dropped on the dTLB miss.)
-            if window > 1 && j >= 1 && j - 1 < order.len() {
-                let prev = &pipeline[(j - 1) % window];
-                for &pid in &prev.pages {
-                    if pid < heap.page_count() {
-                        heap.prefetch_page_attr(pid, attr);
-                    }
-                }
-            }
-            // Narrowing step: two iterations after a key entered, its
-            // pages' middle/quarter probe lines are warm — resolve
-            // each page's binary-search window now (warm probes, no
-            // stalls) and prefetch exactly the terminal window lines,
-            // so the stage-two scan reads only cache-hit lines. Only
-            // ordered heaps (`FirstPageOnly`) can pre-narrow, and only
-            // when the ring is deep enough that entry `j - 2` has not
-            // been consumed yet (`window > 2`) — tiny batches skip
-            // straight to stage two's own sorted scan.
-            if window > 2
-                && self.config.duplicates == DuplicateHandling::FirstPageOnly
-                && j >= 2
-                && j - 2 < order.len()
-            {
-                let entry = &mut pipeline[(j - 2) % window];
-                entry.windows.clear();
-                for &pid in &entry.pages {
-                    if pid < heap.page_count() {
-                        let (lo, hi, probes) = heap.narrow_sorted_window(pid, attr, entry.key);
-                        heap.prefetch_attr_window(pid, attr, lo, hi);
-                        entry.windows.push((lo, hi));
-                        // Count the narrowing probes here so the key's
-                        // tuples_scanned equals a direct
-                        // scan_sorted_page_for (probes + window walk).
-                        entry.result.tuples_scanned += probes as u64;
-                    } else {
-                        entry.windows.push((0, 0));
-                    }
-                }
-            }
-        }
-        scratch.order = order;
-        scratch.fps = fps;
-        scratch.candidates = candidates;
-        scratch.pipeline = pipeline;
-    }
-
-    /// Probe one candidate leaf: filter sweep, candidate-page fetch,
-    /// duplicate-run following. Breaks when the sink stops the probe
-    /// (or a first-match probe is satisfied) and the caller must stop
-    /// visiting leaves.
+    /// Probe one candidate leaf: filter sweep, candidate-page fetch
+    /// (ascending runs at sequential cost), page scan — pushing each
+    /// match into `sink` — and duplicate-run following. Breaks (and
+    /// stops fetching) the moment the sink does; the caller must then
+    /// stop visiting leaves.
     #[allow(clippy::too_many_arguments)]
     fn probe_leaf(
         &self,
@@ -629,7 +327,6 @@ impl BfTree {
         attr: AttrOffset,
         idx_dev: Option<&PageDevice>,
         data_dev: Option<&PageDevice>,
-        stop_at_first: bool,
         scratch: &mut ProbeScratch,
         sink: &mut dyn MatchSink,
         result: &mut ProbeResult,
@@ -651,73 +348,14 @@ impl BfTree {
         pages.clear();
         result.bfs_probed += leaf.matching_pages_fp(fp, pages, buckets);
         pages.dedup();
-        self.probe_leaf_data(
-            key,
-            leaf,
-            pages,
-            None,
-            heap,
-            attr,
-            data_dev,
-            stop_at_first,
-            false,
-            slots,
-            sink,
-            result,
-        )
-    }
 
-    /// The data phase of one `(key, leaf)` probe: fetch the candidate
-    /// pages (ascending runs at sequential cost), scan them for
-    /// matches — pushing each into `sink` — and follow duplicate
-    /// runs. Shared verbatim by the scalar path and stage two of the
-    /// batched pipeline, which is what makes their charging identical
-    /// by construction. Breaks (and stops fetching) the moment the
-    /// sink does, or after the first matching page under
-    /// `stop_at_first`.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_leaf_data(
-        &self,
-        key: u64,
-        leaf: &BfLeaf,
-        pages: &[PageId],
-        windows: Option<&[(u32, u32)]>,
-        heap: &HeapFile,
-        attr: AttrOffset,
-        data_dev: Option<&PageDevice>,
-        stop_at_first: bool,
-        warm_pages: bool,
-        slots: &mut Vec<usize>,
-        sink: &mut dyn MatchSink,
-        result: &mut ProbeResult,
-    ) -> ControlFlow<()> {
         let deleted = leaf.is_deleted(key);
         let mut prev_fetched: Option<PageId> = None;
         // Highest page consumed while following a duplicate run. Runs
-        // are contiguous and the candidate list is ascending here (the
-        // interpolated reorder only applies to first-match probes,
-        // which never follow runs), so one frontier comparison replaces
-        // the old `followed: Vec<PageId>` linear scan — O(1) per
-        // candidate instead of O(run length).
+        // are contiguous and the candidate list is ascending, so one
+        // frontier comparison skips every candidate a run already read.
         let mut run_frontier: Option<PageId> = None;
-        // FirstPageOnly is only valid over heaps ordered on the
-        // indexed attribute (the run-following below already leans on
-        // that), so those pages *may* take the binary-search scan —
-        // ~log2(tuples) cache lines instead of all of them. It only
-        // pays when the page is already cache-warm, though: binary
-        // probes form a serial dependency chain, so on a DRAM-cold
-        // page the linear scan's independent line fills overlap and
-        // win. The batched pipeline prefetches pages a window ahead
-        // (`warm_pages`), the scalar path scans cold and stays linear.
-        let sorted_scan = warm_pages && self.config.duplicates == DuplicateHandling::FirstPageOnly;
-        let scan = |pid: PageId, slots: &mut Vec<usize>| {
-            if sorted_scan {
-                heap.scan_sorted_page_for(pid, attr, key, slots) as u64
-            } else {
-                heap.scan_page_for(pid, attr, key, slots) as u64
-            }
-        };
-        for (pi, &pid) in pages.iter().enumerate() {
+        for &pid in pages.iter() {
             if pid >= heap.page_count() {
                 continue; // filters may cover not-yet-written pages
             }
@@ -735,46 +373,35 @@ impl BfTree {
             result.pages_read += 1;
 
             slots.clear();
-            // A pre-resolved window (the pipeline's narrowing step ran
-            // while this page's probe lines were warm) skips straight
-            // to the prefetched terminal window; otherwise scan by the
-            // page's ordering.
-            result.tuples_scanned += match windows {
-                Some(ws) => heap.scan_sorted_window_for(pid, attr, key, ws[pi].0, slots) as u64,
-                None => scan(pid, slots),
-            };
+            result.tuples_scanned += heap.scan_page_for(pid, attr, key, slots) as u64;
             if slots.is_empty() || deleted {
                 result.false_reads += 1;
-            } else {
-                for &slot in slots.iter() {
-                    sink.push(pid, slot)?;
-                }
-                if stop_at_first {
-                    return ControlFlow::Break(());
-                }
-                if self.config.duplicates == DuplicateHandling::FirstPageOnly {
-                    // Only the first covering page is in the
-                    // filters: follow the contiguous duplicate run
-                    // forward. The run spills into the next page
-                    // exactly when this page's last tuple still
-                    // carries the key (data is ordered).
-                    let mut cur = pid;
-                    while cur + 1 < heap.page_count()
-                        && heap.tuples_in_page(cur) > 0
-                        && heap.attr(cur, heap.tuples_in_page(cur) - 1, attr) == key
-                    {
-                        cur += 1;
-                        if let Some(d) = data_dev {
-                            d.read_seq(cur);
-                        }
-                        run_frontier = Some(cur);
-                        prev_fetched = Some(cur);
-                        result.pages_read += 1;
-                        slots.clear();
-                        result.tuples_scanned += scan(cur, slots);
-                        for &slot in slots.iter() {
-                            sink.push(cur, slot)?;
-                        }
+                continue;
+            }
+            for &slot in slots.iter() {
+                sink.push(pid, slot)?;
+            }
+            if self.config.duplicates == DuplicateHandling::FirstPageOnly {
+                // Only the first covering page is in the filters:
+                // follow the contiguous duplicate run forward. The run
+                // spills into the next page exactly when this page's
+                // last tuple still carries the key (data is ordered).
+                let mut cur = pid;
+                while cur + 1 < heap.page_count()
+                    && heap.tuples_in_page(cur) > 0
+                    && heap.attr(cur, heap.tuples_in_page(cur) - 1, attr) == key
+                {
+                    cur += 1;
+                    if let Some(d) = data_dev {
+                        d.read_seq(cur);
+                    }
+                    run_frontier = Some(cur);
+                    prev_fetched = Some(cur);
+                    result.pages_read += 1;
+                    slots.clear();
+                    result.tuples_scanned += heap.scan_page_for(cur, attr, key, slots) as u64;
+                    for &slot in slots.iter() {
+                        sink.push(cur, slot)?;
                     }
                 }
             }
@@ -1089,133 +716,5 @@ impl BfTree {
             idx = l.next;
         }
         assert_eq!(seen, self.leaves.len(), "sibling chain misses leaves");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bftree_storage::tuple::PK_OFFSET;
-    use bftree_storage::{DeviceKind, TupleLayout};
-
-    fn heap(n: u64) -> HeapFile {
-        let mut heap = HeapFile::new(TupleLayout::new(256));
-        for pk in 0..n {
-            heap.append_record(pk, pk / 7);
-        }
-        heap
-    }
-
-    /// The internal batch walk equals a scalar `probe_impl` loop —
-    /// matches, counters, and device charges — for batches containing
-    /// hits, misses, duplicates, and out-of-domain keys in shuffled
-    /// order.
-    #[test]
-    fn probe_batch_impl_equals_scalar_loop() {
-        let heap = heap(20_000);
-        let config = BfTreeConfig {
-            fpp: 1e-3,
-            duplicates: DuplicateHandling::FirstPageOnly,
-            ..BfTreeConfig::paper_default()
-        };
-        let tree = BfTree::bulk_build(config, &heap, PK_OFFSET);
-        let keys: Vec<u64> = (0..3_000u64)
-            .map(|i| (i.wrapping_mul(2654435761)) % 40_000)
-            .collect();
-
-        let scratch = &mut ProbeScratch::default();
-        let (idx_s, data_s) = (
-            PageDevice::cold(DeviceKind::Ssd),
-            PageDevice::cold(DeviceKind::Hdd),
-        );
-        let scalar: Vec<ProbeResult> = keys
-            .iter()
-            .map(|&k| {
-                tree.probe_impl(
-                    k,
-                    &heap,
-                    PK_OFFSET,
-                    Some(&idx_s),
-                    Some(&data_s),
-                    false,
-                    scratch,
-                )
-            })
-            .collect();
-
-        let (idx_b, data_b) = (
-            PageDevice::cold(DeviceKind::Ssd),
-            PageDevice::cold(DeviceKind::Hdd),
-        );
-        let batch = tree.probe_batch_impl(
-            &keys,
-            &heap,
-            PK_OFFSET,
-            Some(&idx_b),
-            Some(&data_b),
-            scratch,
-        );
-
-        assert_eq!(batch.len(), scalar.len());
-        for (i, (b, s)) in batch.iter().zip(&scalar).enumerate() {
-            assert_eq!(b.matches, s.matches, "key #{i}");
-            assert_eq!(b.pages_read, s.pages_read, "key #{i}");
-            assert_eq!(b.false_reads, s.false_reads, "key #{i}");
-            assert_eq!(b.leaves_visited, s.leaves_visited, "key #{i}");
-            assert_eq!(b.bfs_probed, s.bfs_probed, "key #{i}");
-        }
-        // Device totals agree to the nanosecond (the batch may use a
-        // different in-page scan, so tuples_scanned is not compared).
-        assert_eq!(
-            idx_b.snapshot().device_reads(),
-            idx_s.snapshot().device_reads()
-        );
-        assert_eq!(idx_b.snapshot().sim_ns, idx_s.snapshot().sim_ns);
-        assert_eq!(
-            data_b.snapshot().device_reads(),
-            data_s.snapshot().device_reads()
-        );
-        assert_eq!(data_b.snapshot().sim_ns, data_s.snapshot().sim_ns);
-    }
-
-    /// Tiny batches (empty, single key) and batches smaller than the
-    /// pipeline window drain correctly.
-    #[test]
-    fn probe_batch_impl_handles_tiny_batches() {
-        let heap = heap(2_000);
-        let tree = BfTree::bulk_build(BfTreeConfig::paper_default(), &heap, PK_OFFSET);
-        let scratch = &mut ProbeScratch::default();
-        assert!(tree
-            .probe_batch_impl(&[], &heap, PK_OFFSET, None, None, scratch)
-            .is_empty());
-        for n in 1..=4usize {
-            let keys: Vec<u64> = (0..n as u64).map(|i| i * 321).collect();
-            let r = tree.probe_batch_impl(&keys, &heap, PK_OFFSET, None, None, scratch);
-            assert_eq!(r.len(), n);
-            for (i, res) in r.iter().enumerate() {
-                let expect = tree.probe_impl(keys[i], &heap, PK_OFFSET, None, None, false, scratch);
-                assert_eq!(res.matches, expect.matches, "n={n} i={i}");
-            }
-        }
-        // Scratch reuse must not leak counters between batches: a tiny
-        // batch (whose ring entries are consumed before the narrowing
-        // step could touch them) followed by another batch on the same
-        // scratch reports the same counters as on a fresh scratch.
-        let keys = [100u64, 200];
-        tree.probe_batch_impl(&keys, &heap, PK_OFFSET, None, None, scratch);
-        let reused = tree.probe_batch_impl(&keys, &heap, PK_OFFSET, None, None, scratch);
-        let fresh = tree.probe_batch_impl(
-            &keys,
-            &heap,
-            PK_OFFSET,
-            None,
-            None,
-            &mut ProbeScratch::default(),
-        );
-        for (r, f) in reused.iter().zip(&fresh) {
-            assert_eq!(r.matches, f.matches);
-            assert_eq!(r.tuples_scanned, f.tuples_scanned, "counter leaked");
-            assert_eq!(r.bfs_probed, f.bfs_probed);
-        }
     }
 }

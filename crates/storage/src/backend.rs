@@ -135,24 +135,6 @@ impl PageDevice {
         }
     }
 
-    /// Charge a set of randomly-located reads at once. With no cache
-    /// and no store there is nothing to do per page, so the whole set
-    /// lands in one counter operation; totals always equal charging
-    /// each page with [`PageDevice::read_random`].
-    pub fn read_random_many(&self, pages: impl ExactSizeIterator<Item = PageId>) {
-        if self.is_lock_free() {
-            self.stats.record_random_reads(
-                pages.len() as u64,
-                self.profile.random_read_ns,
-                PAGE_BYTES,
-            );
-        } else {
-            for page in pages {
-                self.read_random(page);
-            }
-        }
-    }
-
     /// Charge the next page of a sequential run.
     #[inline]
     pub fn read_seq(&self, page: PageId) {
@@ -643,7 +625,6 @@ mod tests {
             for dev in [&sim, &file] {
                 dev.read_random(1);
                 dev.read_random(1);
-                dev.read_random_many([7u64, 8, 9].into_iter());
                 dev.read_sorted_batch(&[10, 11, 11, 13]);
                 dev.write(2);
                 dev.write_bytes(4, b"payload");

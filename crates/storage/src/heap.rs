@@ -148,8 +148,8 @@ impl HeapFile {
         let tuple_size = self.layout.tuple_size();
         let bytes = self.pages[pid as usize].bytes();
         // One bounds-checked sub-slice per tuple (chunks_exact) instead
-        // of two checked slicings per attribute read — this scan is the
-        // probe pipeline's per-page inner loop.
+        // of two checked slicings per attribute read — this scan is a
+        // probe's per-page inner loop.
         for (slot, tuple) in bytes.chunks_exact(tuple_size).take(n).enumerate() {
             let v = u64::from_le_bytes(
                 tuple[attr.0..attr.0 + 8]
@@ -163,8 +163,8 @@ impl HeapFile {
         n
     }
 
-    /// Read tuple `slot`'s `attr` from `bytes` (shared by the sorted
-    /// scans below).
+    /// Read tuple `slot`'s `attr` from `bytes` (the sorted scan's
+    /// probe).
     #[inline]
     fn attr_at(bytes: &[u8], tuple_size: usize, attr: AttrOffset, slot: usize) -> u64 {
         let at = slot * tuple_size + attr.0;
@@ -172,16 +172,14 @@ impl HeapFile {
     }
 
     /// [`Self::scan_page_for`] for pages whose tuples are **ordered**
-    /// on `attr` (heaps ordered on the indexed attribute, the
-    /// clustering every `FirstPageOnly` BF-Tree relies on): binary
-    /// search toward the first occurrence, then walk the run. Touches
-    /// a handful of cache lines instead of every tuple's — on a
-    /// DRAM-resident heap the page scan is line-fill limited, so this
-    /// is a direct cut of per-page scan latency *when the probed lines
-    /// are already warm* (binary probes serialize misses on a cold
-    /// page, where the linear scan's parallel line fills win). Returns
-    /// the number of tuples examined (probes + window walk), the unit
-    /// `ProbeResult::tuples_scanned` counts.
+    /// on `attr` (heaps ordered on the indexed attribute): binary
+    /// search down to a ≤ 4-tuple window whose slots below it all hold
+    /// attrs `< key`, then walk forward collecting the run of `key`
+    /// (which may extend past the window). Touches a handful of cache
+    /// lines instead of every tuple's, but the binary probes are a
+    /// serial chain of misses on a cold page, where the linear scan's
+    /// independent line fills win. Returns the number of tuples
+    /// examined (probes + walk).
     ///
     /// Results are identical to [`Self::scan_page_for`] when the page
     /// really is ordered; unordered pages must use the linear scan.
@@ -192,86 +190,21 @@ impl HeapFile {
         key: u64,
         out: &mut Vec<usize>,
     ) -> usize {
-        let (lo, _, probes) = self.narrow_sorted_window(pid, attr, key);
-        probes as usize + self.scan_sorted_window_for(pid, attr, key, lo, out)
-    }
-
-    /// The binary-narrowing half of [`Self::scan_sorted_page_for`],
-    /// runnable ahead of time: probe the ordered page down to a
-    /// ≤ 4-tuple window `(lo, hi)` such that every slot below `lo`
-    /// holds an attr `< key`, returning `(lo, hi, probes)`. Binary
-    /// probes are a serial dependency chain, so the narrowing stops at
-    /// a small window whose lines the final scan loads in parallel.
-    /// The batched probe pipeline calls this one step after the page's
-    /// probe lines were warmed/prefetched (so the probes hit cache),
-    /// then prefetches exactly the returned window for the final scan.
-    pub fn narrow_sorted_window(&self, pid: PageId, attr: AttrOffset, key: u64) -> (u32, u32, u32) {
         let n = self.tuples_in_page(pid);
         let tuple_size = self.layout.tuple_size();
         let bytes = self.pages[pid as usize].bytes();
         let (mut lo, mut hi) = (0usize, n);
-        let mut probes = 0u32;
+        let mut examined = 0usize;
         while hi - lo > 4 {
             let mid = lo + (hi - lo) / 2;
-            probes += 1;
+            examined += 1;
             if Self::attr_at(bytes, tuple_size, attr, mid) < key {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        (lo as u32, hi as u32, probes)
-    }
-
-    /// Prefetch the attr lines of slots `lo..=hi` (clamped), plus one
-    /// slot beyond for the duplicate-run extension — the terminal
-    /// window [`Self::scan_sorted_window_for`] will read.
-    #[inline]
-    pub fn prefetch_attr_window(&self, pid: PageId, attr: AttrOffset, lo: u32, hi: u32) {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(page) = self.pages.get(pid as usize) {
-            let bytes = page.bytes();
-            let tuple_size = self.layout.tuple_size();
-            for slot in lo..=hi {
-                let at = slot as usize * tuple_size + attr.0;
-                if at < bytes.len() {
-                    // SAFETY: `at < bytes.len()` keeps the address
-                    // inside the page allocation; prefetch has no
-                    // other architectural effect.
-                    unsafe {
-                        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                            bytes.as_ptr().add(at) as *const i8,
-                        );
-                    }
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = (pid, attr, lo, hi);
-    }
-
-    /// Finish a scan whose binary narrowing already ran
-    /// ([`Self::narrow_sorted_window`] returned `lo`): walk forward
-    /// from `lo`, collecting the run of `key` matches. Identical
-    /// results to [`Self::scan_sorted_page_for`] by the narrowing
-    /// invariant; returns tuples examined.
-    pub fn scan_sorted_window_for(
-        &self,
-        pid: PageId,
-        attr: AttrOffset,
-        key: u64,
-        lo: u32,
-        out: &mut Vec<usize>,
-    ) -> usize {
-        let n = self.tuples_in_page(pid);
-        let tuple_size = self.layout.tuple_size();
-        let bytes = self.pages[pid as usize].bytes();
-        let mut examined = 0usize;
-        // Narrowing invariant: slots < lo hold attrs < key; walk
-        // forward until the run of equals (which may extend past the
-        // narrowed window) ends.
-        let mut slot = lo as usize;
-        while slot < n {
+        for slot in lo..n {
             examined += 1;
             let v = Self::attr_at(bytes, tuple_size, attr, slot);
             if v > key {
@@ -280,66 +213,8 @@ impl HeapFile {
             if v == key {
                 out.push(slot);
             }
-            slot += 1;
         }
         examined
-    }
-
-    /// First half of the two-step page prefetch: a real (discarded)
-    /// load of the attribute a binary search of the page probes first
-    /// (the middle tuple's). The demand load performs the dTLB walk
-    /// for the page — `_mm_prefetch` alone is dropped on a dTLB miss,
-    /// and a 4 KB-paged multi-hundred-MB heap under random probes
-    /// misses the TLB almost always — and lands the search's first
-    /// cache line as a bonus. Issue this as soon as a candidate page
-    /// is known, then [`Self::prefetch_page_attr`] a step later (once
-    /// the walk has landed), then scan.
-    #[inline]
-    pub fn warm_page_attr(&self, pid: PageId, attr: AttrOffset) {
-        if let Some(page) = self.pages.get(pid as usize) {
-            let bytes = page.bytes();
-            let n = self.tuples_in_page(pid);
-            let at = (n / 2) * self.layout.tuple_size() + attr.0;
-            if at < bytes.len() {
-                std::hint::black_box(bytes[at]);
-            }
-        }
-    }
-
-    /// Second half of the two-step page prefetch: hint the CPU to pull
-    /// the cache lines [`Self::scan_sorted_page_for`]'s binary probes
-    /// will touch — the quarter-point tuples (the middle comes free
-    /// with [`Self::warm_page_attr`]); the scan's terminal window then
-    /// loads its lines in parallel on demand. Prefetching every
-    /// tuple's line instead is counterproductive: the extra requests
-    /// saturate the core's line-fill buffers and stall the filter
-    /// sweeps running between prefetch and scan. Issue after the
-    /// warm-up's TLB walk has had a step to land, a pipeline window
-    /// before the scan. Purely a performance hint: no-op for
-    /// out-of-range pids and on targets without a prefetch intrinsic.
-    #[inline]
-    pub fn prefetch_page_attr(&self, pid: PageId, attr: AttrOffset) {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(page) = self.pages.get(pid as usize) {
-            let bytes = page.bytes();
-            let tuple_size = self.layout.tuple_size();
-            let n = self.tuples_in_page(pid);
-            for slot in [n / 4, 3 * n / 4] {
-                let at = slot * tuple_size + attr.0;
-                if at < bytes.len() {
-                    // SAFETY: `at < bytes.len()` keeps the address
-                    // inside the page allocation; prefetch has no
-                    // other architectural effect.
-                    unsafe {
-                        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                            bytes.as_ptr().add(at) as *const i8,
-                        );
-                    }
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = (pid, attr);
     }
 
     /// Minimum and maximum of `attr` within page `pid`; `None` for an
@@ -415,6 +290,49 @@ mod tests {
         let examined = h.scan_page_for(0, ATT1_OFFSET, 99, &mut out);
         assert_eq!(examined, 4);
         assert!(out.is_empty());
+    }
+
+    /// The sorted scan finds exactly the linear scan's slots on ordered
+    /// pages whose duplicate runs (1–20 tuples) straddle the ≤ 4-tuple
+    /// window and the page ends, for keys present, absent between runs
+    /// and outside the page's range.
+    #[test]
+    fn sorted_scan_matches_linear_scan_on_ordered_pages() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        for (seed, (tuple_size, page_size)) in
+            [(64, 256), (256, 4096), (64, 4096)].into_iter().enumerate()
+        {
+            let mut rng = StdRng::seed_from_u64(0x5C4A + seed as u64);
+            let mut h = HeapFile::with_page_size(TupleLayout::new(tuple_size), page_size);
+            let mut key = 10u64;
+            while h.tuple_count() < 2_000 {
+                key += rng.random_range(1..=3u64);
+                for _ in 0..rng.random_range(1..=20u64) {
+                    h.append_record(h.tuple_count(), key);
+                }
+            }
+            let mut straddles = 0;
+            let (mut sorted, mut linear) = (Vec::new(), Vec::new());
+            for pid in 0..h.page_count() {
+                let per = h.tuples_per_page();
+                if pid > 0 && h.attr(pid, 0, ATT1_OFFSET) == h.attr(pid - 1, per - 1, ATT1_OFFSET) {
+                    straddles += 1;
+                }
+                let (lo, hi) = h.page_attr_range(pid, ATT1_OFFSET).unwrap();
+                for probe in (lo.saturating_sub(3)..=hi + 3).chain([0, u64::MAX]) {
+                    sorted.clear();
+                    linear.clear();
+                    h.scan_sorted_page_for(pid, ATT1_OFFSET, probe, &mut sorted);
+                    h.scan_page_for(pid, ATT1_OFFSET, probe, &mut linear);
+                    assert_eq!(
+                        sorted, linear,
+                        "{tuple_size} B tuples: page {pid}, key {probe}"
+                    );
+                }
+            }
+            assert!(straddles > 0, "some run crosses a page end");
+        }
     }
 
     #[test]

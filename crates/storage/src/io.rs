@@ -143,24 +143,6 @@ impl IoStats {
         bftree_obs::note_device_reads(1);
     }
 
-    /// Record `n` random page reads of `bytes` each, costing `ns`
-    /// each, as **one** counter operation — the bulk form batched
-    /// replays use so a multi-page charge costs one round of atomics
-    /// instead of `n`. Totals are exactly `n` applications of
-    /// [`IoStats::record_random_read`].
-    #[inline]
-    pub fn record_random_reads(&self, n: u64, ns: u64, bytes: u64) {
-        if n == 0 {
-            return;
-        }
-        let s = &self.shards[shard_index()];
-        s.random_reads.fetch_add(n, Ordering::Relaxed);
-        s.bytes_read.fetch_add(n * bytes, Ordering::Relaxed);
-        s.sim_ns.fetch_add(n * ns, Ordering::Relaxed);
-        bftree_obs::add_thread_sim_ns(n * ns);
-        bftree_obs::note_device_reads(n);
-    }
-
     /// Record a sequential page read of `bytes` costing `ns`.
     #[inline]
     pub fn record_seq_read(&self, ns: u64, bytes: u64) {

@@ -43,6 +43,7 @@
 //! DESIGN.md §2.4).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod backend;
 pub mod context;

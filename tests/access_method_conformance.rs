@@ -612,7 +612,7 @@ fn battery_io_counts_are_backend_invariant() {
                 let _ = index.probe(key, &rel, &io).unwrap();
             }
             let _ = index.probe_first(3, &rel, &io).unwrap();
-            // The batched pipeline over the same hits and misses.
+            // The batch form over the same hits and misses.
             let batch: Vec<u64> = (0..2 * N).step_by(41).collect();
             let _ = index.probe_batch(&batch, &rel, &io).unwrap();
             // Range scans: small, large, and empty.

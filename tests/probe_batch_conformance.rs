@@ -13,7 +13,7 @@ use bftree_fdtree::FdTree;
 use bftree_hashindex::HashIndex;
 use bftree_storage::tuple::{ATT1_OFFSET, PK_OFFSET};
 use bftree_storage::{
-    Duplicates, HeapFile, IoContext, IoSnapshot, Relation, StorageConfig, TupleLayout,
+    Duplicates, HeapFile, IoContext, IoSnapshot, PolicyKind, Relation, StorageConfig, TupleLayout,
 };
 
 const N: u64 = 5_000;
@@ -137,6 +137,48 @@ fn probe_batch_matches_scalar_probes_and_iostats() {
             }
         }
     }
+}
+
+/// On cached devices the BF-Tree's batch is still the scalar loop,
+/// access for access: one shared LRU pool sees the same hits, misses
+/// and evictions, so every counter of both devices matches — not just
+/// the cold totals.
+#[test]
+fn bf_tree_probe_batch_equals_scalar_loop_on_cached_devices() {
+    const KEYS: u64 = 20_000;
+    let mut heap = HeapFile::new(TupleLayout::new(256));
+    for pk in 0..KEYS {
+        heap.append_record(pk, pk / CARD);
+    }
+    let rel = Relation::new(heap, PK_OFFSET, Duplicates::Unique).expect("conventional layout");
+    let tree = BfTree::builder()
+        .fpp(1e-3)
+        .build(&rel)
+        .expect("valid config");
+    let keys = workload(KEYS, 4_000, 0xCAC4E);
+    let cached =
+        || IoContext::with_shared_budget(StorageConfig::SsdSsd, 64 * 4096, PolicyKind::Lru);
+
+    let scalar_io = cached();
+    let expect: Vec<Probe> = keys
+        .iter()
+        .map(|&key| tree.probe(key, &rel, &scalar_io).expect("valid relation"))
+        .collect();
+    let batch_io = cached();
+    let mut got: Vec<Probe> = Vec::with_capacity(keys.len());
+    for chunk in keys.chunks(256) {
+        got.extend(
+            tree.probe_batch(chunk, &rel, &batch_io)
+                .expect("valid relation"),
+        );
+    }
+    assert_eq!(got, expect);
+    assert_eq!(batch_io.index.snapshot(), scalar_io.index.snapshot());
+    assert_eq!(batch_io.data.snapshot(), scalar_io.data.snapshot());
+    assert!(
+        scalar_io.snapshot_total().cache_hits > 0,
+        "the pool absorbs some reads"
+    );
 }
 
 /// Batched service through `ConcurrentIndex` from 8 threads: per-key
