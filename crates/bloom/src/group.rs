@@ -7,59 +7,54 @@
 //! same p."*
 //!
 //! [`BloomGroup`] packages exactly that: a total bit budget divided
-//! evenly across `S` member filters, each covering one *bucket* (in the
-//! BF-Tree, one data page or one group of consecutive pages). It is the
+//! across `S` member filters, each covering one *bucket* (in the
+//! BF-Tree, one data page or one group of consecutive pages) — evenly,
+//! or in proportion to each member's expected load. It is the
 //! in-memory shape of a BF-leaf's filter block.
 //!
 //! **The image** ([`BloomGroup::to_bytes`]) is filter-major and
-//! bit-packed: member `b` owns bits `[b·per, (b+1)·per)` of one shared
+//! bit-packed: member `b`'s bits follow member `b - 1`'s in one shared
 //! array. This matters because a BF-leaf's budget is one fixed page —
 //! with thousands of pages per leaf at loose fpps, members are only a
 //! handful of bits each, and rounding every member up to a word would
 //! silently inflate the node ~10× past its page budget (and understate
 //! the measured false-positive rate just as much).
 //!
-//! **In memory** an evenly divided group is stored the way Algorithm 1
-//! reads it. A probe tests one key against *every* member, and members
-//! of equal size share the key's `k` probe positions, so the group is
-//! bit-sliced (position-major): members are taken in *tiles* of 64,
-//! tile `c` is `per` words, and bit `b mod 64` of word `c·per + j` is
-//! position `j` of member `b`. One word load then answers position `j`
-//! for 64 members at once, and the sweep is `k` loads and ANDs per
-//! tile instead of `64 · k` scattered bit probes. Tiles are 64 wide
-//! because that is the word the AND runs on; growing the group
-//! ([`BloomGroup::extend_to`]) fills the last tile's spare columns and
-//! appends a zeroed tile only when `S` crosses a multiple of 64, so
-//! nothing is ever laid out again. The image is converted at the
-//! boundary (`to_bytes` / `from_bytes` transpose), so what a leaf's
-//! page holds does not depend on it. The price is RAM for the last
-//! tile's unused columns: `⌈S/64⌉·64 / S` times the image — 1.24× at
-//! `S = 103`, and 64× (256 KB for a 4 KB page) for the single-filter
-//! leaf an empty tree starts with, of which there is one per tree.
-//!
-//! Members sized by weight ([`BloomGroup::new_weighted`]) differ in
-//! size and so in probe positions: they stay filter-major in memory
-//! too and are swept member by member.
+//! **In memory** a group is stored the way Algorithm 1 reads it. A
+//! probe tests one key against *every* member, and a member's probe
+//! positions depend only on its bit count, so members of one size share
+//! them: members are grouped into *classes* by exact bit count (classes
+//! ascending by it, members ascending within one, so equal groups are
+//! equal structures). Each class is bit-sliced (position-major): its
+//! members are taken in *tiles* of 64 columns, tile `c` is `bits`
+//! words, and bit `i` of word `c·bits + j` is position `j` of the
+//! member in column `64·c + i`. One word load then answers position
+//! `j` for 64 members, and the sweep is `k` loads and ANDs per tile
+//! instead of `64 · k` scattered bit probes. An evenly divided group is
+//! the one-class case; a weighted one has a class per member size.
+//! Tiles are 64 wide because that is the word the AND runs on; growing
+//! the group ([`BloomGroup::extend_to`]) fills the last tile's spare
+//! columns and appends a zeroed tile only when a class crosses a
+//! multiple of 64, so nothing is ever laid out again. `to_bytes` /
+//! `from_bytes` transpose each class at the boundary, so what a leaf's
+//! page holds does not depend on it. The price is RAM: each class's
+//! last tile's unused columns (for one class `⌈S/64⌉·64 / S` times the
+//! image — 1.24× at `S = 103`, and 64× for the single-filter leaf an
+//! empty tree starts with) and 12 bytes per member for the class map.
 
 use crate::blocked::FilterLayout;
 use crate::hash::{BloomKey, KeyFingerprint};
 
 /// `S` Bloom filters sharing one bit budget — equally sized
 /// ([`Self::new`]) or sized proportionally to each member's expected
-/// load ([`Self::new_weighted`]), each member laid out
+/// load ([`Self::new_weighted_with_layout`]), each member laid out
 /// [`FilterLayout::Standard`] or cache-line-[`FilterLayout::Blocked`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomGroup {
-    /// Uniform: `⌈s/64⌉` tiles of `per_filter_bits` words, bit-sliced
-    /// (module docs); columns `≥ s` of the last tile stay zero.
-    /// Weighted: the members' bits packed end to end.
-    words: Vec<u64>,
-    /// Uniform fast path: bits per member. 0 when weighted.
-    per_filter_bits: u64,
-    /// Weighted layout: member `b` owns bits `[starts[b], starts[b+1])`.
-    /// Empty for the uniform layout.
-    starts: Vec<u64>,
-    s: usize,
+    /// The members of each bit count, ascending by it (module docs).
+    classes: Vec<SizeClass>,
+    /// Member `b` is column `slots[b].1` of class `slots[b].0`.
+    slots: Vec<(u32, u32)>,
     k: u32,
     n_inserted: u64,
     seed: u64,
@@ -67,6 +62,32 @@ pub struct BloomGroup {
     /// probes to one 512-bit block of the member's range; members that
     /// fit a single block behave identically under both layouts.
     layout: FilterLayout,
+}
+
+/// The members of one bit count, bit-sliced (module docs).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+struct SizeClass {
+    /// Bits per member.
+    bits: u64,
+    /// Column `c` holds member `members[c]`; ascending.
+    members: Vec<u32>,
+    /// `⌈members/64⌉` tiles of `bits` words; spare columns stay zero.
+    words: Vec<u64>,
+}
+
+impl SizeClass {
+    /// Word index and bit mask of position `pos` of column `col`.
+    #[inline]
+    fn locate(&self, col: u32, pos: u64) -> (usize, u64) {
+        let tile = (col as usize / 64) * self.bits as usize;
+        (tile + pos as usize, 1 << (col % 64))
+    }
+
+    /// Whole tiles for the members: a zeroed one per 64th member.
+    fn fit_tiles(&mut self) {
+        self.words
+            .resize(self.bits as usize * self.members.len().div_ceil(64), 0);
+    }
 }
 
 /// Indices of the set bits of `word`, ascending.
@@ -102,23 +123,13 @@ impl BloomGroup {
         layout: FilterLayout,
     ) -> Self {
         assert!(s > 0, "group needs at least one filter");
-        assert!(k >= 1, "need at least one hash function");
         let per = (total_bits / s as u64).max(1);
-        let words = vec![0u64; per as usize * s.div_ceil(64)];
-        Self {
-            words,
-            per_filter_bits: per,
-            starts: Vec::new(),
-            s,
-            k,
-            n_inserted: 0,
-            seed,
-            layout,
-        }
+        Self::with_sizes(&vec![per; s], k, seed, layout)
     }
 
     /// Divide `total_bits` across `weights.len()` members
-    /// proportionally to `weights` (each member's expected key count).
+    /// proportionally to `weights` (each member's expected key count),
+    /// with an explicit per-member probe layout.
     ///
     /// Property 1 preserves the fpp only when keys split *evenly*
     /// across members; when the per-page key distribution is skewed —
@@ -128,11 +139,6 @@ impl BloomGroup {
     /// Proportional allocation keeps bits-per-key, and therefore the
     /// realized fpp, constant across members. Zero-weight members get
     /// one bit that is never set, so they reject every probe for free.
-    pub fn new_weighted(total_bits: u64, weights: &[u64], k: u32, seed: u64) -> Self {
-        Self::new_weighted_with_layout(total_bits, weights, k, seed, FilterLayout::Standard)
-    }
-
-    /// [`Self::new_weighted`] with an explicit per-member probe layout.
     pub fn new_weighted_with_layout(
         total_bits: u64,
         weights: &[u64],
@@ -141,28 +147,39 @@ impl BloomGroup {
         layout: FilterLayout,
     ) -> Self {
         assert!(!weights.is_empty(), "group needs at least one filter");
-        assert!(k >= 1, "need at least one hash function");
-        let s = weights.len();
         let total_weight: u64 = weights.iter().sum::<u64>().max(1);
         // Reserve the 1-bit floors, spread the rest by weight.
-        let spare = total_bits.saturating_sub(s as u64);
-        let mut starts = Vec::with_capacity(s + 1);
-        let mut acc = 0u64;
+        let spare = total_bits.saturating_sub(weights.len() as u64);
         let mut carry = 0u64; // running share in weight units
-        starts.push(0);
+        let mut sizes = Vec::with_capacity(weights.len());
         for &w in weights {
             carry += w * spare;
-            let share = carry / total_weight;
+            sizes.push(1 + carry / total_weight);
             carry %= total_weight;
-            acc += 1 + share;
-            starts.push(acc);
         }
-        let words = vec![0u64; acc.div_ceil(64) as usize];
+        Self::with_sizes(&sizes, k, seed, layout)
+    }
+
+    /// An empty group of `sizes[b]`-bit members `b`, in canonical order.
+    fn with_sizes(sizes: &[u64], k: u32, seed: u64, layout: FilterLayout) -> Self {
+        assert!(k >= 1, "need at least one hash function");
+        let mut bits = sizes.to_vec();
+        bits.sort_unstable();
+        bits.dedup();
+        let mut classes = vec![SizeClass::default(); bits.len()];
+        let mut slots = Vec::with_capacity(sizes.len());
+        for (b, m) in (0u32..).zip(sizes) {
+            let at = bits.binary_search(m).expect("every size has its class");
+            slots.push((at as u32, classes[at].members.len() as u32));
+            classes[at].members.push(b);
+        }
+        for (class, &m) in classes.iter_mut().zip(&bits) {
+            class.bits = m;
+            class.fit_tiles();
+        }
         Self {
-            words,
-            per_filter_bits: 0,
-            starts,
-            s,
+            classes,
+            slots,
             k,
             n_inserted: 0,
             seed,
@@ -170,44 +187,30 @@ impl BloomGroup {
         }
     }
 
+    #[inline]
+    fn get(&self, b: usize, pos: u64) -> bool {
+        let (class, col) = self.slots[b];
+        let class = &self.classes[class as usize];
+        let (word, mask) = class.locate(col, pos);
+        class.words[word] & mask != 0
+    }
+
     /// Bits owned by member `b`.
     #[inline]
     pub fn member_bits(&self, b: usize) -> u64 {
-        if self.starts.is_empty() {
-            self.per_filter_bits
-        } else {
-            self.starts[b + 1] - self.starts[b]
-        }
-    }
-
-    /// Word index and bit mask of position `pos` of member `b`.
-    #[inline]
-    fn locate(&self, b: usize, pos: u64) -> (usize, u64) {
-        if self.starts.is_empty() {
-            let tile = (b / 64) * self.per_filter_bits as usize;
-            (tile + pos as usize, 1 << (b % 64))
-        } else {
-            let bit = self.starts[b] + pos;
-            ((bit / 64) as usize, 1 << (bit % 64))
-        }
-    }
-
-    #[inline]
-    fn get(&self, b: usize, pos: u64) -> bool {
-        let (word, mask) = self.locate(b, pos);
-        self.words[word] & mask != 0
+        self.classes[self.slots[b].0 as usize].bits
     }
 
     /// Number of member filters `S`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.s
+        self.slots.len()
     }
 
     /// True if the group has no member filters (never constructed so).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.s == 0
+        self.slots.is_empty()
     }
 
     /// Per-member probe layout.
@@ -218,11 +221,8 @@ impl BloomGroup {
 
     /// Total bits across members.
     pub fn total_bits(&self) -> u64 {
-        if self.starts.is_empty() {
-            self.per_filter_bits * self.s as u64
-        } else {
-            *self.starts.last().expect("starts non-empty")
-        }
+        let class_bits = |c: &SizeClass| c.bits * c.members.len() as u64;
+        self.classes.iter().map(class_bits).sum()
     }
 
     /// Hash count per member.
@@ -241,15 +241,17 @@ impl BloomGroup {
     #[inline]
     pub fn insert<K: BloomKey>(&mut self, bucket: usize, key: &K) {
         assert!(
-            bucket < self.s,
+            bucket < self.len(),
             "bucket {bucket} out of range (S = {})",
-            self.s
+            self.len()
         );
         let fp = KeyFingerprint::new(key, self.seed);
-        let (off, window) = self.layout.probe_window(&fp, self.member_bits(bucket));
+        let (class, col) = self.slots[bucket];
+        let class = &mut self.classes[class as usize];
+        let (off, window) = self.layout.probe_window(&fp, class.bits);
         for i in 0..self.k {
-            let (word, mask) = self.locate(bucket, off + fp.probe(i, window));
-            self.words[word] |= mask;
+            let (word, mask) = class.locate(col, off + fp.probe(i, window));
+            class.words[word] |= mask;
         }
         self.n_inserted += 1;
     }
@@ -258,12 +260,7 @@ impl BloomGroup {
     #[inline]
     pub fn contains<K: BloomKey>(&self, bucket: usize, key: &K) -> bool {
         let fp = KeyFingerprint::new(key, self.seed);
-        self.contains_fp(bucket, &fp)
-    }
-
-    #[inline]
-    fn contains_fp(&self, bucket: usize, fp: &KeyFingerprint) -> bool {
-        let (off, window) = self.layout.probe_window(fp, self.member_bits(bucket));
+        let (off, window) = self.layout.probe_window(&fp, self.member_bits(bucket));
         (0..self.k).all(|i| self.get(bucket, off + fp.probe(i, window)))
     }
 
@@ -280,66 +277,72 @@ impl BloomGroup {
     /// with the same fingerprint (probe positions depend only on each
     /// member's geometry, not on which group is being swept).
     pub fn matching_buckets_fp_into(&self, fp: &KeyFingerprint, out: &mut Vec<usize>) {
-        if !self.starts.is_empty() {
-            // Weighted layout: member sizes differ, so probe positions
-            // must be reduced per member.
-            out.extend((0..self.s).filter(|&b| self.contains_fp(b, fp)));
-            return;
-        }
-        // Members share one geometry, so the block choice and the probe
-        // positions are the same in every member: word `j` of a tile
-        // answers position `j` for its 64 members, and ANDing the key's
-        // `k` words leaves exactly the members that hold all of them.
-        // At half fill each AND halves the survivors, so a tile without
-        // a match is dropped after about six loads.
-        let (off, window) = self.layout.probe_window(fp, self.per_filter_bits);
-        let position = |i: u32| (off + fp.probe(i, window)) as usize;
-        // The first 64 positions are computed once for all tiles; a
-        // sparse member's `k` beyond that is reached only by a tile
-        // that survived 64 ANDs.
-        let mut head = [0usize; 64];
-        let head = &mut head[..self.k.min(64) as usize];
-        for (i, slot) in head.iter_mut().enumerate() {
-            *slot = position(i as u32);
-        }
-        let tiles = self.words.chunks_exact(self.per_filter_bits as usize);
-        for (c, tile) in tiles.enumerate() {
-            let members = (self.s - c * 64).min(64);
-            let mut hits = u64::MAX >> (64 - members);
-            for j in head.iter().copied().chain((64..self.k).map(position)) {
-                hits &= tile[j];
-                if hits == 0 {
-                    break;
+        let (first, lone) = (out.len(), self.classes.len() == 1);
+        for class in &self.classes {
+            // A class shares one block choice and one set of positions:
+            // word `j` of a tile answers position `j` for its 64 members,
+            // and ANDing the key's `k` words leaves exactly the members
+            // that hold all of them. At half fill each AND halves the
+            // survivors, so a tile without a match drops after ~6 loads.
+            let (off, window) = self.layout.probe_window(fp, class.bits);
+            let position = |i: u32| (off + fp.probe(i, window)) as usize;
+            // The first 64 positions serve every tile; a sparse member's
+            // `k` beyond them is reached only by a tile that survived 64.
+            let mut head = [0usize; 64];
+            let head = &mut head[..self.k.min(64) as usize];
+            for (i, slot) in head.iter_mut().enumerate() {
+                *slot = position(i as u32);
+            }
+            let n = class.members.len();
+            for (t, tile) in class.words.chunks_exact(class.bits as usize).enumerate() {
+                let mut hits = u64::MAX >> (64 - (n - 64 * t).min(64));
+                for j in head.iter().copied().chain((64..self.k).map(position)) {
+                    hits &= tile[j];
+                    if hits == 0 {
+                        break;
+                    }
+                }
+                // A lone class holds members `0..S` in column order, so a
+                // column is its member and the map's cache miss is skipped.
+                if lone {
+                    out.extend(set_bits(hits).map(|c| 64 * t + c));
+                } else {
+                    out.extend(set_bits(hits).map(|c| class.members[64 * t + c] as usize));
                 }
             }
-            out.extend(set_bits(hits).map(|b| c * 64 + b));
+        }
+        // Each class's matches ascend; several classes interleave.
+        if !lone {
+            out[first..].sort_unstable();
         }
     }
 
-    /// Grow the group to `s` member filters (same geometry), e.g. when
-    /// an insert lands on a page beyond the leaf's current page range
-    /// (Algorithm 3's range extension). No-op if `s ≤ len`.
+    /// Grow the group to `s` member filters, e.g. when an insert lands
+    /// on a page beyond the leaf's current page range (Algorithm 3's
+    /// range extension). New members take `total_bits / len` bits, an
+    /// even group's one size. No-op if `s ≤ len`.
     pub fn extend_to(&mut self, s: usize) {
-        if s <= self.s {
+        let len = self.len();
+        if s <= len {
             return;
         }
-        if self.starts.is_empty() {
-            // New members take the last tile's spare columns; a zeroed
-            // tile is appended when `s` crosses a multiple of 64.
-            self.s = s;
-            let need = self.per_filter_bits as usize * s.div_ceil(64);
-            self.words.resize(need, 0);
-        } else {
-            // Weighted layout: append mean-sized members.
-            let mean = (self.total_bits() / self.s as u64).max(1);
-            let mut acc = self.total_bits();
-            while self.s < s {
-                acc += mean;
-                self.starts.push(acc);
-                self.s += 1;
+        let bits = self.total_bits() / len as u64;
+        let found = self.classes.binary_search_by_key(&bits, |c| c.bits);
+        let at = found.unwrap_or_else(|at| {
+            // A new size: the classes after it move up one place.
+            for slot in &mut self.slots {
+                slot.0 += u32::from(slot.0 >= at as u32);
             }
-            self.words.resize(acc.div_ceil(64) as usize, 0);
+            self.classes.insert(at, SizeClass::default());
+            at
+        });
+        let class = &mut self.classes[at];
+        class.bits = bits;
+        for b in len..s {
+            self.slots.push((at as u32, class.members.len() as u32));
+            class.members.push(b as u32);
         }
+        class.fit_tiles();
     }
 
     /// Total inserts across all members.
@@ -369,47 +372,50 @@ impl BloomGroup {
     /// the flag existed deserialize as `Standard`).
     const BLOCKED_FLAG: u32 = 1 << 31;
 
-    /// Serialize:
-    /// `[s: u32][k: u32][per: u64][seed: u64][n: u64][n_starts: u32]
-    /// [starts...][words...]` — `n_starts` is 0 for the uniform bit
-    /// division; bit 31 of `s` carries the probe layout. `words` is
-    /// filter-major for both divisions (module docs): member `b`'s
-    /// bits follow member `b - 1`'s.
+    /// Serialize: `[s: u32][k: u32][per: u64][seed: u64][n: u64]
+    /// [n_starts: u32][starts...][words...]` — one member size writes it
+    /// as `per` and no `starts`; more write `per = 0` and the `S + 1`
+    /// offsets, member `b` owning bits `[starts[b], starts[b+1])` of
+    /// the filter-major `words` (module docs). Bit 31 of `s` carries
+    /// the probe layout.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let n_words = self.total_bits().div_ceil(64) as usize;
-        let mut out = Vec::with_capacity(36 + self.starts.len() * 8 + n_words * 8);
-        let s_word = self.s as u32
+        let mut starts = vec![0u64; self.len() + 1];
+        for b in 0..self.len() {
+            starts[b + 1] = starts[b] + self.member_bits(b);
+        }
+        let (per, written) = match self.classes.as_slice() {
+            [one] => (one.bits, &[][..]),
+            _ => (0, &starts[..]),
+        };
+        let n_words = starts[self.len()].div_ceil(64) as usize;
+        let mut out = Vec::with_capacity(36 + written.len() * 8 + n_words * 8);
+        let s_word = self.len() as u32
             | match self.layout {
                 FilterLayout::Standard => 0,
                 FilterLayout::Blocked => Self::BLOCKED_FLAG,
             };
         out.extend_from_slice(&s_word.to_le_bytes());
         out.extend_from_slice(&self.k.to_le_bytes());
-        out.extend_from_slice(&self.per_filter_bits.to_le_bytes());
+        out.extend_from_slice(&per.to_le_bytes());
         out.extend_from_slice(&self.seed.to_le_bytes());
         out.extend_from_slice(&self.n_inserted.to_le_bytes());
-        out.extend_from_slice(&(self.starts.len() as u32).to_le_bytes());
-        for v in &self.starts {
+        out.extend_from_slice(&(written.len() as u32).to_le_bytes());
+        for v in written {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        let transposed;
-        let image = if self.starts.is_empty() {
-            // Bit `b mod 64` of word `j` of tile `c` is image bit
-            // `b·per + j`.
-            let per = self.per_filter_bits as usize;
-            let mut image = vec![0u64; n_words];
-            for (at, &word) in self.words.iter().enumerate() {
-                let (c, j) = (at / per, at % per);
-                for b in set_bits(word) {
-                    let bit = (c * 64 + b) * per + j;
+        // Bit `i` of word `j` of tile `c` is image bit `starts[m] + j`,
+        // `m` the class's member in column `64·c + i`.
+        let mut image = vec![0u64; n_words];
+        for class in &self.classes {
+            let bits = class.bits as usize;
+            for (at, &word) in class.words.iter().enumerate() {
+                let (c, j) = (at / bits, at % bits);
+                for i in set_bits(word) {
+                    let bit = starts[class.members[c * 64 + i] as usize] as usize + j;
                     image[bit / 64] |= 1u64 << (bit % 64);
                 }
             }
-            transposed = image;
-            &transposed
-        } else {
-            &self.words
-        };
+        }
         for w in image {
             out.extend_from_slice(&w.to_le_bytes());
         }
@@ -468,44 +474,38 @@ impl BloomGroup {
         if u64::from(k) > total {
             return None;
         }
-        let n_words = total.div_ceil(64) as usize;
         let body = &data[at..];
-        if body.len() != n_words * 8 {
+        if body.len() != total.div_ceil(64) as usize * 8 {
             return None;
         }
-        let image = body
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")));
-        let words = if starts.is_empty() {
-            // Image bit `b·per + j` is bit `b mod 64` of word `j` of
-            // tile `b / 64`. The body's length was checked against
-            // `per · s` above, so this allocates at most 64× the image
-            // (`⌈s/64⌉ ≤ s`).
-            let per = per as usize;
-            let mut words = vec![0u64; per * s.div_ceil(64)];
-            for (w, word) in image.enumerate() {
-                for bit in set_bits(word).map(|i| w * 64 + i) {
-                    let (b, j) = (bit / per, bit % per);
-                    if b >= s {
+        // Every member has a bit of the body, so what follows allocates
+        // at most 64× the image (`⌈n/64⌉ ≤ n` tiles per class).
+        let sizes = if starts.is_empty() {
+            vec![per; s]
+        } else {
+            starts.windows(2).map(|w| w[1] - w[0]).collect()
+        };
+        let mut group = Self::with_sizes(&sizes, k, seed, layout);
+        group.n_inserted = n_inserted;
+        // Set bits ascend; member `b` owns `[start, start + sizes[b])`.
+        let (mut b, mut start) = (0usize, 0u64);
+        for (w, word) in body.chunks_exact(8).enumerate() {
+            let word = u64::from_le_bytes(word.try_into().expect("chunk of 8"));
+            for bit in set_bits(word).map(|i| (w * 64 + i) as u64) {
+                while bit - start >= sizes[b] {
+                    start += sizes[b];
+                    b += 1;
+                    if b == s {
                         return None; // set padding: not a written group
                     }
-                    words[(b / 64) * per + j] |= 1u64 << (b % 64);
                 }
+                let (class, col) = group.slots[b];
+                let class = &mut group.classes[class as usize];
+                let (word, mask) = class.locate(col, bit - start);
+                class.words[word] |= mask;
             }
-            words
-        } else {
-            image.collect()
-        };
-        Some(Self {
-            words,
-            per_filter_bits: per,
-            starts,
-            s,
-            k,
-            n_inserted,
-            seed,
-            layout,
-        })
+        }
+        Some(group)
     }
 }
 
@@ -513,6 +513,7 @@ impl BloomGroup {
 mod tests {
     use super::*;
     use crate::math;
+    use FilterLayout::Standard;
 
     #[test]
     fn routing_is_exact_per_bucket() {
@@ -583,17 +584,22 @@ mod tests {
     fn matching_buckets_into_matches_per_bucket_contains() {
         // k = 220 is what `math::optimal_k` gives a 318-bit filter
         // expecting one key.
+        let weights = [3u64, 0, 1, 1, 2, 0, 7, 1, 0, 2];
         for k in [3u32, 64, 65, 220] {
-            let mut g = BloomGroup::new(1 << 14, 10, k, 2);
-            for key in 0u64..500 {
-                g.insert((key % 10) as usize, &key);
-            }
-            let mut buf = Vec::new();
-            for key in 0u64..600 {
-                buf.clear();
-                g.matching_buckets_into(&key, &mut buf);
-                let reference: Vec<usize> = (0..g.len()).filter(|&b| g.contains(b, &key)).collect();
-                assert_eq!(buf, reference, "k {k}, key {key}");
+            let even = BloomGroup::new(1 << 14, 10, k, 2);
+            let weighted = BloomGroup::new_weighted_with_layout(1 << 14, &weights, k, 2, Standard);
+            for mut g in [even, weighted] {
+                for key in 0u64..500 {
+                    g.insert((key % 10) as usize, &key);
+                }
+                let mut buf = Vec::new();
+                for key in 0u64..600 {
+                    buf.clear();
+                    g.matching_buckets_into(&key, &mut buf);
+                    let reference: Vec<usize> =
+                        (0..g.len()).filter(|&b| g.contains(b, &key)).collect();
+                    assert_eq!(buf, reference, "k {k}, key {key}");
+                }
             }
         }
     }
@@ -605,9 +611,11 @@ mod tests {
         let mut g = BloomGroup::new(318 * 3, 3, 220, 0);
         g.insert(1, &1u64);
         let fp = KeyFingerprint::new(&1u64, 0);
+        let (class, col) = g.slots[2];
+        let class = &mut g.classes[class as usize];
         for i in 0..64 {
-            let (word, mask) = g.locate(2, fp.probe(i, 318));
-            g.words[word] |= mask;
+            let (word, mask) = class.locate(col, fp.probe(i, 318));
+            class.words[word] |= mask;
         }
         assert!(!g.contains(2, &1u64));
         let mut out = Vec::new();
@@ -727,11 +735,13 @@ mod tests {
                 assert!(out.iter().all(|&b| b < g.len()), "{case}");
                 // A hostile `per`/`s` pair buys at most the tile
                 // padding, never an allocation of its own choosing.
-                assert!(g.words.len() * 8 <= 64 * image.len(), "{case}");
+                let words: usize = g.classes.iter().map(|c| c.words.len()).sum();
+                assert!(words * 8 <= 64 * image.len(), "{case}");
             }
         }
         let mut uniform = BloomGroup::new(1 << 12, 4, 3, 0);
-        let mut weighted = BloomGroup::new_weighted(1 << 12, &[10, 0, 40, 5], 3, 0);
+        let mut weighted =
+            BloomGroup::new_weighted_with_layout(1 << 12, &[10, 0, 40, 5], 3, 0, Standard);
         for key in 0u64..40 {
             uniform.insert((key % 4) as usize, &key);
             weighted.insert((key % 4) as usize, &key);
@@ -748,7 +758,8 @@ mod tests {
             // (offset, width) of s, k, per, seed, n_inserted, n_starts
             // and every `starts` entry.
             let mut fields = vec![(0, 4), (4, 4), (8, 8), (16, 8), (24, 8), (32, 4)];
-            fields.extend((0..group.starts.len()).map(|i| (36 + 8 * i, 8)));
+            let n_starts = u32::from_le_bytes(image[32..36].try_into().unwrap());
+            fields.extend((0..n_starts as usize).map(|i| (36 + 8 * i, 8)));
             for (at, width) in fields {
                 for value in [0u64, 1, u32::MAX as u64, u64::MAX] {
                     let mut bad = image.clone();
@@ -773,14 +784,18 @@ mod tests {
     /// tile's unused columns and nothing else.
     #[test]
     fn in_memory_words_are_whole_tiles_of_per_words() {
+        let words = |g: &BloomGroup| match g.classes.as_slice() {
+            [one] => one.words.len(),
+            _ => panic!("an even group is one class"),
+        };
         let mut g = BloomGroup::new(32_768, 103, 14, 0);
         assert_eq!(g.member_bits(0), 318);
-        assert_eq!(g.words.len(), 2 * 318);
+        assert_eq!(words(&g), 2 * 318);
         g.extend_to(128);
-        assert_eq!(g.words.len(), 2 * 318, "spare columns absorb growth");
+        assert_eq!(words(&g), 2 * 318, "spare columns absorb growth");
         g.extend_to(129);
-        assert_eq!(g.words.len(), 3 * 318);
-        assert_eq!(BloomGroup::new(32_768, 1, 14, 0).words.len(), 32_768);
+        assert_eq!(words(&g), 3 * 318);
+        assert_eq!(words(&BloomGroup::new(32_768, 1, 14, 0)), 32_768);
     }
 
     /// The serialized image is what the filter-major group of the
@@ -804,7 +819,8 @@ mod tests {
                 grown.insert((key % s as u64) as usize, &key);
             }
         }
-        let mut weighted = BloomGroup::new_weighted(1 << 12, &[10, 0, 40, 5, 120], 3, 2);
+        let mut weighted =
+            BloomGroup::new_weighted_with_layout(1 << 12, &[10, 0, 40, 5, 120], 3, 2, Standard);
         for key in 0u64..150 {
             weighted.insert((key % 5) as usize, &key);
         }

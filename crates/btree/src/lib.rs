@@ -24,13 +24,11 @@
 #![forbid(unsafe_code)]
 
 pub mod access;
-pub mod compress;
 pub mod node;
 pub mod tree;
 pub mod tupleref;
 
 pub use access::relation_entries;
-pub use compress::prefix_compressed_leaf_pages;
 pub use node::{BTreeConfig, DuplicateMode};
 pub use tree::{BPlusTree, FloorCursor};
 pub use tupleref::TupleRef;

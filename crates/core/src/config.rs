@@ -49,6 +49,16 @@ pub enum DuplicateHandling {
 }
 
 /// How the leaf's bit budget is divided among its per-page filters.
+///
+/// Both values stay because each is the right one somewhere, measured
+/// at the default 64 MB scale and on `bfbench`. Built `Uniform`, the
+/// paper figures lose their fidelity: `fig11_tpch`'s BF/B+ ratio at
+/// 0 % hits goes from 1.00 to 56 540 (Mem/HDD), ATT1's false reads at
+/// fpp 2·10⁻³ from 0.789 to 3.40, and the SHD capacity gain from 2.83
+/// to 1.55. Built `Proportional`, `bfbench` moves `sim_us_per_op` by
+/// +1.35 % on `ingest_file` and −5.6 % on `serve_wire` (one seed-101
+/// run each). Both build the same bit-sliced groups: an even split is
+/// one size class, a proportional one a class per member size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BitAllocation {
     /// Property 1's even split: every filter gets `total/S` bits. The
@@ -59,8 +69,10 @@ pub enum BitAllocation {
     /// Bits proportional to each page's distinct-key count, measured at
     /// bulk-load time. Keeps bits-per-key — and therefore fpp — uniform
     /// across filters even when most pages hold no new keys (high
-    /// per-key cardinality), at the cost of storing S+1 offsets per
-    /// leaf. Empty pages' filters reject for free.
+    /// per-key cardinality). Empty pages' filters reject for free. The
+    /// leaf's image then also stores its `S + 1` member offsets, which
+    /// the bit budget does not pay for, so such a leaf overflows its
+    /// node (ROADMAP 12(c); `page_image::tests`).
     Proportional,
 }
 

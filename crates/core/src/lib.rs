@@ -49,10 +49,11 @@
 //! * [`scan`] — range scans over partitions (§7, Figure 13): the
 //!   pull-based [`scan::BfRangeCursor`] core plus the §7
 //!   boundary-probing scan.
-//! * [`stats`] — probe statistics: false reads, pages fetched, BFs
-//!   probed (Table 3).
+//! * [`stats`] — one probe's outcome: matches, false reads, pages
+//!   fetched, BFs probed (Table 3).
 //! * [`page_image`] — a BF-leaf as one fixed-size node (§4.1): the
-//!   checked proof that the reported index size is honest.
+//!   check that the reported index size is honest, which proportionally
+//!   divided leaves still fail (ROADMAP 12(c)).
 //!
 //! Drivers: every `figures <id>` that builds a BF-Tree, all four
 //! `bfbench` workloads and the `examples/`. Of the paper's §7/§8
@@ -79,5 +80,5 @@ pub use config::{
 };
 pub use leaf::BfLeaf;
 pub use page_image::PageImageError;
-pub use stats::{ProbeResult, ProbeStats};
+pub use stats::ProbeResult;
 pub use tree::BfTree;
