@@ -1,6 +1,6 @@
 //! The classic Bloom filter (Bloom, 1970) with double hashing.
 
-use crate::hash::{BloomKey, KeyFingerprint, ProbeSequence};
+use crate::hash::{BloomKey, KeyFingerprint};
 use crate::math;
 
 /// A standard Bloom filter over `m` bits with `k` hash functions.
@@ -86,13 +86,7 @@ impl BloomFilter {
     /// Insert `key`.
     #[inline]
     pub fn insert<K: BloomKey>(&mut self, key: &K) {
-        self.insert_fingerprint(KeyFingerprint::new(key, self.seed));
-    }
-
-    /// Insert a precomputed fingerprint (lets callers hash once and
-    /// probe many filters, as BF-leaves do).
-    #[inline]
-    pub fn insert_fingerprint(&mut self, fp: KeyFingerprint) {
+        let fp = KeyFingerprint::new(key, self.seed);
         for i in 0..self.k {
             self.set_bit(fp.probe(i, self.m));
         }
@@ -102,24 +96,8 @@ impl BloomFilter {
     /// Membership test for `key`.
     #[inline]
     pub fn contains<K: BloomKey>(&self, key: &K) -> bool {
-        self.contains_fingerprint(KeyFingerprint::new(key, self.seed))
-    }
-
-    /// Membership test for a precomputed fingerprint.
-    #[inline]
-    pub fn contains_fingerprint(&self, fp: KeyFingerprint) -> bool {
-        for i in 0..self.k {
-            if !self.get_bit(fp.probe(i, self.m)) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Probe positions a key maps to (exposed for the counting /
-    /// deletable variants and for tests).
-    pub fn probes<K: BloomKey>(&self, key: &K) -> ProbeSequence {
-        ProbeSequence::new(KeyFingerprint::new(key, self.seed), self.m, self.k)
+        let fp = KeyFingerprint::new(key, self.seed);
+        (0..self.k).all(|i| self.get_bit(fp.probe(i, self.m)))
     }
 
     /// Number of set bits.
@@ -148,46 +126,6 @@ impl BloomFilter {
     pub fn clear(&mut self) {
         self.bits.fill(0);
         self.n_inserted = 0;
-    }
-
-    /// Serialize the filter into a byte buffer:
-    /// `[m: u64][k: u32][seed: u64][n: u64][bits...]` (little endian).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(28 + self.bits.len() * 8);
-        out.extend_from_slice(&self.m.to_le_bytes());
-        out.extend_from_slice(&self.k.to_le_bytes());
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.extend_from_slice(&self.n_inserted.to_le_bytes());
-        for w in &self.bits {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out
-    }
-
-    /// Deserialize a filter previously written by [`Self::to_bytes`].
-    pub fn from_bytes(data: &[u8]) -> Option<Self> {
-        if data.len() < 28 {
-            return None;
-        }
-        let m = u64::from_le_bytes(data[0..8].try_into().ok()?);
-        let k = u32::from_le_bytes(data[8..12].try_into().ok()?);
-        let seed = u64::from_le_bytes(data[12..20].try_into().ok()?);
-        let n = u64::from_le_bytes(data[20..28].try_into().ok()?);
-        let words = (m / 64) as usize;
-        if data.len() < 28 + words * 8 || m % 64 != 0 || k == 0 {
-            return None;
-        }
-        let bits = data[28..28 + words * 8]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
-        Some(Self {
-            bits,
-            m,
-            k,
-            seed,
-            n_inserted: n,
-        })
     }
 }
 
@@ -235,26 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn serialization_roundtrip() {
-        let mut bf = BloomFilter::new(1 << 14, 5, 99);
-        for key in 0u64..1000 {
-            bf.insert(&(key * 31));
-        }
-        let bytes = bf.to_bytes();
-        let back = BloomFilter::from_bytes(&bytes).expect("deserialize");
-        assert_eq!(bf, back);
-    }
-
-    #[test]
-    fn from_bytes_rejects_truncation_and_garbage() {
-        let bf = BloomFilter::new(4096, 3, 1);
-        let bytes = bf.to_bytes();
-        assert!(BloomFilter::from_bytes(&bytes[..10]).is_none());
-        assert!(BloomFilter::from_bytes(&bytes[..bytes.len() - 1]).is_none());
-        assert!(BloomFilter::from_bytes(&[]).is_none());
-    }
-
-    #[test]
     fn clear_empties_filter() {
         let mut bf = BloomFilter::new(256, 3, 0);
         bf.insert(&1u64);
@@ -286,6 +204,6 @@ mod tests {
             a.insert(&k);
             b.insert(&k);
         }
-        assert_ne!(a.to_bytes(), b.to_bytes());
+        assert_ne!(a.bits, b.bits);
     }
 }

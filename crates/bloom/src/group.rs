@@ -41,14 +41,29 @@
 //! last tile's unused columns (for one class `⌈S/64⌉·64 / S` times the
 //! image — 1.24× at `S = 103`, and 64× for the single-filter leaf an
 //! empty tree starts with) and 12 bytes per member for the class map.
+//!
+//! **One probe layout:** position `i` of a key in a member of `m` bits
+//! is [`KeyFingerprint::probe`]`(i, m)`, over the whole member.
+//! Confining a key's probes to one 512-bit cache-line block (Putze et
+//! al.) buys nothing here: each position is its own word of a tile, so
+//! a block spans 512 words, and it only adds false positives wherever
+//! a member is wider than a block.
 
-use crate::blocked::FilterLayout;
 use crate::hash::{BloomKey, KeyFingerprint};
+
+/// The one probe layout (module docs). Kept only for the call
+/// `BloomGroup::new_with_layout(.., g.layout())` in
+/// `benchmark/src/ladder.rs`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FilterLayout {
+    /// All `k` probes range over the whole member (Bloom 1970).
+    Standard,
+}
 
 /// `S` Bloom filters sharing one bit budget — equally sized
 /// ([`Self::new`]) or sized proportionally to each member's expected
-/// load ([`Self::new_weighted_with_layout`]), each member laid out
-/// [`FilterLayout::Standard`] or cache-line-[`FilterLayout::Blocked`].
+/// load ([`Self::new_weighted`]) — and bit-sliced by member size
+/// (module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomGroup {
     /// The members of each bit count, ascending by it (module docs).
@@ -58,10 +73,6 @@ pub struct BloomGroup {
     k: u32,
     n_inserted: u64,
     seed: u64,
-    /// Per-member probe layout. Blocked members confine a key's `k`
-    /// probes to one 512-bit block of the member's range; members that
-    /// fit a single block behave identically under both layouts.
-    layout: FilterLayout,
 }
 
 /// The members of one bit count, bit-sliced (module docs).
@@ -104,32 +115,32 @@ fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
 
 impl BloomGroup {
     /// Divide `total_bits` evenly across `s` member filters, each with
-    /// `k` hash functions, in the [`FilterLayout::Standard`] layout.
+    /// `k` hash functions.
     ///
     /// The division is honest: members get `total_bits / s` bits even
     /// when that is tiny — loose-fpp BF-leaves over long page ranges
     /// really do run filters of a few bits; that *is* the accuracy
     /// being traded away. The only floor is 1 bit per member.
     pub fn new(total_bits: u64, s: usize, k: u32, seed: u64) -> Self {
-        Self::new_with_layout(total_bits, s, k, seed, FilterLayout::Standard)
+        assert!(s > 0, "group needs at least one filter");
+        let per = (total_bits / s as u64).max(1);
+        Self::with_sizes(&vec![per; s], k, seed)
     }
 
-    /// [`Self::new`] with an explicit per-member probe layout.
+    /// [`Self::new`]; kept only for the call in
+    /// `benchmark/src/ladder.rs`.
     pub fn new_with_layout(
         total_bits: u64,
         s: usize,
         k: u32,
         seed: u64,
-        layout: FilterLayout,
+        _layout: FilterLayout,
     ) -> Self {
-        assert!(s > 0, "group needs at least one filter");
-        let per = (total_bits / s as u64).max(1);
-        Self::with_sizes(&vec![per; s], k, seed, layout)
+        Self::new(total_bits, s, k, seed)
     }
 
     /// Divide `total_bits` across `weights.len()` members
-    /// proportionally to `weights` (each member's expected key count),
-    /// with an explicit per-member probe layout.
+    /// proportionally to `weights` (each member's expected key count).
     ///
     /// Property 1 preserves the fpp only when keys split *evenly*
     /// across members; when the per-page key distribution is skewed —
@@ -139,13 +150,7 @@ impl BloomGroup {
     /// Proportional allocation keeps bits-per-key, and therefore the
     /// realized fpp, constant across members. Zero-weight members get
     /// one bit that is never set, so they reject every probe for free.
-    pub fn new_weighted_with_layout(
-        total_bits: u64,
-        weights: &[u64],
-        k: u32,
-        seed: u64,
-        layout: FilterLayout,
-    ) -> Self {
+    pub fn new_weighted(total_bits: u64, weights: &[u64], k: u32, seed: u64) -> Self {
         assert!(!weights.is_empty(), "group needs at least one filter");
         let total_weight: u64 = weights.iter().sum::<u64>().max(1);
         // Reserve the 1-bit floors, spread the rest by weight.
@@ -157,11 +162,11 @@ impl BloomGroup {
             sizes.push(1 + carry / total_weight);
             carry %= total_weight;
         }
-        Self::with_sizes(&sizes, k, seed, layout)
+        Self::with_sizes(&sizes, k, seed)
     }
 
     /// An empty group of `sizes[b]`-bit members `b`, in canonical order.
-    fn with_sizes(sizes: &[u64], k: u32, seed: u64, layout: FilterLayout) -> Self {
+    fn with_sizes(sizes: &[u64], k: u32, seed: u64) -> Self {
         assert!(k >= 1, "need at least one hash function");
         let mut bits = sizes.to_vec();
         bits.sort_unstable();
@@ -183,7 +188,6 @@ impl BloomGroup {
             k,
             n_inserted: 0,
             seed,
-            layout,
         }
     }
 
@@ -213,10 +217,10 @@ impl BloomGroup {
         self.slots.is_empty()
     }
 
-    /// Per-member probe layout.
-    #[inline]
+    /// Always [`FilterLayout::Standard`]; kept only for the call in
+    /// `benchmark/src/ladder.rs`.
     pub fn layout(&self) -> FilterLayout {
-        self.layout
+        FilterLayout::Standard
     }
 
     /// Total bits across members.
@@ -248,9 +252,8 @@ impl BloomGroup {
         let fp = KeyFingerprint::new(key, self.seed);
         let (class, col) = self.slots[bucket];
         let class = &mut self.classes[class as usize];
-        let (off, window) = self.layout.probe_window(&fp, class.bits);
         for i in 0..self.k {
-            let (word, mask) = class.locate(col, off + fp.probe(i, window));
+            let (word, mask) = class.locate(col, fp.probe(i, class.bits));
             class.words[word] |= mask;
         }
         self.n_inserted += 1;
@@ -260,8 +263,8 @@ impl BloomGroup {
     #[inline]
     pub fn contains<K: BloomKey>(&self, bucket: usize, key: &K) -> bool {
         let fp = KeyFingerprint::new(key, self.seed);
-        let (off, window) = self.layout.probe_window(&fp, self.member_bits(bucket));
-        (0..self.k).all(|i| self.get(bucket, off + fp.probe(i, window)))
+        let m = self.member_bits(bucket);
+        (0..self.k).all(|i| self.get(bucket, fp.probe(i, m)))
     }
 
     /// Probe all buckets, appending matches in ascending order to a
@@ -279,13 +282,12 @@ impl BloomGroup {
     pub fn matching_buckets_fp_into(&self, fp: &KeyFingerprint, out: &mut Vec<usize>) {
         let (first, lone) = (out.len(), self.classes.len() == 1);
         for class in &self.classes {
-            // A class shares one block choice and one set of positions:
-            // word `j` of a tile answers position `j` for its 64 members,
-            // and ANDing the key's `k` words leaves exactly the members
-            // that hold all of them. At half fill each AND halves the
-            // survivors, so a tile without a match drops after ~6 loads.
-            let (off, window) = self.layout.probe_window(fp, class.bits);
-            let position = |i: u32| (off + fp.probe(i, window)) as usize;
+            // A class shares one set of positions: word `j` of a tile
+            // answers position `j` for its 64 members, and ANDing the
+            // key's `k` words leaves exactly the members that hold all
+            // of them. At half fill each AND halves the survivors, so a
+            // tile without a match drops after ~6 loads.
+            let position = |i: u32| fp.probe(i, class.bits) as usize;
             // The first 64 positions serve every tile; a sparse member's
             // `k` beyond them is reached only by a tile that survived 64.
             let mut head = [0usize; 64];
@@ -367,17 +369,11 @@ impl BloomGroup {
         self.fill_ratio(bucket).powi(self.k as i32)
     }
 
-    /// Bit 31 of the serialized `s` word flags the blocked probe
-    /// layout (member counts never approach 2³¹; groups written before
-    /// the flag existed deserialize as `Standard`).
-    const BLOCKED_FLAG: u32 = 1 << 31;
-
     /// Serialize: `[s: u32][k: u32][per: u64][seed: u64][n: u64]
     /// [n_starts: u32][starts...][words...]` — one member size writes it
     /// as `per` and no `starts`; more write `per = 0` and the `S + 1`
     /// offsets, member `b` owning bits `[starts[b], starts[b+1])` of
-    /// the filter-major `words` (module docs). Bit 31 of `s` carries
-    /// the probe layout.
+    /// the filter-major `words` (module docs).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut starts = vec![0u64; self.len() + 1];
         for b in 0..self.len() {
@@ -389,12 +385,7 @@ impl BloomGroup {
         };
         let n_words = starts[self.len()].div_ceil(64) as usize;
         let mut out = Vec::with_capacity(36 + written.len() * 8 + n_words * 8);
-        let s_word = self.len() as u32
-            | match self.layout {
-                FilterLayout::Standard => 0,
-                FilterLayout::Blocked => Self::BLOCKED_FLAG,
-            };
-        out.extend_from_slice(&s_word.to_le_bytes());
+        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.k.to_le_bytes());
         out.extend_from_slice(&per.to_le_bytes());
         out.extend_from_slice(&self.seed.to_le_bytes());
@@ -429,13 +420,7 @@ impl BloomGroup {
         if data.len() < 36 {
             return None;
         }
-        let s_word = u32::from_le_bytes(data[0..4].try_into().ok()?);
-        let layout = if s_word & Self::BLOCKED_FLAG != 0 {
-            FilterLayout::Blocked
-        } else {
-            FilterLayout::Standard
-        };
-        let s = (s_word & !Self::BLOCKED_FLAG) as usize;
+        let s = u32::from_le_bytes(data[0..4].try_into().ok()?) as usize;
         let k = u32::from_le_bytes(data[4..8].try_into().ok()?);
         let per = u64::from_le_bytes(data[8..16].try_into().ok()?);
         let seed = u64::from_le_bytes(data[16..24].try_into().ok()?);
@@ -485,7 +470,7 @@ impl BloomGroup {
         } else {
             starts.windows(2).map(|w| w[1] - w[0]).collect()
         };
-        let mut group = Self::with_sizes(&sizes, k, seed, layout);
+        let mut group = Self::with_sizes(&sizes, k, seed);
         group.n_inserted = n_inserted;
         // Set bits ascend; member `b` owns `[start, start + sizes[b])`.
         let (mut b, mut start) = (0usize, 0u64);
@@ -513,7 +498,6 @@ impl BloomGroup {
 mod tests {
     use super::*;
     use crate::math;
-    use FilterLayout::Standard;
 
     #[test]
     fn routing_is_exact_per_bucket() {
@@ -587,7 +571,7 @@ mod tests {
         let weights = [3u64, 0, 1, 1, 2, 0, 7, 1, 0, 2];
         for k in [3u32, 64, 65, 220] {
             let even = BloomGroup::new(1 << 14, 10, k, 2);
-            let weighted = BloomGroup::new_weighted_with_layout(1 << 14, &weights, k, 2, Standard);
+            let weighted = BloomGroup::new_weighted(1 << 14, &weights, k, 2);
             for mut g in [even, weighted] {
                 for key in 0u64..500 {
                     g.insert((key % 10) as usize, &key);
@@ -642,65 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_group_has_no_false_negatives_and_roundtrips() {
-        let mut g = BloomGroup::new_with_layout(1 << 16, 8, 4, 3, FilterLayout::Blocked);
-        assert_eq!(g.layout(), FilterLayout::Blocked);
-        for key in 0u64..800 {
-            g.insert((key % 8) as usize, &key);
-        }
-        for key in 0u64..800 {
-            assert!(g.contains((key % 8) as usize, &key), "false neg {key}");
-        }
-        let back = BloomGroup::from_bytes(&g.to_bytes()).expect("roundtrip");
-        assert_eq!(g, back);
-        assert_eq!(back.layout(), FilterLayout::Blocked);
-    }
-
-    #[test]
-    fn blocked_probes_confined_to_one_block_per_member() {
-        // 8192-bit members = 16 blocks each: a single insert must set
-        // bits spanning < 512 bits.
-        let mut g = BloomGroup::new_with_layout(1 << 16, 8, 5, 7, FilterLayout::Blocked);
-        g.insert(3, &99u64);
-        let set: Vec<u64> = (0..g.member_bits(3)).filter(|&pos| g.get(3, pos)).collect();
-        assert!(!set.is_empty());
-        let span = set.last().unwrap() - set.first().unwrap();
-        assert!(span < 512, "probe span {span} exceeds one block");
-    }
-
-    #[test]
-    fn small_member_blocked_equals_standard() {
-        // Members of <= 512 bits have a single block: both layouts
-        // produce bit-identical groups.
-        let mut std_g = BloomGroup::new(4096, 16, 3, 1); // 256 bits per member
-        let mut blk_g = BloomGroup::new_with_layout(4096, 16, 3, 1, FilterLayout::Blocked);
-        for key in 0u64..200 {
-            std_g.insert((key % 16) as usize, &key);
-            blk_g.insert((key % 16) as usize, &key);
-        }
-        for key in 0u64..1_000 {
-            for b in 0..16 {
-                assert_eq!(std_g.contains(b, &key), blk_g.contains(b, &key));
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_blocked_group_routes_exactly() {
-        let weights = [10u64, 0, 40, 5, 120];
-        let mut g =
-            BloomGroup::new_weighted_with_layout(1 << 15, &weights, 3, 2, FilterLayout::Blocked);
-        for key in 0u64..500 {
-            g.insert((key % 5) as usize, &key);
-        }
-        for key in 0u64..500 {
-            assert!(g.contains((key % 5) as usize, &key));
-        }
-        let back = BloomGroup::from_bytes(&g.to_bytes()).expect("roundtrip");
-        assert_eq!(g, back);
-    }
-
-    #[test]
     fn group_serialization_roundtrip() {
         let mut g = BloomGroup::new(1 << 15, 7, 4, 11);
         for key in 0u64..700 {
@@ -740,8 +665,7 @@ mod tests {
             }
         }
         let mut uniform = BloomGroup::new(1 << 12, 4, 3, 0);
-        let mut weighted =
-            BloomGroup::new_weighted_with_layout(1 << 12, &[10, 0, 40, 5], 3, 0, Standard);
+        let mut weighted = BloomGroup::new_weighted(1 << 12, &[10, 0, 40, 5], 3, 0);
         for key in 0u64..40 {
             uniform.insert((key % 4) as usize, &key);
             weighted.insert((key % 4) as usize, &key);
@@ -755,6 +679,12 @@ mod tests {
                     "{name}: cut {cut}"
                 );
             }
+            // Bit 31 of `s` set, as a cache-line-blocked group's image
+            // had it: a layout this decoder does not read.
+            let mut flagged = image.clone();
+            let s = u32::from_le_bytes(image[0..4].try_into().unwrap());
+            flagged[0..4].copy_from_slice(&(1 << 31 | s).to_le_bytes());
+            assert!(BloomGroup::from_bytes(&flagged).is_none(), "{name}: flag");
             // (offset, width) of s, k, per, seed, n_inserted, n_starts
             // and every `starts` entry.
             let mut fields = vec![(0, 4), (4, 4), (8, 8), (16, 8), (24, 8), (32, 4)];
@@ -807,10 +737,6 @@ mod tests {
         for key in 0u64..400 {
             standard.insert((key % 103) as usize, &key);
         }
-        let mut blocked = BloomGroup::new_with_layout(1 << 16, 5, 4, 3, FilterLayout::Blocked);
-        for key in 0u64..500 {
-            blocked.insert((key % 5) as usize, &key);
-        }
         let mut grown = BloomGroup::new(1 << 12, 60, 3, 9);
         for (step, s) in [60usize, 64, 65, 130].into_iter().enumerate() {
             grown.extend_to(s);
@@ -819,8 +745,7 @@ mod tests {
                 grown.insert((key % s as u64) as usize, &key);
             }
         }
-        let mut weighted =
-            BloomGroup::new_weighted_with_layout(1 << 12, &[10, 0, 40, 5, 120], 3, 2, Standard);
+        let mut weighted = BloomGroup::new_weighted(1 << 12, &[10, 0, 40, 5, 120], 3, 2);
         for key in 0u64..150 {
             weighted.insert((key % 5) as usize, &key);
         }
@@ -828,7 +753,6 @@ mod tests {
         weighted.insert(6, &77u64);
         for (name, group, len, hash) in [
             ("standard", standard, 4132, 0xa96b_0543_406d_3a92u64),
-            ("blocked", blocked, 8228, 0xf3d0_944e_a149_3ae2),
             ("grown", grown, 1148, 0x97af_78c7_4a01_2963),
             ("weighted", weighted, 820, 0x7168_5bf0_56df_b527),
         ] {

@@ -199,18 +199,6 @@ impl KeyFingerprint {
         Self { h1, h2 }
     }
 
-    /// Select one of `n_blocks` cache-line blocks for this key — the
-    /// "first hash" of a blocked Bloom filter (Putze et al.).
-    ///
-    /// Derived from a mix of `h1` and `h2` that no probe position uses
-    /// (probes mix `h1 + i·h2`), so the block choice is independent of
-    /// the in-block bit positions.
-    #[inline]
-    pub fn block(&self, n_blocks: u64) -> u64 {
-        debug_assert!(n_blocks > 0);
-        mix64(self.h1.rotate_left(32) ^ self.h2) % n_blocks
-    }
-
     /// The `i`-th probe position modulo `m`.
     ///
     /// Kirsch–Mitzenmacher double hashing (`h1 + i·h2 mod m`) is *not*
@@ -237,44 +225,6 @@ pub fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
-
-/// Iterator over the `k` probe positions of a fingerprint.
-#[derive(Debug, Clone)]
-pub struct ProbeSequence {
-    fp: KeyFingerprint,
-    m: u64,
-    k: u32,
-    next: u32,
-}
-
-impl ProbeSequence {
-    /// Probe positions of `fp` within a table of `m` bits using `k` hashes.
-    #[inline]
-    pub fn new(fp: KeyFingerprint, m: u64, k: u32) -> Self {
-        Self { fp, m, k, next: 0 }
-    }
-}
-
-impl Iterator for ProbeSequence {
-    type Item = u64;
-
-    #[inline]
-    fn next(&mut self) -> Option<u64> {
-        if self.next >= self.k {
-            return None;
-        }
-        let bit = self.fp.probe(self.next, self.m);
-        self.next += 1;
-        Some(bit)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = (self.k - self.next) as usize;
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for ProbeSequence {}
 
 #[cfg(test)]
 mod tests {
@@ -334,7 +284,7 @@ mod tests {
     fn probe_sequence_yields_k_probes_in_range() {
         let fp = KeyFingerprint::new(&123u64, 9);
         let m = 1000;
-        let probes: Vec<u64> = ProbeSequence::new(fp, m, 7).collect();
+        let probes: Vec<u64> = (0..7).map(|i| fp.probe(i, m)).collect();
         assert_eq!(probes.len(), 7);
         assert!(probes.iter().all(|&p| p < m));
     }
@@ -347,9 +297,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for key in 0u64..1000 {
             let fp = KeyFingerprint::new(&key, 1);
-            for p in ProbeSequence::new(fp, m, 3) {
-                seen.insert(p);
-            }
+            seen.extend((0..3).map(|i| fp.probe(i, m)));
         }
         assert!(seen.len() > 2900, "only {} distinct bits", seen.len());
     }

@@ -71,49 +71,6 @@ pub fn expected_fpp(m_bits: u64, k: u32, n_keys: u64) -> f64 {
     (1.0 - exponent.exp()).powi(k as i32)
 }
 
-/// Expected false-positive rate of a **cache-line-blocked** filter
-/// (Putze et al.): `m` bits in blocks of `block_bits`, `k` hashes, `n`
-/// keys, each key assigned to one uniformly chosen block.
-///
-/// Block loads are Binomial(n, 1/B) ≈ Poisson(λ = n/B) for `B` blocks,
-/// and a negative query hits a uniformly chosen block, so
-///
-/// ```text
-/// fpp_blocked = Σ_j  Pois_λ(j) · (1 - e^{-kj/block_bits})^k
-/// ```
-///
-/// — the Poisson mixture of per-block standard rates. Because the
-/// per-block rate is convex in the load, this always upper-bounds the
-/// same-geometry standard filter's [`expected_fpp`]; the gap is the
-/// price of touching one cache line per test. Filters no larger than
-/// one block have nothing to mix and fall back to [`expected_fpp`].
-pub fn blocked_fpp(m_bits: u64, block_bits: u64, k: u32, n_keys: u64) -> f64 {
-    assert!(block_bits > 0 && k > 0);
-    if n_keys == 0 {
-        return 0.0;
-    }
-    assert!(m_bits > 0, "zero-bit filter cannot hold keys");
-    let n_blocks = m_bits.div_ceil(block_bits);
-    if n_blocks <= 1 {
-        return expected_fpp(m_bits, k, n_keys);
-    }
-    let lambda = n_keys as f64 / n_blocks as f64;
-    // Sum the Poisson mixture out to λ + 10σ (+ a floor for small λ);
-    // the truncated tail is below 1e-12 of the mass.
-    let j_max = (lambda + 10.0 * lambda.sqrt()).ceil() as u64 + 16;
-    let mut pois = (-lambda).exp(); // P(j = 0)
-    let mut fpp = 0.0;
-    for j in 0..=j_max {
-        if j > 0 {
-            pois *= lambda / j as f64;
-        }
-        if j > 0 {
-            fpp += pois * expected_fpp(block_bits, k, j);
-        }
-    }
-    fpp.min(1.0)
-}
-
 /// Equation 14: the false-positive probability after inserting
 /// `insert_ratio · n` additional keys into a filter designed for fpp
 /// `initial_fpp`:
@@ -240,30 +197,5 @@ mod tests {
     #[should_panic(expected = "fpp must be in (0,1)")]
     fn rejects_invalid_fpp() {
         capacity_for(1024, 1.5);
-    }
-
-    #[test]
-    fn blocked_fpp_bounds_standard_from_above() {
-        // The Poisson mixture over block loads is always at least the
-        // same-geometry standard rate (convexity), and converges to it
-        // as blocks grow toward the whole filter.
-        let n = 10_000u64;
-        let m = bits_for(n, 0.01);
-        let k = optimal_k(m, n);
-        let std = expected_fpp(m, k, n);
-        let b512 = blocked_fpp(m, 512, k, n);
-        assert!(b512 > std, "blocked {b512} must exceed standard {std}");
-        assert!(b512 < std * 4.0, "penalty at 512-bit blocks is modest");
-        let coarse = blocked_fpp(m, m, k, n);
-        assert!((coarse - std).abs() < std * 1e-9, "one block == standard");
-    }
-
-    #[test]
-    fn blocked_fpp_edge_cases() {
-        assert_eq!(blocked_fpp(1 << 16, 512, 3, 0), 0.0);
-        // Tiny filters fall back to the standard formula.
-        assert_eq!(blocked_fpp(256, 512, 3, 10), expected_fpp(256, 3, 10));
-        // Heavily overloaded blocks saturate at 1.
-        assert!(blocked_fpp(1024, 512, 2, 1 << 20) <= 1.0);
     }
 }

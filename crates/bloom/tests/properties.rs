@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use bftree_bloom::hash::KeyFingerprint;
-use bftree_bloom::{math, BloomFilter, BloomGroup, FilterLayout};
+use bftree_bloom::{math, BloomFilter, BloomGroup};
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 
@@ -33,23 +33,6 @@ fn no_false_negatives() {
         for key in &keys {
             assert!(bf.contains(key), "case {case}");
         }
-    }
-}
-
-/// Serialization is lossless for arbitrary filters.
-#[test]
-fn filter_roundtrip() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0xB200 + case);
-        let keys = keys(&mut rng, 1, 200);
-        let m_exp = rng.random_range(6u32..14);
-        let k = rng.random_range(1u32..6);
-        let mut bf = BloomFilter::new(1u64 << m_exp, k, rng.next_u64());
-        for key in &keys {
-            bf.insert(key);
-        }
-        let back = BloomFilter::from_bytes(&bf.to_bytes()).expect("roundtrip");
-        assert_eq!(bf, back, "case {case}");
     }
 }
 
@@ -117,7 +100,6 @@ struct FilterMajorModel {
     starts: Vec<u64>,
     k: u32,
     seed: u64,
-    layout: FilterLayout,
 }
 
 impl FilterMajorModel {
@@ -128,7 +110,6 @@ impl FilterMajorModel {
             starts: vec![0],
             k: g.k(),
             seed: g.seed(),
-            layout: g.layout(),
         };
         model.push((0..g.len()).map(|b| g.member_bits(b)));
         model
@@ -160,8 +141,7 @@ impl FilterMajorModel {
     /// The key's `k` probe positions inside a member of `m` bits.
     fn positions(&self, m: u64, key: u64) -> Vec<u64> {
         let fp = KeyFingerprint::new(&key, self.seed);
-        let (off, window) = self.layout.probe_window(&fp, m);
-        (0..self.k).map(|i| off + fp.probe(i, window)).collect()
+        (0..self.k).map(|i| fp.probe(i, m)).collect()
     }
 
     /// New members take the mean member size, `total / len` bits.
@@ -260,8 +240,8 @@ fn assert_group_equals_model(mut g: BloomGroup, steps: [usize; 3], rng: &mut Std
 }
 
 /// The bit-sliced in-memory layout answers exactly as the filter-major
-/// one: across tile-boundary sizes, member widths around a word and a
-/// block, `k` beyond 64 and both probe layouts, with inserts
+/// one: across tile-boundary sizes, member widths around a word and
+/// past 512 bits, `k` beyond 64, with inserts
 /// interleaved with growth that crosses a tile boundary, the sweep,
 /// `contains`, `ones` and the serialized bytes all equal the model's
 /// after every step — for evenly divided groups and for weighted ones,
@@ -270,16 +250,15 @@ fn assert_group_equals_model(mut g: BloomGroup, steps: [usize; 3], rng: &mut Std
 fn bit_sliced_group_equals_the_filter_major_model() {
     let mut rng = StdRng::seed_from_u64(0xB700);
     let ks = [1u32, 3, 4, 5, 14, 65];
-    let layouts = [FilterLayout::Standard, FilterLayout::Blocked];
     for s0 in [1usize, 2, 63, 64, 65, 103, 128, 129, 6_800] {
         for per in [1u64, 4, 63, 64, 318, 513, 32_768] {
             if per == 32_768 && s0 > 3 {
                 continue;
             }
-            for (k, layout) in ks.iter().flat_map(|&k| layouts.map(|l| (k, l))) {
+            for k in ks {
                 let seed = rng.next_u64();
-                let g = BloomGroup::new_with_layout(per * s0 as u64, s0, k, seed, layout);
-                let name = format!("s {s0} per {per} k {k} {layout:?}");
+                let g = BloomGroup::new(per * s0 as u64, s0, k, seed);
+                let name = format!("s {s0} per {per} k {k}");
                 // `s0 + 64` always crosses a multiple of 64.
                 assert_group_equals_model(g, [s0, s0 + 1, s0 + 64], &mut rng, &name);
             }
@@ -302,16 +281,16 @@ fn bit_sliced_group_equals_the_filter_major_model() {
     ];
     for (what, total_bits, weights) in weighted {
         let s0 = weights.len();
-        for (k, layout) in ks.iter().flat_map(|&k| layouts.map(|l| (k, l))) {
+        for k in ks {
             let seed = rng.next_u64();
-            let g = BloomGroup::new_weighted_with_layout(total_bits, weights, k, seed, layout);
-            let name = format!("weighted {what} k {k} {layout:?}");
+            let g = BloomGroup::new_weighted(total_bits, weights, k, seed);
+            let name = format!("weighted {what} k {k}");
             assert_group_equals_model(g, [s0, s0 + 1, s0 + 64], &mut rng, &name);
         }
     }
     // The cases have the shapes they are named for.
     let sizes = |w: &[u64], total| {
-        let g = BloomGroup::new_weighted_with_layout(total, w, 1, 0, FilterLayout::Standard);
+        let g = BloomGroup::new_weighted(total, w, 1, 0);
         let mut sizes: Vec<u64> = (0..w.len()).map(|b| g.member_bits(b)).collect();
         sizes.sort_unstable();
         sizes
@@ -321,48 +300,6 @@ fn bit_sliced_group_equals_the_filter_major_model() {
     let wide = sizes(&wide, 32_768);
     let small = wide.iter().filter(|&&m| m == wide[0]).count();
     assert!(small > 64 && 150 - small > 64, "two classes of over 64");
-}
-
-/// Blocked layout: the measured false-positive rate of a seeded
-/// blocked filter stays within the analytic bound of
-/// [`math::blocked_fpp`] (and the bound itself stays a modest factor
-/// above the standard-layout rate).
-#[test]
-fn blocked_fpp_measured_within_analytic_bound() {
-    use bftree_bloom::{BlockedBloomFilter, BloomFilter};
-    for (case, &(n, p)) in [(20_000u64, 1e-2), (50_000, 1e-3), (8_000, 5e-2)]
-        .iter()
-        .enumerate()
-    {
-        let seed = 0xB10C_0000 + case as u64;
-        let mut blocked = BlockedBloomFilter::with_capacity(n, p, seed);
-        let mut standard = BloomFilter::with_capacity(n, p, seed);
-        for key in 0..n {
-            blocked.insert(&key);
-            standard.insert(&key);
-        }
-        let trials = 200_000u64;
-        let measure = |f: &dyn Fn(&u64) -> bool| {
-            (n..n + trials).filter(|k| f(k)).count() as f64 / trials as f64
-        };
-        let measured = measure(&|k| blocked.contains(k));
-        let analytic =
-            math::blocked_fpp(blocked.m_bits(), bftree_bloom::BLOCK_BITS, blocked.k(), n);
-        // Within measurement noise of the analytic mixture...
-        let sigma = (analytic * (1.0 - analytic) / trials as f64).sqrt();
-        assert!(
-            measured <= analytic + 4.0 * sigma + analytic * 0.25,
-            "case {case}: measured {measured} vs analytic {analytic}"
-        );
-        // ...and the penalty over the standard layout is real but
-        // bounded (the block mixture only adds a small constant factor
-        // at these bits-per-key).
-        let std_measured = measure(&|k| standard.contains(k));
-        assert!(
-            analytic < (std_measured.max(p) * 6.0).min(1.0),
-            "case {case}: analytic {analytic} vs standard measured {std_measured}"
-        );
-    }
 }
 
 /// Deterministic check that the measured fpp tracks Equation 14 as keys

@@ -25,9 +25,7 @@
 use bftree_access::BuildError;
 use bftree_storage::{Duplicates, Relation};
 
-use crate::config::{
-    BfTreeConfig, BitAllocation, DuplicateHandling, FilterLayout, KStrategy, SplitStrategy,
-};
+use crate::config::{BfTreeConfig, BitAllocation, DuplicateHandling, KStrategy, SplitStrategy};
 use crate::tree::BfTree;
 
 /// Fluent builder for [`BfTree`]; obtain one with [`BfTree::builder`].
@@ -87,13 +85,6 @@ impl BfTreeBuilder {
     /// Per-filter bit budgeting.
     pub fn bit_allocation(mut self, alloc: BitAllocation) -> Self {
         self.config.bit_allocation = alloc;
-        self
-    }
-
-    /// Probe layout of the leaf filters (standard vs cache-line
-    /// blocked; see [`FilterLayout`]).
-    pub fn filter_layout(mut self, layout: FilterLayout) -> Self {
-        self.config.filter_layout = layout;
         self
     }
 

@@ -9,7 +9,6 @@
 
 use bftree_access::BuildError;
 use bftree_bloom::math;
-pub use bftree_bloom::FilterLayout;
 
 /// How many hash functions each Bloom filter uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,14 +113,6 @@ pub struct BfTreeConfig {
     pub duplicates: DuplicateHandling,
     /// Per-filter bit budgeting (see [`BitAllocation`]).
     pub bit_allocation: BitAllocation,
-    /// Probe layout of the leaf filters:
-    /// [`FilterLayout::Standard`] scatters each key's `k` probes over
-    /// the whole member filter; [`FilterLayout::Blocked`] confines them
-    /// to one 512-bit cache-line block (one miss per filter test, at
-    /// the analytic fpp penalty of `bftree_bloom::math::blocked_fpp`).
-    /// Members no larger than one block — the common case at tight
-    /// fpps with one filter per page — behave identically either way.
-    pub filter_layout: FilterLayout,
     /// Bytes of each leaf page reserved for the header (ranges,
     /// `#keys`, sibling pointer, tombstone slack); the filters share
     /// the remainder. Equation 5 idealizes the whole page as filter
@@ -147,7 +138,6 @@ impl BfTreeConfig {
             split: SplitStrategy::RebuildFromData,
             duplicates: DuplicateHandling::AllCoveringPages,
             bit_allocation: BitAllocation::Uniform,
-            filter_layout: FilterLayout::Standard,
             leaf_header_reserve: 128,
             seed: 0x5F1D_BF7E,
         }

@@ -63,7 +63,7 @@ impl BfLeaf {
             crate::config::BitAllocation::Uniform => {
                 let per_filter_keys = (n_distinct.max(1)).div_ceil(s as u64);
                 let k = config.k_for((total_bits / s as u64).max(1), per_filter_keys);
-                BloomGroup::new_with_layout(total_bits, s, k, config.seed, config.filter_layout)
+                BloomGroup::new(total_bits, s, k, config.seed)
             }
             crate::config::BitAllocation::Proportional => {
                 // Weight each bucket by the keys it will receive, so
@@ -75,13 +75,7 @@ impl BfLeaf {
                 }
                 // The global bits-per-key ratio sets k (Equation 1).
                 let k = config.k_for(total_bits, n_distinct.max(1));
-                BloomGroup::new_weighted_with_layout(
-                    total_bits,
-                    &weights,
-                    k,
-                    config.seed,
-                    config.filter_layout,
-                )
+                BloomGroup::new_weighted(total_bits, &weights, k, config.seed)
             }
         };
 
@@ -129,7 +123,7 @@ impl BfLeaf {
             next: None,
             prev: None,
             deleted: Vec::new(),
-            group: BloomGroup::new_with_layout(total_bits, 1, k, config.seed, config.filter_layout),
+            group: BloomGroup::new(total_bits, 1, k, config.seed),
             pages_per_bf: config.pages_per_bf,
         }
     }

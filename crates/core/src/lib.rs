@@ -75,9 +75,7 @@ pub mod tree;
 
 pub use bftree_access::{AccessMethod, BuildError, IndexStats, Probe, ProbeError, RangeScan};
 pub use builder::BfTreeBuilder;
-pub use config::{
-    BfTreeConfig, BitAllocation, DuplicateHandling, FilterLayout, KStrategy, SplitStrategy,
-};
+pub use config::{BfTreeConfig, BitAllocation, DuplicateHandling, KStrategy, SplitStrategy};
 pub use leaf::BfLeaf;
 pub use page_image::PageImageError;
 pub use stats::ProbeResult;

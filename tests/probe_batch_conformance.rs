@@ -2,11 +2,11 @@
 //! observationally identical to a loop of scalar `probe` calls — the
 //! same matches for every key, and the same simulated I/O totals to
 //! the read and the nanosecond — for every index, every batch size,
-//! both filter layouts, and under concurrent batch service. Batching
+//! two fpps, and under concurrent batch service. Batching
 //! is a CPU/cache optimization, never a change of the cost model;
 //! this suite is the contract's enforcement.
 
-use bftree::{BfTree, FilterLayout};
+use bftree::BfTree;
 use bftree_access::{AccessMethod, ConcurrentIndex, Probe};
 use bftree_btree::{BPlusTree, BTreeConfig};
 use bftree_fdtree::FdTree;
@@ -35,24 +35,15 @@ fn relation(duplicates: Duplicates) -> Relation {
 }
 
 /// Every implementation under test, built over `rel` — the four
-/// competitors, with the BF-Tree in both filter layouts at a loose
-/// fpp (members smaller than a cache-line block, so the layouts
-/// coincide) and at a tight one (where blocking moves bits).
+/// competitors, with the BF-Tree at a loose fpp and at a tight one
+/// (on the unique relation, members of about 230 and 700 bits).
 fn built_indexes(rel: &Relation) -> Vec<(String, Box<dyn AccessMethod>)> {
     let mut out: Vec<(String, Box<dyn AccessMethod>)> = Vec::new();
     for fpp in [1e-3, 1e-9] {
-        for layout in [FilterLayout::Standard, FilterLayout::Blocked] {
-            out.push((
-                format!("bf-tree/{}/{fpp:.0e}", layout.label()),
-                Box::new(
-                    BfTree::builder()
-                        .fpp(fpp)
-                        .filter_layout(layout)
-                        .build(rel)
-                        .expect("valid config"),
-                ),
-            ));
-        }
+        out.push((
+            format!("bf-tree/{fpp:.0e}"),
+            Box::new(BfTree::builder().fpp(fpp).build(rel).expect("valid config")),
+        ));
     }
     let mut btree = BPlusTree::new(BTreeConfig::paper_default());
     btree.build(rel).expect("b+tree build");
@@ -246,30 +237,5 @@ fn probe_batch_under_concurrent_index_from_8_threads() {
             "{name}: concurrent batched I/O totals must equal the scalar baseline"
         );
         assert_eq!(got.sim_ns, expect.sim_ns, "{name}: simulated time diverged");
-    }
-}
-
-/// The blocked layout changes *which* filter bits are set, never the
-/// query contract: no false negatives, and batch results stay
-/// identical between the layouts' own scalar baselines.
-#[test]
-fn blocked_layout_has_no_false_negatives_through_the_batch_path() {
-    let rel = relation(Duplicates::Unique);
-    let tree = BfTree::builder()
-        .fpp(1e-3)
-        .filter_layout(FilterLayout::Blocked)
-        .build(&rel)
-        .expect("valid config");
-    let io = IoContext::unmetered();
-    let keys: Vec<u64> = (0..N).collect();
-    for chunk in keys.chunks(512) {
-        for (i, probe) in tree
-            .probe_batch(chunk, &rel, &io)
-            .expect("valid relation")
-            .iter()
-            .enumerate()
-        {
-            assert!(probe.found(), "blocked filter lost key {}", chunk[i]);
-        }
     }
 }
