@@ -48,7 +48,7 @@ pub use cursor::{
 pub use durable::{
     DegradedProbe, DurableConfig, DurableIndex, RecoverError, RecoveryReport, RepairReport,
 };
-pub use sink::{stream_sorted_matches, FirstMatch, FnSink, LimitSink, MatchSink};
+pub use sink::{stream_sorted_matches, FirstMatch, FnSink, MatchSink};
 
 use bftree_storage::{IoContext, PageId, Relation, RelationError};
 

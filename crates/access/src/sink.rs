@@ -10,11 +10,13 @@
 //!
 //! Sinks compose: a plain `Vec<(PageId, usize)>` collects everything
 //! (the materializing [`AccessMethod::probe`] wrapper),
-//! [`FirstMatch`] stops after one tuple, [`LimitSink`] caps any inner
-//! sink, and any `FnMut(PageId, usize) -> ControlFlow<()>` closure is
-//! a sink as well.
+//! [`FirstMatch`] stops after one tuple, and any
+//! `FnMut(PageId, usize) -> ControlFlow<()>` closure is a sink as well
+//! ([`FnSink`]). Pagination caps a range with
+//! [`RangeCursorExt::limit`].
 //!
 //! [`AccessMethod::probe`]: crate::AccessMethod::probe
+//! [`RangeCursorExt::limit`]: crate::RangeCursorExt::limit
 
 use std::ops::ControlFlow;
 
@@ -73,42 +75,6 @@ impl MatchSink for FirstMatch {
     }
 }
 
-/// Sink adapter that forwards at most `remaining` matches to `inner`,
-/// then stops the producer.
-pub struct LimitSink<'s> {
-    inner: &'s mut dyn MatchSink,
-    remaining: u64,
-}
-
-impl<'s> LimitSink<'s> {
-    /// Cap `inner` at `limit` matches.
-    pub fn new(inner: &'s mut dyn MatchSink, limit: u64) -> Self {
-        Self {
-            inner,
-            remaining: limit,
-        }
-    }
-
-    /// Matches still allowed through.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-}
-
-impl MatchSink for LimitSink<'_> {
-    fn push(&mut self, pid: PageId, slot: usize) -> ControlFlow<()> {
-        if self.remaining == 0 {
-            return ControlFlow::Break(());
-        }
-        self.remaining -= 1;
-        match self.inner.push(pid, slot) {
-            ControlFlow::Break(()) => ControlFlow::Break(()),
-            ControlFlow::Continue(()) if self.remaining == 0 => ControlFlow::Break(()),
-            ControlFlow::Continue(()) => ControlFlow::Continue(()),
-        }
-    }
-}
-
 /// Stream `matches` (any order; sorted here) into `sink` as a sorted
 /// page batch, charging `data` exactly like the old materializing
 /// `read_sorted_batch` — first page random, adjacent successors
@@ -159,7 +125,14 @@ mod tests {
         let dev = PageDevice::cold(DeviceKind::Ssd);
         let ms = vec![(40u64, 0usize), (10, 0), (10, 2), (11, 1), (90, 0)];
         let mut taken: Vec<(PageId, usize)> = Vec::new();
-        let mut sink = LimitSink::new(&mut taken, 4);
+        let mut sink = FnSink(|pid: PageId, slot: usize| {
+            taken.push((pid, slot));
+            if taken.len() < 4 {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
+        });
         let stats = stream_sorted_matches(ms, &dev, &mut sink);
         // Sorted order: pages 10 (random), 11 (seq), 40 (random); the
         // 4th match breaks the sink, so page 90 is never charged.
@@ -191,18 +164,6 @@ mod tests {
         let mut f = FirstMatch::default();
         assert!(!f.push_match_continue(7, 2));
         assert_eq!(f.found, Some((7, 2)));
-    }
-
-    #[test]
-    fn limit_sink_caps_and_breaks_on_the_last_allowed() {
-        let mut v: Vec<(PageId, usize)> = Vec::new();
-        let mut l = LimitSink::new(&mut v, 2);
-        assert!(l.push_match_continue(0, 0));
-        // The second (= last allowed) match is delivered but breaks,
-        // so the producer never reads a page for a third.
-        assert!(!l.push_match_continue(0, 1));
-        assert!(!l.push_match_continue(0, 2));
-        assert_eq!(v, vec![(0, 0), (0, 1)]);
     }
 
     #[test]

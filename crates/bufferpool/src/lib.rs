@@ -6,16 +6,16 @@
 //!
 //! * [`manager`] — [`BufferManager`]: a concurrent, sharded page cache
 //!   with a single byte-denominated budget shared by every pool
-//!   (device) registered with it, pin/unpin page handles, prewarm,
-//!   budget reservations (an index's resident footprint directly
-//!   shrinks what is left for data pages), and a trace-replay
-//!   exactness check for its counters.
+//!   (device) registered with it, prewarm, budget reservations (an
+//!   index's resident footprint directly shrinks what is left for
+//!   data pages), and a trace-replay exactness check for its counters.
 //! * [`policy`] — the [`EvictionPolicy`] trait and three disciplines:
 //!   strict [`Lru`], second-chance [`Clock`], and simplified [`TwoQ`].
 //!
 //! `bftree-storage`'s simulated devices delegate their warm paths
-//! here; the `memory_budget` experiment sweeps budget × policy × index
-//! to reproduce the paper's memory-pressure story.
+//! here; `tests/buffer_manager.rs` fixes each policy's eviction order
+//! and the paper's memory-pressure story (a smaller index leaves more
+//! of the budget to data pages).
 //!
 //! ```
 //! use bftree_bufferpool::{BufferManager, PolicyKind};
@@ -33,5 +33,5 @@
 pub mod manager;
 pub mod policy;
 
-pub use manager::{Access, BufferManager, BufferStats, PinGuard, PoolId, ReplayCheck};
+pub use manager::{Access, BufferManager, BufferStats, PoolId, ReplayCheck};
 pub use policy::{Clock, EvictionPolicy, Lru, PolicyKind, TwoQ};

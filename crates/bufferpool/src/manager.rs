@@ -12,14 +12,12 @@
 //! (hits/misses/evictions) are maintained under the shard lock, which
 //! makes them exact under any interleaving.
 //!
-//! # Pin protocol
-//!
-//! [`BufferManager::pin`] admits (if absent) and pins a page, returning
-//! an RAII [`PinGuard`]; pinned frames are skipped by eviction. If
-//! every frame of a shard is pinned the shard *overcommits* (admits
-//! beyond budget) rather than deadlock. [`BufferManager::touch`] is
-//! the unpinned fast path the simulated devices use: hit/miss plus
-//! eviction in one lock acquisition.
+//! A frame is an accounting record — `(pool, page, bytes)`, no page
+//! bytes — so nothing is held while a caller reads: a page is admitted
+//! by [`BufferManager::touch`] (hit/miss plus eviction in one lock
+//! acquisition) or [`BufferManager::prewarm`], the page budget only
+//! shrinks ([`BufferManager::reserve`]), and a shard never holds more
+//! than its share.
 //!
 //! # Exactness verification
 //!
@@ -27,9 +25,9 @@
 //! its serialized access sequence. [`BufferManager::verify_replay`]
 //! then rebuilds a fresh manager with the same configuration and
 //! replays each shard's trace on a single thread: hits, misses,
-//! evictions, and residency must match the live counters exactly —
-//! the buffer-manager analogue of `scaling_threads`' sharded-counter
-//! cross-check.
+//! evictions, and residency must match the live counters exactly.
+//! `tests/buffer_manager.rs` runs it on multi-threaded runs under
+//! eviction pressure for every policy.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,13 +39,6 @@ use crate::policy::{EvictionPolicy, PolicyKind};
 /// [`BufferManager`]. Page ids from different pools never collide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PoolId(u32);
-
-impl PoolId {
-    /// The raw pool index.
-    pub fn index(self) -> u32 {
-        self.0
-    }
-}
 
 /// Outcome of one [`BufferManager::touch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,13 +122,6 @@ enum TraceOp {
         page: u64,
         bytes: u64,
     },
-    /// A pinning access ([`BufferManager::pin`]): admission is
-    /// unconditional, even for pages larger than the shard budget.
-    Pin {
-        pool: u32,
-        page: u64,
-        bytes: u64,
-    },
     /// This shard's budget changed mid-trace ([`BufferManager::reserve`]).
     SetBudget {
         budget: u64,
@@ -159,7 +143,6 @@ struct Frame {
     pool: u32,
     page: u64,
     bytes: u64,
-    pins: u32,
 }
 
 #[derive(Debug)]
@@ -192,42 +175,47 @@ impl ShardState {
         }
     }
 
-    /// Evict until `incoming` more bytes fit, then admit. Returns the
+    /// Evict until `incoming` more bytes fit the budget. Returns the
     /// evicted keys in eviction order.
-    fn admit(&mut self, pool: u32, page: u64, bytes: u64) -> Vec<(PoolId, u64)> {
+    fn evict_to_fit(&mut self, incoming: u64) -> Vec<(PoolId, u64)> {
         let mut evicted = Vec::new();
-        if bytes > self.budget {
-            // A page larger than the whole shard budget is served but
-            // never admitted (matching a zero-capacity pool).
-            return evicted;
-        }
-        while self.used + bytes > self.budget {
-            let pinned_check = |slot: usize| {
-                self.frames[slot]
-                    .as_ref()
-                    .map(|f| f.pins > 0)
-                    .unwrap_or(true)
-            };
-            let Some(victim) = self.policy.victim(&pinned_check) else {
-                break; // everything pinned: overcommit
-            };
-            let frame = self.frames[victim].take().expect("victim is resident");
-            self.map.remove(&(frame.pool, frame.page));
-            self.used -= frame.bytes;
-            self.free.push(victim);
+        while self.used + incoming > self.budget {
+            let victim = self
+                .policy
+                .victim()
+                .expect("a shard over budget holds a frame");
+            let frame = self.remove(victim);
             self.evictions += 1;
             evicted.push((PoolId(frame.pool), frame.page));
         }
+        evicted
+    }
+
+    /// Take the frame out of `slot`: unmap it, return its bytes to the
+    /// budget and free the slot. The policy's own entry is the
+    /// caller's (a victim is already dequeued).
+    fn remove(&mut self, slot: usize) -> Frame {
+        let frame = self.frames[slot].take().expect("slot is resident");
+        self.map.remove(&(frame.pool, frame.page));
+        self.used -= frame.bytes;
+        self.free.push(slot);
+        frame
+    }
+
+    /// Evict until `bytes` more fit, then admit. Returns the evicted
+    /// keys in eviction order.
+    fn admit(&mut self, pool: u32, page: u64, bytes: u64) -> Vec<(PoolId, u64)> {
+        if bytes > self.budget {
+            // A page larger than the whole shard budget is served but
+            // never admitted (matching a zero-capacity pool).
+            return Vec::new();
+        }
+        let evicted = self.evict_to_fit(bytes);
         let slot = self.free.pop().unwrap_or_else(|| {
             self.frames.push(None);
             self.frames.len() - 1
         });
-        self.frames[slot] = Some(Frame {
-            pool,
-            page,
-            bytes,
-            pins: 0,
-        });
+        self.frames[slot] = Some(Frame { pool, page, bytes });
         self.map.insert((pool, page), slot);
         self.used += bytes;
         self.policy.on_admit(slot);
@@ -237,22 +225,7 @@ impl ShardState {
     /// Shrink the shard budget to `budget`, evicting down to fit.
     fn set_budget(&mut self, budget: u64) {
         self.budget = budget;
-        while self.used > self.budget {
-            let pinned_check = |slot: usize| {
-                self.frames[slot]
-                    .as_ref()
-                    .map(|f| f.pins > 0)
-                    .unwrap_or(true)
-            };
-            let Some(victim) = self.policy.victim(&pinned_check) else {
-                break;
-            };
-            let frame = self.frames[victim].take().expect("victim is resident");
-            self.map.remove(&(frame.pool, frame.page));
-            self.used -= frame.bytes;
-            self.free.push(victim);
-            self.evictions += 1;
-        }
+        self.evict_to_fit(0);
     }
 }
 
@@ -263,8 +236,7 @@ struct Shard {
 
 /// A concurrent, sharded buffer manager with one byte-denominated
 /// memory budget shared by all registered pools. See the
-/// [module docs](self) for shard layout, pin protocol, and the replay
-/// cross-check.
+/// [module docs](self) for shard layout and the replay cross-check.
 #[derive(Debug)]
 pub struct BufferManager {
     shards: Box<[Shard]>,
@@ -281,35 +253,6 @@ pub struct BufferManager {
     /// fan-out (two racing reserves would otherwise leave a mix of
     /// each call's shard shares).
     reserve_lock: Mutex<()>,
-}
-
-/// RAII pin: the pinned frame is immune to eviction until the guard
-/// drops. Dropping the guard unpins immediately, so an unused guard
-/// protects nothing — hence `#[must_use]`.
-#[derive(Debug)]
-#[must_use = "the pin lasts only while the guard is held"]
-pub struct PinGuard<'a> {
-    manager: &'a BufferManager,
-    shard: usize,
-    slot: usize,
-    hit: bool,
-}
-
-impl PinGuard<'_> {
-    /// Whether the pinned page was already resident when pinned.
-    pub fn was_hit(&self) -> bool {
-        self.hit
-    }
-}
-
-impl Drop for PinGuard<'_> {
-    fn drop(&mut self) {
-        let mut state = self.manager.lock_shard(self.shard);
-        let frame = state.frames[self.slot]
-            .as_mut()
-            .expect("pinned frame cannot be evicted");
-        frame.pins -= 1;
-    }
 }
 
 /// splitmix64: the deterministic page→shard hash (std's `HashMap`
@@ -385,11 +328,6 @@ impl BufferManager {
         self.budget_bytes
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Register a pool (device namespace); its label shows up in
     /// debugging output only — page ids from different pools never
     /// collide in the frame table.
@@ -436,53 +374,6 @@ impl BufferManager {
             let evicted = state.admit(pool, page, bytes);
             Access::Miss { evicted }
         }
-    }
-
-    /// [`BufferManager::touch`] plus a pin: the returned guard keeps
-    /// the frame unevictable until dropped. Pinning a page larger than
-    /// the shard budget overcommits the shard for the guard's
-    /// lifetime.
-    pub fn pin(&self, pool: PoolId, page: u64, bytes: u64) -> PinGuard<'_> {
-        let shard = self.shard_of(pool.0, page);
-        let mut state = self.lock_shard(shard);
-        let hit = match Self::pin_admit_locked(&mut state, pool.0, page, bytes) {
-            Access::Hit => true,
-            Access::Miss { .. } => false,
-        };
-        if self.tracing.load(Ordering::Relaxed) {
-            // A pin's admission is unconditional (oversized pages are
-            // force-admitted), so it needs its own trace op for the
-            // replay to reproduce residency.
-            state.trace.push(TraceOp::Pin {
-                pool: pool.0,
-                page,
-                bytes,
-            });
-        }
-        let slot = state.map[&(pool.0, page)];
-        state.frames[slot].as_mut().expect("resident").pins += 1;
-        PinGuard {
-            manager: self,
-            shard,
-            slot,
-            hit,
-        }
-    }
-
-    /// The admission half of [`BufferManager::pin`]: a touch whose
-    /// miss path always ends resident, temporarily raising the shard
-    /// budget for a page larger than it.
-    fn pin_admit_locked(state: &mut ShardState, pool: u32, page: u64, bytes: u64) -> Access {
-        let access = Self::touch_locked(state, pool, page, bytes);
-        if !state.map.contains_key(&(pool, page)) {
-            // Oversized page: force-admit for the pin's lifetime.
-            let prev_budget = state.budget;
-            state.budget = state.budget.max(bytes + state.used);
-            let evicted = state.admit(pool, page, bytes);
-            debug_assert!(evicted.is_empty());
-            state.budget = prev_budget;
-        }
-        access
     }
 
     /// Admit `pages` of `bytes` each without counting hits or misses —
@@ -551,40 +442,7 @@ impl BufferManager {
         remaining
     }
 
-    /// Return `bytes` of a previous [`BufferManager::reserve`] to the
-    /// pool — the inverse carve-out, used when a reserved footprint
-    /// shrinks (a shard's memtable drains, an index is dropped) so
-    /// data pages get the budget back. Releasing more than is
-    /// currently reserved saturates at zero. Returns the budget
-    /// remaining for pages.
-    ///
-    /// Serialized against concurrent `reserve`/`release` calls by the
-    /// same lock, so shard budgets always sum to `budget - reserved`
-    /// once the call returns.
-    pub fn release(&self, bytes: u64) -> u64 {
-        let _serialize = self.reserve_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let reserved = self
-            .reserved
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |r| {
-                Some(r.saturating_sub(bytes))
-            })
-            .expect("fetch_update closure always returns Some")
-            .saturating_sub(bytes);
-        let remaining = self.budget_bytes - reserved;
-        let n = self.shards.len();
-        let tracing = self.tracing.load(Ordering::Relaxed);
-        for i in 0..n {
-            let share = Self::shard_share(remaining, i, n);
-            let mut state = self.lock_shard(i);
-            if tracing {
-                state.trace.push(TraceOp::SetBudget { budget: share });
-            }
-            state.set_budget(share);
-        }
-        remaining
-    }
-
-    /// Drop every unpinned resident page of `pool` (the per-device
+    /// Drop every resident page of `pool` (the per-device
     /// `drop_caches`). Not counted as evictions.
     pub fn evict_pool(&self, pool: PoolId) {
         for i in 0..self.shards.len() {
@@ -596,8 +454,8 @@ impl BufferManager {
         }
     }
 
-    /// Force-drop one page if resident and unpinned. Returns whether a
-    /// frame was dropped. The fault path uses this to eject a
+    /// Force-drop one page if resident. Returns whether a frame was
+    /// dropped. The fault path uses this to eject a
     /// quarantined page so stale bytes are never served from memory
     /// while the on-device image is known-corrupt. Not counted as an
     /// eviction (nothing displaced it); recorded in the trace so
@@ -615,18 +473,8 @@ impl BufferManager {
         let Some(&slot) = state.map.get(&(pool, page)) else {
             return false;
         };
-        if state.frames[slot]
-            .as_ref()
-            .map(|f| f.pins > 0)
-            .unwrap_or(true)
-        {
-            return false; // pinned: the holder still owns the frame
-        }
-        let frame = state.frames[slot].take().expect("resident");
-        state.map.remove(&(frame.pool, frame.page));
-        state.used -= frame.bytes;
-        state.free.push(slot);
         state.policy.on_remove(slot);
+        state.remove(slot);
         true
     }
 
@@ -634,33 +482,12 @@ impl BufferManager {
         let slots: Vec<usize> = state
             .map
             .iter()
-            .filter(|(&(p, _), &slot)| {
-                p == pool
-                    && state.frames[slot]
-                        .as_ref()
-                        .map(|f| f.pins == 0)
-                        .unwrap_or(false)
-            })
+            .filter(|(&(p, _), _)| p == pool)
             .map(|(_, &slot)| slot)
             .collect();
         for slot in slots {
-            let frame = state.frames[slot].take().expect("resident");
-            state.map.remove(&(frame.pool, frame.page));
-            state.used -= frame.bytes;
-            state.free.push(slot);
             state.policy.on_remove(slot);
-        }
-    }
-
-    /// Drop every unpinned resident page of every pool. Counters are
-    /// kept; use a fresh manager for a fresh experiment.
-    pub fn clear(&self) {
-        let pools = {
-            let pools = self.pools.lock().unwrap_or_else(|e| e.into_inner());
-            pools.len() as u32
-        };
-        for p in 0..pools {
-            self.evict_pool(PoolId(p));
+            state.remove(slot);
         }
     }
 
@@ -685,11 +512,9 @@ impl BufferManager {
     /// Enable or disable access-trace recording (off by default; a
     /// trace costs one `Vec` push per access). Enabling also snapshots
     /// the current reservation so a later [`BufferManager::verify_replay`]
-    /// starts its twin from the same budget. Traces cover `touch`,
-    /// `pin` admissions, `prewarm`, `reserve`, and
-    /// `evict_pool`/`clear`; **pin lifetimes are not traced**, so a
-    /// run that holds pins across eviction pressure is outside the
-    /// replay contract (the twin may pick different victims).
+    /// starts its twin from the same budget. Traces cover every call
+    /// that changes a shard: `touch`, `prewarm`, `reserve`,
+    /// `invalidate` and `evict_pool`.
     pub fn set_tracing(&self, on: bool) {
         self.tracing.store(on, Ordering::Relaxed);
         if on {
@@ -709,8 +534,7 @@ impl BufferManager {
     /// independent, so any bookkeeping race shows up as a divergence).
     ///
     /// Requires tracing to have been enabled for the whole run being
-    /// verified, with no pins held across eviction pressure (see
-    /// [`BufferManager::set_tracing`]).
+    /// verified ([`BufferManager::set_tracing`]).
     pub fn verify_replay(&self) -> ReplayCheck {
         let twin = Self::with_shards(self.budget_bytes, self.policy, self.shards.len());
         let base_reserved = self.trace_base_reserved.load(Ordering::Relaxed);
@@ -727,9 +551,6 @@ impl BufferManager {
                     }
                     TraceOp::Prewarm { pool, page, bytes } => {
                         Self::prewarm_locked(&mut state, pool, page, bytes);
-                    }
-                    TraceOp::Pin { pool, page, bytes } => {
-                        Self::pin_admit_locked(&mut state, pool, page, bytes);
                     }
                     TraceOp::SetBudget { budget } => state.set_budget(budget),
                     TraceOp::EvictPool { pool } => Self::evict_pool_locked(&mut state, pool),
@@ -893,33 +714,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_pages_survive_eviction_pressure() {
-        let (mgr, p) = single_shard(2, PolicyKind::Lru);
-        let guard = mgr.pin(p, 1, PAGE);
-        assert!(!guard.was_hit());
-        for page in 2..10 {
-            mgr.touch(p, page, PAGE);
-        }
-        assert!(mgr.contains(p, 1), "pinned page never evicted");
-        drop(guard);
-        for page in 10..13 {
-            mgr.touch(p, page, PAGE);
-        }
-        assert!(!mgr.contains(p, 1), "unpinned page evictable again");
-    }
-
-    #[test]
-    fn all_pinned_overcommits_rather_than_deadlock() {
-        let (mgr, p) = single_shard(2, PolicyKind::Lru);
-        let _g1 = mgr.pin(p, 1, PAGE);
-        let _g2 = mgr.pin(p, 2, PAGE);
-        mgr.touch(p, 3, PAGE); // nothing evictable
-        let s = mgr.stats();
-        assert_eq!(s.resident_pages, 3);
-        assert!(s.resident_bytes > s.budget_bytes);
-    }
-
-    #[test]
     fn reserve_shrinks_page_budget_and_evicts() {
         let (mgr, p) = single_shard(4, PolicyKind::Lru);
         for page in 0..4 {
@@ -933,51 +727,6 @@ mod tests {
         // Reservations saturate at the total budget.
         assert_eq!(mgr.reserve(100 * PAGE), 0);
         assert_eq!(mgr.stats().resident_pages, 0);
-    }
-
-    #[test]
-    fn reserve_release_cycles_conserve_the_budget() {
-        let (mgr, p) = single_shard(8, PolicyKind::Lru);
-        // Every reserve/release leg must keep cache + carve-out equal
-        // to the configured budget — bytes move, they never leak.
-        let legs: &[(bool, u64)] = &[
-            (true, 3 * PAGE),
-            (true, 2 * PAGE),
-            (false, PAGE),
-            (true, 4 * PAGE), // saturates at the 8-page budget
-            (false, 6 * PAGE),
-            (false, 5 * PAGE), // releasing past zero saturates too
-            (true, PAGE),
-            (false, PAGE),
-        ];
-        let mut reserved = 0u64;
-        for &(grow, bytes) in legs {
-            let remaining = if grow {
-                reserved = (reserved + bytes).min(8 * PAGE);
-                mgr.reserve(bytes)
-            } else {
-                reserved = reserved.saturating_sub(bytes);
-                mgr.release(bytes)
-            };
-            let s = mgr.stats();
-            assert_eq!(s.reserved_bytes, reserved);
-            assert_eq!(
-                remaining + s.reserved_bytes,
-                s.budget_bytes,
-                "cache share + carve-out must always sum to the budget"
-            );
-        }
-        // The full cycle returned to zero carve-out: the cache admits
-        // its original capacity again.
-        assert_eq!(mgr.stats().reserved_bytes, 0);
-        for page in 0..8 {
-            mgr.touch(p, page, PAGE);
-        }
-        assert_eq!(
-            mgr.stats().resident_pages,
-            8,
-            "capacity re-expands once reservations are returned"
-        );
     }
 
     #[test]
@@ -999,8 +748,9 @@ mod tests {
         mgr.evict_pool(a);
         assert!(!mgr.contains(a, 1));
         assert!(mgr.contains(b, 1));
-        mgr.clear();
+        mgr.evict_pool(b);
         assert!(!mgr.contains(b, 1));
+        assert_eq!(mgr.stats().resident_bytes, 0);
     }
 
     #[test]
@@ -1017,7 +767,7 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![3, 3, 2, 2]
         );
-        assert_eq!(mgr.shard_count(), 4);
+        assert_eq!(mgr.shards.len(), 4);
     }
 
     #[test]
@@ -1075,25 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_pin_is_replay_exact() {
-        let (mgr, p) = single_shard(2, PolicyKind::Lru);
-        mgr.set_tracing(true);
-        mgr.touch(p, 1, PAGE);
-        {
-            let guard = mgr.pin(p, 9, 3 * PAGE); // larger than the shard
-            assert!(!guard.was_hit());
-            assert!(mgr.contains(p, 9), "force-admitted while pinned");
-        }
-        assert!(mgr.touch(p, 9, 3 * PAGE).is_hit(), "still resident");
-        let check = mgr.verify_replay();
-        assert!(
-            check.exact,
-            "live {:?} != replay {:?}",
-            check.live, check.replayed
-        );
-    }
-
-    #[test]
     fn concurrent_reserves_leave_consistent_shard_budgets() {
         let mgr = BufferManager::with_shards(64 * PAGE, PolicyKind::Lru, 4);
         let pool = mgr.register_pool("data");
@@ -1121,42 +852,56 @@ mod tests {
 
     #[test]
     fn replay_reproduces_midtrace_reserve_and_pool_eviction() {
-        let mgr = BufferManager::with_shards(16 * PAGE, PolicyKind::Lru, 2);
-        let a = mgr.register_pool("a");
-        let b = mgr.register_pool("b");
-        mgr.reserve(2 * PAGE); // pre-trace reservation: snapshot at set_tracing
-        mgr.set_tracing(true);
-        for page in 0..10 {
-            mgr.touch(a, page, PAGE);
-            mgr.touch(b, page, PAGE);
+        for policy in PolicyKind::ALL {
+            let mgr = BufferManager::with_shards(16 * PAGE, policy, 2);
+            let a = mgr.register_pool("a");
+            let b = mgr.register_pool("b");
+            // No shard ever holds more than its share of what is left.
+            let within_share = |step: &str| {
+                let s = mgr.stats();
+                assert!(
+                    s.resident_bytes <= s.budget_bytes - s.reserved_bytes,
+                    "{policy} after {step}: {s:?}"
+                );
+            };
+            mgr.reserve(2 * PAGE); // pre-trace reservation: snapshot at set_tracing
+            within_share("pre-trace reserve");
+            mgr.set_tracing(true);
+            for page in 0..10 {
+                mgr.touch(a, page, PAGE);
+                within_share("touch a");
+                mgr.touch(b, page, PAGE);
+                within_share("touch b");
+            }
+            mgr.reserve(4 * PAGE); // mid-trace: shrinks budgets, evicts
+            within_share("mid-trace reserve");
+            let resident = (0..10).find(|&page| mgr.contains(b, page));
+            assert!(mgr.invalidate(b, resident.expect("pool b holds a page")));
+            within_share("invalidate");
+            mgr.evict_pool(a); // mid-trace: drops pool a
+            within_share("evict_pool");
+            for page in 0..10 {
+                mgr.touch(a, page, PAGE);
+                within_share("touch a again");
+            }
+            let check = mgr.verify_replay();
+            assert!(
+                check.exact,
+                "{policy}: live {:?} != replay {:?}",
+                check.live, check.replayed
+            );
+            assert!(check.live.evictions > 0, "{policy}: pressure was real");
         }
-        mgr.reserve(4 * PAGE); // mid-trace: shrinks budgets, evicts
-        mgr.evict_pool(a); // mid-trace: drops pool a
-        for page in 0..10 {
-            mgr.touch(a, page, PAGE);
-        }
-        let check = mgr.verify_replay();
-        assert!(
-            check.exact,
-            "live {:?} != replay {:?}",
-            check.live, check.replayed
-        );
-        assert!(check.live.evictions > 0, "pressure was real");
     }
 
     #[test]
-    fn invalidate_drops_unpinned_but_not_pinned_frames() {
+    fn invalidate_drops_resident_frames() {
         let (mgr, p) = single_shard(4, PolicyKind::Lru);
         mgr.touch(p, 1, PAGE);
         assert!(mgr.invalidate(p, 1));
         assert!(!mgr.invalidate(p, 1), "already gone");
         assert!(!mgr.contains(p, 1));
         assert!(!mgr.invalidate(p, 99), "never resident");
-        let guard = mgr.pin(p, 2, PAGE);
-        assert!(!mgr.invalidate(p, 2), "pinned frames are immune");
-        assert!(mgr.contains(p, 2));
-        drop(guard);
-        assert!(mgr.invalidate(p, 2));
         assert_eq!(mgr.stats().evictions, 0, "invalidation is not eviction");
     }
 

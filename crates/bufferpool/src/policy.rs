@@ -2,8 +2,8 @@
 //! [`BufferManager`](crate::BufferManager) shard.
 //!
 //! A policy only orders *slots* (small dense integers handed out by the
-//! shard); residency, byte accounting, and pin counts stay in the
-//! shard. Three classic disciplines are provided:
+//! shard); residency and byte accounting stay in the shard. Three
+//! classic disciplines are provided:
 //!
 //! * [`Lru`] — strict least-recently-used, the discipline of the
 //!   §6.2 warm-cache devices.
@@ -30,10 +30,10 @@ use std::collections::VecDeque;
 /// when a page enters a slot, [`on_hit`](EvictionPolicy::on_hit) when
 /// a resident slot is referenced again, and
 /// [`on_remove`](EvictionPolicy::on_remove) when the shard itself
-/// removes a slot (`clear`, per-pool eviction).
+/// removes a slot (invalidation, per-pool eviction).
 /// [`victim`](EvictionPolicy::victim) both *chooses* the next victim
-/// among unpinned slots and removes it from the policy's own
-/// bookkeeping — the shard then frees the frame.
+/// and removes it from the policy's own bookkeeping — the shard then
+/// frees the frame.
 pub trait EvictionPolicy: std::fmt::Debug + Send {
     /// Human-readable policy name for reports.
     fn name(&self) -> &'static str;
@@ -48,15 +48,14 @@ pub trait EvictionPolicy: std::fmt::Debug + Send {
     /// [`EvictionPolicy::victim`]).
     fn on_remove(&mut self, slot: usize);
 
-    /// Choose and dequeue the next victim. `pinned(slot)` reports
-    /// whether a slot is currently pinned and must be skipped; returns
-    /// `None` when every resident slot is pinned (the shard then
-    /// overcommits rather than deadlock).
-    fn victim(&mut self, pinned: &dyn Fn(usize) -> bool) -> Option<usize>;
+    /// Choose and dequeue the next victim; `None` when no slot is
+    /// resident.
+    fn victim(&mut self) -> Option<usize>;
 }
 
 /// Which [`EvictionPolicy`] a [`BufferManager`](crate::BufferManager)
-/// runs — the sweep axis of the `memory_budget` experiment.
+/// runs; `tests/buffer_manager.rs` holds each one to a golden
+/// eviction order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Strict least-recently-used.
@@ -175,17 +174,14 @@ impl RecencyList {
         self.push_front(slot);
     }
 
-    /// The least-recent slot for which `keep` is false, unlinked.
-    fn pop_lru(&mut self, skip: &dyn Fn(usize) -> bool) -> Option<usize> {
-        let mut s = self.tail;
-        while s != NIL {
-            if !skip(s) {
-                self.unlink(s);
-                return Some(s);
-            }
-            s = self.prev[s];
+    /// The least-recent slot, unlinked.
+    fn pop_lru(&mut self) -> Option<usize> {
+        let s = self.tail;
+        if s == NIL {
+            return None;
         }
-        None
+        self.unlink(s);
+        Some(s)
     }
 }
 
@@ -227,8 +223,8 @@ impl EvictionPolicy for Lru {
         self.list.unlink(slot);
     }
 
-    fn victim(&mut self, pinned: &dyn Fn(usize) -> bool) -> Option<usize> {
-        self.list.pop_lru(pinned)
+    fn victim(&mut self) -> Option<usize> {
+        self.list.pop_lru()
     }
 }
 
@@ -283,24 +279,18 @@ impl EvictionPolicy for Clock {
         self.ring.retain(|&s| s != slot);
     }
 
-    fn victim(&mut self, pinned: &dyn Fn(usize) -> bool) -> Option<usize> {
-        // Two full sweeps suffice: the first clears every unpinned
-        // slot's reference bit, the second must find an unreferenced,
-        // unpinned slot — unless everything is pinned. Pinned slots
-        // are skipped with their bit intact (the hand passes over a
-        // pinned frame without spending its second chance).
-        for _ in 0..2 * self.ring.len() {
+    fn victim(&mut self) -> Option<usize> {
+        // A referenced slot spends its bit and requeues; one lap
+        // clears every bit, so the hand stops within it.
+        loop {
             let slot = self.ring.pop_front()?;
-            if pinned(slot) {
-                self.ring.push_back(slot);
-            } else if self.referenced[slot] {
+            if self.referenced[slot] {
                 self.referenced[slot] = false;
                 self.ring.push_back(slot);
             } else {
                 return Some(slot);
             }
         }
-        None
     }
 }
 
@@ -341,19 +331,6 @@ impl TwoQ {
     fn resident(&self) -> usize {
         self.probation.len() + self.protected.len
     }
-
-    /// Pop the first unpinned probationary slot, preserving FIFO order
-    /// of the skipped (pinned) ones.
-    fn pop_probation(&mut self, pinned: &dyn Fn(usize) -> bool) -> Option<usize> {
-        for i in 0..self.probation.len() {
-            if !pinned(self.probation[i]) {
-                let slot = self.probation.remove(i).expect("index in range");
-                self.in_probation[slot] = false;
-                return Some(slot);
-            }
-        }
-        None
-    }
 }
 
 impl Default for TwoQ {
@@ -393,27 +370,20 @@ impl EvictionPolicy for TwoQ {
         }
     }
 
-    fn victim(&mut self, pinned: &dyn Fn(usize) -> bool) -> Option<usize> {
+    fn victim(&mut self) -> Option<usize> {
         let over_kin = self.probation.len() * 100 > self.resident() * Self::KIN_PERCENT;
-        if !self.probation.is_empty() && (over_kin || self.protected.len == 0) {
-            if let Some(slot) = self.pop_probation(pinned) {
-                return Some(slot);
-            }
-            return self.protected.pop_lru(pinned);
+        if over_kin || self.protected.len == 0 {
+            let slot = self.probation.pop_front()?;
+            self.in_probation[slot] = false;
+            return Some(slot);
         }
-        self.protected
-            .pop_lru(pinned)
-            .or_else(|| self.pop_probation(pinned))
+        self.protected.pop_lru()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn unpinned(_: usize) -> bool {
-        false
-    }
 
     #[test]
     fn lru_victim_is_least_recent() {
@@ -422,19 +392,10 @@ mod tests {
         p.on_admit(1);
         p.on_admit(2);
         p.on_hit(0); // order (MRU..LRU): 0 2 1
-        assert_eq!(p.victim(&unpinned), Some(1));
-        assert_eq!(p.victim(&unpinned), Some(2));
-        assert_eq!(p.victim(&unpinned), Some(0));
-        assert_eq!(p.victim(&unpinned), None);
-    }
-
-    #[test]
-    fn lru_victim_skips_pinned() {
-        let mut p = Lru::new();
-        p.on_admit(0);
-        p.on_admit(1);
-        assert_eq!(p.victim(&|s| s == 0), Some(1));
-        assert_eq!(p.victim(&|s| s == 0), None, "only pinned slots remain");
+        assert_eq!(p.victim(), Some(1));
+        assert_eq!(p.victim(), Some(2));
+        assert_eq!(p.victim(), Some(0));
+        assert_eq!(p.victim(), None);
     }
 
     #[test]
@@ -445,34 +406,11 @@ mod tests {
         p.on_admit(2);
         p.on_hit(0);
         // Hand: 0 is referenced -> cleared + requeued; 1 is the victim.
-        assert_eq!(p.victim(&unpinned), Some(1));
+        assert_eq!(p.victim(), Some(1));
         // Ring now 2, 0 (both unreferenced).
-        assert_eq!(p.victim(&unpinned), Some(2));
-        assert_eq!(p.victim(&unpinned), Some(0));
-        assert_eq!(p.victim(&unpinned), None);
-    }
-
-    #[test]
-    fn clock_skips_pinned_without_spending_their_second_chance() {
-        let mut p = Clock::new();
-        p.on_admit(0);
-        p.on_admit(1);
-        p.on_admit(2);
-        p.on_hit(0); // 0 is referenced and will be pinned
-        assert_eq!(p.victim(&|s| s == 0), Some(1), "hand passes pinned 0");
-        // Unpinned now: 0 must still own its reference bit, so 2 (and
-        // not 0) is the next victim once the bit buys its lap.
-        assert_eq!(p.victim(&|_| false), Some(2));
-        assert_eq!(p.victim(&|_| false), Some(0));
-    }
-
-    #[test]
-    fn clock_all_pinned_returns_none() {
-        let mut p = Clock::new();
-        p.on_admit(0);
-        p.on_admit(1);
-        assert_eq!(p.victim(&|_| true), None);
-        assert_eq!(p.victim(&|_| false), Some(0), "ring order survives");
+        assert_eq!(p.victim(), Some(2));
+        assert_eq!(p.victim(), Some(0));
+        assert_eq!(p.victim(), None);
     }
 
     #[test]
@@ -483,13 +421,13 @@ mod tests {
         }
         p.on_hit(0); // 0 promoted to protected
                      // Probation 1,2,3 (75% of 4 resident > 25%): FIFO order.
-        assert_eq!(p.victim(&unpinned), Some(1));
-        assert_eq!(p.victim(&unpinned), Some(2));
+        assert_eq!(p.victim(), Some(1));
+        assert_eq!(p.victim(), Some(2));
         // 1 probationary of 2 resident (50%) still over Kin.
-        assert_eq!(p.victim(&unpinned), Some(3));
+        assert_eq!(p.victim(), Some(3));
         // Only protected remains.
-        assert_eq!(p.victim(&unpinned), Some(0));
-        assert_eq!(p.victim(&unpinned), None);
+        assert_eq!(p.victim(), Some(0));
+        assert_eq!(p.victim(), None);
     }
 
     #[test]
@@ -501,9 +439,9 @@ mod tests {
             p.on_admit(s); // a scan of single-touch pages
         }
         for expect in 1..=8 {
-            assert_eq!(p.victim(&unpinned), Some(expect), "scan pages go first");
+            assert_eq!(p.victim(), Some(expect), "scan pages go first");
         }
-        assert_eq!(p.victim(&unpinned), Some(0), "hot page outlives the scan");
+        assert_eq!(p.victim(), Some(0), "hot page outlives the scan");
     }
 
     #[test]
@@ -516,8 +454,8 @@ mod tests {
             p.on_hit(1);
             p.on_remove(1);
             p.on_remove(0);
-            assert_eq!(p.victim(&unpinned), Some(2), "{}", kind);
-            assert_eq!(p.victim(&unpinned), None, "{}", kind);
+            assert_eq!(p.victim(), Some(2), "{}", kind);
+            assert_eq!(p.victim(), None, "{}", kind);
         }
     }
 

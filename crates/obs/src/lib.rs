@@ -19,9 +19,10 @@
 //!   ([`chrome_trace_json`]); the file opens in `chrome://tracing` or
 //!   Perfetto.
 //! * [`metrics`] — the pull-model [`MetricsRegistry`]: layers
-//!   implement [`MetricSource`], binaries render
+//!   implement [`MetricSource`], callers render
 //!   [`MetricsRegistry::render_prometheus`] text or a JSON snapshot
-//!   (`--metrics-out=<path>` on every experiment binary).
+//!   (`tests/observability.rs` checks the I/O, WAL, durable-index and
+//!   recovery families in the Prometheus text).
 //! * [`histogram`] — the log₂ [`LatencyHistogram`] (promoted from the
 //!   bench crate): mergeable, p50/p95/p99/max.
 //! * [`query`] — [`QueryTrace`]: per-query attribution of device

@@ -25,8 +25,7 @@
 //!   silently scanning the wrong keys.
 //! * [`ShardedIo`] — one [`bftree_storage::IoContext`] per shard, all
 //!   drawing from ONE global buffer budget: adding shards never adds
-//!   memory ([`bftree_storage::BufferManager::release`] returns a
-//!   decommissioned shard's carve-out).
+//!   memory.
 //!
 //! The simulated-time cost model carries over: each shard accumulates
 //! its own service clock, and the router's parallel cost is the

@@ -16,17 +16,17 @@ use bftree_storage::{
 /// [`BufferManager`].
 ///
 /// Construction registers pools `shard{i}-index` / `shard{i}-data`
-/// for each shard, so a Prometheus snapshot attributes residency and
-/// evictions per shard while the budget stays global. Footprint
-/// carve-outs ([`ShardedIo::reserve_for`]) are tracked per shard and
-/// can be returned ([`ShardedIo::release_for`]) when a shard is
-/// decommissioned — the other shards' cache shares re-expand
-/// automatically.
+/// for each shard, so page ids of different shards never collide in
+/// the cache. Each shard's device counters stay its own, but the
+/// manager's residency, hits, evictions and carve-outs are
+/// fleet-wide ([`ShardedIo::buffer_stats`], and the manager's metrics
+/// carry no shard label): a carve-out made through any shard's
+/// context ([`IoContext::reserve_index_footprint`]) shrinks every
+/// shard's cache share.
 #[derive(Debug)]
 pub struct ShardedIo {
     manager: Arc<BufferManager>,
     ios: Vec<IoContext>,
-    reserved: Vec<u64>,
 }
 
 impl ShardedIo {
@@ -46,11 +46,7 @@ impl ShardedIo {
                 IoContext::with_shared_manager_on(backend, config, &manager, &format!("shard{i}"))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            manager,
-            ios,
-            reserved: vec![0; shards],
-        })
+        Ok(Self { manager, ios })
     }
 
     /// All contexts, shard-indexed.
@@ -65,8 +61,7 @@ impl ShardedIo {
 
     /// Dissolve the fleet into its owned contexts (shard-indexed) —
     /// what a serving front end keeps once set-up is done. The
-    /// contexts still share the one budget arbiter; only the
-    /// carve-out bookkeeping is dropped.
+    /// contexts still share the one budget arbiter.
     pub fn into_ios(self) -> Vec<IoContext> {
         self.ios
     }
@@ -79,35 +74,6 @@ impl ShardedIo {
     /// The shared budget arbiter.
     pub fn manager(&self) -> &Arc<BufferManager> {
         &self.manager
-    }
-
-    /// Carve `bytes` of shard `s`'s index/memtable footprint out of
-    /// the global budget (shrinking every shard's cache share).
-    /// Returns total bytes reserved fleet-wide.
-    pub fn reserve_for(&mut self, s: usize, bytes: u64) -> u64 {
-        self.reserved[s] += bytes;
-        self.manager.reserve(bytes);
-        self.manager.stats().reserved_bytes
-    }
-
-    /// Return `bytes` of shard `s`'s carve-out to the cache budget
-    /// (capped at what the shard actually holds). Returns total bytes
-    /// still reserved fleet-wide.
-    pub fn release_for(&mut self, s: usize, bytes: u64) -> u64 {
-        let give_back = bytes.min(self.reserved[s]);
-        self.reserved[s] -= give_back;
-        self.manager.release(give_back);
-        self.manager.stats().reserved_bytes
-    }
-
-    /// Return shard `s`'s entire carve-out (decommissioning).
-    pub fn release_all_for(&mut self, s: usize) -> u64 {
-        self.release_for(s, u64::MAX)
-    }
-
-    /// Bytes currently carved out for shard `s`.
-    pub fn reserved_for(&self, s: usize) -> u64 {
-        self.reserved[s]
     }
 
     /// Global buffer statistics.

@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 use bftree::BfTree;
 use bftree_access::{
@@ -265,17 +265,26 @@ fn shard_clocks_accumulate_and_reset() {
 fn sharded_io_fleet_shares_one_budget() {
     let tmp = ScratchDir::new("sharded-io").expect("scratch dir");
     let backend = Backend::file(tmp.path());
-    let mut fleet = ShardedIo::new(&backend, StorageConfig::SsdHdd, 1 << 20, PolicyKind::Lru, 4)
+    let fleet = ShardedIo::new(&backend, StorageConfig::SsdHdd, 1 << 20, PolicyKind::Lru, 4)
         .expect("fleet materializes");
     assert_eq!(fleet.shards(), 4);
     assert_eq!(fleet.buffer_stats().reserved_bytes, 0);
-    fleet.reserve_for(1, 4096);
-    fleet.reserve_for(2, 8192);
-    assert_eq!(fleet.buffer_stats().reserved_bytes, 12_288);
-    assert_eq!(fleet.reserved_for(1), 4096);
-    // Decommission shard 2: its carve-out returns to the cache.
-    assert_eq!(fleet.release_all_for(2), 4096);
+    // Every context draws from the one manager the fleet holds.
+    for io in fleet.ios() {
+        let manager = io.buffer_manager().expect("a shared-budget context");
+        assert!(Arc::ptr_eq(manager, fleet.manager()));
+    }
+    // A carve-out through shard 1's context is a fleet-wide carve-out.
+    let remaining = fleet.io(1).reserve_index_footprint(4096);
+    assert_eq!(remaining, (1 << 20) - 4096);
     assert_eq!(fleet.buffer_stats().reserved_bytes, 4096);
+    // Dissolving the fleet keeps the one budget.
+    let manager = Arc::clone(fleet.manager());
+    let ios = fleet.into_ios();
+    assert_eq!(ios.len(), 4);
+    for io in &ios {
+        assert!(Arc::ptr_eq(io.buffer_manager().expect("shared"), &manager));
+    }
 }
 
 /// Routing a batch must charge exactly what probing its keys one by

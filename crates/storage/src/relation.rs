@@ -6,18 +6,10 @@
 //! and how duplicate key occurrences lie in the file — the three
 //! things an index needs to know about its data.
 
-use std::sync::Arc;
-
 use crate::context::IoContext;
 use crate::heap::HeapFile;
 use crate::page::PageId;
 use crate::tuple::{AttrOffset, ATT1_OFFSET, PK_OFFSET};
-
-/// A relation shared across probe threads. `Relation` is immutable
-/// through `&self` and contains no interior mutability, so an `Arc` of
-/// it is all a concurrent serving path needs — see
-/// [`Relation::into_shared`].
-pub type SharedRelation = Arc<Relation>;
 
 /// How occurrences of equal keys are laid out in the heap file.
 ///
@@ -184,14 +176,6 @@ impl Relation {
     pub fn is_unique(&self) -> bool {
         self.duplicates == Duplicates::Unique
     }
-
-    /// Wrap the relation in an [`Arc`] for concurrent probe serving.
-    /// Heap reads through `&self` are safe from any number of threads;
-    /// mutation ([`Relation::heap_mut`]) requires sole ownership, which
-    /// `Arc` enforces statically.
-    pub fn into_shared(self) -> SharedRelation {
-        Arc::new(self)
-    }
 }
 
 // The concurrent serving path shares `&Relation`/`Arc<Relation>`
@@ -199,7 +183,6 @@ impl Relation {
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Relation>();
-    assert_send_sync::<SharedRelation>();
     assert_send_sync::<HeapFile>();
 };
 
@@ -239,9 +222,7 @@ mod tests {
         for pk in 0..100u64 {
             heap.append_record(pk, pk);
         }
-        let rel = Relation::new(heap, PK_OFFSET, Duplicates::Unique)
-            .unwrap()
-            .into_shared();
+        let rel = std::sync::Arc::new(Relation::new(heap, PK_OFFSET, Duplicates::Unique).unwrap());
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let rel = rel.clone();
