@@ -299,12 +299,12 @@ impl<C: RangeCursor> RangeCursor for Limited<C> {
 /// Scan heap page `pid` for attribute values in `[lo, hi]`, appending
 /// the matching `(page, slot)` pairs to `buf` — honoring a sub-page
 /// [`Continuation`] frontier (slots below `resume`'s slot are skipped
-/// on exactly the frontier page, nowhere else). Returns whether
-/// anything matched (`false` = an overhead page).
+/// on exactly the frontier page, nowhere else).
 ///
 /// The one home of the page-walk cursors' scan-and-filter step (the
 /// BF-Tree partition walk and the B+-Tree contiguous-run walk);
-/// charging stays with the callers, whose cost models differ.
+/// charging and dropping deleted keys stay with the callers, whose
+/// cost models and delete records differ.
 pub fn scan_page_in_range(
     heap: &bftree_storage::HeapFile,
     attr: bftree_storage::tuple::AttrOffset,
@@ -313,19 +313,17 @@ pub fn scan_page_in_range(
     hi: u64,
     resume: Option<(PageId, usize)>,
     buf: &mut Vec<(PageId, usize)>,
-) -> bool {
+) {
     let skip_below = match resume {
         Some((page, slot)) if page == pid => slot,
         _ => 0,
     };
-    let before = buf.len();
     for slot in skip_below..heap.tuples_in_page(pid) {
         let v = heap.attr(pid, slot, attr);
         if v >= lo && v <= hi {
             buf.push((pid, slot));
         }
     }
-    buf.len() > before
 }
 
 /// Shared cursor core for indexes that resolve the whole match set on

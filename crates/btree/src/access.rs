@@ -73,6 +73,11 @@ fn push_page_matches(
 /// all the state there is.
 #[must_use]
 struct RunCursor<'c> {
+    /// Consulted per distinct key: a deleted key's tuples stay in the
+    /// heap, and only the index knows it is gone.
+    tree: &'c BPlusTree,
+    /// The last key looked up, and whether the index still names it.
+    live: Option<(u64, bool)>,
     heap: &'c HeapFile,
     attr: AttrOffset,
     data: &'c PageDevice,
@@ -92,6 +97,7 @@ struct RunCursor<'c> {
 
 impl<'c> RunCursor<'c> {
     fn new(
+        tree: &'c BPlusTree,
         start: Option<PageId>,
         lo: u64,
         hi: u64,
@@ -100,6 +106,8 @@ impl<'c> RunCursor<'c> {
         resume: Option<(PageId, usize)>,
     ) -> Self {
         Self {
+            tree,
+            live: None,
             heap: rel.heap(),
             attr: rel.attr(),
             data: &io.data,
@@ -140,16 +148,30 @@ impl RangeCursor for RunCursor<'_> {
         }
         self.counters.pages_read += 1;
         self.buf.clear();
-        let any = scan_page_in_range(
-            self.heap,
-            self.attr,
+        let (heap, attr, tree) = (self.heap, self.attr, self.tree);
+        scan_page_in_range(
+            heap,
+            attr,
             pid,
             self.lo,
             self.hi,
             self.resume,
             &mut self.buf,
         );
-        if !any {
+        let mut live = self.live;
+        self.buf.retain(|&(p, slot)| {
+            let key = heap.attr(p, slot, attr);
+            match live {
+                Some((k, named)) if k == key => named,
+                _ => {
+                    let named = tree.search(key, None).is_some();
+                    live = Some((key, named));
+                    named
+                }
+            }
+        });
+        self.live = live;
+        if self.buf.is_empty() {
             self.counters.overhead_pages += 1;
         }
         self.last_of_run = page_hi > self.hi;
@@ -300,7 +322,7 @@ impl AccessMethod for BPlusTree {
             // range's leaf walk — cursor creation stays O(height)
             // however wide the range is.
             let start = self.seek_ge(lo, hi, Some(&io.index)).map(|(_, t)| t.pid());
-            Ok(Box::new(RunCursor::new(start, lo, hi, rel, io, None)))
+            Ok(Box::new(RunCursor::new(self, start, lo, hi, rel, io, None)))
         } else {
             let matches = self.per_tuple_range_matches(lo, hi, io);
             Ok(Box::new(PageBatchCursor::new(
@@ -325,6 +347,7 @@ impl AccessMethod for BPlusTree {
             // Contiguity makes resume index-free: re-enter the page
             // walk at the frontier page, no descent, no prefix pages.
             Ok(Box::new(RunCursor::new(
+                self,
                 Some(cont.page()),
                 lo,
                 hi,

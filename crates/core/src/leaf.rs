@@ -165,7 +165,9 @@ impl BfLeaf {
 
     /// Probe all `S` filters with `key` and append the candidate data
     /// pages (expanded from matching buckets) to `out`, in ascending
-    /// pid order. Returns the number of filters probed.
+    /// pid order. Returns the number of filters probed. A one-key
+    /// form: it hashes and allocates a bucket buffer per call, so
+    /// loops over many keys use [`Self::matching_pages_fp`].
     pub fn matching_pages(&self, key: u64, out: &mut Vec<PageId>) -> u64 {
         let fp = KeyFingerprint::new(&key, self.group.seed());
         let mut buckets = Vec::new();

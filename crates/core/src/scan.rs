@@ -2,20 +2,29 @@
 //!
 //! A BF-leaf corresponds to one partition of the main data. A range
 //! scan touches *middle* partitions entirely and *boundary* partitions
-//! partially; reading boundary partitions whole is the overhead
-//! Figure 13 measures. The §7 optimization — enumerate the boundary
-//! values and probe the BFs to fetch only useful pages — is
-//! implemented as [`BfTree::scan_range_probing`].
+//! partially; reading boundary partitions whole is the overhead §7
+//! sets out to cut.
 //!
-//! The scan core itself is the pull-based [`BfRangeCursor`]: the
-//! partition walk paused between data pages, with a resumable
-//! continuation frontier. `AccessMethod::range_scan` is its full
-//! drain.
+//! The scan core is the pull-based [`BfRangeCursor`]: the partition
+//! walk paused between data pages, with a resumable continuation
+//! frontier. `AccessMethod::range_scan` is its full drain. On an
+//! ordered relation (a `FirstPageOnly` tree) the cursor reads only
+//! pages that can hold a key of the range: it finds `lo`'s first page
+//! by probing the first leaf's filters and stops at the first page
+//! whose last key is above `hi`. On a partitioned relation
+//! (`AllCoveringPages`) it reads the boundary partitions whole.
+//!
+//! [`BfTree::scan_range_probing`] is §7's optimization as published —
+//! enumerate every boundary value, probe the BFs, fetch the union of
+//! candidate pages — and is what Figure 13 measures.
 
 use bftree_access::{scan_page_in_range, Continuation, RangeCursor, ScanIo};
+use bftree_bloom::hash::KeyFingerprint;
 use bftree_storage::tuple::AttrOffset;
 use bftree_storage::{HeapFile, IoContext, PageDevice, PageId, Relation};
 
+use crate::config::DuplicateHandling;
+use crate::leaf::BfLeaf;
 use crate::tree::BfTree;
 
 /// Outcome of a range scan.
@@ -32,21 +41,40 @@ pub struct RangeScanResult {
     pub leaves_visited: u64,
 }
 
-/// The BF-Tree's native [`RangeCursor`]: the partition walk of the old
-/// materializing scan, paused between data pages.
+/// The BF-Tree's native [`RangeCursor`]: the partition walk, paused
+/// between data pages.
 ///
 /// Creation charges the index descent to the first overlapping leaf;
-/// each [`RangeCursor::next_page_matches`] charges exactly one data
-/// page (plus the leaf read whenever the walk enters the next
-/// partition), so early termination — a `limit(k)` pagination pull —
-/// stops the scan's I/O at a bounded prefix of the range. A full
-/// drain performs, charge for charge in the same order, what the
-/// materializing `AccessMethod::range_scan` wrapper reports.
+/// each [`RangeCursor::next_page_matches`] charges one data page (plus
+/// the leaf read whenever the walk enters the next partition), so
+/// early termination — a `limit(k)` pagination pull — stops the
+/// scan's I/O at a bounded prefix of the range. A full drain performs,
+/// charge for charge in the same order, what the materializing
+/// `AccessMethod::range_scan` wrapper reports.
+///
+/// On a `FirstPageOnly` tree (an ordered relation) the walk reads only
+/// pages that can hold a key of `[lo, hi]`:
+/// - **head**: a fresh cursor enumerates `v = lo, lo + 1, …` in the
+///   first leaf, sweeps its filters for each, and reads the candidate
+///   pages in ascending order until one holds `v`. Only a run's first
+///   page is in the filters, so that page is where the range starts;
+///   the walk begins there. Candidates that do not hold `v` are false
+///   positives, charged as random reads and counted as overhead. The
+///   enumeration stops after as many values as there are pages it
+///   could skip (past that, the walk starts at the leaf's first page),
+///   and a leaf with no hit for any value of the range is skipped
+///   without a data read;
+/// - **tail**: the walk ends after the first page whose last key is
+///   above `hi`.
+///
+/// An `AllCoveringPages` tree (a partitioned relation) walks every
+/// overlapping partition whole. Either way, a tuple whose key the
+/// leaf has tombstoned is dropped, the rule a probe applies.
 ///
 /// The continuation frontier is `(leaf min key, next data page)`;
 /// resuming re-descends to that leaf and re-enters the page walk at
-/// exactly the frontier page, so the consumed prefix of the range is
-/// never re-read from the data device.
+/// exactly the frontier page (no head seek), so the consumed prefix of
+/// the range is never re-read from the data device.
 #[must_use]
 pub struct BfRangeCursor<'c> {
     tree: &'c BfTree,
@@ -63,6 +91,13 @@ pub struct BfRangeCursor<'c> {
     frontier: Option<PageId>,
     /// Sub-page resume point: skip slots below it on that one page.
     resume: Option<(PageId, usize)>,
+    /// The relation is ordered on the key (a `FirstPageOnly` tree).
+    ordered: bool,
+    /// The head seek is still due (fresh ordered cursors only).
+    seek: bool,
+    /// The loaded page's last key is above `hi`: consuming it ends an
+    /// ordered walk.
+    past_hi: bool,
     buf: Vec<(PageId, usize)>,
     loaded: bool,
     done: bool,
@@ -77,7 +112,9 @@ impl<'c> BfRangeCursor<'c> {
         rel: &'c Relation,
         io: &'c IoContext,
     ) -> Self {
-        Self::with_frontier(tree, lo, lo, hi, rel, io, None)
+        let mut cursor = Self::with_frontier(tree, lo, lo, hi, rel, io, None);
+        cursor.seek = cursor.ordered;
+        cursor
     }
 
     pub(crate) fn resume(
@@ -117,6 +154,9 @@ impl<'c> BfRangeCursor<'c> {
             current: None,
             frontier: resume.map(|(page, _)| page),
             resume,
+            ordered: tree.config().duplicates == DuplicateHandling::FirstPageOnly,
+            seek: false,
+            past_hi: false,
             buf: Vec::new(),
             loaded: false,
             done: pending.is_none(),
@@ -124,24 +164,71 @@ impl<'c> BfRangeCursor<'c> {
         }
     }
 
-    /// Fetch page `pid`: one sequential read (the partition walk is a
-    /// sequential sweep, exactly as the materializing scan charged it).
-    fn read_page(&mut self, pid: PageId) {
+    /// Fetch page `pid` of leaf `leaf_idx`'s walk: one sequential read
+    /// (the partition walk is a sequential sweep).
+    fn read_page(&mut self, leaf_idx: u32, pid: PageId) {
         self.io.data.read_seq(pid);
         self.counters.pages_read += 1;
         self.buf.clear();
-        let any = scan_page_in_range(
-            self.rel.heap(),
-            self.rel.attr(),
+        let (heap, attr) = (self.rel.heap(), self.rel.attr());
+        scan_page_in_range(
+            heap,
+            attr,
             pid,
             self.lo,
             self.hi,
             self.resume,
             &mut self.buf,
         );
-        if !any {
+        // A key above this leaf's range sits on the page it shares with
+        // its right sibling (a split boundary); that sibling owns the
+        // key's tombstone.
+        let leaf = self.tree.leaf(leaf_idx);
+        let sibling = leaf.next.map(|n| self.tree.leaf(n));
+        if !leaf.deleted.is_empty() || sibling.is_some_and(|s| !s.deleted.is_empty()) {
+            self.buf.retain(|&(p, slot)| {
+                let key = heap.attr(p, slot, attr);
+                let owner = match sibling {
+                    Some(s) if key > leaf.max_key => s,
+                    _ => leaf,
+                };
+                !owner.is_deleted(key)
+            });
+        }
+        if self.buf.is_empty() {
             self.counters.overhead_pages += 1;
         }
+        let n = heap.tuples_in_page(pid);
+        self.past_hi = self.ordered && n > 0 && heap.attr(pid, n - 1, attr) > self.hi;
+    }
+
+    /// The head seek in `leaf`, whose walk would read `[from, last]`:
+    /// the page the walk starts on, or `None` when the leaf holds no
+    /// key of the range.
+    fn seek(&mut self, leaf: &BfLeaf, from: PageId, last: PageId) -> Option<PageId> {
+        let (heap, attr) = (self.rel.heap(), self.rel.attr());
+        let end = self.hi.min(leaf.max_key);
+        // One sweep costs less than the page read it can save.
+        let mut budget = (last + 1).saturating_sub(from);
+        let (mut pages, mut buckets) = (Vec::new(), Vec::new());
+        for v in self.lo.max(leaf.min_key)..=end {
+            if budget == 0 {
+                return Some(from);
+            }
+            budget -= 1;
+            pages.clear();
+            let fp = KeyFingerprint::new(&v, self.tree.config().seed);
+            leaf.matching_pages_fp(&fp, &mut pages, &mut buckets);
+            for &pid in pages.iter().filter(|&&p| (from..=last).contains(&p)) {
+                if (0..heap.tuples_in_page(pid)).any(|slot| heap.attr(pid, slot, attr) == v) {
+                    return Some(pid);
+                }
+                self.io.data.read_random(pid);
+                self.counters.pages_read += 1;
+                self.counters.overhead_pages += 1;
+            }
+        }
+        None
     }
 }
 
@@ -156,7 +243,7 @@ impl RangeCursor for BfRangeCursor<'_> {
         loop {
             if let Some((leaf_idx, next, last)) = self.current {
                 if next <= last {
-                    self.read_page(next);
+                    self.read_page(leaf_idx, next);
                     self.loaded = true;
                     return Some(&self.buf);
                 }
@@ -185,10 +272,21 @@ impl RangeCursor for BfRangeCursor<'_> {
                 return None;
             }
             self.io.index.read_random(BfTree::leaf_page_id(i));
-            let from = self.frontier.map_or(leaf.min_pid, |n| n.max(leaf.min_pid));
+            let mut from = self.frontier.map_or(leaf.min_pid, |n| n.max(leaf.min_pid));
             let last = leaf
                 .max_pid
                 .min(self.rel.heap().page_count().saturating_sub(1));
+            if std::mem::take(&mut self.seek) {
+                match self.seek(leaf, from, last) {
+                    Some(start) => from = start,
+                    // Nothing of the range here. The frontier stays put:
+                    // the sibling may share this leaf's last page.
+                    None => {
+                        self.pending = leaf.next;
+                        continue;
+                    }
+                }
+            }
             self.current = Some((i, from, last));
         }
     }
@@ -202,6 +300,7 @@ impl RangeCursor for BfRangeCursor<'_> {
         if let Some((_, next, _)) = &mut self.current {
             *next += 1;
         }
+        self.done = self.past_hi;
     }
 
     fn continuation(&self) -> Option<Continuation> {
@@ -244,10 +343,11 @@ impl RangeCursor for BfRangeCursor<'_> {
 }
 
 impl BfTree {
-    /// The §7 boundary-probing range scan over the new handle API:
-    /// like `AccessMethod::range_scan`, but boundary partitions are
-    /// probed per value (capped at `max_enumeration` enumerated keys
-    /// per boundary leaf) instead of read whole.
+    /// The §7 boundary-probing range scan as published (Figure 13):
+    /// every value of a boundary partition's share of the range is
+    /// probed (capped at `max_enumeration` enumerated keys per
+    /// boundary leaf) and the union of candidate pages fetched, false
+    /// positives included; middle partitions are read whole.
     pub fn scan_range_probing(
         &self,
         lo: u64,
@@ -304,9 +404,10 @@ impl BfTree {
             let from = next_pid.map_or(leaf.min_pid, |n| n.max(leaf.min_pid));
             if is_boundary && enumerable {
                 // Probe the filters per value; union the candidate pages.
-                let mut pages: Vec<PageId> = Vec::new();
+                let (mut pages, mut buckets) = (Vec::new(), Vec::new());
                 for key in enum_lo..=enum_hi {
-                    leaf.matching_pages(key, &mut pages);
+                    let fp = KeyFingerprint::new(&key, self.config().seed);
+                    leaf.matching_pages_fp(&fp, &mut pages, &mut buckets);
                 }
                 pages.sort_unstable();
                 pages.dedup();
@@ -315,8 +416,7 @@ impl BfTree {
                 // filters; a page ending with an in-range key implies
                 // the run may spill into its successor, so pull that
                 // page in too.
-                let follow_runs =
-                    self.config().duplicates == crate::config::DuplicateHandling::FirstPageOnly;
+                let follow_runs = self.config().duplicates == DuplicateHandling::FirstPageOnly;
                 let mut i = 0;
                 while i < pages.len() {
                     let pid = pages[i];

@@ -609,10 +609,11 @@ impl BfTree {
         let mut per_page: Vec<(PageId, Vec<u64>, Vec<u64>)> = (l.min_pid..=l.max_pid)
             .map(|pid| (pid, Vec::new(), Vec::new()))
             .collect();
-        let mut pages = Vec::new();
+        let (mut pages, mut buckets) = (Vec::new(), Vec::new());
         for key in l.min_key..=l.max_key {
             pages.clear();
-            l.matching_pages(key, &mut pages);
+            let fp = KeyFingerprint::new(&key, self.config.seed);
+            l.matching_pages_fp(&fp, &mut pages, &mut buckets);
             for &pid in &pages {
                 let entry = &mut per_page[(pid - l.min_pid) as usize];
                 if key <= mid {

@@ -238,15 +238,69 @@ fn range_scan_finds_exact_matches_with_bounded_overhead() {
     let (lo, hi) = (10_000u64, 20_000u64);
     let r = AccessMethod::range_scan(&t, lo, hi, &rel, &io).unwrap();
     assert_eq!(r.matches.len() as u64, hi - lo + 1);
+    // The ordered walk seeks `lo`'s page through the filters and stops
+    // past `hi`: every page read either holds a match or is overhead
+    // (a seek false positive, or the one page that proves the range
+    // ended), and at fpp 1e-6 there is almost none of the latter.
     let exact = exact_range_pages(rel.heap(), PK_OFFSET, lo, hi);
-    assert!(r.pages_read >= exact);
-    // Boundary overhead is at most two partitions' worth of pages.
-    let max_leaf_pages = t.leaves().iter().map(|l| l.n_pages()).max().unwrap_or(0);
+    assert_eq!(r.pages_read, exact + r.overhead_pages);
+    assert!(r.overhead_pages <= 2, "overhead {} pages", r.overhead_pages);
+}
+
+/// A split leaves two siblings sharing one data page. Keys step by 2,
+/// so a value between the two leaves' key ranges is absent.
+/// - A range starting in that gap begins at the left leaf, which holds
+///   nothing of it: the walk skips that leaf but must still read the
+///   shared page for the right leaf.
+/// - A key on the shared page tombstoned in the right leaf must be
+///   dropped even when the walk reads that page through the left leaf,
+///   as `probe` drops it.
+#[test]
+fn range_scans_around_a_page_shared_by_split_siblings() {
+    let heap = HeapFile::new(TupleLayout::new(256));
+    let mut rel = Relation::new(heap, PK_OFFSET, Duplicates::Unique).unwrap();
+    let io = IoContext::unmetered();
+    let mut t = BfTree::builder().fpp(1e-4).empty(&rel).unwrap();
+    for pk in (0..10_000u64).step_by(2) {
+        let loc = rel.heap_mut().append_record(pk, pk);
+        AccessMethod::insert(&mut t, pk, loc, &rel).unwrap();
+    }
+    let leaves = t.leaves();
+    let (left, right) = leaves
+        .iter()
+        .filter_map(|l| Some((l, &leaves[l.next? as usize])))
+        .find(|(l, r)| l.max_pid == r.min_pid)
+        .expect("a split shares a boundary page");
+    let heap = rel.heap();
     assert!(
-        r.pages_read - exact <= 2 * max_leaf_pages,
-        "overhead {} pages",
-        r.pages_read - exact
+        (0..heap.tuples_in_page(right.min_pid)).any(|slot| heap.attr(
+            right.min_pid,
+            slot,
+            PK_OFFSET
+        ) == right.min_key),
+        "the shared page holds the right leaf's first key"
     );
+    let (gap, key) = (left.max_key + 1, right.min_key);
+    let keys_in = |t: &BfTree, lo: u64, hi: u64| -> Vec<u64> {
+        AccessMethod::range_scan(t, lo, hi, &rel, &io)
+            .unwrap()
+            .matches
+            .iter()
+            .map(|&(pid, slot)| rel.heap().attr(pid, slot, PK_OFFSET))
+            .collect()
+    };
+    let evens_but = |lo: u64, hi: u64, skip: u64| -> Vec<u64> {
+        (lo..=hi).filter(|&k| k % 2 == 0 && k != skip).collect()
+    };
+    assert_eq!(
+        keys_in(&t, gap, key + 40),
+        evens_but(gap, key + 40, u64::MAX)
+    );
+
+    let lo = left.max_key - 40;
+    AccessMethod::delete(&mut t, key, &rel).unwrap();
+    assert!(!AccessMethod::probe(&t, key, &rel, &io).unwrap().found());
+    assert_eq!(keys_in(&t, lo, key + 40), evens_but(lo, key + 40, key));
 }
 
 #[test]

@@ -67,8 +67,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bp.total_pages() as f64 / tree.total_pages() as f64
     );
 
-    // 6. Range scans work too (§7): partitions overlapping the range
-    //    are scanned, with the boundary partitions' overhead reported.
+    // 6. Range scans work too (§7): on ordered data the scan finds the
+    //    range's first page through the filters and stops past its
+    //    end: the overhead is the filters' false positives, plus at
+    //    most one page past the range.
     let scan = index.range_scan(1_000, 2_000, &relation, &io)?;
     println!(
         "range [1000, 2000]: {} matches from {} page reads ({} overhead)",

@@ -84,12 +84,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A reporting query — "lineitems shipped this month" — served the
     // way an application pages through results: a cursor capped at 40
     // rows per request, with an opaque continuation token carrying the
-    // frontier between requests. The first request pays the partition
-    // entry (the §7 boundary overhead: the walk starts at the first
-    // overlapping partition's first page); every request after resumes
-    // at the exact page frontier and pays only for the pages behind
-    // its own rows, where the old materializing scan paid the whole
-    // month up front.
+    // frontier between requests. The file is ordered on shipdate, so
+    // the first request finds the month's first page through the
+    // BF-leaf's filters (paying their false positives, as a probe
+    // does), and
+    // every request after resumes at the exact page frontier: each
+    // pays only for the pages behind its own rows, and the last one
+    // stops at the first page past the month.
     let lo = domain[domain.len() / 3];
     let hi = lo + 30;
     let io_full = IoContext::cold(StorageConfig::SsdSsd);
@@ -122,7 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  request #{request}: {rows_this_request:>3} rows from {} data page(s){}",
             cursor.io().pages_read,
             if token.is_none() && rows_this_request < 40 {
-                " (final drain: walks the trailing boundary partition, §7's overhead)"
+                " (final drain: stops at the first page past the month)"
             } else {
                 ""
             },

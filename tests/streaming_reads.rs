@@ -216,14 +216,71 @@ fn bftree_boundary_aligned_resume_rereads_no_page() {
             full.pages_read,
             "case {case}: no data page read twice across the resume"
         );
-        // Same cost model too: every data page of the partition walk
-        // is one sequential read, so the split scan's data time equals
-        // the full scan's.
+        // Same cost model too: every walked data page is one
+        // sequential read and the seek's random reads happen in the
+        // head of both scans, so the split scan's data time equals the
+        // full scan's.
         assert_eq!(
             io_head.data.snapshot().sim_ns + io_rest.data.snapshot().sim_ns,
             io_full.data.snapshot().sim_ns,
             "case {case}: data-device time is split, not grown"
         );
+    }
+}
+
+/// BF-Tree ranges that start and end mid-leaf, where the ordered walk
+/// seeks `lo`'s page and stops past `hi`: on both ordered layouts,
+/// `limit(k)` + resume equals the full drain for every `k`, and a cut
+/// on a page boundary re-reads no data page.
+#[test]
+fn bftree_mid_leaf_range_paginates_exactly() {
+    for duplicates in [Duplicates::Unique, Duplicates::Contiguous] {
+        let rel = relation(duplicates);
+        let tree = BfTree::builder().fpp(1e-4).build(&rel).unwrap();
+        let index: &dyn AccessMethod = &tree;
+        let leaf = &tree.leaves()[1];
+        let lo = leaf.min_key + (leaf.max_key - leaf.min_key) / 3;
+        let hi = lo + (leaf.max_key - leaf.min_key) / 3;
+        let io_full = IoContext::cold(StorageConfig::SsdHdd);
+        let full = index.range_scan(lo, hi, &rel, &io_full).unwrap();
+        let total = full.matches.len() as u64;
+        assert!(
+            full.pages_read < leaf.n_pages() / 2,
+            "{duplicates:?}: the walk reads the range, not the leaf"
+        );
+
+        // Cumulative matches at each page boundary of the drain.
+        let mut cursor = index.range_cursor(lo, hi, &rel, &io_full).unwrap();
+        let mut aligned = Vec::new();
+        while let Some(page) = cursor.next_page_matches() {
+            aligned.push(aligned.last().copied().unwrap_or(0) + page.len() as u64);
+            cursor.advance();
+        }
+        assert!(cursor.continuation().is_none(), "{duplicates:?}: drained");
+        drop(cursor);
+
+        for k in [1u64, 5, 16, 17, 100, total / 2, total - 1]
+            .into_iter()
+            .chain(aligned.iter().copied().filter(|&c| c > 0 && c < total))
+        {
+            let io = IoContext::cold(StorageConfig::SsdHdd);
+            let (head, token, head_pages) = drain_limited(index, lo, hi, k, &rel, &io);
+            let token = token.expect("k < result size");
+            let io2 = IoContext::cold(StorageConfig::SsdHdd);
+            let mut rest_cursor = index.resume_range_cursor(&token, &rel, &io2).unwrap();
+            let rest = drain(&mut rest_cursor);
+            let rest_pages = rest_cursor.io().pages_read;
+            drop(rest_cursor);
+            let mut whole = head;
+            whole.extend(rest);
+            assert_eq!(whole, full.matches, "{duplicates:?} k={k}: lossless");
+            let reread = u64::from(token.slot() != 0);
+            assert_eq!(
+                head_pages + rest_pages,
+                full.pages_read + reread,
+                "{duplicates:?} k={k}: only a page cut mid-way is read twice"
+            );
+        }
     }
 }
 
