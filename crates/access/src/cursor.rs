@@ -318,8 +318,7 @@ pub fn scan_page_in_range(
         Some((page, slot)) if page == pid => slot,
         _ => 0,
     };
-    for slot in skip_below..heap.tuples_in_page(pid) {
-        let v = heap.attr(pid, slot, attr);
+    for (slot, v) in heap.page_attrs(pid, attr).enumerate().skip(skip_below) {
         if v >= lo && v <= hi {
             buf.push((pid, slot));
         }

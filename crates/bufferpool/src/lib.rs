@@ -33,5 +33,5 @@
 pub mod manager;
 pub mod policy;
 
-pub use manager::{Access, BufferManager, BufferStats, PoolId, ReplayCheck};
+pub use manager::{Access, BufferManager, BufferStats, PoolId, ReplayCheck, Victims};
 pub use policy::{Clock, EvictionPolicy, Lru, PolicyKind, TwoQ};

@@ -8,16 +8,23 @@
 //! each shard owns a slice of the byte budget, its own frame table,
 //! its own [`EvictionPolicy`] instance, and its own mutex — so
 //! concurrent probes touching different pages contend only when their
-//! pages land in the same shard, never on global state. Counters
-//! (hits/misses/evictions) are maintained under the shard lock, which
-//! makes them exact under any interleaving.
+//! pages land in the same shard, never on global state. Each shard is
+//! cache-line aligned, so two threads on different shards never share
+//! a mutex word's line. Counters (hits/misses/evictions) are
+//! maintained under the shard lock, which makes them exact under any
+//! interleaving.
 //!
 //! A frame is an accounting record — `(pool, page, bytes)`, no page
 //! bytes — so nothing is held while a caller reads: a page is admitted
 //! by [`BufferManager::touch`] (hit/miss plus eviction in one lock
 //! acquisition) or [`BufferManager::prewarm`], the page budget only
 //! shrinks ([`BufferManager::reserve`]), and a shard never holds more
-//! than its share.
+//! than its share. A touch stays in a few cache lines and, once the
+//! shard's tables have grown to its budget, allocates nothing (tracing
+//! off): the frame table hashes `(pool, page)` with a one-step
+//! multiply-xor hasher, not SipHash, and a miss reports its victims in
+//! [`Victims`], which holds one page inline and spills to a `Vec` only
+//! when one admission evicts several.
 //!
 //! # Exactness verification
 //!
@@ -30,6 +37,7 @@
 //! eviction pressure for every policy.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -40,6 +48,59 @@ use crate::policy::{EvictionPolicy, PolicyKind};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PoolId(u32);
 
+/// Pages one admission evicted, in eviction order; derefs to a slice.
+///
+/// The first victim is held inline, so the common miss — a uniform
+/// page size, one page out for one page in — allocates nothing; a
+/// `Vec` takes over only when one admission evicts several pages.
+#[derive(Clone, Default)]
+pub struct Victims {
+    /// The first victim, if any.
+    first: Option<(PoolId, u64)>,
+    /// Every victim once there are two or more.
+    spill: Vec<(PoolId, u64)>,
+}
+
+impl Victims {
+    fn push(&mut self, victim: (PoolId, u64)) {
+        match self.first {
+            None => self.first = Some(victim),
+            Some(first) => {
+                if self.spill.is_empty() {
+                    self.spill.push(first);
+                }
+                self.spill.push(victim);
+            }
+        }
+    }
+}
+
+impl std::ops::Deref for Victims {
+    type Target = [(PoolId, u64)];
+
+    fn deref(&self) -> &Self::Target {
+        if self.spill.is_empty() {
+            self.first.as_slice()
+        } else {
+            &self.spill
+        }
+    }
+}
+
+impl PartialEq for Victims {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Victims {}
+
+impl std::fmt::Debug for Victims {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Outcome of one [`BufferManager::touch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Access {
@@ -49,7 +110,7 @@ pub enum Access {
     /// the shard budget) after evicting `evicted`.
     Miss {
         /// Pages evicted to make room, in eviction order.
-        evicted: Vec<(PoolId, u64)>,
+        evicted: Victims,
     },
 }
 
@@ -145,11 +206,49 @@ struct Frame {
     bytes: u64,
 }
 
+/// The frame table's hasher: one multiply-xor step per word of the
+/// `(pool, page)` key. Deterministic, like [`mix`], and a few cycles
+/// against SipHash's rounds — the table is looked up on every touch
+/// (and a miss hashes three times: lookup, victim removal, insert).
+/// Its keys are page ids the program assigns itself, never input from
+/// outside, so SipHash's resistance to crafted collisions buys nothing.
+#[derive(Debug, Default, Clone, Copy)]
+struct FrameHasher(u64);
+
+impl FrameHasher {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for FrameHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+}
+
 #[derive(Debug)]
 struct ShardState {
     budget: u64,
     used: u64,
-    map: HashMap<(u32, u64), usize>,
+    map: HashMap<(u32, u64), usize, BuildHasherDefault<FrameHasher>>,
     frames: Vec<Option<Frame>>,
     free: Vec<usize>,
     policy: Box<dyn EvictionPolicy>,
@@ -164,7 +263,7 @@ impl ShardState {
         Self {
             budget,
             used: 0,
-            map: HashMap::new(),
+            map: HashMap::default(),
             frames: Vec::new(),
             free: Vec::new(),
             policy: policy.build(),
@@ -177,8 +276,8 @@ impl ShardState {
 
     /// Evict until `incoming` more bytes fit the budget. Returns the
     /// evicted keys in eviction order.
-    fn evict_to_fit(&mut self, incoming: u64) -> Vec<(PoolId, u64)> {
-        let mut evicted = Vec::new();
+    fn evict_to_fit(&mut self, incoming: u64) -> Victims {
+        let mut evicted = Victims::default();
         while self.used + incoming > self.budget {
             let victim = self
                 .policy
@@ -204,11 +303,11 @@ impl ShardState {
 
     /// Evict until `bytes` more fit, then admit. Returns the evicted
     /// keys in eviction order.
-    fn admit(&mut self, pool: u32, page: u64, bytes: u64) -> Vec<(PoolId, u64)> {
+    fn admit(&mut self, pool: u32, page: u64, bytes: u64) -> Victims {
         if bytes > self.budget {
             // A page larger than the whole shard budget is served but
             // never admitted (matching a zero-capacity pool).
-            return Vec::new();
+            return Victims::default();
         }
         let evicted = self.evict_to_fit(bytes);
         let slot = self.free.pop().unwrap_or_else(|| {
@@ -229,7 +328,10 @@ impl ShardState {
     }
 }
 
+/// One shard behind its own mutex, alone on its cache line(s): threads
+/// touching neighbouring shards never bounce each other's lock word.
 #[derive(Debug)]
+#[repr(align(64))]
 struct Shard {
     state: Mutex<ShardState>,
 }
@@ -255,9 +357,12 @@ pub struct BufferManager {
     reserve_lock: Mutex<()>,
 }
 
-/// splitmix64: the deterministic page→shard hash (std's `HashMap`
-/// hasher is per-process randomized, which would make shard placement
-/// — and therefore golden tests — irreproducible).
+/// splitmix64: the deterministic page→shard hash (std's default
+/// `HashMap` hasher is per-process randomized, which would make shard
+/// placement — and therefore golden tests — irreproducible). Within a
+/// shard, the frame table keys by the cheaper [`FrameHasher`]: its
+/// placement orders nothing a caller sees, so it needs only spread,
+/// not splitmix64's full avalanche.
 fn mix(pool: u32, page: u64) -> u64 {
     let mut z = page ^ ((pool as u64) << 56) ^ 0x9E37_79B9_7F4A_7C15;
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -628,6 +733,7 @@ impl bftree_obs::MetricSource for BufferManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::TwoQ;
 
     const PAGE: u64 = 4096;
 
@@ -653,13 +759,10 @@ mod tests {
         mgr.touch(p, 1, PAGE);
         mgr.touch(p, 2, PAGE);
         mgr.touch(p, 1, PAGE); // 1 MRU, 2 LRU
-        let access = mgr.touch(p, 3, PAGE);
-        assert_eq!(
-            access,
-            Access::Miss {
-                evicted: vec![(p, 2)]
-            }
-        );
+        let Access::Miss { evicted } = mgr.touch(p, 3, PAGE) else {
+            panic!("page 3 was never touched");
+        };
+        assert_eq!(*evicted, [(p, 2)]);
         assert!(mgr.contains(p, 1));
         assert!(!mgr.contains(p, 2));
         assert!(mgr.contains(p, 3));
@@ -953,6 +1056,163 @@ mod tests {
         }
         for q in &model {
             assert!(mgr.contains(p, *q));
+        }
+    }
+
+    /// One resident page of a [`ModelShard`].
+    #[derive(Debug, Clone, Copy)]
+    struct Entry {
+        key: (u32, u64),
+        bytes: u64,
+        /// Clock's reference bit.
+        referenced: bool,
+    }
+
+    /// A naive model of one shard under `policy`: resident pages in
+    /// plain `Vec`s, every step a linear scan.
+    struct ModelShard {
+        policy: PolicyKind,
+        budget: u64,
+        /// LRU and 2Q's protected queue: front = MRU. Clock's ring:
+        /// front = the hand.
+        main: Vec<Entry>,
+        /// 2Q's probationary FIFO: front = oldest.
+        probation: Vec<Entry>,
+    }
+
+    impl ModelShard {
+        fn resident(&self) -> impl Iterator<Item = &Entry> {
+            self.main.iter().chain(&self.probation)
+        }
+
+        /// Take `key` out of whichever queue holds it.
+        fn unlink(&mut self, key: (u32, u64)) -> Option<Entry> {
+            [&mut self.probation, &mut self.main]
+                .into_iter()
+                .find_map(|queue| {
+                    let i = queue.iter().position(|e| e.key == key)?;
+                    Some(queue.remove(i))
+                })
+        }
+
+        fn victim(&mut self) -> Entry {
+            match self.policy {
+                PolicyKind::Lru => self.main.pop().expect("resident"),
+                PolicyKind::Clock => loop {
+                    let mut e = self.main.remove(0);
+                    if !e.referenced {
+                        return e;
+                    }
+                    e.referenced = false;
+                    self.main.push(e);
+                },
+                PolicyKind::TwoQ => {
+                    let resident = self.probation.len() + self.main.len();
+                    if self.probation.len() * 100 > resident * TwoQ::KIN_PERCENT
+                        || self.main.is_empty()
+                    {
+                        self.probation.remove(0)
+                    } else {
+                        self.main.pop().expect("resident")
+                    }
+                }
+            }
+        }
+
+        /// A reference to `key`: `None` on a hit, else the victims in
+        /// eviction order.
+        fn touch(&mut self, key: (u32, u64), bytes: u64) -> Option<Vec<(u32, u64)>> {
+            if self.policy == PolicyKind::Clock {
+                if let Some(e) = self.main.iter_mut().find(|e| e.key == key) {
+                    e.referenced = true;
+                    return None;
+                }
+            } else if let Some(e) = self.unlink(key) {
+                self.main.insert(0, e);
+                return None;
+            }
+            let mut evicted = Vec::new();
+            if bytes <= self.budget {
+                while self.resident().map(|e| e.bytes).sum::<u64>() + bytes > self.budget {
+                    evicted.push(self.victim().key);
+                }
+                let e = Entry {
+                    key,
+                    bytes,
+                    referenced: false,
+                };
+                match self.policy {
+                    PolicyKind::Lru => self.main.insert(0, e),
+                    PolicyKind::Clock => self.main.push(e),
+                    PolicyKind::TwoQ => self.probation.push(e),
+                }
+            }
+            Some(evicted)
+        }
+    }
+
+    /// Each policy, driven through one shard by a seeded mix of
+    /// `touch`, `prewarm`, `invalidate` and `evict_pool` over two pools
+    /// with one- and two-page frames (and one frame larger than the
+    /// budget), evicts exactly the pages a naive `Vec` model of it
+    /// evicts, in the same order, and keeps the same pages resident.
+    #[test]
+    fn single_shard_policies_match_reference_models() {
+        let budget = 8 * PAGE;
+        let pages = 20u64;
+        let size = |pool: u32, page: u64| match (pool, page) {
+            (1, 19) => 9 * PAGE,
+            (1, p) if p % 3 == 0 => 2 * PAGE,
+            _ => PAGE,
+        };
+        for policy in PolicyKind::ALL {
+            let mgr = BufferManager::with_shards(budget, policy, 1);
+            let pools = [mgr.register_pool("a"), mgr.register_pool("b")];
+            let mut model = ModelShard {
+                policy,
+                budget,
+                main: Vec::new(),
+                probation: Vec::new(),
+            };
+            let mut spills = 0;
+            for step in 0..4_000u64 {
+                let r = mix(0x5EED, step);
+                let key = ((r & 1) as u32, (r >> 8) % pages);
+                let (id, bytes) = (pools[key.0 as usize], size(key.0, key.1));
+                let at = format!("{policy} step {step}: {key:?}");
+                match (r >> 32) % 100 {
+                    0..=79 => {
+                        let got = match mgr.touch(id, key.1, bytes) {
+                            Access::Hit => None,
+                            Access::Miss { evicted } => {
+                                spills += usize::from(evicted.len() > 1);
+                                Some(evicted.iter().map(|&(q, p)| (q.0, p)).collect())
+                            }
+                        };
+                        assert_eq!(got, model.touch(key, bytes), "{at}: touch");
+                    }
+                    80..=89 => {
+                        mgr.prewarm(id, [key.1], bytes);
+                        model.touch(key, bytes);
+                    }
+                    90..=97 => {
+                        let dropped = model.unlink(key).is_some();
+                        assert_eq!(mgr.invalidate(id, key.1), dropped, "{at}: invalidate");
+                    }
+                    _ => {
+                        mgr.evict_pool(id);
+                        model.main.retain(|e| e.key.0 != key.0);
+                        model.probation.retain(|e| e.key.0 != key.0);
+                    }
+                }
+                for (q, &id) in pools.iter().enumerate() {
+                    for p in 0..pages {
+                        let resident = model.resident().any(|e| e.key == (q as u32, p));
+                        assert_eq!(mgr.contains(id, p), resident, "{at}: pool {q} page {p}");
+                    }
+                }
+            }
+            assert!(spills > 0, "{policy}: some admission evicted two pages");
         }
     }
 }

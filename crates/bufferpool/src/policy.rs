@@ -22,8 +22,6 @@
 //! driven by `tests/buffer_manager.rs` only, until `bfbench` takes the
 //! policy as a parameter (ROADMAP item 1(b)).
 
-use std::collections::VecDeque;
-
 /// The replacement discipline of one shard.
 ///
 /// Contract: the shard calls [`on_admit`](EvictionPolicy::on_admit)
@@ -97,14 +95,32 @@ impl std::fmt::Display for PolicyKind {
 
 const NIL: usize = usize::MAX;
 
-/// An intrusive doubly-linked recency list over slot ids — the shared
-/// substrate of [`Lru`] and [`TwoQ`]'s protected queue. Slot-indexed
-/// (slots are dense), O(1) link/unlink, no per-op allocation.
-#[derive(Debug, Default)]
+/// One slot's links in a [`RecencyList`]: everything an unlink or a
+/// relink reads about the slot sits in one record.
+#[derive(Debug, Clone, Copy)]
+struct Links {
+    prev: usize,
+    next: usize,
+    linked: bool,
+}
+
+impl Links {
+    const UNLINKED: Links = Links {
+        prev: NIL,
+        next: NIL,
+        linked: false,
+    };
+}
+
+/// An intrusive doubly-linked list over slot ids — the one queue of
+/// all three policies: [`Lru`]'s recency order and [`TwoQ`]'s
+/// protected queue, and, used as a FIFO (`push_front`, `pop_lru`,
+/// never `touch`), [`Clock`]'s ring and [`TwoQ`]'s probationary
+/// queue. Slot-indexed (slots are dense), O(1) link/unlink, no per-op
+/// allocation.
+#[derive(Debug)]
 struct RecencyList {
-    prev: Vec<usize>,
-    next: Vec<usize>,
-    linked: Vec<bool>,
+    links: Vec<Links>,
     head: usize, // MRU
     tail: usize, // LRU
     len: usize,
@@ -113,65 +129,59 @@ struct RecencyList {
 impl RecencyList {
     fn new() -> Self {
         Self {
-            prev: Vec::new(),
-            next: Vec::new(),
-            linked: Vec::new(),
+            links: Vec::new(),
             head: NIL,
             tail: NIL,
             len: 0,
         }
     }
 
-    fn ensure(&mut self, slot: usize) {
-        if slot >= self.linked.len() {
-            self.prev.resize(slot + 1, NIL);
-            self.next.resize(slot + 1, NIL);
-            self.linked.resize(slot + 1, false);
-        }
-    }
-
     fn contains(&self, slot: usize) -> bool {
-        slot < self.linked.len() && self.linked[slot]
+        self.links.get(slot).is_some_and(|l| l.linked)
     }
 
     fn push_front(&mut self, slot: usize) {
-        self.ensure(slot);
-        debug_assert!(!self.linked[slot]);
-        self.prev[slot] = NIL;
-        self.next[slot] = self.head;
+        if slot >= self.links.len() {
+            self.links.resize(slot + 1, Links::UNLINKED);
+        }
+        debug_assert!(!self.links[slot].linked);
+        self.links[slot] = Links {
+            prev: NIL,
+            next: self.head,
+            linked: true,
+        };
         if self.head != NIL {
-            self.prev[self.head] = slot;
+            self.links[self.head].prev = slot;
         }
         self.head = slot;
         if self.tail == NIL {
             self.tail = slot;
         }
-        self.linked[slot] = true;
         self.len += 1;
     }
 
     fn unlink(&mut self, slot: usize) {
         debug_assert!(self.contains(slot));
-        let (p, n) = (self.prev[slot], self.next[slot]);
-        if p != NIL {
-            self.next[p] = n;
+        let Links { prev, next, .. } = std::mem::replace(&mut self.links[slot], Links::UNLINKED);
+        if prev != NIL {
+            self.links[prev].next = next;
         } else {
-            self.head = n;
+            self.head = next;
         }
-        if n != NIL {
-            self.prev[n] = p;
+        if next != NIL {
+            self.links[next].prev = prev;
         } else {
-            self.tail = p;
+            self.tail = prev;
         }
-        self.prev[slot] = NIL;
-        self.next[slot] = NIL;
-        self.linked[slot] = false;
         self.len -= 1;
     }
 
+    /// Move `slot` to the MRU end (already there: nothing to do).
     fn touch(&mut self, slot: usize) {
-        self.unlink(slot);
-        self.push_front(slot);
+        if self.head != slot {
+            self.unlink(slot);
+            self.push_front(slot);
+        }
     }
 
     /// The least-recent slot, unlinked.
@@ -233,7 +243,9 @@ impl EvictionPolicy for Lru {
 /// the hand reaches it.
 #[derive(Debug)]
 pub struct Clock {
-    ring: VecDeque<usize>,
+    /// Admission order, a FIFO: the front is the newest slot, the hand
+    /// takes the LRU end.
+    ring: RecencyList,
     referenced: Vec<bool>,
 }
 
@@ -241,7 +253,7 @@ impl Clock {
     /// A fresh, empty clock ring.
     pub fn new() -> Self {
         Self {
-            ring: VecDeque::new(),
+            ring: RecencyList::new(),
             referenced: Vec::new(),
         }
     }
@@ -267,7 +279,7 @@ impl EvictionPolicy for Clock {
     fn on_admit(&mut self, slot: usize) {
         self.ensure(slot);
         self.referenced[slot] = false;
-        self.ring.push_back(slot);
+        self.ring.push_front(slot);
     }
 
     fn on_hit(&mut self, slot: usize) {
@@ -276,17 +288,17 @@ impl EvictionPolicy for Clock {
     }
 
     fn on_remove(&mut self, slot: usize) {
-        self.ring.retain(|&s| s != slot);
+        self.ring.unlink(slot);
     }
 
     fn victim(&mut self) -> Option<usize> {
         // A referenced slot spends its bit and requeues; one lap
         // clears every bit, so the hand stops within it.
         loop {
-            let slot = self.ring.pop_front()?;
+            let slot = self.ring.pop_lru()?;
             if self.referenced[slot] {
                 self.referenced[slot] = false;
-                self.ring.push_back(slot);
+                self.ring.push_front(slot);
             } else {
                 return Some(slot);
             }
@@ -302,9 +314,10 @@ impl EvictionPolicy for Clock {
 /// cannot flush the hot set.
 #[derive(Debug)]
 pub struct TwoQ {
-    probation: VecDeque<usize>,
+    /// First-touch slots, a FIFO: the front is the newest, eviction
+    /// takes the LRU end.
+    probation: RecencyList,
     protected: RecencyList,
-    in_probation: Vec<bool>,
 }
 
 impl TwoQ {
@@ -316,20 +329,13 @@ impl TwoQ {
     /// A fresh, empty 2Q state.
     pub fn new() -> Self {
         Self {
-            probation: VecDeque::new(),
+            probation: RecencyList::new(),
             protected: RecencyList::new(),
-            in_probation: Vec::new(),
-        }
-    }
-
-    fn ensure(&mut self, slot: usize) {
-        if slot >= self.in_probation.len() {
-            self.in_probation.resize(slot + 1, false);
         }
     }
 
     fn resident(&self) -> usize {
-        self.probation.len() + self.protected.len
+        self.probation.len + self.protected.len
     }
 }
 
@@ -345,16 +351,12 @@ impl EvictionPolicy for TwoQ {
     }
 
     fn on_admit(&mut self, slot: usize) {
-        self.ensure(slot);
-        self.in_probation[slot] = true;
-        self.probation.push_back(slot);
+        self.probation.push_front(slot);
     }
 
     fn on_hit(&mut self, slot: usize) {
-        self.ensure(slot);
-        if self.in_probation[slot] {
-            self.in_probation[slot] = false;
-            self.probation.retain(|&s| s != slot);
+        if self.probation.contains(slot) {
+            self.probation.unlink(slot);
             self.protected.push_front(slot);
         } else {
             self.protected.touch(slot);
@@ -362,20 +364,17 @@ impl EvictionPolicy for TwoQ {
     }
 
     fn on_remove(&mut self, slot: usize) {
-        if slot < self.in_probation.len() && self.in_probation[slot] {
-            self.in_probation[slot] = false;
-            self.probation.retain(|&s| s != slot);
+        if self.probation.contains(slot) {
+            self.probation.unlink(slot);
         } else {
             self.protected.unlink(slot);
         }
     }
 
     fn victim(&mut self) -> Option<usize> {
-        let over_kin = self.probation.len() * 100 > self.resident() * Self::KIN_PERCENT;
+        let over_kin = self.probation.len * 100 > self.resident() * Self::KIN_PERCENT;
         if over_kin || self.protected.len == 0 {
-            let slot = self.probation.pop_front()?;
-            self.in_probation[slot] = false;
-            return Some(slot);
+            return self.probation.pop_lru();
         }
         self.protected.pop_lru()
     }

@@ -166,40 +166,59 @@ impl<'c> BfRangeCursor<'c> {
 
     /// Fetch page `pid` of leaf `leaf_idx`'s walk: one sequential read
     /// (the partition walk is a sequential sweep).
+    ///
+    /// An ordered page whose first and last keys both lie in `[lo, hi]`
+    /// holds nothing but matches: unless a tombstone could drop one, it
+    /// is taken whole from its two end keys, without reading the tuples
+    /// between them.
     fn read_page(&mut self, leaf_idx: u32, pid: PageId) {
         self.io.data.read_seq(pid);
         self.counters.pages_read += 1;
         self.buf.clear();
         let (heap, attr) = (self.rel.heap(), self.rel.attr());
-        scan_page_in_range(
-            heap,
-            attr,
-            pid,
-            self.lo,
-            self.hi,
-            self.resume,
-            &mut self.buf,
-        );
         // A key above this leaf's range sits on the page it shares with
         // its right sibling (a split boundary); that sibling owns the
         // key's tombstone.
         let leaf = self.tree.leaf(leaf_idx);
         let sibling = leaf.next.map(|n| self.tree.leaf(n));
-        if !leaf.deleted.is_empty() || sibling.is_some_and(|s| !s.deleted.is_empty()) {
-            self.buf.retain(|&(p, slot)| {
-                let key = heap.attr(p, slot, attr);
-                let owner = match sibling {
-                    Some(s) if key > leaf.max_key => s,
-                    _ => leaf,
+        let tombstones = !leaf.deleted.is_empty() || sibling.is_some_and(|s| !s.deleted.is_empty());
+        let n = heap.tuples_in_page(pid);
+        let ends =
+            (self.ordered && n > 0).then(|| (heap.attr(pid, 0, attr), heap.attr(pid, n - 1, attr)));
+        match ends {
+            Some((first, last)) if !tombstones && first >= self.lo && last <= self.hi => {
+                let skip = match self.resume {
+                    Some((p, slot)) if p == pid => slot,
+                    _ => 0,
                 };
-                !owner.is_deleted(key)
-            });
+                self.buf.extend((skip..n).map(|slot| (pid, slot)));
+            }
+            _ => {
+                scan_page_in_range(
+                    heap,
+                    attr,
+                    pid,
+                    self.lo,
+                    self.hi,
+                    self.resume,
+                    &mut self.buf,
+                );
+                if tombstones {
+                    self.buf.retain(|&(p, slot)| {
+                        let key = heap.attr(p, slot, attr);
+                        let owner = match sibling {
+                            Some(s) if key > leaf.max_key => s,
+                            _ => leaf,
+                        };
+                        !owner.is_deleted(key)
+                    });
+                }
+            }
         }
         if self.buf.is_empty() {
             self.counters.overhead_pages += 1;
         }
-        let n = heap.tuples_in_page(pid);
-        self.past_hi = self.ordered && n > 0 && heap.attr(pid, n - 1, attr) > self.hi;
+        self.past_hi = ends.is_some_and(|(_, last)| last > self.hi);
     }
 
     /// The head seek in `leaf`, whose walk would read `[from, last]`:

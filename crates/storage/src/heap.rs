@@ -133,6 +133,26 @@ impl HeapFile {
         self.layout.read_attr(self.tuple(pid, slot), attr)
     }
 
+    /// Attribute `attr` of every tuple on page `pid`, in slot order —
+    /// the one linear page scan behind [`Self::scan_page_for`] and the
+    /// range cursors' per-page filter. One page lookup, then one
+    /// bounds-checked sub-slice per tuple (`chunks_exact`) instead of
+    /// [`Self::attr`]'s lookup and two checked slicings per tuple.
+    pub fn page_attrs(&self, pid: PageId, attr: AttrOffset) -> impl Iterator<Item = u64> + '_ {
+        let n = self.tuples_in_page(pid);
+        self.pages[pid as usize]
+            .bytes()
+            .chunks_exact(self.layout.tuple_size())
+            .take(n)
+            .map(move |tuple| {
+                u64::from_le_bytes(
+                    tuple[attr.0..attr.0 + 8]
+                        .try_into()
+                        .expect("attr within tuple"),
+                )
+            })
+    }
+
     /// Scan page `pid` for tuples whose `attr` equals `key`, appending
     /// matching slots to `out`. Returns the number of tuples examined
     /// (the CPU cost the paper's §6.3 mentions: "every tuple of that
@@ -144,23 +164,12 @@ impl HeapFile {
         key: u64,
         out: &mut Vec<usize>,
     ) -> usize {
-        let n = self.tuples_in_page(pid);
-        let tuple_size = self.layout.tuple_size();
-        let bytes = self.pages[pid as usize].bytes();
-        // One bounds-checked sub-slice per tuple (chunks_exact) instead
-        // of two checked slicings per attribute read — this scan is a
-        // probe's per-page inner loop.
-        for (slot, tuple) in bytes.chunks_exact(tuple_size).take(n).enumerate() {
-            let v = u64::from_le_bytes(
-                tuple[attr.0..attr.0 + 8]
-                    .try_into()
-                    .expect("attr within tuple"),
-            );
+        for (slot, v) in self.page_attrs(pid, attr).enumerate() {
             if v == key {
                 out.push(slot);
             }
         }
-        n
+        self.tuples_in_page(pid)
     }
 
     /// Read tuple `slot`'s `attr` from `bytes` (the sorted scan's
@@ -220,24 +229,19 @@ impl HeapFile {
     /// Minimum and maximum of `attr` within page `pid`; `None` for an
     /// empty page.
     pub fn page_attr_range(&self, pid: PageId, attr: AttrOffset) -> Option<(u64, u64)> {
-        let n = self.tuples_in_page(pid);
-        if n == 0 {
-            return None;
-        }
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for slot in 0..n {
-            let v = self.attr(pid, slot, attr);
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        Some((lo, hi))
+        self.page_attrs(pid, attr)
+            .fold(None, |range, v| match range {
+                None => Some((v, v)),
+                Some((lo, hi)) => Some((v.min(lo), v.max(hi))),
+            })
     }
 
     /// Iterate all tuples as `(pid, slot, attr_value)` for one attribute.
     pub fn iter_attr(&self, attr: AttrOffset) -> impl Iterator<Item = (PageId, usize, u64)> + '_ {
         (0..self.page_count()).flat_map(move |pid| {
-            (0..self.tuples_in_page(pid)).map(move |slot| (pid, slot, self.attr(pid, slot, attr)))
+            self.page_attrs(pid, attr)
+                .enumerate()
+                .map(move |(slot, v)| (pid, slot, v))
         })
     }
 }
