@@ -256,9 +256,12 @@ impl BfTree {
     /// stops charging I/O the moment the sink breaks.
     ///
     /// Charges index reads (internal descent + one read per BF-leaf
-    /// visited) to `io.index` and data-page fetches to `io.data`
-    /// (sorted batch: adjacent pages at sequential cost, as the
-    /// paper's Equation 13 models). `scratch` supplies the working
+    /// visited) to `io.index` and data-page fetches to `io.data`, in
+    /// ascending page order: a page right after the previous page read
+    /// (a duplicate run's next page included) at sequential cost,
+    /// every other page at random cost. Equation 13 charges every
+    /// false-positive page sequentially instead; ROADMAP 18 holds the
+    /// open decision between the two. `scratch` supplies the working
     /// buffers, so the path allocates nothing once they are warm. The
     /// public entry points are `AccessMethod::probe_into` and the
     /// trait's `probe` / `probe_first` / `probe_batch` over it.

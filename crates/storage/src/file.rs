@@ -80,7 +80,9 @@ const STATE_FREE: u32 = 2;
 /// Slicing-by-8 tables for CRC-32 (IEEE 802.3, reflected), built at
 /// compile time so the crate stays dependency-free. `CRC_TABLES[0]` is
 /// the classic byte table; `CRC_TABLES[k][b]` is the CRC of byte `b`
-/// followed by `k` zero bytes.
+/// followed by `k` zero bytes. One step of eight table lookups feeds
+/// eight bytes ([`crc32_step8`]); the lane kernel runs four such
+/// chains at once.
 const CRC_TABLES: [[u32; 256]; 8] = {
     let mut t = [[0u32; 256]; 8];
     let mut i = 0;
@@ -111,33 +113,112 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     t
 };
 
-/// Feed `bytes` into a running (pre-inverted) CRC-32 state, eight
-/// bytes per step. Start from `!0`, invert the result: feeding a
-/// buffer in pieces gives the value of feeding it whole.
-fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
+/// Bytes per lane of the lane kernel.
+const CRC_LANE: usize = 256;
+/// Independent slicing-by-8 chains per block. Four keep the load
+/// ports busy; more measured no faster.
+const CRC_LANES: usize = 4;
+/// Bytes the lane kernel takes per block; a shorter tail runs as one
+/// [`crc32_step8`] chain.
+const CRC_BLOCK: usize = CRC_LANES * CRC_LANE;
+
+/// "Advance by one lane of zero bytes": `CRC_SHIFT[k][b]` is the
+/// register `b << 8k` after [`CRC_LANE`] zero bytes. Feeding zeros is
+/// linear in the register, so four lookups advance any state. Built
+/// like [`CRC_TABLES`], by eight-byte steps: over a zero word a step
+/// is the four lookups `CRC_TABLES[4..8]` on the register alone.
+const CRC_SHIFT: [[u32; 256]; 4] = {
     let t = &CRC_TABLES;
-    let mut words = bytes.chunks_exact(8);
+    let mut z = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut i = 0;
+        while i < 256 {
+            let mut c = (i as u32) << (8 * k);
+            let mut n = 0;
+            while n < CRC_LANE / 8 {
+                c = t[7][(c & 0xFF) as usize]
+                    ^ t[6][(c >> 8 & 0xFF) as usize]
+                    ^ t[5][(c >> 16 & 0xFF) as usize]
+                    ^ t[4][(c >> 24) as usize];
+                n += 1;
+            }
+            z[k][i] = c;
+            i += 1;
+        }
+        k += 1;
+    }
+    z
+};
+
+/// Feed eight bytes into a running CRC-32 register: one slicing-by-8
+/// step.
+#[inline(always)]
+fn crc32_step8(c: u32, w: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][(lo >> 8 & 0xFF) as usize]
+        ^ t[5][(lo >> 16 & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][(hi >> 8 & 0xFF) as usize]
+        ^ t[1][(hi >> 16 & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// Advance a register by [`CRC_LANE`] zero bytes.
+#[inline(always)]
+fn crc32_shift_lane(c: u32) -> u32 {
+    let z = &CRC_SHIFT;
+    z[0][(c & 0xFF) as usize]
+        ^ z[1][(c >> 8 & 0xFF) as usize]
+        ^ z[2][(c >> 16 & 0xFF) as usize]
+        ^ z[3][(c >> 24) as usize]
+}
+
+/// Feed `bytes` into a running (pre-inverted) CRC-32 state. Start
+/// from `!0`, invert the result: feeding a buffer in pieces gives the
+/// value of feeding it whole.
+///
+/// Each [`CRC_BLOCK`] runs as [`CRC_LANES`] independent slicing-by-8
+/// chains, lane 0 from the running state and the others from 0, so
+/// no step waits on the one before it. The register is linear over
+/// GF(2), so the block's CRC is the lanes' registers folded left to
+/// right, each advanced past the next lane by [`crc32_shift_lane`]
+/// before the next is XORed in. The tail under one block takes one
+/// chain, eight bytes a step, then a byte at a time.
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let mut blocks = bytes.chunks_exact(CRC_BLOCK);
+    for block in &mut blocks {
+        let mut lanes = [0u32; CRC_LANES];
+        lanes[0] = c;
+        for i in (0..CRC_LANE).step_by(8) {
+            for (l, s) in lanes.iter_mut().enumerate() {
+                let at = l * CRC_LANE + i;
+                *s = crc32_step8(*s, &block[at..at + 8]);
+            }
+        }
+        c = lanes[1..]
+            .iter()
+            .fold(lanes[0], |acc, &s| crc32_shift_lane(acc) ^ s);
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
     for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][(lo >> 8 & 0xFF) as usize]
-            ^ t[5][(lo >> 16 & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][(hi >> 8 & 0xFF) as usize]
-            ^ t[1][(hi >> 16 & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        c = crc32_step8(c, w);
     }
     for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c
 }
 
 /// CRC-32 (IEEE 802.3, reflected): the workspace's one checksum (page
 /// slots here, WAL records and wire frames through
-/// `bftree_wal::crc32`).
+/// `bftree_wal::crc32`). Table-driven and portable: whole 1 KiB blocks
+/// through the four-lane kernel, the tail through one slicing-by-8
+/// chain; the values are the byte-at-a-time loop's.
 pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_update(!0, bytes)
 }
@@ -416,6 +497,16 @@ struct Inner {
     retry: RetryPolicy,
 }
 
+impl Inner {
+    /// The slot holding live page `page`.
+    fn slot(&self, page: PageId) -> Result<u64, DeviceError> {
+        self.map
+            .get(&page)
+            .copied()
+            .ok_or(DeviceError::UnknownPage { page })
+    }
+}
+
 /// Outcome of a charging-path operation ([`FileStore::charged_read`]
 /// / [`FileStore::charged_write`]) once the retry policy has run its
 /// course. The charging API never panics on device faults; it reports
@@ -686,24 +777,23 @@ impl FileStore {
     /// it in the store's [`RetryPolicy`].
     pub fn read_page(&self, page: PageId) -> Result<Vec<u8>, DeviceError> {
         let mut buf = [0u8; SLOT_SIZE];
-        let len = self.read_slot(&self.lock(), page, true, &mut buf)?;
+        let inner = self.lock();
+        let len = self.read_slot(&inner, page, inner.slot(page)?, true, &mut buf)?;
         Ok(buf[PAGE_HEADER..PAGE_HEADER + len].to_vec())
     }
 
-    /// One verified read of `page`'s slot image into `buf`: the
-    /// payload is `buf[PAGE_HEADER..PAGE_HEADER + len]` for the
+    /// One verified read of `page`'s image in `slot` (the slot
+    /// [`Inner::slot`] resolves it to under the same lock) into `buf`:
+    /// the payload is `buf[PAGE_HEADER..PAGE_HEADER + len]` for the
     /// returned `len`, and only once every check has passed.
     fn read_slot(
         &self,
         inner: &Inner,
         page: PageId,
+        slot: u64,
         inject: bool,
         buf: &mut [u8; SLOT_SIZE],
     ) -> Result<usize, DeviceError> {
-        let slot = *inner
-            .map
-            .get(&page)
-            .ok_or(DeviceError::UnknownPage { page })?;
         if inject {
             self.inject_read_fault(inner, page, slot)?;
         }
@@ -803,10 +893,7 @@ impl FileStore {
     /// corruption directly.
     pub fn corrupt_page(&self, page: PageId) -> Result<(), DeviceError> {
         let inner = self.lock();
-        let slot = *inner
-            .map
-            .get(&page)
-            .ok_or(DeviceError::UnknownPage { page })?;
+        let slot = inner.slot(page)?;
         self.corrupt_locked(&inner, page, slot)
     }
 
@@ -924,7 +1011,7 @@ impl FileStore {
     pub fn read_page_verified(&self, page: PageId) -> Result<Vec<u8>, DeviceError> {
         let mut buf = [0u8; SLOT_SIZE];
         let len = self.with_retries(self.lock(), |inner| {
-            self.read_slot(inner, page, true, &mut buf)
+            self.read_slot(inner, page, inner.slot(page)?, true, &mut buf)
         })?;
         Ok(buf[PAGE_HEADER..PAGE_HEADER + len].to_vec())
     }
@@ -952,7 +1039,8 @@ impl FileStore {
     pub fn repair_page(&self, page: PageId, payload: Option<&[u8]>) -> Result<u64, DeviceError> {
         let mut inner = self.lock();
         let lsn = self.write_locked_impl(&mut inner, page, payload, false, false)?;
-        self.read_slot(&inner, page, false, &mut [0u8; SLOT_SIZE])?;
+        let slot = inner.slot(page)?;
+        self.read_slot(&inner, page, slot, false, &mut [0u8; SLOT_SIZE])?;
         if self.faults.quarantine.release(page) {
             self.faults.stats.note_repaired();
         }
@@ -962,10 +1050,7 @@ impl FileStore {
     /// The stored LSN of `page` (bumps on every write).
     pub fn page_lsn(&self, page: PageId) -> Result<u64, DeviceError> {
         let inner = self.lock();
-        let slot = *inner
-            .map
-            .get(&page)
-            .ok_or(DeviceError::UnknownPage { page })?;
+        let slot = inner.slot(page)?;
         let mut hb = [0u8; PAGE_HEADER];
         let got = read_full_at(&inner.file, &mut hb, slot_offset(slot))?;
         if got < PAGE_HEADER {
@@ -1123,7 +1208,8 @@ impl FileStore {
     /// evicts it from any cache so no pool ever serves the bad image.
     pub fn charged_read(&self, page: PageId) -> IoOutcome {
         let mut inner = self.lock();
-        if !inner.map.contains_key(&page) {
+        let mut held = inner.map.get(&page).copied();
+        if held.is_none() {
             let materialized = self.with_retries(inner, |inner| {
                 if !inner.map.contains_key(&page) {
                     self.write_locked(inner, page, None, true)?;
@@ -1136,7 +1222,17 @@ impl FileStore {
             inner = self.lock();
         }
         let mut buf = [0u8; SLOT_SIZE];
-        match self.with_retries(inner, |inner| self.read_slot(inner, page, true, &mut buf)) {
+        let read = self.with_retries(inner, |inner| {
+            // The first attempt reads the slot looked up above, under
+            // the same lock; a retry (or a page just materialized)
+            // looks it up again, since the lock was dropped meanwhile.
+            let slot = match held.take() {
+                Some(slot) => slot,
+                None => inner.slot(page)?,
+            };
+            self.read_slot(inner, page, slot, true, &mut buf)
+        });
+        match read {
             Ok(_) => IoOutcome::Ok,
             Err(e) if e.is_transient() => IoOutcome::Unavailable,
             Err(_) => {
@@ -1377,7 +1473,8 @@ mod tests {
     }
 
     /// The byte-at-a-time loop `crc32` was until slicing-by-8: the
-    /// reference the table-sliced form is checked against.
+    /// reference the lane kernel and its sliced tail are checked
+    /// against.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         let mut c = !0u32;
         for &b in bytes {
@@ -1399,11 +1496,18 @@ mod tests {
         assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
     }
 
+    /// Short lengths take the tail loop alone; `k` blocks give or
+    /// take 9 bytes cross every lane-kernel boundary with a tail of
+    /// each length class on either side.
     #[test]
     fn sliced_crc32_equals_the_byte_loop_at_every_length_and_alignment() {
         let buf = seeded_bytes(65_539 + 8);
+        let block_edges = (1..=3).flat_map(|k| k * CRC_BLOCK - 9..=k * CRC_BLOCK + 9);
         for start in 0..8 {
-            for len in (0..=300).chain([4_096, 4_116, 4_136, 65_539]) {
+            for len in (0..=300)
+                .chain(block_edges.clone())
+                .chain([4_096, 4_116, 4_136, 65_539])
+            {
                 let bytes = &buf[start..start + len];
                 assert_eq!(
                     crc32(bytes),
