@@ -291,7 +291,7 @@ mod tests {
     }
 
     fn leaf_over(pages: &[(PageId, Vec<u64>)]) -> BfLeaf {
-        let distinct: std::collections::HashSet<u64> = pages
+        let distinct: crate::tree::KeySet = pages
             .iter()
             .flat_map(|(_, ks)| ks.iter().copied())
             .collect();

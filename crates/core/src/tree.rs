@@ -6,17 +6,19 @@
 //! split then re-route). Bulk load, the [`SplitStrategy::RebuildFromData`]
 //! split and [`BfTree::rebuild_leaf`] read a data page's distinct keys
 //! through one collector, which applies the
-//! [`DuplicateHandling::FirstPageOnly`] rule in one place.
+//! [`DuplicateHandling::FirstPageOnly`] rule in one place, into one
+//! kind of distinct-key set (`KeySet`).
 //!
 //! [`BfTree::rebuild_leaf`] (§7: "recalculate the BF from the
 //! beginning" once the deleted-keys list has grown) has no caller in
 //! the write path yet; `examples/cold_storage.rs` drives it.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::ControlFlow;
 
 use bftree_access::{MatchSink, ProbeIo};
-use bftree_bloom::hash::KeyFingerprint;
+use bftree_bloom::hash::{mix64, KeyFingerprint};
 use bftree_btree::{BPlusTree, BTreeConfig, DuplicateMode, TupleRef};
 use bftree_storage::tuple::AttrOffset;
 use bftree_storage::{HeapFile, IoContext, PageDevice, PageId, Relation};
@@ -86,16 +88,21 @@ impl BfTree {
 
         let mut leaves: Vec<BfLeaf> = Vec::new();
         let mut pending: Vec<(PageId, Vec<u64>)> = Vec::new();
-        let mut distinct: HashSet<u64> = HashSet::new();
+        let mut distinct = KeySet::default();
         for pid in 0..heap.page_count() {
             let mut keys = page_keys(heap, pid, attr, |_| true);
-            let new_keys = keys.iter().filter(|k| !distinct.contains(k)).count() as u64;
-            if !pending.is_empty() && distinct.len() as u64 + new_keys > max_keys {
-                leaves.push(BfLeaf::from_pages(&config, &pending, distinct.len() as u64));
+            let before = distinct.len() as u64;
+            admit_keys(config.duplicates, &mut keys, &mut distinct);
+            if !pending.is_empty() && distinct.len() as u64 > max_keys {
+                // The page's new keys overflow the leaf: close it with
+                // the keys it held before, and re-admit the whole page
+                // into the next leaf's fresh set (once per leaf).
+                leaves.push(BfLeaf::from_pages(&config, &pending, before));
                 pending.clear();
                 distinct.clear();
+                keys = page_keys(heap, pid, attr, |_| true);
+                admit_keys(config.duplicates, &mut keys, &mut distinct);
             }
-            admit_keys(config.duplicates, &mut keys, &mut distinct);
             pending.push((pid, keys));
         }
         if pending.is_empty() {
@@ -494,7 +501,7 @@ impl BfTree {
             pages
                 .iter()
                 .flat_map(|(_, ks)| ks.iter().copied())
-                .collect::<HashSet<u64>>()
+                .collect::<KeySet>()
                 .len() as u64
         };
         let mut n1 = BfLeaf::from_pages(&self.config, &n1_pages, distinct(&n1_pages));
@@ -532,7 +539,7 @@ impl BfTree {
     ) -> SplitSides {
         let l = &self.leaves[idx as usize];
         let mut per_page: Vec<(PageId, Vec<u64>, Vec<u64>)> = Vec::new();
-        let mut seen: HashSet<u64> = HashSet::new();
+        let mut seen = KeySet::default();
         for pid in l.min_pid..=l.max_pid.min(heap.page_count().saturating_sub(1)) {
             let mut keys = page_keys(heap, pid, attr, |k| (l.min_key..=l.max_key).contains(&k));
             admit_keys(self.config.duplicates, &mut keys, &mut seen);
@@ -628,7 +635,7 @@ impl BfTree {
         let old = &self.leaves[idx as usize];
         let live = |k: u64| (old.min_key..=old.max_key).contains(&k) && !old.is_deleted(k);
         let mut pages: Vec<(PageId, Vec<u64>)> = Vec::new();
-        let mut distinct: HashSet<u64> = HashSet::new();
+        let mut distinct = KeySet::default();
         for pid in old.min_pid..=old.max_pid.min(heap.page_count().saturating_sub(1)) {
             let mut keys = page_keys(heap, pid, attr, live);
             admit_keys(self.config.duplicates, &mut keys, &mut distinct);
@@ -681,13 +688,72 @@ fn page_keys(
 }
 
 /// Take one page's distinct `keys` into a leaf whose earlier pages
-/// hold the keys in `seen`, and add them to `seen`. Under
-/// [`DuplicateHandling::FirstPageOnly`] only a key's first covering
-/// page enters the filters (probes follow the run forward from there),
-/// so the keys `seen` already holds are dropped from `keys` first.
-fn admit_keys(duplicates: DuplicateHandling, keys: &mut Vec<u64>, seen: &mut HashSet<u64>) {
+/// hold the keys in `seen`, and add them to `seen`: one set insert per
+/// key. Under [`DuplicateHandling::FirstPageOnly`] only a key's first
+/// covering page enters the filters (probes follow the run forward
+/// from there), so the keys `seen` already held — those whose insert
+/// finds them — are dropped from `keys`.
+fn admit_keys(duplicates: DuplicateHandling, keys: &mut Vec<u64>, seen: &mut KeySet) {
     if duplicates == DuplicateHandling::FirstPageOnly {
-        keys.retain(|k| !seen.contains(k));
+        keys.retain(|&k| seen.insert(k));
+    } else {
+        seen.extend(keys.iter().copied());
     }
-    seen.extend(keys.iter().copied());
+}
+
+/// A set of distinct key values: the bookkeeping of bulk load (a
+/// leaf's distinct-key count), data-driven splits and leaf rebuilds.
+pub(crate) type KeySet = HashSet<u64, BuildHasherDefault<KeyHasher>>;
+
+/// [`KeySet`]'s hasher: the key, finished through [`mix64`] (the
+/// splitmix64 finalizer). Unkeyed, because the keys are the relation's
+/// own attribute values and SipHash's resistance to crafted collisions
+/// buys nothing there. Not a bare multiply `n·K` like the buffer
+/// manager's frame hasher: attribute values are often strided (scaled
+/// timestamps, multiples of 2^k), a product keeps their shared zero
+/// low bits, and the set's bucket index is the hash's low bits, so
+/// keys strided by 2^k would crowd into 1/2^k of the buckets. The
+/// finalizer's avalanche spreads any stride
+/// (`key_set_hash_spreads_strided_keys` pins it).
+#[derive(Debug, Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.rotate_left(8) ^ n;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::hash::BuildHasher;
+
+    /// Strided keys `i << s` share their low `s` bits; the set's
+    /// bucket index is its hash's low bits. Over 4 096 keys, the low 12
+    /// bits of the hash must take at least 2 400 distinct values (a
+    /// uniform hash: about 2 589) at every stride. A bare `n·K` takes
+    /// one value from `s = 12` on.
+    #[test]
+    fn key_set_hash_spreads_strided_keys() {
+        let hasher = BuildHasherDefault::<KeyHasher>::default();
+        for s in [0, 12, 20, 32, 48] {
+            let low: HashSet<u64> = (0..4_096u64)
+                .map(|i| hasher.hash_one(i << s) & 0xFFF)
+                .collect();
+            assert!(low.len() >= 2_400, "stride 2^{s}: {} buckets", low.len());
+        }
+    }
 }

@@ -39,6 +39,28 @@ fn pk_probe_finds_every_key() {
     }
 }
 
+/// Keys strided by 2^32 (their low 32 bits all zero) bulk-load into
+/// a `Unique` tree that finds every one of them: the distinct-key set
+/// behind the load hashes them apart.
+#[test]
+fn strided_unique_keys_bulk_load_and_probe_back() {
+    let mut heap = HeapFile::new(TupleLayout::new(256));
+    for i in 0..65_536u64 {
+        heap.append_record(i << 32, i);
+    }
+    let rel = Relation::new(heap, PK_OFFSET, Duplicates::Unique).unwrap();
+    let io = IoContext::unmetered();
+    let t = BfTree::builder().build(&rel).unwrap();
+    t.check_invariants();
+    assert_eq!(t.n_keys(), 65_536);
+    for i in 0..65_536u64 {
+        let r = AccessMethod::probe_first(&t, i << 32, &rel, &io).unwrap();
+        assert_eq!(r.matches.len(), 1, "key {i} << 32");
+        let (pid, slot) = r.matches[0];
+        assert_eq!(rel.heap().attr(pid, slot, ATT1_OFFSET), i);
+    }
+}
+
 #[test]
 fn negative_probe_outside_key_range_reads_nothing() {
     let rel = pk_relation(10_000, 11);

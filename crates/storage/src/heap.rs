@@ -68,22 +68,32 @@ impl HeapFile {
     /// Append a tuple; returns its (page, slot) location.
     pub fn append(&mut self, tuple: &[u8]) -> (PageId, usize) {
         assert_eq!(tuple.len(), self.layout.tuple_size(), "tuple size mismatch");
+        self.append_with(|slot| slot.copy_from_slice(tuple))
+    }
+
+    /// Append a (pk, att1) record using the conventional layout,
+    /// written straight into its page slot.
+    pub fn append_record(&mut self, pk: u64, att1: u64) -> (PageId, usize) {
+        let layout = self.layout;
+        self.append_with(|slot| layout.write_record(slot, pk, att1))
+    }
+
+    /// Open the next tuple slot (a fresh zeroed page at slot 0), let
+    /// `write` fill its bytes in place, and return its (page, slot)
+    /// location: the one append behind [`Self::append`],
+    /// [`Self::append_record`] and `Relation::append_tuple`.
+    pub(crate) fn append_with(&mut self, write: impl FnOnce(&mut [u8])) -> (PageId, usize) {
         let per = self.tuples_per_page();
         let slot = (self.n_tuples % per as u64) as usize;
         if slot == 0 {
             self.pages.push(Page::zeroed(self.page_size));
         }
         let pid = (self.pages.len() - 1) as PageId;
-        let off = slot * self.layout.tuple_size();
-        self.pages[pid as usize].bytes_mut()[off..off + tuple.len()].copy_from_slice(tuple);
+        let size = self.layout.tuple_size();
+        let off = slot * size;
+        write(&mut self.pages[pid as usize].bytes_mut()[off..off + size]);
         self.n_tuples += 1;
         (pid, slot)
-    }
-
-    /// Append a (pk, att1) record using the conventional layout.
-    pub fn append_record(&mut self, pk: u64, att1: u64) -> (PageId, usize) {
-        let t = self.layout.make_tuple(pk, att1);
-        self.append(&t)
     }
 
     /// A copy of this heap file cut back to its first `n_tuples`
@@ -114,11 +124,11 @@ impl HeapFile {
     }
 
     /// Number of tuples stored in `pid` (full pages except possibly the
-    /// last).
+    /// last; 0 for a page past the last).
     pub fn tuples_in_page(&self, pid: PageId) -> usize {
         let per = self.tuples_per_page() as u64;
-        let full_before = pid * per;
-        ((self.n_tuples - full_before).min(per)) as usize
+        let full_before = pid.saturating_mul(per);
+        (self.n_tuples.saturating_sub(full_before).min(per)) as usize
     }
 
     /// Raw bytes of tuple `(pid, slot)`.
@@ -249,6 +259,7 @@ impl HeapFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relation::{Duplicates, Relation};
     use crate::tuple::{ATT1_OFFSET, PK_OFFSET};
 
     fn small_heap(n: u64) -> HeapFile {
@@ -363,6 +374,82 @@ mod tests {
         }
         assert_eq!(h.tuples_per_page(), 16);
         assert_eq!(h.page_count(), 4096);
+    }
+
+    #[test]
+    fn tuples_in_page_is_zero_past_the_last_page() {
+        let h = small_heap(10); // 3 pages, the last holding 2 of 4
+        assert_eq!(h.tuples_in_page(h.page_count() - 1), 2);
+        assert_eq!(h.tuples_in_page(h.page_count()), 0);
+        assert_eq!(h.tuples_in_page(h.page_count() + 3), 0);
+    }
+
+    fn page_crcs(heap: &HeapFile) -> Vec<u32> {
+        heap.pages
+            .iter()
+            .map(|p| crate::file::crc32(p.bytes()))
+            .collect()
+    }
+
+    /// Every appending path writes the bytes its parent commit wrote,
+    /// page for page: `append_record` on full 4 KB pages and on small
+    /// pages whose last one is partial, and `Relation::append_tuple`
+    /// with the key on the pk, on att1 and on an unconventional offset.
+    /// The values are the parent's `crc32` of each page; re-record
+    /// them only in a change that means to move a tuple's bytes.
+    #[test]
+    fn appended_pages_are_byte_identical_to_the_recorded_parent() {
+        let mut h = HeapFile::new(TupleLayout::new(256));
+        for i in 0..1_000u64 {
+            h.append_record(i * 7 + 3, i / 5);
+        }
+        assert_eq!(
+            page_crcs(&h),
+            [
+                0x6af532cc, 0x044a694f, 0xeeb6e828, 0xe1e8d75c, 0x242077c6, 0x4e241095, 0x3fa4053f,
+                0xeb998f2a, 0x5c7d43a0, 0x6b0988f3, 0x3b04c219, 0xdc7c9715, 0x2194e538, 0x6c2cb01d,
+                0x91e970da, 0x091fe2ee, 0x31b0dbdb, 0x30af0d0d, 0xea8a6877, 0x716bc62c, 0xf14da20f,
+                0x83557bd9, 0xb26ca8bd, 0x1f614846, 0xec50bc34, 0x578b1ad6, 0x8466289c, 0x80ee9357,
+                0xcaf67808, 0x877975e3, 0xe8799f7a, 0xc46e89a2, 0x481d5328, 0xc457ca61, 0xe72b3c61,
+                0xbe614533, 0x3d174a4a, 0xb70075db, 0x2475a2bb, 0x39c85fc9, 0x86ff52f1, 0x4acf83e5,
+                0xeef4a10a, 0xeb7936cc, 0xdf113386, 0x4d79e0e9, 0xf2d1c1e5, 0xb1665a68, 0x6b3ca197,
+                0xa3a30026, 0x389033a4, 0xbb5341f0, 0xc09ac28e, 0x5077d992, 0x4a99c4cb, 0xe54db7f3,
+                0xb05cb9b3, 0xd0c616e8, 0xe1dee668, 0xdb4997d8, 0x7dfdb2cc, 0x96524515, 0x733a354d
+            ]
+        );
+
+        let mut h = HeapFile::with_page_size(TupleLayout::new(64), 256);
+        for i in 0..102u64 {
+            h.append_record(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), !i);
+        }
+        assert_eq!(
+            h.tuples_in_page(h.page_count() - 1),
+            2,
+            "a partial last page"
+        );
+        assert_eq!(
+            page_crcs(&h),
+            [
+                0x57e45244, 0x3dd021f1, 0x65140c4e, 0x2571d10a, 0xf5ae1a4b, 0x26cc51a5, 0x4c748323,
+                0x70d3e7a8, 0xca2a7249, 0x2fbe6e90, 0x042af7c4, 0xe563bd07, 0x0dbf2256, 0xd26ed13a,
+                0xaf21bb44, 0xe0461089, 0x299afa83, 0x0e710977, 0x9f906ecd, 0x18e24cec, 0x0f6c9fd9,
+                0x0f2dbc95, 0x5abd7492, 0x2cf85db3, 0x9c8fbe1e, 0x1158c724
+            ]
+        );
+
+        let io = crate::context::IoContext::unmetered();
+        for (attr, crcs) in [
+            (PK_OFFSET, [0x1b6b0d1b, 0xb4f8965d, 0xd4d4ef3f]),
+            (ATT1_OFFSET, [0x43057d21, 0xc035356e, 0x47d26406]),
+            (AttrOffset(24), [0xcf44ca3d, 0xbb58f057, 0x5b107534]),
+        ] {
+            let heap = HeapFile::new(TupleLayout::new(256));
+            let mut rel = Relation::new(heap, attr, Duplicates::Unique).unwrap();
+            for i in 0..40u64 {
+                rel.append_tuple(1_000 + i, i * 3, &io);
+            }
+            assert_eq!(page_crcs(rel.heap()), crcs, "indexed at byte {}", attr.0);
+        }
     }
 
     #[test]

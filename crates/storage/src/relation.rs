@@ -129,8 +129,9 @@ impl Relation {
     }
 
     /// Append one tuple carrying `key` on the **indexed** attribute
-    /// (and `attr` on the other conventional attribute), extending the
-    /// heap file and charging write I/O to `io`'s data device. Returns
+    /// (and `attr` on the other conventional attribute), written
+    /// straight into its page slot, extending the heap file and
+    /// charging write I/O to `io`'s data device. Returns
     /// the new tuple's `(page, slot)` location — exactly what
     /// `AccessMethod::insert` wants next.
     ///
@@ -152,13 +153,15 @@ impl Relation {
         } else {
             (key, attr)
         };
-        let mut tuple = layout.make_tuple(pk, att1);
-        if self.attr != PK_OFFSET && self.attr != ATT1_OFFSET {
-            // Unconventional offset: the indexed value must still land
-            // on the attribute the index reads.
-            layout.write_attr(&mut tuple, self.attr, key);
-        }
-        let loc = self.heap.append(&tuple);
+        let attr_at = self.attr;
+        let loc = self.heap.append_with(|tuple| {
+            layout.write_record(tuple, pk, att1);
+            if attr_at != PK_OFFSET && attr_at != ATT1_OFFSET {
+                // Unconventional offset: the indexed value must still
+                // land on the attribute the index reads.
+                layout.write_attr(tuple, attr_at, key);
+            }
+        });
         if loc.1 == 0 {
             io.data.write(loc.0);
         }

@@ -61,16 +61,26 @@ impl TupleLayout {
         tuple[attr.0..attr.0 + 8].copy_from_slice(&value.to_le_bytes());
     }
 
-    /// Build a tuple with the conventional pk/att1 attributes set and a
-    /// deterministic payload fill.
-    pub fn make_tuple(&self, pk: u64, att1: u64) -> Vec<u8> {
-        let mut t = vec![0u8; self.tuple_size];
-        self.write_attr(&mut t, PK_OFFSET, pk);
-        self.write_attr(&mut t, ATT1_OFFSET, att1);
+    /// Write a whole tuple into `tuple` in place: the conventional
+    /// pk/att1 attributes and a deterministic payload fill. The one
+    /// definition of a record's bytes — heap appends write it straight
+    /// into their page slot, and [`Self::make_tuple`] into a fresh
+    /// buffer.
+    #[inline]
+    pub(crate) fn write_record(&self, tuple: &mut [u8], pk: u64, att1: u64) {
+        self.write_attr(tuple, PK_OFFSET, pk);
+        self.write_attr(tuple, ATT1_OFFSET, att1);
         // Deterministic non-zero payload so page bytes are realistic.
-        for (i, b) in t[16..].iter_mut().enumerate() {
+        for (i, b) in tuple[16..].iter_mut().enumerate() {
             *b = (pk as u8).wrapping_add(i as u8);
         }
+    }
+
+    /// Build a tuple with the conventional pk/att1 attributes set and a
+    /// deterministic payload fill (`write_record`'s bytes).
+    pub fn make_tuple(&self, pk: u64, att1: u64) -> Vec<u8> {
+        let mut t = vec![0u8; self.tuple_size];
+        self.write_record(&mut t, pk, att1);
         t
     }
 }

@@ -5,7 +5,9 @@
 //! be a word of that file, and every segment of a `path::Symbol` must
 //! be a word of some Rust source in the workspace, comments excluded —
 //! so deleting an item fails here until the prose that advertises it
-//! goes too.
+//! goes too. A second scan holds every `ROADMAP <n>` citation in the
+//! code, those two documents and the verify skill to an item
+//! ROADMAP.md still lists as open.
 
 use std::collections::HashSet;
 use std::fs;
@@ -172,4 +174,93 @@ fn backticked_paths_and_symbols_resolve() {
         dangling.len(),
         dangling.join("\n")
     );
+}
+
+/// Documents that may cite ROADMAP.md's items, beside the Rust sources
+/// outside the frozen `benchmark/`.
+const CITING_DOCS: [&str; 3] = [
+    "README.md",
+    "ARCHITECTURE.md",
+    ".claude/skills/verify/SKILL.md",
+];
+
+/// The open items of ROADMAP.md: the `<n>. **…` lines under its
+/// `## Open items` heading.
+fn open_items(roadmap: &str) -> HashSet<u64> {
+    roadmap
+        .lines()
+        .skip_while(|line| line.trim_end() != "## Open items")
+        .skip(1)
+        .take_while(|line| !line.starts_with("## "))
+        .filter_map(|line| {
+            let (number, rest) = line.split_once(". ")?;
+            rest.starts_with("**").then(|| number.parse().ok())?
+        })
+        .collect()
+}
+
+/// `s` past leading whitespace and comment markers.
+fn gap(s: &str) -> &str {
+    s.trim_start_matches(|c: char| c.is_whitespace() || "/!*".contains(c))
+}
+
+/// The item numbers `text` cites as `ROADMAP <n>` or `ROADMAP item
+/// <n>`, a line break and a comment's `//` or `//!` allowed between
+/// the words.
+fn roadmap_citations(text: &str) -> Vec<u64> {
+    let mut cited = Vec::new();
+    for (at, _) in text.match_indices("ROADMAP") {
+        let rest = &text[at + "ROADMAP".len()..];
+        if !rest.starts_with(char::is_whitespace) {
+            continue;
+        }
+        let rest = gap(rest);
+        let rest = match rest.strip_prefix("item") {
+            Some(after) if after.starts_with(char::is_whitespace) => gap(after),
+            _ => rest,
+        };
+        let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+        if digits > 0 && !rest[digits..].starts_with(|c: char| c.is_ascii_alphanumeric()) {
+            cited.push(rest[..digits].parse().expect("a decimal item number"));
+        }
+    }
+    cited
+}
+
+#[test]
+fn roadmap_citations_name_open_items() {
+    let roadmap = fs::read_to_string(root().join("ROADMAP.md")).expect("a readable ROADMAP.md");
+    let open = open_items(&roadmap);
+    assert!(open.len() > 1, "ROADMAP.md lists its open items");
+    let mut files: Vec<PathBuf> = CITING_DOCS.iter().map(|doc| root().join(doc)).collect();
+    for dir in SOURCE_DIRS.iter().filter(|d| !d.starts_with("benchmark")) {
+        rust_files(&root().join(dir), &mut files);
+    }
+    let mut dangling = Vec::new();
+    for path in files {
+        let text = fs::read_to_string(&path).expect("a readable file");
+        for item in roadmap_citations(&text)
+            .into_iter()
+            .filter(|n| !open.contains(n))
+        {
+            let file = path.strip_prefix(root()).unwrap_or(&path).display();
+            dangling.push(format!(
+                "{file}: cites ROADMAP item {item}, which is not open"
+            ));
+        }
+    }
+    assert!(
+        dangling.is_empty(),
+        "{} dangling ROADMAP citations:\n{}",
+        dangling.len(),
+        dangling.join("\n")
+    );
+}
+
+#[test]
+fn roadmap_citation_scan_reads_wrapped_and_suffixed_forms() {
+    let text = "(ROADMAP 12(c)) ROADMAP item 4; ROADMAP\n//! item 7, ROADMAP.md, ROADMAP 5x";
+    assert_eq!(roadmap_citations(text), [12, 4, 7]);
+    let roadmap = "## Open items\n\n1. **One.**\n   2. not\n3. **Three.**\n## Recent\n4. **x**";
+    assert_eq!(open_items(roadmap), HashSet::from([1, 3]));
 }
