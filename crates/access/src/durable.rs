@@ -724,23 +724,23 @@ impl<A: AccessMethod> AccessMethod for DurableIndex<A> {
     ) -> Result<ProbeIo, ProbeError> {
         let state = self.mem.keys.get(&key);
         let wiped = state.is_some_and(|s| s.wipe_base);
+        let mut adds = state.map(|s| s.adds.clone()).unwrap_or_default();
         let mut total = ProbeIo::default();
         if !wiped {
             let mut tracker = TrackBreak {
                 inner: sink,
                 broke: false,
+                adds: &mut adds,
             };
             total = self.inner.probe_into(key, rel, io, &mut tracker)?;
             if tracker.broke {
                 return Ok(total);
             }
         }
-        if let Some(state) = state {
-            if !state.adds.is_empty() {
-                let extra = stream_sorted_matches(state.adds.clone(), &io.data, sink);
-                total.pages_read += extra.pages_read;
-                total.false_reads += extra.false_reads;
-            }
+        if !adds.is_empty() {
+            let extra = stream_sorted_matches(adds, &io.data, sink);
+            total.pages_read += extra.pages_read;
+            total.false_reads += extra.false_reads;
         }
         Ok(total)
     }
@@ -806,10 +806,15 @@ impl<A: AccessMethod> AccessMethod for DurableIndex<A> {
 struct TrackBreak<'s> {
     inner: &'s mut dyn MatchSink,
     broke: bool,
+    /// The probed key's buffered locations not delivered yet: a base
+    /// index that scans heap pages also finds the buffered tuples on
+    /// the pages it reads, and each is delivered once.
+    adds: &'s mut Vec<(PageId, usize)>,
 }
 
 impl MatchSink for TrackBreak<'_> {
     fn push(&mut self, pid: PageId, slot: usize) -> ControlFlow<()> {
+        self.adds.retain(|&loc| loc != (pid, slot));
         let flow = self.inner.push(pid, slot);
         if flow.is_break() {
             self.broke = true;
@@ -952,11 +957,14 @@ impl RangeCursor for MergedCursor<'_> {
                     (self.surviving(&group), base_pid, true, self.adds_at)
                 } else {
                     // Both sources on one page: one delivery, one
-                    // fetch (the base's), slots in order.
+                    // fetch (the base's), slots in order. A base that
+                    // scans the heap page sees the buffered tuples on
+                    // it too; each is delivered once.
                     let end = self.adds_run_end(pid);
                     let mut both = self.surviving(&group);
                     both.extend_from_slice(&self.adds[self.adds_at..end]);
                     both.sort_unstable();
+                    both.dedup();
                     (both, pid, true, end)
                 }
             }

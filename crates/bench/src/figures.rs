@@ -739,7 +739,9 @@ fn fig13_rangescan(s: &Scale) -> Vec<Report> {
             let mut bf_io = 0u64;
             let mut bp_io = 0u64;
             for q in &queries {
-                let r = tree.scan_range_probing(q.lo, q.hi, &ds.relation, &IoContext::unmetered());
+                let r = tree
+                    .scan_range_probing(q.lo, q.hi, &ds.relation, &IoContext::unmetered())
+                    .expect("the range is ordered");
                 bf_io += r.pages_read;
                 bp_io += exact_range_pages(ds.relation.heap(), ds.relation.attr(), q.lo, q.hi);
             }

@@ -55,11 +55,7 @@ impl AccessMethod for BfTree {
         rel: &'c Relation,
         io: &'c IoContext,
     ) -> Result<Box<dyn RangeCursor + 'c>, ProbeError> {
-        check_relation(rel)?;
-        if lo > hi {
-            return Err(ProbeError::InvertedRange { lo, hi });
-        }
-        Ok(Box::new(BfRangeCursor::open(self, lo, hi, rel, io)))
+        Ok(Box::new(BfRangeCursor::open(self, lo, hi, rel, io, false)?))
     }
 
     fn resume_range_cursor<'c>(

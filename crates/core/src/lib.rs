@@ -46,9 +46,9 @@
 //! * [`leaf`] — the BF-leaf (§4.1).
 //! * [`tree`] — bulk load, Algorithm 1 (search), Algorithm 3 (insert),
 //!   Algorithm 2 (split), deletes.
-//! * [`scan`] — range scans over partitions (§7, Figure 13): the
-//!   pull-based [`scan::BfRangeCursor`] core plus the §7
-//!   boundary-probing scan.
+//! * [`scan`] — range scans over partitions (§7, Figure 13): one
+//!   pull-based partition walk, [`scan::BfRangeCursor`], with an
+//!   ordered and a §7 boundary-probing page plan.
 //! * [`page_image`] — a BF-leaf as one fixed-size node (§4.1): the
 //!   check that the reported index size is honest, which proportionally
 //!   divided leaves still fail (ROADMAP 12(c)).

@@ -5,29 +5,28 @@
 //! partially; reading boundary partitions whole is the overhead §7
 //! sets out to cut.
 //!
-//! The scan core is the pull-based [`BfRangeCursor`]: the partition
-//! walk paused between data pages, with a resumable continuation
-//! frontier. `AccessMethod::range_scan` is its full drain. On an
-//! ordered relation (a `FirstPageOnly` tree) the cursor reads only
-//! pages that can hold a key of the range: it finds `lo`'s first page
-//! by probing the first leaf's filters and stops at the first page
-//! whose last key is above `hi`. On a partitioned relation
-//! (`AllCoveringPages`) it reads the boundary partitions whole.
-//!
-//! [`BfTree::scan_range_probing`] is §7's optimization as published —
-//! enumerate every boundary value, probe the BFs, fetch the union of
-//! candidate pages — and is what Figure 13 measures. It returns the
-//! `bftree_access::RangeScan` a drained cursor returns, and both collect
-//! a page's matches with `bftree_access::scan_page_in_range`.
+//! There is one partition walk, the pull-based [`BfRangeCursor`], and
+//! it reads each leaf by one of two page plans (see its docs): the
+//! ordered plan of a `FirstPageOnly` tree, and §7's probed plan.
+//! `AccessMethod::range_scan` is its full drain, and so is
+//! [`BfTree::scan_range_probing`], the probed plan on any tree, which
+//! Figure 13 measures. A page's matches are collected with
+//! `bftree_access::scan_page_in_range`.
 
-use bftree_access::{scan_page_in_range, Continuation, RangeCursor, RangeScan, ScanIo};
+use bftree_access::{
+    check_relation, scan_page_in_range, Continuation, ProbeError, RangeCursor, RangeScan, ScanIo,
+};
 use bftree_bloom::hash::KeyFingerprint;
 use bftree_storage::tuple::AttrOffset;
-use bftree_storage::{HeapFile, IoContext, PageId, Relation};
+use bftree_storage::{Duplicates, HeapFile, IoContext, PageId, Relation};
 
 use crate::config::DuplicateHandling;
 use crate::leaf::BfLeaf;
 use crate::tree::BfTree;
+
+/// Most values of one boundary leaf's share of a range that the probed
+/// plan enumerates; a wider share is read whole.
+const PROBING_ENUMERATION_CAP: u64 = 1 << 22;
 
 /// The BF-Tree's native [`RangeCursor`]: the partition walk, paused
 /// between data pages.
@@ -40,31 +39,37 @@ use crate::tree::BfTree;
 /// charge for charge in the same order, what the materializing
 /// `AccessMethod::range_scan` wrapper reports.
 ///
-/// On a `FirstPageOnly` tree (an ordered relation) the walk reads only
-/// pages that can hold a key of `[lo, hi]`:
+/// Entering a leaf chooses its page plan (`BfRangeCursor::plan`). On a
+/// `FirstPageOnly` tree (an ordered relation) the walk is contiguous
+/// and reads only pages that can hold a key of `[lo, hi]`:
 /// - **head**: a fresh cursor enumerates `v = lo, lo + 1, …` in the
-///   first leaf, sweeps its filters for each, and reads the candidate
-///   pages in ascending order until one holds `v`. Only a run's first
-///   page is in the filters, so that page is where the range starts;
-///   the walk begins there. Candidates that do not hold `v` are false
-///   positives, charged as random reads and counted as overhead. The
-///   enumeration stops after as many values as there are pages it
-///   could skip (past that, the walk starts at the leaf's first page),
-///   and a leaf with no hit for any value of the range is skipped
-///   without a data read;
+///   first leaf and reads the candidate pages its filters name for `v`
+///   until one holds `v`: only a run's first page is in the filters, so
+///   the walk begins there. Other candidates are false positives,
+///   charged as random reads and counted as overhead. The enumeration
+///   stops after as many values as there are pages it could skip, and
+///   a leaf with no hit for any value is skipped without a data read;
 /// - **tail**: the walk ends after the first page whose last key is
 ///   above `hi`.
 ///
-/// An `AllCoveringPages` tree (a partitioned relation) walks every
-/// overlapping partition whole. Either way, a tuple is dropped when
+/// On an `AllCoveringPages` tree (a partitioned relation), and under
+/// [`BfTree::scan_range_probing`] on either, the walk follows §7's
+/// probed plan: a boundary leaf whose share of `[lo, hi]` spans fewer
+/// than 2^22 values reads the ascending union of the pages its filters
+/// name for them; every other leaf is read whole. On a `FirstPageOnly`
+/// tree a probed page ending with a key in range pulls in its
+/// successor. Under either plan, a duplicate run ending one leaf's last
+/// page read is followed into the next leaf. A tuple is dropped when
 /// its key is tombstoned by the leaf that owns it, the rule a probe
 /// applies: the walked leaf, or the sibling on whose side of the walked
 /// leaf's key range the key lies.
 ///
 /// The continuation frontier is `(leaf min key, next data page)`;
-/// resuming re-descends to that leaf and re-enters the page walk at
-/// exactly the frontier page (no head seek), so the consumed prefix of
-/// the range is never re-read from the data device.
+/// resuming re-descends to that leaf and re-enters its page walk at
+/// exactly the frontier page (no head seek; a probed leaf re-derives
+/// its candidate list, without I/O, and keeps the pages from the
+/// frontier on), so the consumed prefix of the range is never re-read
+/// from the data device.
 #[must_use]
 pub struct BfRangeCursor<'c> {
     tree: &'c BfTree,
@@ -76,18 +81,25 @@ pub struct BfRangeCursor<'c> {
     pending: Option<u32>,
     /// Entered leaf: `(arena idx, next page, last page)`.
     current: Option<(u32, PageId, PageId)>,
-    /// Cross-leaf page dedup frontier (overlapping leaf ranges), also
-    /// the resume frontier: pages below it are never read.
+    /// One past the last page read: the cross-leaf dedup frontier
+    /// (split siblings share a page), also the resume frontier. Pages
+    /// below it are never read.
     frontier: Option<PageId>,
     /// Sub-page resume point: skip slots below it on that one page.
     resume: Option<(PageId, usize)>,
     /// The relation is ordered on the key (a `FirstPageOnly` tree).
     ordered: bool,
-    /// The head seek is still due (fresh ordered cursors only).
+    /// Leaves follow §7's probed plan rather than the ordered one.
+    probing: bool,
+    /// The head seek is still due (fresh ordered-plan cursors only).
     seek: bool,
-    /// The loaded page's last key is above `hi`: consuming it ends an
-    /// ordered walk.
-    past_hi: bool,
+    /// The entered leaf's probed candidate pages, ascending; empty when
+    /// its walk reads every page from `next` to `last`.
+    candidates: Vec<PageId>,
+    /// Filter-sweep scratch: one value's matching buckets.
+    buckets: Vec<usize>,
+    /// The last page read's last key (ordered relations only).
+    tail: Option<u64>,
     buf: Vec<(PageId, usize)>,
     loaded: bool,
     done: bool,
@@ -95,16 +107,21 @@ pub struct BfRangeCursor<'c> {
 }
 
 impl<'c> BfRangeCursor<'c> {
+    /// A fresh cursor over `[lo, hi]`; `published` takes §7's probed
+    /// plan on any tree, as Figure 13 measures it.
     pub(crate) fn open(
         tree: &'c BfTree,
         lo: u64,
         hi: u64,
         rel: &'c Relation,
         io: &'c IoContext,
-    ) -> Self {
-        let mut cursor = Self::with_frontier(tree, lo, lo, hi, rel, io, None);
-        cursor.seek = cursor.ordered;
-        cursor
+        published: bool,
+    ) -> Result<Self, ProbeError> {
+        check_relation(rel)?;
+        if lo > hi {
+            return Err(ProbeError::InvertedRange { lo, hi });
+        }
+        Ok(Self::new(tree, lo, (lo, hi), rel, io, None, published))
     }
 
     pub(crate) fn resume(
@@ -113,27 +130,31 @@ impl<'c> BfRangeCursor<'c> {
         rel: &'c Relation,
         io: &'c IoContext,
     ) -> Self {
-        Self::with_frontier(
-            tree,
-            cont.key(),
-            cont.lo(),
-            cont.hi(),
-            rel,
-            io,
-            Some((cont.page(), cont.slot())),
-        )
+        let at = Some((cont.page(), cont.slot()));
+        Self::new(tree, cont.key(), (cont.lo(), cont.hi()), rel, io, at, false)
     }
 
-    fn with_frontier(
+    fn new(
         tree: &'c BfTree,
         entry_key: u64,
-        lo: u64,
-        hi: u64,
+        (lo, hi): (u64, u64),
         rel: &'c Relation,
         io: &'c IoContext,
         resume: Option<(PageId, usize)>,
+        published: bool,
     ) -> Self {
         let first = tree.first_overlapping_leaf(entry_key, &io.index);
+        let ordered = tree.config().duplicates == DuplicateHandling::FirstPageOnly;
+        let probing = published || !ordered;
+        // A resumed walk knows the last key of the page the producing
+        // cursor read before the frontier (CPU only, no I/O).
+        let (heap, before) = (rel.heap(), resume.map_or(0, |(page, _)| page));
+        let n = if ordered && before > 0 {
+            heap.tuples_in_page(before - 1)
+        } else {
+            0
+        };
+        let tail = (n > 0).then(|| heap.attr(before - 1, n - 1, rel.attr()));
         Self {
             tree,
             rel,
@@ -144,9 +165,12 @@ impl<'c> BfRangeCursor<'c> {
             current: None,
             frontier: resume.map(|(page, _)| page),
             resume,
-            ordered: tree.config().duplicates == DuplicateHandling::FirstPageOnly,
-            seek: false,
-            past_hi: false,
+            ordered,
+            probing,
+            seek: !probing && resume.is_none(),
+            candidates: Vec::new(),
+            buckets: Vec::new(),
+            tail,
             buf: Vec::new(),
             loaded: false,
             done: false,
@@ -164,6 +188,7 @@ impl<'c> BfRangeCursor<'c> {
     fn read_page(&mut self, leaf_idx: u32, pid: PageId) {
         self.io.data.read_seq(pid);
         self.counters.pages_read += 1;
+        self.frontier = Some(pid + 1);
         self.buf.clear();
         let (heap, attr) = (self.rel.heap(), self.rel.attr());
         // A key outside this leaf's range sits on a page it shares with
@@ -212,27 +237,70 @@ impl<'c> BfRangeCursor<'c> {
         if self.buf.is_empty() {
             self.counters.overhead_pages += 1;
         }
-        self.past_hi = ends.is_some_and(|(_, last)| last > self.hi);
+        self.tail = ends.map(|(_, last)| last);
     }
 
-    /// The head seek in `leaf`, whose walk would read `[from, last]`:
-    /// the page the walk starts on, or `None` when the leaf holds no
-    /// key of the range.
+    /// Choose the page plan of `leaf`, whose walk may read `[from,
+    /// last]`: the first page it reads, or `None` when it holds no key
+    /// of the range. A probed leaf's pages are left in `candidates`.
+    fn plan(&mut self, leaf: &BfLeaf, from: PageId, last: PageId, carry: bool) -> Option<PageId> {
+        if !self.probing {
+            let seek = std::mem::take(&mut self.seek);
+            let start = if seek {
+                self.seek(leaf, from, last)
+            } else {
+                Some(from)
+            };
+            self.candidates.clear(); // read from `start` on
+            return start;
+        }
+        self.candidates.clear();
+        let (lo, hi) = (self.lo.max(leaf.min_key), self.hi.min(leaf.max_key));
+        let boundary = leaf.min_key < self.lo || leaf.max_key > self.hi;
+        if !boundary || hi.saturating_sub(lo) >= PROBING_ENUMERATION_CAP {
+            return Some(from);
+        }
+        for v in lo..=hi {
+            let fp = KeyFingerprint::new(&v, self.tree.config().seed);
+            leaf.matching_pages_fp(&fp, &mut self.candidates, &mut self.buckets);
+        }
+        self.candidates.sort_unstable();
+        self.candidates.dedup();
+        self.candidates.retain(|&pid| (from..=last).contains(&pid));
+        if carry && self.candidates.first() != Some(&from) {
+            self.candidates.insert(0, from);
+        }
+        self.candidates.first().copied()
+    }
+
+    /// The last page read ends with a key in range: its run may go on
+    /// into the next page, which the filters name only where a run
+    /// starts.
+    fn spills(&self) -> bool {
+        self.tail.is_some_and(|k| (self.lo..=self.hi).contains(&k))
+    }
+
+    /// The ordered plan's head seek in `leaf`, whose walk would read
+    /// `[from, last]`: the page the walk starts on, or `None` when the
+    /// leaf holds no key of the range.
     fn seek(&mut self, leaf: &BfLeaf, from: PageId, last: PageId) -> Option<PageId> {
         let (heap, attr) = (self.rel.heap(), self.rel.attr());
         let end = self.hi.min(leaf.max_key);
         // One sweep costs less than the page read it can save.
         let mut budget = (last + 1).saturating_sub(from);
-        let (mut pages, mut buckets) = (Vec::new(), Vec::new());
         for v in self.lo.max(leaf.min_key)..=end {
             if budget == 0 {
                 return Some(from);
             }
             budget -= 1;
-            pages.clear();
+            self.candidates.clear();
             let fp = KeyFingerprint::new(&v, self.tree.config().seed);
-            leaf.matching_pages_fp(&fp, &mut pages, &mut buckets);
-            for &pid in pages.iter().filter(|&&p| (from..=last).contains(&p)) {
+            leaf.matching_pages_fp(&fp, &mut self.candidates, &mut self.buckets);
+            for &pid in self
+                .candidates
+                .iter()
+                .filter(|&&p| (from..=last).contains(&p))
+            {
                 if heap.page_attrs(pid, attr).any(|k| k == v) {
                     return Some(pid);
                 }
@@ -260,19 +328,8 @@ impl RangeCursor for BfRangeCursor<'_> {
                     self.loaded = true;
                     return Some(&self.buf);
                 }
-                // Partition exhausted: move to the right sibling. The
-                // frontier only ever advances — on a resume whose
-                // descent landed left of the token's partition (a
-                // duplicate run spanning a leaf boundary), the token's
-                // page frontier is AHEAD of this leaf's range and must
-                // survive the skip, or already-delivered pages would
-                // be re-read and re-delivered.
-                let leaf = self.tree.leaf(leaf_idx);
-                self.frontier = Some(
-                    self.frontier
-                        .map_or(leaf.max_pid + 1, |f| f.max(leaf.max_pid + 1)),
-                );
-                self.pending = leaf.next;
+                // Partition exhausted: move to the right sibling.
+                self.pending = self.tree.leaf(leaf_idx).next;
                 self.current = None;
             }
             let Some(i) = self.pending.take() else {
@@ -280,27 +337,31 @@ impl RangeCursor for BfRangeCursor<'_> {
                 return None;
             };
             let leaf = self.tree.leaf(i);
-            if leaf.n_keys > 0 && leaf.min_key > self.hi {
+            // On a resume whose descent landed left of the token's
+            // partition (a duplicate run spanning a leaf boundary), the
+            // frontier is past this leaf's pages, and the leaf reads
+            // nothing.
+            let from = self.frontier.map_or(leaf.min_pid, |f| f.max(leaf.min_pid));
+            let last = leaf
+                .max_pid
+                .min(self.rel.heap().page_count().saturating_sub(1));
+            // A duplicate run ending the last page read may go on into
+            // this leaf's first page, whatever the leaf's key range.
+            let carry = self.spills()
+                && self.frontier == Some(from)
+                && from <= last
+                && self.rel.duplicates() != Duplicates::Unique;
+            if leaf.n_keys > 0 && leaf.min_key > self.hi && !carry {
                 self.done = true;
                 return None;
             }
             self.io.index.read_random(BfTree::leaf_page_id(i));
-            let mut from = self.frontier.map_or(leaf.min_pid, |n| n.max(leaf.min_pid));
-            let last = leaf
-                .max_pid
-                .min(self.rel.heap().page_count().saturating_sub(1));
-            if std::mem::take(&mut self.seek) {
-                match self.seek(leaf, from, last) {
-                    Some(start) => from = start,
-                    // Nothing of the range here. The frontier stays put:
-                    // the sibling may share this leaf's last page.
-                    None => {
-                        self.pending = leaf.next;
-                        continue;
-                    }
-                }
+            match self.plan(leaf, from, last, carry) {
+                Some(first) => self.current = Some((i, first, last)),
+                // Nothing of the range here. The frontier stays put:
+                // the sibling may share this leaf's last page.
+                None => self.pending = leaf.next,
             }
-            self.current = Some((i, from, last));
         }
     }
 
@@ -310,10 +371,16 @@ impl RangeCursor for BfRangeCursor<'_> {
         }
         self.loaded = false;
         self.buf.clear();
-        if let Some((_, next, _)) = &mut self.current {
-            *next += 1;
+        let spills = self.spills();
+        if let Some((_, next, last)) = &mut self.current {
+            *next = if self.candidates.is_empty() || spills {
+                *next + 1
+            } else {
+                let at = self.candidates.partition_point(|&p| p <= *next);
+                self.candidates.get(at).copied().unwrap_or(*last + 1)
+            };
         }
-        self.done = self.past_hi;
+        self.done = !self.probing && self.tail.is_some_and(|k| k > self.hi);
     }
 
     fn continuation(&self) -> Option<Continuation> {
@@ -323,22 +390,12 @@ impl RangeCursor for BfRangeCursor<'_> {
         let (leaf_idx, page) = match (self.current, self.pending) {
             // Mid-partition: resume at the next unconsumed page.
             (Some((i, next, last)), _) if next <= last => (i, next),
-            // Partition drained: resume past its page range (never
-            // behind the standing frontier — see the monotone update
-            // in `next_page_matches`).
-            (Some((i, _, _)), _) => (
-                i,
-                self.frontier.map_or(self.tree.leaf(i).max_pid + 1, |f| {
-                    f.max(self.tree.leaf(i).max_pid + 1)
-                }),
-            ),
-            // Not yet entered (fresh or between leaves).
-            (None, Some(i)) => (
-                i,
-                self.frontier.map_or(self.tree.leaf(i).min_pid, |n| {
-                    n.max(self.tree.leaf(i).min_pid)
-                }),
-            ),
+            // Partition drained, or not yet entered (fresh or between
+            // leaves): resume at the frontier.
+            (Some((i, ..)), _) | (None, Some(i)) => {
+                let min_pid = self.tree.leaf(i).min_pid;
+                (i, self.frontier.map_or(min_pid, |f| f.max(min_pid)))
+            }
             (None, None) => return None,
         };
         let leaf = self.tree.leaf(leaf_idx);
@@ -355,109 +412,36 @@ impl RangeCursor for BfRangeCursor<'_> {
     }
 }
 
-/// Most values of one boundary leaf's share of a range that
-/// [`BfTree::scan_range_probing`] enumerates; a wider share is read
-/// whole.
-const PROBING_ENUMERATION_CAP: u64 = 1 << 22;
-
 impl BfTree {
-    /// The §7 boundary-probing range scan as published (Figure 13):
-    /// every value of a boundary partition's share of the range is
-    /// probed (up to 2^22 values per boundary leaf) and the union of
-    /// candidate pages fetched, false positives included; middle
-    /// partitions are read whole.
+    /// The §7 boundary-probing range scan as published (Figure 13): a
+    /// drain of the range cursor on the probed plan, whatever the tree's
+    /// duplicate handling. Every value of a boundary partition's share
+    /// of the range is probed (up to 2^22 values per boundary leaf) and
+    /// the union of candidate pages fetched, false positives included;
+    /// middle partitions are read whole.
+    ///
+    /// # Errors
+    /// [`ProbeError::InvertedRange`] when `lo > hi`, and the relation
+    /// errors of `AccessMethod::range_scan`.
     pub fn scan_range_probing(
         &self,
         lo: u64,
         hi: u64,
         rel: &Relation,
         io: &IoContext,
-    ) -> RangeScan {
-        assert!(lo <= hi);
-        let (heap, attr) = (rel.heap(), rel.attr());
-        let mut result = RangeScan::default();
-        let mut next_pid: Option<PageId> = None;
-        let mut idx = Some(self.first_overlapping_leaf(lo, &io.index));
-        while let Some(i) = idx {
-            let leaf = self.leaf(i);
-            if leaf.n_keys > 0 && leaf.min_key > hi {
-                break;
-            }
-            io.index.read_random(Self::leaf_page_id(i));
-
-            let is_boundary = leaf.min_key < lo || leaf.max_key > hi;
-            let enum_lo = lo.max(leaf.min_key);
-            let enum_hi = hi.min(leaf.max_key);
-            let enumerable = enum_hi.saturating_sub(enum_lo) < PROBING_ENUMERATION_CAP;
-
-            let last_pid = leaf.max_pid.min(heap.page_count().saturating_sub(1));
-            let from = next_pid.map_or(leaf.min_pid, |n| n.max(leaf.min_pid));
-            if is_boundary && enumerable {
-                // Probe the filters per value; union the candidate pages.
-                let (mut pages, mut buckets) = (Vec::new(), Vec::new());
-                for key in enum_lo..=enum_hi {
-                    let fp = KeyFingerprint::new(&key, self.config().seed);
-                    leaf.matching_pages_fp(&fp, &mut pages, &mut buckets);
-                }
-                pages.sort_unstable();
-                pages.dedup();
-                pages.retain(|&pid| pid >= from && pid <= last_pid);
-                // Under FirstPageOnly only a run's first page is in the
-                // filters; a page ending with an in-range key implies
-                // the run may spill into its successor, so pull that
-                // page in too.
-                let follow_runs = self.config().duplicates == DuplicateHandling::FirstPageOnly;
-                let mut i = 0;
-                while i < pages.len() {
-                    let pid = pages[i];
-                    read_range_page(pid, lo, hi, rel, io, &mut result);
-                    if follow_runs && pid < last_pid && pages.get(i + 1) != Some(&(pid + 1)) {
-                        let n = heap.tuples_in_page(pid);
-                        if n > 0 {
-                            let last = heap.attr(pid, n - 1, attr);
-                            if last >= lo && last <= hi {
-                                pages.insert(i + 1, pid + 1);
-                            }
-                        }
-                    }
-                    i += 1;
-                }
-            } else {
-                for pid in from..=last_pid {
-                    read_range_page(pid, lo, hi, rel, io, &mut result);
-                }
-            }
-            next_pid = Some(leaf.max_pid + 1);
-            idx = leaf.next;
+    ) -> Result<RangeScan, ProbeError> {
+        let mut cursor = BfRangeCursor::open(self, lo, hi, rel, io, true)?;
+        let mut matches = Vec::new();
+        while let Some(page) = cursor.next_page_matches() {
+            matches.extend_from_slice(page);
+            cursor.advance();
         }
-        result
-    }
-}
-
-/// Read data page `pid` of a §7 range walk (one sequential read) and
-/// collect its tuples in `[lo, hi]`; a page without one is overhead.
-fn read_range_page(
-    pid: PageId,
-    lo: u64,
-    hi: u64,
-    rel: &Relation,
-    io: &IoContext,
-    result: &mut RangeScan,
-) {
-    io.data.read_seq(pid);
-    result.pages_read += 1;
-    let before = result.matches.len();
-    scan_page_in_range(
-        rel.heap(),
-        rel.attr(),
-        pid,
-        lo,
-        hi,
-        None,
-        &mut result.matches,
-    );
-    if result.matches.len() == before {
-        result.overhead_pages += 1;
+        let io = cursor.io();
+        Ok(RangeScan {
+            matches,
+            pages_read: io.pages_read,
+            overhead_pages: io.overhead_pages,
+        })
     }
 }
 

@@ -285,9 +285,22 @@ impl BfTree {
             return out;
         };
         let fp = KeyFingerprint::new(&key, self.config.seed);
+        // Highest page a duplicate run was followed to. Runs cross into
+        // the next candidate leaf, whose filters name that page too.
+        let mut run_frontier: Option<PageId> = None;
         let mut at = Some(first);
         while let Some(idx) = at {
-            let flow = self.probe_leaf(key, &fp, idx, rel, io, scratch, sink, &mut out);
+            let flow = self.probe_leaf(
+                key,
+                &fp,
+                idx,
+                rel,
+                io,
+                scratch,
+                sink,
+                &mut out,
+                &mut run_frontier,
+            );
             if flow.is_break() {
                 break;
             }
@@ -298,7 +311,8 @@ impl BfTree {
 
     /// Probe one candidate leaf: filter sweep, candidate-page fetch
     /// (ascending runs at sequential cost), page scan — pushing each
-    /// match into `sink` — and duplicate-run following. Breaks (and
+    /// match into `sink` — and duplicate-run following past
+    /// `run_frontier`. Breaks (and
     /// stops fetching) the moment the sink does; the caller must then
     /// stop visiting leaves.
     #[allow(clippy::too_many_arguments)]
@@ -312,6 +326,7 @@ impl BfTree {
         scratch: &mut ProbeScratch,
         sink: &mut dyn MatchSink,
         out: &mut ProbeIo,
+        run_frontier: &mut Option<PageId>,
     ) -> ControlFlow<()> {
         let leaf = &self.leaves[leaf_idx as usize];
         io.index.read_random(Self::leaf_page_id(leaf_idx));
@@ -330,10 +345,6 @@ impl BfTree {
 
         let deleted = leaf.is_deleted(key);
         let mut prev_fetched: Option<PageId> = None;
-        // Highest page consumed while following a duplicate run. Runs
-        // are contiguous and the candidate list is ascending, so one
-        // frontier comparison skips every candidate a run already read.
-        let mut run_frontier: Option<PageId> = None;
         for &pid in pages.iter() {
             if pid >= heap.page_count() {
                 continue; // filters may cover not-yet-written pages
@@ -370,7 +381,7 @@ impl BfTree {
                 {
                     cur += 1;
                     io.data.read_seq(cur);
-                    run_frontier = Some(cur);
+                    *run_frontier = Some(cur);
                     prev_fetched = Some(cur);
                     out.pages_read += 1;
                     slots.clear();
@@ -603,22 +614,30 @@ impl BfTree {
         (n1, n2)
     }
 
-    /// Logical delete: tombstone `key` in every candidate leaf (§7).
-    /// Subsequent probes treat its pages as false reads. Returns the
-    /// number of leaves tombstoned.
+    /// Logical delete: tombstone `key` in every candidate leaf covering
+    /// it (§7), or, when none does yet, in the leaf an insert of `key`
+    /// routes to: a tuple appended but never indexed must stay hidden
+    /// once that leaf's range grows over it. Subsequent probes treat its
+    /// pages as false reads. Returns the number of leaves tombstoned.
     pub fn delete(&mut self, key: u64) -> usize {
-        let Some((first, floor)) = self.candidate_span(key, None) else {
-            return 0;
-        };
+        let span = self.candidate_span(key, None);
+        let (first, floor) = span.unwrap_or((FIRST_LEAF, FIRST_LEAF));
+        let mut covered = false;
         let mut n = 0;
         let mut at = Some(first);
         while let Some(idx) = at {
             let leaf = &mut self.leaves[idx as usize];
+            covered |= leaf.covers_key(key);
             if leaf.covers_key(key) && !leaf.is_deleted(key) {
                 leaf.deleted.push(key);
                 n += 1;
             }
             at = self.next_candidate(idx, floor);
+        }
+        let host = &mut self.leaves[floor as usize];
+        if !covered && !host.is_deleted(key) {
+            host.deleted.push(key);
+            n += 1;
         }
         n
     }

@@ -351,7 +351,7 @@ fn probing_range_scan_cuts_boundary_overhead() {
     let t = BfTree::builder().fpp(1e-8).build(&rel).unwrap();
     let (lo, hi) = (10_100u64, 10_300u64); // well inside one partition
     let plain = AccessMethod::range_scan(&t, lo, hi, &rel, &io).unwrap();
-    let probed = t.scan_range_probing(lo, hi, &rel, &io);
+    let probed = t.scan_range_probing(lo, hi, &rel, &io).unwrap();
     assert_eq!(plain.matches, probed.matches);
     assert!(
         probed.pages_read <= plain.pages_read,
@@ -359,6 +359,57 @@ fn probing_range_scan_cuts_boundary_overhead() {
         probed.pages_read,
         plain.pages_read
     );
+}
+
+#[test]
+fn probing_range_scan_drops_deleted_keys() {
+    let rel = pk_relation(5_000, 1);
+    let io = IoContext::unmetered();
+    let mut t = BfTree::builder().fpp(1e-6).build(&rel).unwrap();
+    AccessMethod::delete(&mut t, 2_000, &rel).unwrap();
+    let keys = |matches: &[(u64, usize)]| -> Vec<u64> {
+        matches
+            .iter()
+            .map(|&(pid, slot)| rel.heap().attr(pid, slot, PK_OFFSET))
+            .collect()
+    };
+    let plain = AccessMethod::range_scan(&t, 1_995, 2_005, &rel, &io).unwrap();
+    let probed = t.scan_range_probing(1_995, 2_005, &rel, &io).unwrap();
+    assert!(!keys(&plain.matches).contains(&2_000));
+    assert_eq!(keys(&probed.matches), keys(&plain.matches));
+}
+
+/// An `AllCoveringPages` tree's range scan probes its boundary leaves
+/// (§7) instead of reading them whole: it reads the pages
+/// `scan_range_probing` reads (68 and 103 pages before, when the
+/// boundary partitions were read whole).
+#[test]
+fn all_covering_range_scan_reads_the_probed_candidate_pages() {
+    let rel = pk_relation(200_000, 1);
+    let io = IoContext::unmetered();
+    let (lo, hi) = (10_100u64, 10_300u64);
+    assert_eq!(exact_range_pages(rel.heap(), PK_OFFSET, lo, hi), 13);
+    for (fpp, pages) in [(1e-6, 13), (1e-4, 14)] {
+        let t = BfTree::builder()
+            .fpp(fpp)
+            .duplicates(bftree::DuplicateHandling::AllCoveringPages)
+            .build(&rel)
+            .unwrap();
+        let plain = AccessMethod::range_scan(&t, lo, hi, &rel, &io).unwrap();
+        let probed = t.scan_range_probing(lo, hi, &rel, &io).unwrap();
+        assert_eq!(plain.pages_read, pages, "fpp {fpp}");
+        assert_eq!(plain, probed, "fpp {fpp}");
+    }
+}
+
+#[test]
+fn probing_scan_rejects_inverted_ranges() {
+    let rel = pk_relation(5_000, 1);
+    let t = BfTree::builder().build(&rel).unwrap();
+    let err = t
+        .scan_range_probing(10, 5, &rel, &IoContext::unmetered())
+        .unwrap_err();
+    assert_eq!(err, bftree::ProbeError::InvertedRange { lo: 10, hi: 5 });
 }
 
 #[test]

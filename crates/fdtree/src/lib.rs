@@ -226,6 +226,14 @@ impl FdTree {
                 break;
             }
             let mut pi = page_idx.min(level.pages.len() - 1);
+            // A fence carries its page's first key, so a run of `key`
+            // that starts on an earlier page routes past that start:
+            // step back while the previous page ends on `key` (a check
+            // of the resident page image; only scanned pages are
+            // charged).
+            while pi > 0 && level.pages[pi - 1].last().is_some_and(|e| e.key() == key) {
+                pi -= 1;
+            }
             let mut next_fence: Option<u32> = None;
             // Scan pages rightward while the duplicate run continues.
             loop {
@@ -577,6 +585,18 @@ mod tests {
         let got = t2.search_all(42, None);
         assert!(got.len() >= 3, "got {got:?}");
         let _ = &mut t;
+    }
+
+    #[test]
+    fn search_all_finds_a_run_that_starts_before_its_fence() {
+        // A 256-entry page boundary falls inside the run of key 250: the
+        // fence of the second page carries 250, the run starts before it.
+        let mut base: Vec<(u64, TupleRef)> = (0..250).map(|k| (k, TupleRef::new(k, 0))).collect();
+        base.extend((0..20).map(|i| (250, TupleRef::new(250, i))));
+        base.extend((251..600).map(|k| (k, TupleRef::new(k, 0))));
+        let t = FdTree::bulk_build(base);
+        assert_eq!(t.search_all(250, None).len(), 20);
+        assert_eq!(t.search_all(251, None).len(), 1);
     }
 
     #[test]

@@ -402,13 +402,13 @@ fn golden_fig12_warm_fdtree_snapshots() {
     .unwrap();
     let probes = probes_from_domain(&domain, 500, 0xF1612);
     let fd = build_fdtree(&rel);
-    let golden_ns = [16_870_800, 3_797_405_600, 4_890_580_600];
+    let golden_ns = [19_681_500, 3_811_510_700, 4_972_073_200];
     for (&config, sim_ns) in StorageConfig::WARMABLE.iter().zip(golden_ns) {
         let all = fd.all_page_ids();
         let keep = all.len().saturating_sub(fd.total_pages() as usize / 2);
         let upper: Vec<u64> = all.iter().copied().take(keep).collect();
         let (_, snap) = warm_run(&fd, &rel, &probes, config, all.len(), upper);
-        assert_eq!(snap, read_snapshot(646, 1179, 356, 0, sim_ns), "{config}");
+        assert_eq!(snap, read_snapshot(655, 1541, 453, 0, sim_ns), "{config}");
     }
 }
 

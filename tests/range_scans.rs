@@ -62,7 +62,7 @@ fn probing_scan_is_complete_for_both_duplicate_modes() {
             .build(&rel)
             .unwrap();
         for (lo, hi) in [(10u64, 300u64), (5_000, 5_800), (0, 50)] {
-            let mut got = tree.scan_range_probing(lo, hi, &rel, &io).matches;
+            let mut got = tree.scan_range_probing(lo, hi, &rel, &io).unwrap().matches;
             got.sort_unstable();
             assert_eq!(
                 got,
@@ -81,7 +81,7 @@ fn probing_scan_reads_fewer_boundary_pages_at_tight_fpp() {
     // A 1% range: boundary overhead dominates the plain scan.
     let (lo, hi) = (10_000u64, 10_250u64);
     let plain = AccessMethod::range_scan(&tree, lo, hi, &rel, &io).unwrap();
-    let probing = tree.scan_range_probing(lo, hi, &rel, &io);
+    let probing = tree.scan_range_probing(lo, hi, &rel, &io).unwrap();
     assert_eq!(plain.matches, probing.matches);
     assert!(
         probing.pages_read <= plain.pages_read,
@@ -126,7 +126,7 @@ fn ordered_relation(duplicates: Duplicates, seed: u64) -> Relation {
     Relation::new(heap, attr, duplicates).unwrap()
 }
 
-/// The pages the whole-partition walk reads: every page of every leaf
+/// The pages a whole-partition walk reads: every page of every leaf
 /// from the first overlapping one (the floor leaf of `lo`, or a left
 /// sibling still holding `lo`) through the last leaf starting at or
 /// below `hi`. Bulk-built leaves are disjoint and in arena order.
@@ -164,7 +164,9 @@ fn end_proof_pages(tree: &BfTree, rel: &Relation, matches: &[(u64, usize)], hi: 
 /// `FirstPageOnly` tree reads the exact pages plus its seek's false
 /// positives (charged as the only random reads) and at most the one
 /// page that proves the range ended; an `AllCoveringPages` tree reads
-/// its overlapping partitions whole.
+/// §7's candidate pages: the exact pages plus its overhead, the pages
+/// `scan_range_probing` reads, and never more than its overlapping
+/// partitions whole.
 #[test]
 fn range_cursor_reads_only_pages_that_can_hold_the_range() {
     for (duplicates, seed) in [
@@ -235,11 +237,16 @@ fn range_cursor_reads_only_pages_that_can_hold_the_range() {
                             "{label}"
                         );
                     }
-                    DuplicateHandling::AllCoveringPages => assert_eq!(
-                        r.pages_read,
-                        whole_partition_pages(&tree, lo, hi),
-                        "{label}"
-                    ),
+                    DuplicateHandling::AllCoveringPages => {
+                        let probing = tree.scan_range_probing(lo, hi, &rel, &io).unwrap();
+                        let exact = exact_range_pages(rel.heap(), attr, lo, hi);
+                        assert_eq!(r.pages_read, probing.pages_read, "{label}");
+                        assert_eq!(r.pages_read, exact + r.overhead_pages, "{label}");
+                        assert!(
+                            r.pages_read <= whole_partition_pages(&tree, lo, hi),
+                            "{label}"
+                        );
+                    }
                 }
             }
         }
