@@ -16,6 +16,7 @@
 //!
 //! [`AccessMethod::range_scan`]: crate::AccessMethod::range_scan
 
+use bftree_storage::codec::{DecodeError, Put, Reader};
 use bftree_storage::{PageDevice, PageId};
 
 /// I/O accounting of a cursor or sink-driven scan.
@@ -118,30 +119,32 @@ impl Continuation {
 
     /// Serialize to a fixed-width byte token (wire form for serving
     /// layers; little-endian, 40 bytes).
-    pub fn encode(&self) -> [u8; 40] {
-        let mut out = [0u8; 40];
-        for (i, v) in [self.lo, self.hi, self.key, self.page, self.slot]
-            .into_iter()
-            .enumerate()
-        {
-            out[i * 8..(i + 1) * 8].copy_from_slice(&v.to_le_bytes());
+    pub fn encode(&self) -> [u8; Self::ENCODED_LEN] {
+        let mut out = [0u8; Self::ENCODED_LEN];
+        let mut w = &mut out[..];
+        for v in [self.lo, self.hi, self.key, self.page, self.slot] {
+            w.put_u64(v);
         }
         out
     }
 
-    /// Deserialize an [`Continuation::encode`]d token. Returns `None`
-    /// for structurally invalid tokens (inverted range, frontier
-    /// outside it).
-    pub fn decode(bytes: &[u8; 40]) -> Option<Self> {
-        let word = |i: usize| u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().unwrap());
+    /// Deserialize an [`Continuation::encode`]d token, refusing a
+    /// wrong length and a structurally invalid token (inverted range,
+    /// frontier outside it).
+    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
         let t = Self {
-            lo: word(0),
-            hi: word(1),
-            key: word(2),
-            page: word(3),
-            slot: word(4),
+            lo: r.u64()?,
+            hi: r.u64()?,
+            key: r.u64()?,
+            page: r.u64()?,
+            slot: r.u64()?,
         };
-        (t.lo <= t.hi && t.lo <= t.key && t.key <= t.hi).then_some(t)
+        if !(t.lo <= t.hi && t.lo <= t.key && t.key <= t.hi) {
+            return Err(r.err("frontier outside its range"));
+        }
+        r.finish()?;
+        Ok(t)
     }
 }
 
@@ -441,11 +444,22 @@ mod tests {
         // Structurally invalid tokens are rejected: inverted range,
         // and frontier key outside the range on either side.
         let bad = Continuation::from_parts(9, 3, 0, 0, 0).encode();
-        assert!(Continuation::decode(&bad).is_none());
+        assert!(Continuation::decode(&bad).is_err());
         let below = Continuation::from_parts(1_000, 2_000, 5, 0, 0).encode();
-        assert!(Continuation::decode(&below).is_none());
+        assert!(Continuation::decode(&below).is_err());
         let above = Continuation::from_parts(1_000, 2_000, 9_999, 0, 0).encode();
-        assert!(Continuation::decode(&above).is_none());
+        assert!(Continuation::decode(&above).is_err());
+    }
+
+    /// The 40-byte token as the parent of the shared byte codec
+    /// encoded it.
+    #[test]
+    fn a_continuation_is_byte_identical_to_the_recorded_parent() {
+        const PINNED: &str =
+            "0a00000000000000f40100000000000041010000000000002a000000000000000700000000000000";
+        let c = Continuation::from_parts(10, 500, 321, 42, 7);
+        let hex: String = c.encode().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, PINNED);
     }
 
     fn batch_cursor<'c>(dev: &'c PageDevice, ms: &[(PageId, usize)]) -> PageBatchCursor<'c> {

@@ -22,7 +22,7 @@
 //! leaf's bit budget never pays for: such a leaf needs up to 2.15
 //! nodes where `stats().pages` counts one (ROADMAP 12(c)).
 //!
-//! Layout (little-endian):
+//! Layout (little-endian, through the storage crate's byte codec):
 //!
 //! ```text
 //! [magic u32][version u16][flags u16]
@@ -33,6 +33,7 @@
 //! ```
 
 use bftree_bloom::BloomGroup;
+use bftree_storage::codec::{DecodeError, Put, Reader};
 
 use crate::config::BfTreeConfig;
 use crate::leaf::BfLeaf;
@@ -54,7 +55,7 @@ pub enum PageImageError {
         page_size: usize,
     },
     /// The bytes do not carry a valid leaf image.
-    Corrupt(&'static str),
+    Corrupt(DecodeError),
 }
 
 impl std::fmt::Display for PageImageError {
@@ -73,28 +74,33 @@ impl std::fmt::Display for PageImageError {
 
 impl std::error::Error for PageImageError {}
 
+impl From<DecodeError> for PageImageError {
+    fn from(e: DecodeError) -> Self {
+        PageImageError::Corrupt(e)
+    }
+}
+
 impl BfLeaf {
     /// Serialize into exactly `page_size` bytes.
     pub fn to_page_bytes(&self, page_size: usize) -> Result<Vec<u8>, PageImageError> {
         let group_bytes = self.group().to_bytes();
         let mut out = Vec::with_capacity(page_size);
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes());
-        out.extend_from_slice(&self.min_key.to_le_bytes());
-        out.extend_from_slice(&self.max_key.to_le_bytes());
-        out.extend_from_slice(&self.min_pid.to_le_bytes());
-        out.extend_from_slice(&self.max_pid.to_le_bytes());
-        out.extend_from_slice(&self.n_keys.to_le_bytes());
-        out.extend_from_slice(&self.next.unwrap_or(NO_SIBLING).to_le_bytes());
-        out.extend_from_slice(&self.prev.unwrap_or(NO_SIBLING).to_le_bytes());
-        out.extend_from_slice(&self.pages_per_bf().to_le_bytes());
-        out.extend_from_slice(&(self.deleted.len() as u32).to_le_bytes());
+        out.put_u32(MAGIC);
+        out.put_u16(VERSION);
+        out.put_u16(0);
+        out.put_u64(self.min_key);
+        out.put_u64(self.max_key);
+        out.put_u64(self.min_pid);
+        out.put_u64(self.max_pid);
+        out.put_u64(self.n_keys);
+        out.put_u32(self.next.unwrap_or(NO_SIBLING));
+        out.put_u32(self.prev.unwrap_or(NO_SIBLING));
+        out.put_u64(self.pages_per_bf());
+        out.put_u32(self.deleted.len() as u32);
         for &d in &self.deleted {
-            out.extend_from_slice(&d.to_le_bytes());
+            out.put_u64(d);
         }
-        out.extend_from_slice(&(group_bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&group_bytes);
+        out.put_bytes(&group_bytes);
         if out.len() > page_size {
             return Err(PageImageError::Overflow {
                 need: out.len(),
@@ -107,47 +113,36 @@ impl BfLeaf {
 
     /// Reconstruct a leaf from a page image written by
     /// [`Self::to_page_bytes`]. `config` supplies the geometry knobs
-    /// the image does not carry (it must match the writing tree's).
+    /// the image does not carry (it must match the writing tree's; an
+    /// image whose `pages_per_bf` differs is refused).
     pub fn from_page_bytes(data: &[u8], config: &BfTreeConfig) -> Result<Self, PageImageError> {
-        let mut at = 0usize;
-        let mut take = |n: usize| -> Result<&[u8], PageImageError> {
-            if data.len() < at + n {
-                return Err(PageImageError::Corrupt("truncated"));
-            }
-            let s = &data[at..at + n];
-            at += n;
-            Ok(s)
-        };
-        let u32_of = |s: &[u8]| u32::from_le_bytes(s.try_into().expect("4 bytes"));
-        let u64_of = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("8 bytes"));
-
-        if u32_of(take(4)?) != MAGIC {
-            return Err(PageImageError::Corrupt("bad magic"));
+        let mut r = Reader::new(data);
+        if r.u32()? != MAGIC {
+            return Err(r.err("bad magic").into());
         }
-        let version = u16::from_le_bytes(take(2)?.try_into().expect("2 bytes"));
-        if version != VERSION {
-            return Err(PageImageError::Corrupt("unknown version"));
+        if r.u16()? != VERSION {
+            return Err(r.err("unknown version").into());
         }
-        take(2)?; // flags
-        let min_key = u64_of(take(8)?);
-        let max_key = u64_of(take(8)?);
-        let min_pid = u64_of(take(8)?);
-        let max_pid = u64_of(take(8)?);
-        let n_keys = u64_of(take(8)?);
-        let next = u32_of(take(4)?);
-        let prev = u32_of(take(4)?);
-        let pages_per_bf = u64_of(take(8)?);
-        if pages_per_bf == 0 {
-            return Err(PageImageError::Corrupt("pages_per_bf = 0"));
+        r.u16()?; // flags
+        let min_key = r.u64()?;
+        let max_key = r.u64()?;
+        let min_pid = r.u64()?;
+        let max_pid = r.u64()?;
+        let n_keys = r.u64()?;
+        let next = r.u32()?;
+        let prev = r.u32()?;
+        if r.u64()? != config.pages_per_bf {
+            return Err(r.err("pages_per_bf differs from the config").into());
         }
-        let n_deleted = u32_of(take(4)?) as usize;
-        let mut deleted = Vec::with_capacity(n_deleted);
-        for _ in 0..n_deleted {
-            deleted.push(u64_of(take(8)?));
+        let pages_per_bf = config.pages_per_bf;
+        let n_deleted = r.u32()? as usize;
+        let deleted = r.counted(n_deleted, 8, Reader::u64)?;
+        let group = BloomGroup::from_bytes(r.prefixed()?).ok_or(r.err("filter block"))?;
+        // One filter per `pages_per_bf` pages of `[min_pid, max_pid]`.
+        let buckets = max_pid.checked_sub(min_pid).map(|d| d / pages_per_bf + 1);
+        if buckets != Some(group.len() as u64) {
+            return Err(r.err("page range does not match the filter count").into());
         }
-        let group_len = u32_of(take(4)?) as usize;
-        let group = BloomGroup::from_bytes(take(group_len)?)
-            .ok_or(PageImageError::Corrupt("filter block"))?;
 
         let mut leaf = BfLeaf::from_parts(
             min_key,
@@ -233,7 +228,10 @@ mod tests {
                 for idx in 0..tree.leaf_pages() as u32 {
                     let leaf = tree.leaf(idx);
                     match leaf.to_page_bytes(config.page_size) {
-                        Ok(bytes) => assert_eq!(bytes.len(), config.page_size),
+                        Ok(bytes) => {
+                            assert_eq!(bytes.len(), config.page_size);
+                            BfLeaf::from_page_bytes(&bytes, &config).expect("its own image");
+                        }
                         Err(PageImageError::Overflow { need, page_size })
                             if bit_allocation == BitAllocation::Proportional =>
                         {
@@ -273,6 +271,35 @@ mod tests {
     }
 
     #[test]
+    fn a_corrupt_tombstone_count_is_a_typed_error_not_an_abort() {
+        let (leaf, config) = sample_leaf(1e-3);
+        let mut bytes = leaf.to_page_bytes(config.page_size).expect("fits");
+        bytes[64..68].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            BfLeaf::from_page_bytes(&bytes, &config),
+            Err(PageImageError::Corrupt(_))
+        ));
+    }
+
+    /// Found by `tests/decoder_mutations.rs`: a page range its filters
+    /// do not cover decoded, and `n_pages` then underflowed.
+    #[test]
+    fn a_page_range_the_filters_do_not_cover_is_a_typed_error() {
+        let (leaf, config) = sample_leaf(1e-3);
+        let bytes = leaf.to_page_bytes(config.page_size).expect("fits");
+        let mut inverted = bytes.clone();
+        inverted[32..40].copy_from_slice(&(leaf.min_pid - 1).to_le_bytes());
+        let mut wider = bytes;
+        wider[32..40].copy_from_slice(&(leaf.max_pid + 1).to_le_bytes());
+        for image in [inverted, wider] {
+            assert!(matches!(
+                BfLeaf::from_page_bytes(&image, &config),
+                Err(PageImageError::Corrupt(_))
+            ));
+        }
+    }
+
+    #[test]
     fn overflow_is_detected_not_truncated() {
         let (mut leaf, _) = sample_leaf(1e-3);
         // A pathological tombstone list cannot silently spill.
@@ -280,5 +307,18 @@ mod tests {
         let err = leaf.to_page_bytes(512).expect_err("cannot fit");
         assert!(matches!(err, PageImageError::Overflow { .. }));
         assert!(err.to_string().contains("512"));
+    }
+
+    /// The CRC-32 of `sample_leaf(1e-3)`'s image as the parent of the
+    /// shared byte codec wrote it, in the style of the heap's page
+    /// pins: re-record only in a change that means to move the image.
+    #[test]
+    fn the_leaf_image_is_byte_identical_to_the_recorded_parent() {
+        let (mut leaf, config) = sample_leaf(1e-3);
+        leaf.next = Some(7);
+        leaf.deleted.push(42);
+        let bytes = leaf.to_page_bytes(config.page_size).expect("fits");
+        assert_eq!(bytes.len(), config.page_size);
+        assert_eq!(bftree_storage::codec::crc32(&bytes), 0xDC4B_17F7);
     }
 }

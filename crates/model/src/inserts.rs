@@ -8,42 +8,6 @@
 /// the complete Section-5/7 equation set.
 pub use bftree_bloom::math::{fpp_after_deletes, fpp_after_inserts};
 
-/// Largest insert ratio that keeps the effective fpp at or below
-/// `max_fpp` (inverse of Equation 14): `ln(fpp)/ln(max_fpp) - 1`.
-pub fn max_insert_ratio(initial_fpp: f64, max_fpp: f64) -> f64 {
-    assert!(initial_fpp > 0.0 && initial_fpp < 1.0);
-    assert!(max_fpp >= initial_fpp && max_fpp < 1.0);
-    initial_fpp.ln() / max_fpp.ln() - 1.0
-}
-
-/// One point of Figure 14: `(insert_ratio, new_fpp)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InsertDegradationPoint {
-    /// Inserts as a fraction of the initially indexed elements.
-    pub insert_ratio: f64,
-    /// Resulting effective false-positive probability.
-    pub new_fpp: f64,
-}
-
-/// The Figure-14 series: `new_fpp` as `insert_ratio` sweeps
-/// `[0, max_ratio]` in `steps` equal increments, for one initial fpp.
-pub fn degradation_series(
-    initial_fpp: f64,
-    max_ratio: f64,
-    steps: usize,
-) -> Vec<InsertDegradationPoint> {
-    assert!(steps >= 2);
-    (0..=steps)
-        .map(|i| {
-            let insert_ratio = max_ratio * i as f64 / steps as f64;
-            InsertDegradationPoint {
-                insert_ratio,
-                new_fpp: fpp_after_inserts(initial_fpp, insert_ratio),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,11 +41,12 @@ mod tests {
 
     #[test]
     fn monotone_in_insert_ratio() {
-        let series = degradation_series(1e-3, 6.0, 60);
+        let series: Vec<f64> = (0..=60)
+            .map(|i| fpp_after_inserts(1e-3, 6.0 * i as f64 / 60.0))
+            .collect();
         for w in series.windows(2) {
-            assert!(w[1].new_fpp >= w[0].new_fpp);
+            assert!(w[1] >= w[0]);
         }
-        assert_eq!(series.len(), 61);
     }
 
     /// Figure 14(a): the trend is near-linear for small insert ratios.
@@ -102,17 +67,5 @@ mod tests {
     fn deletes_add_directly() {
         assert!((fpp_after_deletes(1e-3, 0.10) - 0.101).abs() < 1e-12);
         assert_eq!(fpp_after_deletes(0.5, 0.9), 1.0);
-    }
-
-    /// §7: "BF-Tree can sustain a number of inserts ... as long as they
-    /// represent a fraction of up to 15 %" — check the inverse maps a
-    /// tolerable degradation to a ratio in that regime.
-    #[test]
-    fn max_insert_ratio_inverse() {
-        let r = max_insert_ratio(1e-4, 2.3e-4);
-        assert!((0.08..=0.13).contains(&r), "r = {r}");
-        // Round-trip.
-        let f = fpp_after_inserts(1e-4, r);
-        assert!((f - 2.3e-4).abs() / 2.3e-4 < 1e-9);
     }
 }

@@ -40,6 +40,6 @@ pub use bftree::BfTreeModel;
 pub use btree::{BPlusTreeModel, CompressedBPlusTreeModel};
 pub use fdtree::FdTreeModel;
 pub use figure4::{default_fpp_sweep, figure4_series, Figure4Point};
-pub use inserts::{degradation_series, fpp_after_deletes, fpp_after_inserts, max_insert_ratio};
+pub use inserts::{fpp_after_deletes, fpp_after_inserts};
 pub use params::ModelParams;
 pub use silt::{SiltModel, TrieResidency};

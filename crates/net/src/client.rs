@@ -67,7 +67,7 @@ impl Client {
             ))
         })?;
         self.in_flight = self.in_flight.saturating_sub(1);
-        Response::decode(&payload)
+        Response::decode(&payload).map_err(NetError::Decode)
     }
 
     /// One synchronous round trip.

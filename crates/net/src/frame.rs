@@ -1,14 +1,12 @@
-//! Length-prefixed, CRC-guarded frames over any byte stream.
-//!
-//! Layout: `len: u32 LE` ‖ `crc32: u32 LE` ‖ `payload: len bytes`,
-//! with the same CRC-32 (ISO-HDLC) the WAL uses for its records — one
-//! checksum algorithm for everything that crosses a trust boundary.
+//! Frames over any byte stream: the storage crate's one frame
+//! ([`bftree_storage::codec`], the write-ahead log's too), with a
+//! 16 MiB limit and empty payloads allowed.
 
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use bftree_wal::crc32;
+use bftree_storage::codec::{check_frame, frame_header, Reader, FRAME_HEADER};
 
 use crate::NetError;
 
@@ -65,8 +63,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
             "frame payload exceeds MAX_FRAME",
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
+    w.write_all(&frame_header(payload))?;
     w.write_all(payload)
 }
 
@@ -75,26 +72,18 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 /// hung up between requests); mid-frame EOF and checksum mismatches
 /// are errors.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, NetError> {
-    let mut header = [0u8; 8];
+    let mut header = [0u8; FRAME_HEADER];
     match r.read_exact(&mut header[..1]) {
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        other => other.map_err(NetError::Io)?,
+        other => other?,
     }
-    r.read_exact(&mut header[1..]).map_err(NetError::Io)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-    let want_crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if len > MAX_FRAME {
-        return Err(NetError::Frame {
-            why: "frame length exceeds MAX_FRAME",
-        });
-    }
+    r.read_exact(&mut header[1..])?;
+    let (len, crc) = Reader::new(&header)
+        .frame_header(MAX_FRAME)
+        .map_err(NetError::Decode)?;
     let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(NetError::Io)?;
-    if crc32(&payload) != want_crc {
-        return Err(NetError::Frame {
-            why: "frame checksum mismatch",
-        });
-    }
+    r.read_exact(&mut payload)?;
+    check_frame(crc, &payload).map_err(NetError::Decode)?;
     Ok(Some(payload))
 }
 
@@ -157,7 +146,7 @@ mod tests {
         buf[n - 1] ^= 0x40;
         assert!(matches!(
             read_frame(&mut buf.as_slice()),
-            Err(NetError::Frame { .. })
+            Err(NetError::Decode(_))
         ));
 
         // Absurd length field.
@@ -166,7 +155,7 @@ mod tests {
         huge.extend_from_slice(&[0u8; 4]);
         assert!(matches!(
             read_frame(&mut huge.as_slice()),
-            Err(NetError::Frame { .. })
+            Err(NetError::Decode(_))
         ));
     }
 }

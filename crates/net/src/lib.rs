@@ -8,8 +8,9 @@
 //!
 //! Design choices worth knowing:
 //!
-//! - **Frames reuse the WAL's CRC-32.** One checksum algorithm guards
-//!   everything that crosses a trust boundary, on disk or on the wire.
+//! - **One frame and one decoder vocabulary.** Frames are the WAL's,
+//!   from the storage crate's byte codec, and every malformed frame or
+//!   message is a [`DecodeError`].
 //! - **Errors stay typed end to end.** Server-side failures map onto
 //!   the existing `ProbeError`/`ShardError` taxonomy as
 //!   [`proto::RemoteError`] status codes, so a client can distinguish
@@ -36,19 +37,19 @@ pub use frame::{read_frame, write_frame, MAX_FRAME};
 pub use proto::{OpCode, RemoteError, Request, Response, StatsReply};
 pub use server::{ServeState, Server};
 
+use bftree_storage::codec::DecodeError;
+
 /// Everything that can go wrong between a client and a server.
 #[derive(Debug)]
 pub enum NetError {
     /// The socket failed (connect, read, write, mid-frame EOF).
     Io(std::io::Error),
-    /// A frame arrived structurally broken (bad length, bad CRC).
-    Frame {
-        /// What was broken.
-        why: &'static str,
-    },
-    /// A frame's payload did not parse as a protocol message.
+    /// A frame or its message did not decode (bad length, bad CRC,
+    /// malformed payload).
+    Decode(DecodeError),
+    /// A well-formed reply that does not answer the request sent.
     Protocol {
-        /// What was malformed.
+        /// What was mismatched.
         why: &'static str,
     },
     /// The server answered with a typed error.
@@ -59,7 +60,7 @@ impl std::fmt::Display for NetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             NetError::Io(e) => write!(f, "socket error: {e}"),
-            NetError::Frame { why } => write!(f, "bad frame: {why}"),
+            NetError::Decode(e) => write!(f, "bad frame or message: {e}"),
             NetError::Protocol { why } => write!(f, "bad message: {why}"),
             NetError::Remote(e) => write!(f, "{e}"),
         }
@@ -70,6 +71,7 @@ impl std::error::Error for NetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             NetError::Io(e) => Some(e),
+            NetError::Decode(e) => Some(e),
             _ => None,
         }
     }

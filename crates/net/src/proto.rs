@@ -1,15 +1,14 @@
 //! The request/response vocabulary and its binary form.
 //!
-//! Everything is little-endian, mirroring the WAL's record encoding.
-//! Requests open with a one-byte opcode; responses open with a
+//! Messages are read and written through the storage crate's byte
+//! codec ([`bftree_storage::codec`]), little-endian. Requests open with a one-byte opcode; responses open with a
 //! one-byte status (0 = OK, else an error code from the typed
 //! taxonomy in [`RemoteError`]). Pagination tokens travel as opaque
 //! [`bftree_shard::ShardedContinuation`] envelope bytes — the server,
 //! not the client, owns their meaning.
 
 use bftree_shard::ShardError;
-
-use crate::NetError;
+use bftree_storage::codec::{DecodeError, Put, Reader};
 
 /// Request opcodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,7 +155,7 @@ pub enum RemoteError {
     /// `ShardError::BoundaryMismatch`: same count, different split
     /// points.
     BoundaryMismatch,
-    /// `ShardError::BadToken`: malformed token bytes.
+    /// Malformed token bytes.
     BadToken {
         /// What was malformed.
         why: String,
@@ -202,7 +201,6 @@ impl From<ShardError> for RemoteError {
                 got_shards: got_shards as u64,
             },
             ShardError::BoundaryMismatch { .. } => RemoteError::BoundaryMismatch,
-            ShardError::BadToken { why } => RemoteError::BadToken { why: why.into() },
             ShardError::Probe(p) => p.into(),
             _ => RemoteError::Internal {
                 detail: e.to_string(),
@@ -226,90 +224,17 @@ impl From<bftree_access::ProbeError> for RemoteError {
 
 // ---------------------------------------------------------------- codec
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or(NetError::Protocol {
-            why: "message truncated",
-        })?;
-        let out = &self.buf[self.at..end];
-        self.at = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, NetError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, NetError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, NetError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, NetError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn finish(self) -> Result<(), NetError> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(NetError::Protocol {
-                why: "trailing bytes after message",
-            })
-        }
-    }
-}
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(buf, bytes.len() as u32);
-    buf.extend_from_slice(bytes);
-}
-
-fn take_bytes<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], NetError> {
-    let len = r.u32()? as usize;
-    r.take(len)
-}
-
 fn put_locs(buf: &mut Vec<u8>, locs: &[(u64, u64)]) {
-    put_u32(buf, locs.len() as u32);
+    buf.put_u32(locs.len() as u32);
     for &(page, slot) in locs {
-        put_u64(buf, page);
-        put_u64(buf, slot);
+        buf.put_u64(page);
+        buf.put_u64(slot);
     }
 }
 
-fn take_locs(r: &mut Reader<'_>) -> Result<Vec<(u64, u64)>, NetError> {
+fn take_locs(r: &mut Reader<'_>) -> Result<Vec<(u64, u64)>, DecodeError> {
     let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        out.push((r.u64()?, r.u64()?));
-    }
-    Ok(out)
+    r.counted(n, 16, |r| Ok((r.u64()?, r.u64()?)))
 }
 
 impl Request {
@@ -329,9 +254,9 @@ impl Request {
         let mut buf = vec![self.opcode() as u8];
         match self {
             Request::ProbeBatch { keys } => {
-                put_u32(&mut buf, keys.len() as u32);
+                buf.put_u32(keys.len() as u32);
                 for &k in keys {
-                    put_u64(&mut buf, k);
+                    buf.put_u64(k);
                 }
             }
             Request::RangePage {
@@ -341,51 +266,43 @@ impl Request {
                 token,
             } => {
                 buf.push(token.is_some() as u8);
-                put_u64(&mut buf, *lo);
-                put_u64(&mut buf, *hi);
-                put_u64(&mut buf, *limit);
+                buf.put_u64(*lo);
+                buf.put_u64(*hi);
+                buf.put_u64(*limit);
                 if let Some(t) = token {
-                    put_bytes(&mut buf, t);
+                    buf.put_bytes(t);
                 }
             }
             Request::Insert { key, attr } => {
-                put_u64(&mut buf, *key);
-                put_u64(&mut buf, *attr);
+                buf.put_u64(*key);
+                buf.put_u64(*attr);
             }
-            Request::Delete { key } => put_u64(&mut buf, *key),
+            Request::Delete { key } => buf.put_u64(*key),
             Request::Stats => {}
         }
         buf
     }
 
     /// Parse a frame payload.
-    pub fn decode(payload: &[u8]) -> Result<Self, NetError> {
+    pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(payload);
-        let op = OpCode::from_u8(r.u8()?).ok_or(NetError::Protocol {
-            why: "unknown opcode",
-        })?;
+        let op = OpCode::from_u8(r.u8()?).ok_or(r.err("unknown opcode"))?;
         let req = match op {
             OpCode::ProbeBatch => {
                 let n = r.u32()? as usize;
-                let mut keys = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    keys.push(r.u64()?);
+                Request::ProbeBatch {
+                    keys: r.counted(n, 8, Reader::u64)?,
                 }
-                Request::ProbeBatch { keys }
             }
             OpCode::RangePage => {
-                let has_token = r.u8()? != 0;
-                let (lo, hi, limit) = (r.u64()?, r.u64()?, r.u64()?);
-                let token = if has_token {
-                    Some(take_bytes(&mut r)?.to_vec())
-                } else {
-                    None
-                };
+                let present = r.u8()?;
                 Request::RangePage {
-                    lo,
-                    hi,
-                    limit,
-                    token,
+                    lo: r.u64()?,
+                    hi: r.u64()?,
+                    limit: r.u64()?,
+                    token: (present != 0)
+                        .then(|| r.prefixed().map(<[u8]>::to_vec))
+                        .transpose()?,
                 }
             }
             OpCode::Insert => Request::Insert {
@@ -419,70 +336,65 @@ impl Response {
         let mut buf = Vec::new();
         match self {
             Response::ProbeBatch { probes } => {
-                buf.push(status::OK);
-                buf.push(OpCode::ProbeBatch as u8);
-                put_u32(&mut buf, probes.len() as u32);
+                buf.extend([status::OK, OpCode::ProbeBatch as u8]);
+                buf.put_u32(probes.len() as u32);
                 for locs in probes {
                     put_locs(&mut buf, locs);
                 }
             }
             Response::RangePage { matches, token } => {
-                buf.push(status::OK);
-                buf.push(OpCode::RangePage as u8);
+                buf.extend([status::OK, OpCode::RangePage as u8]);
                 put_locs(&mut buf, matches);
                 buf.push(token.is_some() as u8);
                 if let Some(t) = token {
-                    put_bytes(&mut buf, t);
+                    buf.put_bytes(t);
                 }
             }
             Response::Insert { page, slot } => {
-                buf.push(status::OK);
-                buf.push(OpCode::Insert as u8);
-                put_u64(&mut buf, *page);
-                put_u64(&mut buf, *slot);
+                buf.extend([status::OK, OpCode::Insert as u8]);
+                buf.put_u64(*page);
+                buf.put_u64(*slot);
             }
             Response::Delete { removed } => {
-                buf.push(status::OK);
-                buf.push(OpCode::Delete as u8);
-                put_u64(&mut buf, *removed);
+                buf.extend([status::OK, OpCode::Delete as u8]);
+                buf.put_u64(*removed);
             }
             Response::Stats(s) => {
-                buf.push(status::OK);
-                buf.push(OpCode::Stats as u8);
-                put_u16(&mut buf, s.shards);
-                put_u16(&mut buf, s.bounds.len() as u16);
+                buf.extend([status::OK, OpCode::Stats as u8]);
+                buf.put_u16(s.shards);
+                buf.put_u16(s.bounds.len() as u16);
                 for &b in &s.bounds {
-                    put_u64(&mut buf, b);
+                    buf.put_u64(b);
                 }
-                put_u64(&mut buf, s.entries);
-                put_bytes(&mut buf, s.prometheus.as_bytes());
+                buf.put_u64(s.entries);
+                buf.put_bytes(s.prometheus.as_bytes());
             }
             Response::Error(e) => match e {
                 RemoteError::InvertedRange { lo, hi } => {
                     buf.push(status::INVERTED_RANGE);
-                    put_u64(&mut buf, *lo);
-                    put_u64(&mut buf, *hi);
+                    buf.put_u64(*lo);
+                    buf.put_u64(*hi);
                 }
                 RemoteError::Unsupported { what } => {
                     buf.push(status::UNSUPPORTED);
-                    put_bytes(&mut buf, what.as_bytes());
+                    buf.put_bytes(what.as_bytes());
                 }
                 RemoteError::LayoutMismatch {
                     expected_shards,
                     got_shards,
                 } => {
                     buf.push(status::LAYOUT_MISMATCH);
-                    put_u64(&mut buf, *expected_shards);
-                    put_u64(&mut buf, *got_shards);
+                    buf.put_u64(*expected_shards);
+                    buf.put_u64(*got_shards);
                 }
                 RemoteError::BoundaryMismatch => buf.push(status::BOUNDARY_MISMATCH),
                 RemoteError::BadToken { why } => {
                     buf.push(status::BAD_TOKEN);
-                    put_bytes(&mut buf, why.as_bytes());
+                    buf.put_bytes(why.as_bytes());
                 }
                 RemoteError::Internal { detail } => {
                     buf.push(status::INTERNAL);
-                    put_bytes(&mut buf, detail.as_bytes());
+                    buf.put_bytes(detail.as_bytes());
                 }
             },
         }
@@ -490,83 +402,69 @@ impl Response {
     }
 
     /// Parse a frame payload.
-    pub fn decode(payload: &[u8]) -> Result<Self, NetError> {
+    pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(payload);
-        let code = r.u8()?;
-        let resp =
-            match code {
-                status::OK => {
-                    let op = OpCode::from_u8(r.u8()?).ok_or(NetError::Protocol {
-                        why: "unknown response opcode",
-                    })?;
-                    match op {
-                        OpCode::ProbeBatch => {
-                            let n = r.u32()? as usize;
-                            let mut probes = Vec::with_capacity(n.min(1 << 16));
-                            for _ in 0..n {
-                                probes.push(take_locs(&mut r)?);
-                            }
-                            Response::ProbeBatch { probes }
-                        }
-                        OpCode::RangePage => {
-                            let matches = take_locs(&mut r)?;
-                            let token = if r.u8()? != 0 {
-                                Some(take_bytes(&mut r)?.to_vec())
-                            } else {
-                                None
-                            };
-                            Response::RangePage { matches, token }
-                        }
-                        OpCode::Insert => Response::Insert {
-                            page: r.u64()?,
-                            slot: r.u64()?,
-                        },
-                        OpCode::Delete => Response::Delete { removed: r.u64()? },
-                        OpCode::Stats => {
-                            let shards = r.u16()?;
-                            let n_bounds = r.u16()? as usize;
-                            let mut bounds = Vec::with_capacity(n_bounds);
-                            for _ in 0..n_bounds {
-                                bounds.push(r.u64()?);
-                            }
-                            let entries = r.u64()?;
-                            let prometheus = String::from_utf8(take_bytes(&mut r)?.to_vec())
-                                .map_err(|_| NetError::Protocol {
-                                    why: "stats snapshot is not UTF-8",
-                                })?;
-                            Response::Stats(StatsReply {
-                                shards,
-                                bounds,
-                                entries,
-                                prometheus,
-                            })
+        let resp = match r.u8()? {
+            status::OK => {
+                let op = OpCode::from_u8(r.u8()?).ok_or(r.err("unknown response opcode"))?;
+                match op {
+                    OpCode::ProbeBatch => {
+                        let n = r.u32()? as usize;
+                        Response::ProbeBatch {
+                            probes: r.counted(n, 4, take_locs)?,
                         }
                     }
+                    OpCode::RangePage => {
+                        let matches = take_locs(&mut r)?;
+                        let present = r.u8()?;
+                        Response::RangePage {
+                            matches,
+                            token: (present != 0)
+                                .then(|| r.prefixed().map(<[u8]>::to_vec))
+                                .transpose()?,
+                        }
+                    }
+                    OpCode::Insert => Response::Insert {
+                        page: r.u64()?,
+                        slot: r.u64()?,
+                    },
+                    OpCode::Delete => Response::Delete { removed: r.u64()? },
+                    OpCode::Stats => {
+                        let shards = r.u16()?;
+                        let n_bounds = r.u16()? as usize;
+                        let bounds = r.counted(n_bounds, 8, Reader::u64)?;
+                        let entries = r.u64()?;
+                        let prometheus = String::from_utf8(r.prefixed()?.to_vec())
+                            .map_err(|_| r.err("stats snapshot is not UTF-8"))?;
+                        Response::Stats(StatsReply {
+                            shards,
+                            bounds,
+                            entries,
+                            prometheus,
+                        })
+                    }
                 }
-                status::INVERTED_RANGE => Response::Error(RemoteError::InvertedRange {
-                    lo: r.u64()?,
-                    hi: r.u64()?,
-                }),
-                status::UNSUPPORTED => Response::Error(RemoteError::Unsupported {
-                    what: String::from_utf8_lossy(take_bytes(&mut r)?).into_owned(),
-                }),
-                status::LAYOUT_MISMATCH => Response::Error(RemoteError::LayoutMismatch {
-                    expected_shards: r.u64()?,
-                    got_shards: r.u64()?,
-                }),
-                status::BOUNDARY_MISMATCH => Response::Error(RemoteError::BoundaryMismatch),
-                status::BAD_TOKEN => Response::Error(RemoteError::BadToken {
-                    why: String::from_utf8_lossy(take_bytes(&mut r)?).into_owned(),
-                }),
-                status::INTERNAL => Response::Error(RemoteError::Internal {
-                    detail: String::from_utf8_lossy(take_bytes(&mut r)?).into_owned(),
-                }),
-                _ => {
-                    return Err(NetError::Protocol {
-                        why: "unknown status code",
-                    })
-                }
-            };
+            }
+            status::INVERTED_RANGE => Response::Error(RemoteError::InvertedRange {
+                lo: r.u64()?,
+                hi: r.u64()?,
+            }),
+            status::UNSUPPORTED => Response::Error(RemoteError::Unsupported {
+                what: String::from_utf8_lossy(r.prefixed()?).into_owned(),
+            }),
+            status::LAYOUT_MISMATCH => Response::Error(RemoteError::LayoutMismatch {
+                expected_shards: r.u64()?,
+                got_shards: r.u64()?,
+            }),
+            status::BOUNDARY_MISMATCH => Response::Error(RemoteError::BoundaryMismatch),
+            status::BAD_TOKEN => Response::Error(RemoteError::BadToken {
+                why: String::from_utf8_lossy(r.prefixed()?).into_owned(),
+            }),
+            status::INTERNAL => Response::Error(RemoteError::Internal {
+                detail: String::from_utf8_lossy(r.prefixed()?).into_owned(),
+            }),
+            _ => return Err(r.err("unknown status code")),
+        };
         r.finish()?;
         Ok(resp)
     }
@@ -648,15 +546,111 @@ mod tests {
     #[test]
     fn truncated_and_trailing_bytes_are_protocol_errors() {
         let good = Request::ProbeBatch { keys: vec![1, 2] }.encode();
-        assert!(matches!(
-            Request::decode(&good[..good.len() - 3]),
-            Err(NetError::Protocol { .. })
-        ));
+        let short = Request::decode(&good[..good.len() - 3]).unwrap_err();
+        assert_eq!(short.what, "count exceeds the remaining bytes");
         let mut trailing = good;
         trailing.push(0);
-        assert!(matches!(
-            Request::decode(&trailing),
-            Err(NetError::Protocol { .. })
-        ));
+        let trailing = Request::decode(&trailing).unwrap_err();
+        assert_eq!(trailing.what, "trailing bytes after message");
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One request per opcode and one response per opcode and per
+    /// error status, as the parent of the shared byte codec encoded
+    /// them. Re-record only in a change that means to move the wire
+    /// format.
+    #[test]
+    fn messages_are_byte_identical_to_the_recorded_parent() {
+        let requests = [
+            (
+                Request::ProbeBatch {
+                    keys: vec![1, u64::MAX],
+                },
+                "01020000000100000000000000ffffffffffffffff",
+            ),
+            (
+                Request::RangePage {
+                    lo: 5,
+                    hi: 500,
+                    limit: 64,
+                    token: Some(vec![0xAB; 3]),
+                },
+                "02010500000000000000f401000000000000400000000000000003000000ababab",
+            ),
+            (
+                Request::Insert { key: 7, attr: 70 },
+                "0307000000000000004600000000000000",
+            ),
+            (Request::Delete { key: 9 }, "040900000000000000"),
+            (Request::Stats, "05"),
+        ];
+        for (req, want) in requests {
+            assert_eq!(hex(&req.encode()), want, "{req:?}");
+            assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+        }
+        let responses = [
+            (
+                Response::ProbeBatch {
+                    probes: vec![vec![(1, 2)], vec![]],
+                },
+                "000102000000010000000100000000000000020000000000000000000000",
+            ),
+            (
+                Response::RangePage {
+                    matches: vec![(10, 1)],
+                    token: Some(vec![1, 2]),
+                },
+                "0002010000000a00000000000000010000000000000001020000000102",
+            ),
+            (
+                Response::Insert { page: 77, slot: 3 },
+                "00034d000000000000000300000000000000",
+            ),
+            (Response::Delete { removed: 2 }, "00040200000000000000"),
+            (
+                Response::Stats(StatsReply {
+                    shards: 2,
+                    bounds: vec![100],
+                    entries: 5,
+                    prometheus: "x 1\n".into(),
+                }),
+                "00050200010064000000000000000500000000000000040000007820310a",
+            ),
+            (
+                Response::Error(RemoteError::InvertedRange { lo: 9, hi: 3 }),
+                "0109000000000000000300000000000000",
+            ),
+            (
+                Response::Error(RemoteError::Unsupported {
+                    what: "scan".into(),
+                }),
+                "02040000007363616e",
+            ),
+            (
+                Response::Error(RemoteError::LayoutMismatch {
+                    expected_shards: 2,
+                    got_shards: 4,
+                }),
+                "0302000000000000000400000000000000",
+            ),
+            (Response::Error(RemoteError::BoundaryMismatch), "04"),
+            (
+                Response::Error(RemoteError::BadToken { why: "bad".into() }),
+                "0503000000626164",
+            ),
+            (
+                Response::Error(RemoteError::Internal {
+                    detail: "oh".into(),
+                }),
+                "06020000006f68",
+            ),
+        ];
+        for (resp, want) in responses {
+            assert_eq!(hex(&resp.encode()), want, "{resp:?}");
+            assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        }
     }
 }

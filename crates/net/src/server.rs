@@ -91,7 +91,9 @@ impl ServeState {
                 let token = match token {
                     Some(bytes) => match ShardedContinuation::decode(&bytes) {
                         Ok(t) => Some(t),
-                        Err(e) => return Response::Error(e.into()),
+                        Err(e) => {
+                            return Response::Error(RemoteError::BadToken { why: e.what.into() })
+                        }
                     },
                     None => None,
                 };
@@ -302,10 +304,9 @@ fn serve_connection(state: &ServeState, stream: TcpStream) -> Result<(), NetErro
         };
         let resp = match Request::decode(&payload) {
             Ok(req) => state.handle(req),
-            Err(NetError::Protocol { why }) => Response::Error(RemoteError::Internal {
-                detail: format!("unparseable request: {why}"),
+            Err(e) => Response::Error(RemoteError::Internal {
+                detail: format!("unparseable request: {}", e.what),
             }),
-            Err(e) => return Err(e),
         };
         write_frame(&mut writer, &encode_reply(&resp))?;
         // Flush only when no further request is already buffered, so a

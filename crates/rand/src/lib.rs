@@ -3,7 +3,8 @@
 //! The reproduction builds in offline environments, so instead of the
 //! real `rand` this tiny crate provides the exact subset the workspace
 //! uses: [`rngs::StdRng`], [`SeedableRng::seed_from_u64`], and the
-//! [`RngExt`] sampling helpers (`random_range`, `random_bool`).
+//! [`RngExt`] sampling helpers (`random_range`, `random_bool`), plus
+//! the [`mutate`] battery's mutants of valid byte images.
 //!
 //! The generator is xoshiro256++ seeded through splitmix64 — the same
 //! construction the real `rand` documents for `SeedableRng::seed_from_u64`
@@ -158,6 +159,63 @@ pub trait RngExt: RngCore {
 
 impl<R: RngCore> RngExt for R {}
 
+/// Mutants of valid byte images, for the decoder batteries: every
+/// decoder of stored or received bytes must meet each one with a typed
+/// error or a value, never a panic.
+pub mod mutate {
+    use super::rngs::StdRng;
+    use super::{RngExt, SeedableRng};
+
+    /// Call `f` on every mutant of the valid image `a`:
+    /// - each truncation `a[..n]`, `n < a.len()`;
+    /// - each single-bit flip;
+    /// - each aligned `u32` and `u64` overwritten, little-endian, with
+    ///   0, 1, `len − 1`, `len + 1`, `MAX − 1` and `MAX`, where `len`
+    ///   is `a.len()`;
+    /// - `splices` splices `a[..i] ‖ b[j..]` with the valid image `b`,
+    ///   at cuts drawn from `seed`.
+    pub fn each_mutant(a: &[u8], b: &[u8], seed: u64, splices: usize, mut f: impl FnMut(&[u8])) {
+        for n in 0..a.len() {
+            f(&a[..n]);
+        }
+        let mut m = a.to_vec();
+        for bit in 0..a.len() * 8 {
+            m[bit / 8] ^= 1 << (bit % 8);
+            f(&m);
+            m[bit / 8] ^= 1 << (bit % 8);
+        }
+        let len = a.len() as u64;
+        let values = [0, 1, len.wrapping_sub(1), len + 1];
+        for at in (0..a.len().saturating_sub(3)).step_by(4) {
+            for v in values
+                .map(|v| v as u32)
+                .into_iter()
+                .chain([u32::MAX - 1, u32::MAX])
+            {
+                m[at..at + 4].copy_from_slice(&v.to_le_bytes());
+                f(&m);
+            }
+            m[at..at + 4].copy_from_slice(&a[at..at + 4]);
+        }
+        for at in (0..a.len().saturating_sub(7)).step_by(8) {
+            for v in values.into_iter().chain([u64::MAX - 1, u64::MAX]) {
+                m[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                f(&m);
+            }
+            m[at..at + 8].copy_from_slice(&a[at..at + 8]);
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..splices {
+            let i = rng.random_range(0..=a.len());
+            let j = rng.random_range(0..=b.len());
+            m.clear();
+            m.extend_from_slice(&a[..i]);
+            m.extend_from_slice(&b[j..]);
+            f(&m);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
@@ -196,6 +254,31 @@ mod tests {
         let hits = (0..n).filter(|_| rng.random_bool(0.25)).count();
         let rate = hits as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.01, "rate = {rate}");
+    }
+
+    #[test]
+    fn every_mutant_class_is_generated_and_the_image_is_left_whole() {
+        let a: Vec<u8> = (1..=16).collect();
+        let mut mutants = Vec::new();
+        mutate::each_mutant(&a, &[0xEE; 4], 7, 5, |m| mutants.push(m.to_vec()));
+        // 16 truncations, 128 flips, 4 × 6 u32 and 2 × 6 u64 overwrites,
+        // 5 splices.
+        assert_eq!(mutants.len(), 16 + 128 + 24 + 12 + 5);
+        assert_eq!(mutants[0], b"");
+        assert_eq!(mutants[16][0], 0);
+        let u32s = &mutants[16 + 128..16 + 128 + 6];
+        let firsts: Vec<u32> = u32s
+            .iter()
+            .map(|m| u32::from_le_bytes([m[0], m[1], m[2], m[3]]))
+            .collect();
+        assert_eq!(firsts, [0, 1, 15, 17, u32::MAX - 1, u32::MAX]);
+        assert!(u32s.iter().all(|m| m[4..] == a[4..]));
+        let last_u64 = &mutants[16 + 128 + 24 + 11];
+        assert_eq!(last_u64[..8], a[..8]);
+        assert_eq!(last_u64[8..], [0xFF; 8]);
+        let mut again = Vec::new();
+        mutate::each_mutant(&a, &[0xEE; 4], 7, 5, |m| again.push(m.to_vec()));
+        assert_eq!(mutants, again, "seeded");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! instead of silently resuming in the wrong shard's key space.
 
 use bftree_access::Continuation;
+use bftree_storage::codec::{DecodeError, Put, Reader};
 
 use crate::plan::ShardPlan;
 use crate::ShardError;
@@ -74,40 +75,43 @@ impl ShardedContinuation {
     }
 
     /// Serialize: magic (2) ‖ version (1) ‖ reserved (1) ‖ shards
-    /// u16 LE (2) ‖ reserved (2) ‖ fingerprint u64 LE (8) ‖ inner
-    /// continuation (40). All little-endian, like the WAL.
+    /// u16 (2) ‖ reserved (2) ‖ fingerprint u64 (8) ‖ inner
+    /// continuation (40), little-endian through the byte codec.
     pub fn encode(&self) -> [u8; Self::ENCODED_LEN] {
         let mut out = [0u8; Self::ENCODED_LEN];
-        out[0..2].copy_from_slice(&MAGIC);
-        out[2] = VERSION;
-        out[4..6].copy_from_slice(&self.shards.to_le_bytes());
-        out[8..16].copy_from_slice(&self.fingerprint.to_le_bytes());
-        out[16..].copy_from_slice(&self.inner.encode());
+        let mut w = &mut out[..];
+        w.put(&MAGIC);
+        w.put(&[VERSION, 0]);
+        w.put_u16(self.shards);
+        w.put_u16(0);
+        w.put_u64(self.fingerprint);
+        w.put(&self.inner.encode());
         out
     }
 
     /// Parse an envelope. Rejects wrong length, bad magic, unknown
-    /// version, and inner tokens that fail [`Continuation::decode`]'s
-    /// own invariants — all as [`ShardError::BadToken`].
-    pub fn decode(bytes: &[u8]) -> Result<Self, ShardError> {
-        let bad = |why: &'static str| ShardError::BadToken { why };
+    /// version, a zero shard count, and inner tokens that fail
+    /// [`Continuation::decode`].
+    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
         if bytes.len() != Self::ENCODED_LEN {
-            return Err(bad("wrong envelope length"));
+            return Err(r.err("wrong envelope length"));
         }
-        if bytes[0..2] != MAGIC {
-            return Err(bad("bad envelope magic"));
+        if r.bytes(2)? != MAGIC {
+            return Err(r.err("bad envelope magic"));
         }
-        if bytes[2] != VERSION {
-            return Err(bad("unknown envelope version"));
+        if r.u8()? != VERSION {
+            return Err(r.err("unknown envelope version"));
         }
-        let shards = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
+        r.u8()?;
+        let shards = r.u16()?;
         if shards == 0 {
-            return Err(bad("zero shard count"));
+            return Err(r.err("zero shard count"));
         }
-        let fingerprint = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        let mut inner_bytes = [0u8; Continuation::ENCODED_LEN];
-        inner_bytes.copy_from_slice(&bytes[16..]);
-        let inner = Continuation::decode(&inner_bytes).ok_or(bad("inner continuation invalid"))?;
+        r.u16()?;
+        let fingerprint = r.u64()?;
+        let inner = Continuation::decode(r.bytes(Continuation::ENCODED_LEN)?)
+            .map_err(|_| r.err("inner continuation invalid"))?;
         Ok(Self {
             shards,
             fingerprint,
@@ -165,31 +169,43 @@ mod tests {
 
         let mut short = good.to_vec();
         short.pop();
-        assert!(matches!(
-            ShardedContinuation::decode(&short),
-            Err(ShardError::BadToken { .. })
-        ));
+        assert_eq!(
+            ShardedContinuation::decode(&short).map_err(|e| e.what),
+            Err("wrong envelope length")
+        );
 
         let mut bad_magic = good;
         bad_magic[0] = b'X';
-        assert!(matches!(
-            ShardedContinuation::decode(&bad_magic),
-            Err(ShardError::BadToken { .. })
-        ));
+        assert_eq!(
+            ShardedContinuation::decode(&bad_magic).map_err(|e| e.what),
+            Err("bad envelope magic")
+        );
 
         let mut bad_version = good;
         bad_version[2] = 99;
-        assert!(matches!(
-            ShardedContinuation::decode(&bad_version),
-            Err(ShardError::BadToken { .. })
-        ));
+        assert_eq!(
+            ShardedContinuation::decode(&bad_version).map_err(|e| e.what),
+            Err("unknown envelope version")
+        );
 
         // Corrupt the inner token: lo > hi fails Continuation::decode.
         let mut bad_inner = good;
         bad_inner[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            ShardedContinuation::decode(&bad_inner),
-            Err(ShardError::BadToken { .. })
-        ));
+        assert_eq!(
+            ShardedContinuation::decode(&bad_inner).map_err(|e| e.what),
+            Err("inner continuation invalid")
+        );
+    }
+
+    /// The 56-byte envelope as the parent of the shared byte codec
+    /// encoded it.
+    #[test]
+    fn the_envelope_is_byte_identical_to_the_recorded_parent() {
+        const PINNED: &str = "5343010004000000c651fe1f6f69bcdd0a00000000000000f4010000000000007b0000000000000004000000000000000200000000000000";
+        let plan = ShardPlan::from_bounds(vec![100, 200, 300]);
+        let sc = ShardedContinuation::new(&plan, token());
+        let hex: String = sc.encode().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, PINNED);
+        assert_eq!(ShardedContinuation::decode(&sc.encode()).unwrap(), sc);
     }
 }

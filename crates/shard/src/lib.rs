@@ -70,11 +70,6 @@ pub enum ShardError {
         /// Fingerprint stamped in the token.
         got: u64,
     },
-    /// A token failed structural validation before any layout check.
-    BadToken {
-        /// What was malformed.
-        why: &'static str,
-    },
     /// An underlying probe failed.
     Probe(ProbeError),
 }
@@ -95,7 +90,6 @@ impl std::fmt::Display for ShardError {
                 "continuation minted under different shard boundaries \
                  (layout fingerprint {got:#018x}, serving {expected:#018x})"
             ),
-            ShardError::BadToken { why } => write!(f, "malformed continuation token: {why}"),
             ShardError::Probe(e) => write!(f, "shard probe failed: {e}"),
         }
     }

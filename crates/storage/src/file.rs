@@ -54,6 +54,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::codec::{crc32_update, DecodeError, Put, Reader};
 use crate::fault::{FaultInjector, FaultKind, FaultStats, Quarantine, RetryPolicy};
 use crate::page::{PageId, PAGE_SIZE};
 
@@ -65,6 +66,11 @@ const PAGE_MAGIC: u32 = 0x4750_4642;
 const VERSION: u32 = 1;
 /// Superblock size (one page-sized region before slot 0).
 const SUPER_SIZE: u64 = PAGE_SIZE as u64;
+/// Bytes of the superblock's image.
+const SUPER_LEN: usize = 56;
+/// Slots a superblock may claim: every slot's offset, and the next
+/// one's, fit a `u64`.
+const MAX_SLOTS: u64 = (u64::MAX - SUPER_SIZE) / SLOT_SIZE as u64 - 1;
 /// Per-slot header bytes.
 pub const PAGE_HEADER: usize = 40;
 /// Bytes per slot: header plus a full page of payload capacity.
@@ -76,152 +82,6 @@ const NO_SLOT: u64 = u64::MAX;
 const STATE_LIVE: u32 = 1;
 /// Slot state: on the free list.
 const STATE_FREE: u32 = 2;
-
-/// Slicing-by-8 tables for CRC-32 (IEEE 802.3, reflected), built at
-/// compile time so the crate stays dependency-free. `CRC_TABLES[0]` is
-/// the classic byte table; `CRC_TABLES[k][b]` is the CRC of byte `b`
-/// followed by `k` zero bytes. One step of eight table lookups feeds
-/// eight bytes ([`crc32_step8`]); the lane kernel runs four such
-/// chains at once.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-};
-
-/// Bytes per lane of the lane kernel.
-const CRC_LANE: usize = 256;
-/// Independent slicing-by-8 chains per block. Four keep the load
-/// ports busy; more measured no faster.
-const CRC_LANES: usize = 4;
-/// Bytes the lane kernel takes per block; a shorter tail runs as one
-/// [`crc32_step8`] chain.
-const CRC_BLOCK: usize = CRC_LANES * CRC_LANE;
-
-/// "Advance by one lane of zero bytes": `CRC_SHIFT[k][b]` is the
-/// register `b << 8k` after [`CRC_LANE`] zero bytes. Feeding zeros is
-/// linear in the register, so four lookups advance any state. Built
-/// like [`CRC_TABLES`], by eight-byte steps: over a zero word a step
-/// is the four lookups `CRC_TABLES[4..8]` on the register alone.
-const CRC_SHIFT: [[u32; 256]; 4] = {
-    let t = &CRC_TABLES;
-    let mut z = [[0u32; 256]; 4];
-    let mut k = 0;
-    while k < 4 {
-        let mut i = 0;
-        while i < 256 {
-            let mut c = (i as u32) << (8 * k);
-            let mut n = 0;
-            while n < CRC_LANE / 8 {
-                c = t[7][(c & 0xFF) as usize]
-                    ^ t[6][(c >> 8 & 0xFF) as usize]
-                    ^ t[5][(c >> 16 & 0xFF) as usize]
-                    ^ t[4][(c >> 24) as usize];
-                n += 1;
-            }
-            z[k][i] = c;
-            i += 1;
-        }
-        k += 1;
-    }
-    z
-};
-
-/// Feed eight bytes into a running CRC-32 register: one slicing-by-8
-/// step.
-#[inline(always)]
-fn crc32_step8(c: u32, w: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-    let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-    t[7][(lo & 0xFF) as usize]
-        ^ t[6][(lo >> 8 & 0xFF) as usize]
-        ^ t[5][(lo >> 16 & 0xFF) as usize]
-        ^ t[4][(lo >> 24) as usize]
-        ^ t[3][(hi & 0xFF) as usize]
-        ^ t[2][(hi >> 8 & 0xFF) as usize]
-        ^ t[1][(hi >> 16 & 0xFF) as usize]
-        ^ t[0][(hi >> 24) as usize]
-}
-
-/// Advance a register by [`CRC_LANE`] zero bytes.
-#[inline(always)]
-fn crc32_shift_lane(c: u32) -> u32 {
-    let z = &CRC_SHIFT;
-    z[0][(c & 0xFF) as usize]
-        ^ z[1][(c >> 8 & 0xFF) as usize]
-        ^ z[2][(c >> 16 & 0xFF) as usize]
-        ^ z[3][(c >> 24) as usize]
-}
-
-/// Feed `bytes` into a running (pre-inverted) CRC-32 state. Start
-/// from `!0`, invert the result: feeding a buffer in pieces gives the
-/// value of feeding it whole.
-///
-/// Each [`CRC_BLOCK`] runs as [`CRC_LANES`] independent slicing-by-8
-/// chains, lane 0 from the running state and the others from 0, so
-/// no step waits on the one before it. The register is linear over
-/// GF(2), so the block's CRC is the lanes' registers folded left to
-/// right, each advanced past the next lane by [`crc32_shift_lane`]
-/// before the next is XORed in. The tail under one block takes one
-/// chain, eight bytes a step, then a byte at a time.
-fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
-    let mut blocks = bytes.chunks_exact(CRC_BLOCK);
-    for block in &mut blocks {
-        let mut lanes = [0u32; CRC_LANES];
-        lanes[0] = c;
-        for i in (0..CRC_LANE).step_by(8) {
-            for (l, s) in lanes.iter_mut().enumerate() {
-                let at = l * CRC_LANE + i;
-                *s = crc32_step8(*s, &block[at..at + 8]);
-            }
-        }
-        c = lanes[1..]
-            .iter()
-            .fold(lanes[0], |acc, &s| crc32_shift_lane(acc) ^ s);
-    }
-    let mut words = blocks.remainder().chunks_exact(8);
-    for w in &mut words {
-        c = crc32_step8(c, w);
-    }
-    for &b in words.remainder() {
-        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c
-}
-
-/// CRC-32 (IEEE 802.3, reflected): the workspace's one checksum (page
-/// slots here, WAL records and wire frames through
-/// `bftree_wal::crc32`). Table-driven and portable: whole 1 KiB blocks
-/// through the four-lane kernel, the tail through one slicing-by-8
-/// chain; the values are the byte-at-a-time loop's.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    !crc32_update(!0, bytes)
-}
 
 /// Why a [`FileStore`] operation failed. Every corruption mode the
 /// fault-injection battery exercises has its own variant — callers
@@ -277,11 +137,8 @@ pub enum DeviceError {
         len: usize,
     },
     /// The superblock is not a `FileStore` image (wrong magic,
-    /// version, or page size).
-    BadSuperblock {
-        /// What exactly was wrong.
-        reason: &'static str,
-    },
+    /// version, or page size, or too short).
+    BadSuperblock(DecodeError),
     /// An underlying I/O error.
     Io(io::Error),
 }
@@ -327,7 +184,7 @@ impl std::fmt::Display for DeviceError {
             DeviceError::PayloadTooLarge { page, len } => {
                 write!(f, "payload of {len} bytes for page {page} exceeds a page")
             }
-            DeviceError::BadSuperblock { reason } => write!(f, "bad superblock: {reason}"),
+            DeviceError::BadSuperblock(e) => write!(f, "bad superblock: {e}"),
             DeviceError::Io(e) => write!(f, "io error: {e}"),
         }
     }
@@ -443,40 +300,92 @@ struct SlotHeader {
 }
 
 impl SlotHeader {
-    fn decode(b: &[u8; PAGE_HEADER]) -> Self {
-        let u32_at = |i: usize| u32::from_le_bytes(b[i..i + 4].try_into().expect("4 bytes"));
-        let u64_at = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
-        Self {
-            magic: u32_at(0),
-            state: u32_at(4),
-            page_id: u64_at(8),
-            lsn: u64_at(16),
-            payload_len: u32_at(24),
-            crc: u32_at(28),
-            next_free: u64_at(32),
-        }
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(Self {
+            magic: r.u32()?,
+            state: r.u32()?,
+            page_id: r.u64()?,
+            lsn: r.u64()?,
+            payload_len: r.u32()?,
+            crc: r.u32()?,
+            next_free: r.u64()?,
+        })
     }
 
     fn encode(&self) -> [u8; PAGE_HEADER] {
         let mut out = [0u8; PAGE_HEADER];
-        out[0..4].copy_from_slice(&self.magic.to_le_bytes());
-        out[4..8].copy_from_slice(&self.state.to_le_bytes());
-        out[8..16].copy_from_slice(&self.page_id.to_le_bytes());
-        out[16..24].copy_from_slice(&self.lsn.to_le_bytes());
-        out[24..28].copy_from_slice(&self.payload_len.to_le_bytes());
-        out[28..32].copy_from_slice(&self.crc.to_le_bytes());
-        out[32..40].copy_from_slice(&self.next_free.to_le_bytes());
+        let mut w = &mut out[..];
+        w.put_u32(self.magic);
+        w.put_u32(self.state);
+        w.put_u64(self.page_id);
+        w.put_u64(self.lsn);
+        w.put_u32(self.payload_len);
+        w.put_u32(self.crc);
+        w.put_u64(self.next_free);
         out
+    }
+
+    /// CRC coverage: `page_id ++ lsn ++ payload_len ++ payload`, all
+    /// little-endian — so a tampered id, lsn, or length fails the same
+    /// check a flipped payload bit does.
+    fn crc_of(&self, payload: &[u8]) -> u32 {
+        let mut covered = [0u8; 20];
+        let mut w = &mut covered[..];
+        w.put_u64(self.page_id);
+        w.put_u64(self.lsn);
+        w.put_u32(self.payload_len);
+        !crc32_update(crc32_update(!0, &covered), payload)
     }
 }
 
-/// CRC coverage: `page_id ++ lsn ++ payload_len ++ payload`, all
-/// little-endian — so a tampered id, lsn, or length fails the same
-/// check a flipped payload bit does. Checksummed where the bytes sit
-/// in the slot image: header bytes 8..28, then `len` payload bytes.
-fn page_crc(slot: &[u8], len: usize) -> u32 {
-    let c = crc32_update(!0, &slot[8..28]);
-    !crc32_update(c, &slot[PAGE_HEADER..PAGE_HEADER + len])
+/// The allocation state the superblock persists, after its magic,
+/// version and page size (and before 8 reserved bytes).
+#[derive(Debug, Clone, Copy)]
+struct Superblock {
+    slot_count: u64,
+    free_head: u64,
+    /// Next page id [`FileStore::alloc`] hands out.
+    next_id: u64,
+    free_len: u64,
+}
+
+impl Superblock {
+    fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
+        if r.u32()? != SUPER_MAGIC {
+            return Err(r.err("wrong magic"));
+        }
+        if r.u32()? != VERSION {
+            return Err(r.err("unknown version"));
+        }
+        if r.u64()? != PAGE_SIZE as u64 {
+            return Err(r.err("page size mismatch"));
+        }
+        let sb = Self {
+            slot_count: r.u64()?,
+            free_head: r.u64()?,
+            next_id: r.u64()?,
+            free_len: r.u64()?,
+        };
+        if sb.slot_count > MAX_SLOTS || sb.free_len > sb.slot_count {
+            return Err(r.err("slot or free-list count out of range"));
+        }
+        r.bytes(8)?;
+        Ok(sb)
+    }
+
+    fn encode(&self) -> [u8; SUPER_LEN] {
+        let mut out = [0u8; SUPER_LEN];
+        let mut w = &mut out[..];
+        w.put_u32(SUPER_MAGIC);
+        w.put_u32(VERSION);
+        w.put_u64(PAGE_SIZE as u64);
+        w.put_u64(self.slot_count);
+        w.put_u64(self.free_head);
+        w.put_u64(self.next_id);
+        w.put_u64(self.free_len);
+        out
+    }
 }
 
 /// Mutable state behind the store's lock.
@@ -485,11 +394,7 @@ struct Inner {
     file: File,
     /// Live page id → slot index.
     map: HashMap<PageId, u64>,
-    slot_count: u64,
-    free_head: u64,
-    free_len: u64,
-    /// Next page id [`FileStore::alloc`] hands out.
-    next_id: u64,
+    sb: Superblock,
     /// Next page LSN (monotone across the whole store).
     next_lsn: u64,
     /// Rolled by every read, write and issued sync once installed.
@@ -576,10 +481,12 @@ impl FileStore {
             inner: Mutex::new(Inner {
                 file,
                 map: HashMap::new(),
-                slot_count: 0,
-                free_head: NO_SLOT,
-                free_len: 0,
-                next_id: 0,
+                sb: Superblock {
+                    slot_count: 0,
+                    free_head: NO_SLOT,
+                    next_id: 0,
+                    free_len: 0,
+                },
                 next_lsn: 1,
                 injector: None,
                 retry: RetryPolicy::exponential(),
@@ -598,47 +505,21 @@ impl FileStore {
     pub fn open(path: impl Into<PathBuf>, policy: SyncPolicy) -> Result<Self, DeviceError> {
         let path = path.into();
         let file = OpenOptions::new().read(true).write(true).open(&path)?;
-        let mut sb = [0u8; 56];
+        let mut sb = [0u8; SUPER_LEN];
         let got = read_full_at(&file, &mut sb, 0)?;
-        if got < sb.len() {
-            return Err(DeviceError::BadSuperblock {
-                reason: "file shorter than a superblock",
-            });
-        }
-        let u32_at = |i: usize| u32::from_le_bytes(sb[i..i + 4].try_into().expect("4 bytes"));
-        let u64_at = |i: usize| u64::from_le_bytes(sb[i..i + 8].try_into().expect("8 bytes"));
-        if u32_at(0) != SUPER_MAGIC {
-            return Err(DeviceError::BadSuperblock {
-                reason: "wrong magic",
-            });
-        }
-        if u32_at(4) != VERSION {
-            return Err(DeviceError::BadSuperblock {
-                reason: "unknown version",
-            });
-        }
-        if u64_at(8) != PAGE_SIZE as u64 {
-            return Err(DeviceError::BadSuperblock {
-                reason: "page size mismatch",
-            });
-        }
-        let slot_count = u64_at(16);
-        let free_head = u64_at(24);
-        let next_id = u64_at(32);
-        let free_len = u64_at(40);
+        let sb = Superblock::decode(&sb[..got]).map_err(DeviceError::BadSuperblock)?;
 
         // Rebuild the live map and the LSN horizon from slot headers.
         let mut map = HashMap::new();
         let mut max_lsn = 0u64;
-        for slot in 0..slot_count {
+        for slot in 0..sb.slot_count {
             let mut hb = [0u8; PAGE_HEADER];
             let got = read_full_at(&file, &mut hb, slot_offset(slot))?;
-            if got < PAGE_HEADER {
-                // Truncated tail slot: unreadable pages surface as
-                // typed errors at read time, not at open time.
+            // A truncated tail slot ends the scan: unreadable pages
+            // surface as typed errors at read time, not at open time.
+            let Ok(h) = SlotHeader::read(&mut Reader::new(&hb[..got])) else {
                 break;
-            }
-            let h = SlotHeader::decode(&hb);
+            };
             if h.magic == PAGE_MAGIC && h.state == STATE_LIVE {
                 // Headers are unverified here: an LSN with no successor
                 // must not wrap the store's monotone horizon.
@@ -657,10 +538,7 @@ impl FileStore {
             inner: Mutex::new(Inner {
                 file,
                 map,
-                slot_count,
-                free_head,
-                free_len,
-                next_id,
+                sb,
                 next_lsn: max_lsn + 1,
                 injector: None,
                 retry: RetryPolicy::exponential(),
@@ -694,15 +572,7 @@ impl FileStore {
     }
 
     fn persist_superblock(&self, inner: &mut Inner) -> Result<(), DeviceError> {
-        let mut sb = [0u8; 56];
-        sb[0..4].copy_from_slice(&SUPER_MAGIC.to_le_bytes());
-        sb[4..8].copy_from_slice(&VERSION.to_le_bytes());
-        sb[8..16].copy_from_slice(&(PAGE_SIZE as u64).to_le_bytes());
-        sb[16..24].copy_from_slice(&inner.slot_count.to_le_bytes());
-        sb[24..32].copy_from_slice(&inner.free_head.to_le_bytes());
-        sb[32..40].copy_from_slice(&inner.next_id.to_le_bytes());
-        sb[40..48].copy_from_slice(&inner.free_len.to_le_bytes());
-        inner.file.write_all_at(&sb, 0)?;
+        inner.file.write_all_at(&inner.sb.encode(), 0)?;
         Ok(())
     }
 
@@ -712,8 +582,11 @@ impl FileStore {
     /// the allocation itself survives a reopen.
     pub fn alloc(&self) -> Result<PageId, DeviceError> {
         let mut inner = self.lock();
-        let page = inner.next_id;
-        inner.next_id += 1;
+        let page = inner.sb.next_id;
+        inner.sb.next_id = page.checked_add(1).ok_or(DeviceError::BadHeader {
+            page,
+            reason: "page id horizon exhausted",
+        })?;
         self.write_locked(&mut inner, page, Some(&[]), false)?;
         Ok(page)
     }
@@ -733,7 +606,7 @@ impl FileStore {
             lsn: 0,
             payload_len: 0,
             crc: 0,
-            next_free: inner.free_head,
+            next_free: inner.sb.free_head,
         };
         let t = WallTimer::start();
         inner
@@ -743,8 +616,8 @@ impl FileStore {
             .write_ns
             .fetch_add(t.elapsed_ns(), Ordering::Relaxed);
         self.wall.writes.fetch_add(1, Ordering::Relaxed);
-        inner.free_head = slot;
-        inner.free_len += 1;
+        inner.sb.free_head = slot;
+        inner.sb.free_len += 1;
         self.persist_superblock(&mut inner)
     }
 
@@ -760,12 +633,12 @@ impl FileStore {
 
     /// Slots on the free list.
     pub fn free_slots(&self) -> u64 {
-        self.lock().free_len
+        self.lock().sb.free_len
     }
 
     /// Total slots the file holds (live + free).
     pub fn slot_count(&self) -> u64 {
-        self.lock().slot_count
+        self.lock().sb.slot_count
     }
 
     /// Read and verify `page`, returning its payload. Every failure
@@ -803,51 +676,27 @@ impl FileStore {
             .read_ns
             .fetch_add(t.elapsed_ns(), Ordering::Relaxed);
         self.wall.reads.fetch_add(1, Ordering::Relaxed);
-        if got < PAGE_HEADER {
-            return Err(DeviceError::ShortRead {
-                page,
-                wanted: PAGE_HEADER,
-                got,
-            });
-        }
-        let h = SlotHeader::decode(buf[..PAGE_HEADER].try_into().expect("header bytes"));
+        let short = |wanted| DeviceError::ShortRead { page, wanted, got };
+        let bad = |reason| Err(DeviceError::BadHeader { page, reason });
+        let mut r = Reader::new(&buf[..got]);
+        let h = SlotHeader::read(&mut r).map_err(|_| short(PAGE_HEADER))?;
         if h.magic != PAGE_MAGIC {
-            return Err(DeviceError::BadHeader {
-                page,
-                reason: "wrong page magic",
-            });
+            return bad("wrong page magic");
         }
         match h.state {
             STATE_LIVE => {}
             STATE_FREE => return Err(DeviceError::FreedPage { page }),
-            _ => {
-                return Err(DeviceError::BadHeader {
-                    page,
-                    reason: "unknown slot state",
-                })
-            }
+            _ => return bad("unknown slot state"),
         }
         if h.page_id != page {
-            return Err(DeviceError::BadHeader {
-                page,
-                reason: "slot holds a different page id",
-            });
+            return bad("slot holds a different page id");
         }
         let len = h.payload_len as usize;
         if len > PAGE_SIZE {
-            return Err(DeviceError::BadHeader {
-                page,
-                reason: "payload length exceeds a page",
-            });
+            return bad("payload length exceeds a page");
         }
-        if got < PAGE_HEADER + len {
-            return Err(DeviceError::ShortRead {
-                page,
-                wanted: PAGE_HEADER + len,
-                got,
-            });
-        }
-        let actual = page_crc(buf, len);
+        let payload = r.bytes(len).map_err(|_| short(PAGE_HEADER + len))?;
+        let actual = h.crc_of(payload);
         if actual != h.crc {
             return Err(DeviceError::ChecksumMismatch {
                 page,
@@ -898,16 +747,7 @@ impl FileStore {
     }
 
     fn corrupt_locked(&self, inner: &Inner, page: PageId, slot: u64) -> Result<(), DeviceError> {
-        let mut hb = [0u8; PAGE_HEADER];
-        let got = read_full_at(&inner.file, &mut hb, slot_offset(slot))?;
-        if got < PAGE_HEADER {
-            return Err(DeviceError::ShortRead {
-                page,
-                wanted: PAGE_HEADER,
-                got,
-            });
-        }
-        let h = SlotHeader::decode(&hb);
+        let h = read_header(&inner.file, page, slot)?;
         let len = (h.payload_len as usize).min(PAGE_SIZE);
         let offset = if len > 0 {
             slot_offset(slot) + PAGE_HEADER as u64 + (page.wrapping_mul(31) % len as u64)
@@ -1051,16 +891,7 @@ impl FileStore {
     pub fn page_lsn(&self, page: PageId) -> Result<u64, DeviceError> {
         let inner = self.lock();
         let slot = inner.slot(page)?;
-        let mut hb = [0u8; PAGE_HEADER];
-        let got = read_full_at(&inner.file, &mut hb, slot_offset(slot))?;
-        if got < PAGE_HEADER {
-            return Err(DeviceError::ShortRead {
-                page,
-                wanted: PAGE_HEADER,
-                got,
-            });
-        }
-        Ok(SlotHeader::decode(&hb).lsn)
+        Ok(read_header(&inner.file, page, slot)?.lsn)
     }
 
     /// Write `payload` as the new contents of `page` (allocating a
@@ -1118,42 +949,38 @@ impl FileStore {
         })?;
         let (slot, superblock_dirty) = match inner.map.get(&page) {
             Some(&slot) => (slot, false),
-            None if inner.free_head != NO_SLOT => {
-                // Reuse a freed slot before growing the file.
-                let slot = inner.free_head;
-                let mut hb = [0u8; PAGE_HEADER];
-                let got = read_full_at(&inner.file, &mut hb, slot_offset(slot))?;
-                if got < PAGE_HEADER {
-                    return Err(DeviceError::ShortRead {
-                        page,
-                        wanted: PAGE_HEADER,
-                        got,
-                    });
+            None if inner.sb.free_head != NO_SLOT => {
+                // Reuse a freed slot before growing the file. The head
+                // comes from a superblock or a free slot's link, neither
+                // verified: it may name a live page, which this write
+                // must not clobber, or no slot at all.
+                let slot = inner.sb.free_head;
+                let not_free = DeviceError::BadHeader {
+                    page,
+                    reason: "free-list head is not a free slot",
+                };
+                if slot >= inner.sb.slot_count || inner.sb.free_len == 0 {
+                    return Err(not_free);
                 }
-                let h = SlotHeader::decode(&hb);
+                let h = read_header(&inner.file, page, slot)?;
                 if h.magic != PAGE_MAGIC || h.state != STATE_FREE {
-                    // A stale or corrupt superblock: the slot may hold
-                    // a live page, which this write must not clobber.
-                    return Err(DeviceError::BadHeader {
-                        page,
-                        reason: "free-list head is not a free slot",
-                    });
+                    return Err(not_free);
                 }
-                inner.free_head = h.next_free;
-                inner.free_len -= 1;
+                inner.sb.free_head = h.next_free;
+                inner.sb.free_len -= 1;
                 inner.map.insert(page, slot);
                 (slot, true)
             }
             None => {
-                let slot = inner.slot_count;
-                inner.slot_count += 1;
+                let slot = inner.sb.slot_count;
+                inner.sb.slot_count += 1;
                 inner.map.insert(page, slot);
                 (slot, true)
             }
         };
         inner.next_lsn = next_lsn;
         let mut frame = [0u8; SLOT_SIZE];
-        let header = SlotHeader {
+        let mut header = SlotHeader {
             magic: PAGE_MAGIC,
             state: STATE_LIVE,
             page_id: page,
@@ -1162,14 +989,13 @@ impl FileStore {
             crc: 0,
             next_free: NO_SLOT,
         };
-        frame[..PAGE_HEADER].copy_from_slice(&header.encode());
         let body = &mut frame[PAGE_HEADER..PAGE_HEADER + len];
         match payload {
             Some(bytes) => body.copy_from_slice(bytes),
             None => stamp_payload(body, page, lsn),
         }
-        let crc = page_crc(&frame, len);
-        frame[28..32].copy_from_slice(&crc.to_le_bytes());
+        header.crc = header.crc_of(body);
+        frame[..PAGE_HEADER].copy_from_slice(&header.encode());
         if torn {
             // A torn write persists the header (with the full-payload
             // CRC) and the first half of the payload; the tail holds
@@ -1413,6 +1239,18 @@ fn slot_offset(slot: u64) -> u64 {
     SUPER_SIZE + slot * SLOT_SIZE as u64
 }
 
+/// Read and parse the header of `page`'s `slot`; a slot shorter than
+/// a header is a short read.
+fn read_header(file: &File, page: PageId, slot: u64) -> Result<SlotHeader, DeviceError> {
+    let mut hb = [0u8; PAGE_HEADER];
+    let got = read_full_at(file, &mut hb, slot_offset(slot))?;
+    SlotHeader::read(&mut Reader::new(&hb[..got])).map_err(|_| DeviceError::ShortRead {
+        page,
+        wanted: PAGE_HEADER,
+        got,
+    })
+}
+
 /// `read_at` until `buf` is full or EOF; returns bytes read (a short
 /// count means the file ended — exactly the torn-write signal the
 /// caller turns into [`DeviceError::ShortRead`]).
@@ -1465,68 +1303,12 @@ impl Drop for ScratchDir {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::crc32_bytewise;
 
     fn scratch(tag: &str) -> (ScratchDir, PathBuf) {
         let dir = ScratchDir::new(tag).expect("temp dir");
         let path = dir.path().join("pages.bfs");
         (dir, path)
-    }
-
-    /// The byte-at-a-time loop `crc32` was until slicing-by-8: the
-    /// reference the lane kernel and its sliced tail are checked
-    /// against.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        let mut c = !0u32;
-        for &b in bytes {
-            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        !c
-    }
-
-    fn seeded_bytes(n: usize) -> Vec<u8> {
-        use rand::RngExt;
-        let mut rng = StdRng::seed_from_u64(0xC2C);
-        (0..n).map(|_| rng.random_range(0..=u8::MAX)).collect()
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
-    }
-
-    /// Short lengths take the tail loop alone; `k` blocks give or
-    /// take 9 bytes cross every lane-kernel boundary with a tail of
-    /// each length class on either side.
-    #[test]
-    fn sliced_crc32_equals_the_byte_loop_at_every_length_and_alignment() {
-        let buf = seeded_bytes(65_539 + 8);
-        let block_edges = (1..=3).flat_map(|k| k * CRC_BLOCK - 9..=k * CRC_BLOCK + 9);
-        for start in 0..8 {
-            for len in (0..=300)
-                .chain(block_edges.clone())
-                .chain([4_096, 4_116, 4_136, 65_539])
-            {
-                let bytes = &buf[start..start + len];
-                assert_eq!(
-                    crc32(bytes),
-                    crc32_bytewise(bytes),
-                    "start {start}, len {len}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_any_two_way_split_equals_the_one_shot_crc() {
-        let buf = seeded_bytes(SLOT_SIZE);
-        let whole = crc32(&buf);
-        assert_eq!(whole, crc32_bytewise(&buf));
-        for cut in 0..=buf.len() {
-            let c = crc32_update(crc32_update(!0, &buf[..cut]), &buf[cut..]);
-            assert_eq!(!c, whole, "cut at {cut}");
-        }
     }
 
     /// On-disk bytes recorded at the parent of the slicing-by-8 change
@@ -1638,6 +1420,45 @@ mod tests {
         assert_eq!(store.read_page(1).unwrap(), b"live page");
         assert!(!store.contains(3));
         assert_eq!((store.slot_count(), store.free_slots()), (slots, 1));
+    }
+
+    /// Found by `tests/decoder_mutations.rs`: superblock fields past
+    /// the file's slots overflowed a slot offset, the free-list length
+    /// or the page-id horizon on the next write or allocation.
+    #[test]
+    fn a_superblock_past_its_slots_fails_typed_not_by_overflow() {
+        let (_dir, path) = scratch("superblock-bounds");
+        FileStore::create(&path, SyncPolicy::Deferred)
+            .unwrap()
+            .write_page(1, b"live")
+            .unwrap();
+        let mutant = |at: usize, value: u64| {
+            let mut raw = std::fs::read(&path).unwrap();
+            raw[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let mutant = path.with_extension("mutant");
+            std::fs::write(&mutant, raw).unwrap();
+            FileStore::open(&mutant, SyncPolicy::Deferred)
+        };
+        let free_head_past_the_slots = mutant(24, 1 << 62).unwrap();
+        assert!(matches!(
+            free_head_past_the_slots.write_page(2, b"new"),
+            Err(DeviceError::BadHeader { page: 2, .. })
+        ));
+        drop(free_head_past_the_slots);
+        let next_id_at_the_horizon = mutant(32, u64::MAX).unwrap();
+        assert!(matches!(
+            next_id_at_the_horizon.alloc(),
+            Err(DeviceError::BadHeader { .. })
+        ));
+        drop(next_id_at_the_horizon);
+        let slot_count_past_any_file = (16, u64::MAX);
+        let free_len_past_the_slot_count = (40, 2);
+        for (at, value) in [slot_count_past_any_file, free_len_past_the_slot_count] {
+            assert!(matches!(
+                mutant(at, value),
+                Err(DeviceError::BadSuperblock { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1753,7 +1574,7 @@ mod tests {
                 page: 1,
                 reason: "x",
             },
-            DeviceError::BadSuperblock { reason: "x" },
+            DeviceError::BadSuperblock(DecodeError { at: 0, what: "x" }),
             DeviceError::UnknownPage { page: 1 },
             DeviceError::FreedPage { page: 1 },
             DeviceError::PayloadTooLarge { page: 1, len: 9999 },

@@ -387,7 +387,7 @@ mod tests {
     fn page_crcs(heap: &HeapFile) -> Vec<u32> {
         heap.pages
             .iter()
-            .map(|p| crate::file::crc32(p.bytes()))
+            .map(|p| crate::codec::crc32(p.bytes()))
             .collect()
     }
 

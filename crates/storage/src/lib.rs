@@ -26,6 +26,8 @@
 //!   optionally mirrored by real, checksum-verified file I/O. The
 //!   [`backend::Backend`] selector decides whether devices get a
 //!   [`file::FileStore`] behind them.
+//! * [`codec`] — the one checked byte codec: [`codec::Reader`],
+//!   the frame of log records and wire messages, [`codec::crc32`].
 //! * [`mod@file`] — [`file::FileStore`]: the byte-hitting page store
 //!   (CRC-32 page headers, persistent free list, fsync barriers,
 //!   wall-clock counters) behind the file backend.
@@ -46,6 +48,7 @@
 #![forbid(unsafe_code)]
 
 pub mod backend;
+pub mod codec;
 pub mod context;
 pub mod device;
 pub mod fault;

@@ -6,9 +6,9 @@
 //! *findable* would evaporate in a crash. This crate closes that gap
 //! with the classical recipe:
 //!
-//! * [`record`] — checksummed, length-prefixed records
+//! * [`record`] — the records
 //!   ([`WalRecord::Insert`]/[`WalRecord::Delete`]/[`WalRecord::Checkpoint`]),
-//!   little-endian frames a reader can validate byte by byte.
+//!   each one frame of the byte codec a reader validates byte by byte.
 //! * [`log`] — the [`Wal`] itself: an append-only image on a simulated
 //!   device, with three [`DurabilityMode`]s (per-record fsync, group
 //!   commit over a record/byte window, async) whose costs the device's
@@ -28,11 +28,8 @@
 pub mod log;
 pub mod record;
 
-/// The workspace's one CRC-32 (the page store's), framing log records
-/// and, through this path, wire frames.
-pub use bftree_storage::file::crc32;
 pub use log::{DurabilityMode, TailState, Wal, WalReader, WalRepairOutcome};
-pub use record::{WalRecord, FRAME_HEADER, MAX_PAYLOAD};
+pub use record::{WalRecord, MAX_PAYLOAD};
 
 #[cfg(test)]
 mod tests {

@@ -1,10 +1,10 @@
 //! The log itself: append, durability modes, sync accounting, and the
 //! torn-tail-tolerant recovery reader.
 
-use bftree_storage::file::crc32;
+use bftree_storage::codec::Reader;
 use bftree_storage::{PageDevice, PageId, PAGE_SIZE};
 
-use crate::record::{WalRecord, FRAME_HEADER, MAX_PAYLOAD};
+use crate::record::{WalRecord, MAX_PAYLOAD};
 
 /// When an appended record becomes durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -379,11 +379,6 @@ impl<'a> WalReader<'a> {
         }
     }
 
-    /// Current byte offset (a record boundary).
-    pub fn offset(&self) -> usize {
-        self.at
-    }
-
     /// How the log ended. Meaningful once the iterator returns `None`.
     pub fn tail(&self) -> TailState {
         self.tail
@@ -398,11 +393,6 @@ impl<'a> WalReader<'a> {
         }
         (out, reader.tail())
     }
-
-    fn torn(&mut self) -> Option<(usize, WalRecord)> {
-        self.tail = TailState::Torn { valid_len: self.at };
-        None
-    }
 }
 
 impl Iterator for WalReader<'_> {
@@ -415,23 +405,16 @@ impl Iterator for WalReader<'_> {
         if self.at == self.bytes.len() {
             return None;
         }
-        let rest = &self.bytes[self.at..];
-        if rest.len() < FRAME_HEADER {
-            return self.torn();
+        let mut r = Reader::new(&self.bytes[self.at..]);
+        match r.frame(MAX_PAYLOAD).and_then(WalRecord::decode_payload) {
+            Ok(rec) => {
+                self.at += r.at();
+                Some((self.at, rec))
+            }
+            Err(_) => {
+                self.tail = TailState::Torn { valid_len: self.at };
+                None
+            }
         }
-        let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
-        if len == 0 || len > MAX_PAYLOAD || rest.len() < FRAME_HEADER + len {
-            return self.torn();
-        }
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        let payload = &rest[FRAME_HEADER..FRAME_HEADER + len];
-        if crc32(payload) != crc {
-            return self.torn();
-        }
-        let Some(rec) = WalRecord::decode_payload(payload) else {
-            return self.torn();
-        };
-        self.at += FRAME_HEADER + len;
-        Some((self.at, rec))
     }
 }

@@ -1,17 +1,9 @@
-//! Log record format: checksummed, length-prefixed frames.
-//!
-//! Every record travels as `[len: u32][crc32: u32][payload: len
-//! bytes]`, all little-endian. `len` covers the payload only; the CRC
-//! covers the payload only (a corrupt length shows up as a CRC
-//! mismatch over whatever bytes it delimits, or as a frame running
-//! past the end of the log — both read as a torn tail). The payload is
-//! a one-byte tag followed by fixed-width little-endian fields, so
-//! records are self-describing and the reader never needs the index.
+//! Log record format. Each record is one frame of the storage
+//! crate's byte codec ([`bftree_storage::codec`]), whose payload is a
+//! one-byte tag followed by fixed-width fields, so records are
+//! self-describing and the reader never needs the index.
 
-use bftree_storage::file::crc32;
-
-/// Framing overhead per record: the `len` and `crc32` words.
-pub const FRAME_HEADER: usize = 8;
+use bftree_storage::codec::{frame_header, DecodeError, Put, Reader, FRAME_HEADER};
 
 /// Upper bound on a payload `len` the reader will believe. Real
 /// records are tens of bytes; a length beyond this is garbage read
@@ -58,58 +50,55 @@ impl WalRecord {
         match *self {
             WalRecord::Insert { key, page, slot } => {
                 out.push(TAG_INSERT);
-                out.extend_from_slice(&key.to_le_bytes());
-                out.extend_from_slice(&page.to_le_bytes());
-                out.extend_from_slice(&slot.to_le_bytes());
+                out.put_u64(key);
+                out.put_u64(page);
+                out.put_u64(slot);
             }
             WalRecord::Delete { key } => {
                 out.push(TAG_DELETE);
-                out.extend_from_slice(&key.to_le_bytes());
+                out.put_u64(key);
             }
             WalRecord::Checkpoint {
                 tuple_count,
                 flushed_ops,
             } => {
                 out.push(TAG_CHECKPOINT);
-                out.extend_from_slice(&tuple_count.to_le_bytes());
-                out.extend_from_slice(&flushed_ops.to_le_bytes());
+                out.put_u64(tuple_count);
+                out.put_u64(flushed_ops);
             }
         }
     }
 
-    /// Parse a payload produced by [`WalRecord::encode_payload`].
-    /// `None` for unknown tags or short fields (corruption that
-    /// happened to pass the CRC cannot crash recovery).
-    pub fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
-        let (&tag, rest) = payload.split_first()?;
-        let word = |i: usize| -> Option<u64> {
-            rest.get(i * 8..(i + 1) * 8)
-                .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte slice")))
+    /// Parse a payload produced by [`WalRecord::encode_payload`]:
+    /// an unknown tag, a short field or a trailing byte is an error
+    /// (corruption that happened to pass the CRC cannot crash
+    /// recovery).
+    pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, DecodeError> {
+        let mut r = Reader::new(payload);
+        let rec = match r.u8()? {
+            TAG_INSERT => WalRecord::Insert {
+                key: r.u64()?,
+                page: r.u64()?,
+                slot: r.u64()?,
+            },
+            TAG_DELETE => WalRecord::Delete { key: r.u64()? },
+            TAG_CHECKPOINT => WalRecord::Checkpoint {
+                tuple_count: r.u64()?,
+                flushed_ops: r.u64()?,
+            },
+            _ => return Err(r.err("unknown record tag")),
         };
-        match tag {
-            TAG_INSERT if rest.len() == 24 => Some(WalRecord::Insert {
-                key: word(0)?,
-                page: word(1)?,
-                slot: word(2)?,
-            }),
-            TAG_DELETE if rest.len() == 8 => Some(WalRecord::Delete { key: word(0)? }),
-            TAG_CHECKPOINT if rest.len() == 16 => Some(WalRecord::Checkpoint {
-                tuple_count: word(0)?,
-                flushed_ops: word(1)?,
-            }),
-            _ => None,
-        }
+        r.finish()?;
+        Ok(rec)
     }
 
-    /// Append the full frame (`len`, `crc`, payload) to `log`.
+    /// Append the full frame (header, payload) to `log`.
     pub fn encode_frame(&self, log: &mut Vec<u8>) {
         let start = log.len();
         log.extend_from_slice(&[0u8; FRAME_HEADER]);
         self.encode_payload(log);
-        let len = (log.len() - start - FRAME_HEADER) as u32;
-        let crc = crc32(&log[start + FRAME_HEADER..]);
-        log[start..start + 4].copy_from_slice(&len.to_le_bytes());
-        log[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+        let header = frame_header(&log[start + FRAME_HEADER..]);
+        log[start..start + FRAME_HEADER].copy_from_slice(&header);
     }
 }
 
@@ -133,18 +122,20 @@ mod tests {
         ] {
             let mut p = Vec::new();
             rec.encode_payload(&mut p);
-            assert_eq!(WalRecord::decode_payload(&p), Some(rec));
+            assert_eq!(WalRecord::decode_payload(&p), Ok(rec));
         }
     }
 
     #[test]
     fn bad_tags_and_short_fields_decode_to_none() {
-        assert!(WalRecord::decode_payload(&[]).is_none());
-        assert!(WalRecord::decode_payload(&[9, 0, 0]).is_none());
+        assert!(WalRecord::decode_payload(&[]).is_err());
+        assert!(WalRecord::decode_payload(&[9, 0, 0]).is_err());
         let mut p = Vec::new();
         WalRecord::Delete { key: 5 }.encode_payload(&mut p);
-        p.pop(); // short field
-        assert!(WalRecord::decode_payload(&p).is_none());
+        p.push(0); // trailing byte
+        assert!(WalRecord::decode_payload(&p).is_err());
+        p.truncate(p.len() - 2); // short field
+        assert!(WalRecord::decode_payload(&p).is_err());
     }
 
     #[test]
@@ -155,7 +146,7 @@ mod tests {
         let len = u32::from_le_bytes(log[0..4].try_into().unwrap());
         let crc = u32::from_le_bytes(log[4..8].try_into().unwrap());
         assert_eq!(len, 9);
-        assert_eq!(crc, crc32(&log[8..]));
+        assert_eq!(crc, bftree_storage::codec::crc32(&log[8..]));
     }
 
     /// Recorded at the parent of the slicing-by-8 `crc32` (byte-loop

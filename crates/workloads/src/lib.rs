@@ -12,8 +12,8 @@
 //!   meter readings with the §6.5 cardinality distribution (mean 52,
 //!   range 21–8295, 99.7 % ≤ 126) and per-client monotone aggregate
 //!   energy.
-//! * [`queries`] — probe sets with exact hit-rate control (Figure 11)
-//!   and range-scan workloads (Figure 13).
+//! * [`queries`] — probe sets drawn from the domain (§6.2) and
+//!   range-scan workloads (Figure 13).
 //! * [`popularity`] — skewed key-popularity models (Zipfian via
 //!   rejection-inversion, YCSB-style hotspot) for the concurrent
 //!   serving experiments.
@@ -35,8 +35,8 @@ pub mod synthetic;
 pub mod tpch;
 
 pub use mixed::{mixed_stream, mixed_streams, Op, OpMix};
-pub use popularity::{popular_probe_streams, popular_probes, KeyPopularity, KeySampler, Zipfian};
-pub use queries::{probes_from_domain, probes_with_hit_rate, range_queries, RangeQuery};
+pub use popularity::{popular_probe_streams, KeyPopularity, KeySampler, Zipfian};
+pub use queries::{probes_from_domain, range_queries, RangeQuery};
 pub use shd::ShdConfig;
 pub use synthetic::{build_relation_r, SyntheticConfig};
 pub use tpch::TpchConfig;

@@ -2,8 +2,7 @@
 //!
 //! An [`OpMix`] fixes the read and delete fractions; [`mixed_stream`]
 //! interleaves probe, insert, and delete operations exactly at those
-//! fractions (Bresenham spreading, the same device used by
-//! [`crate::probes_with_hit_rate`]), drawing probe keys under a
+//! fractions (Bresenham spreading), drawing probe keys under a
 //! [`KeyPopularity`] and insert/delete keys in order from
 //! caller-provided lists. [`mixed_streams`] splits the work across
 //! worker threads with decorrelated per-thread seeds and disjoint

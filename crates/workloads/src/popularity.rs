@@ -186,7 +186,7 @@ impl KeySampler {
 
 /// Draw `n` probe keys from `domain` under `popularity` — the skewed
 /// counterpart of [`crate::probes_from_domain`].
-pub fn popular_probes(domain: &[u64], popularity: KeyPopularity, n: usize, seed: u64) -> Vec<u64> {
+fn popular_probes(domain: &[u64], popularity: KeyPopularity, n: usize, seed: u64) -> Vec<u64> {
     let sampler = KeySampler::new(domain.len(), popularity);
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n).map(|_| domain[sampler.sample(&mut rng)]).collect()

@@ -1,7 +1,7 @@
 //! Query workload generators (§6.1): fixed sets of probe keys shared
 //! across storage configurations ("the same set of search keys is used
-//! in each different configuration"), with controlled hit rates for
-//! the Figure-11 sweep, plus range-scan workloads for Figure 13.
+//! in each different configuration"), plus range-scan workloads for
+//! Figure 13.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -14,46 +14,6 @@ pub fn probes_from_domain(domain: &[u64], n: usize, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|_| domain[rng.random_range(0..domain.len())])
-        .collect()
-}
-
-/// Draw `n` probe keys such that a fraction `hit_rate` of them exist
-/// in `domain` and the rest provably miss (Figure 11's x-axis, hit
-/// rates 0 %–100 %).
-///
-/// Misses are drawn from the *gaps* of the sorted domain so they fall
-/// inside the indexed key range (forcing real index work, not a
-/// trivial out-of-range rejection). `domain` must be sorted and have
-/// gaps if `hit_rate < 1`.
-pub fn probes_with_hit_rate(domain: &[u64], n: usize, hit_rate: f64, seed: u64) -> Vec<u64> {
-    assert!((0.0..=1.0).contains(&hit_rate), "hit rate out of [0,1]");
-    assert!(!domain.is_empty(), "empty probe domain");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let gaps = domain_gaps(domain);
-    assert!(
-        hit_rate >= 1.0 || !gaps.is_empty(),
-        "domain is dense: cannot generate in-range misses"
-    );
-    (0..n)
-        .map(|i| {
-            // Bresenham-style spreading: exactly ⌊n·hit_rate⌋ hits,
-            // evenly interleaved with the misses.
-            let want_hit = (((i + 1) as f64) * hit_rate).floor() > ((i as f64) * hit_rate).floor();
-            if want_hit {
-                domain[rng.random_range(0..domain.len())]
-            } else {
-                gaps[rng.random_range(0..gaps.len())]
-            }
-        })
-        .collect()
-}
-
-/// One missing key per gap between consecutive domain values.
-fn domain_gaps(domain: &[u64]) -> Vec<u64> {
-    domain
-        .windows(2)
-        .filter(|w| w[1] > w[0] + 1)
-        .map(|w| w[0] + 1)
         .collect()
 }
 
@@ -102,35 +62,6 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_is_exact() {
-        let d = domain();
-        for rate in [0.0, 0.05, 0.10, 0.5, 1.0] {
-            let probes = probes_with_hit_rate(&d, 1_000, rate, 42);
-            let hits =
-                probes.iter().filter(|k| d.binary_search(k).is_ok()).count() as f64 / 1_000.0;
-            assert!((hits - rate).abs() <= 0.002, "rate {rate}: realized {hits}");
-        }
-    }
-
-    #[test]
-    fn misses_fall_inside_the_key_range() {
-        let d = domain();
-        let probes = probes_with_hit_rate(&d, 500, 0.0, 7);
-        let (lo, hi) = (*d.first().unwrap(), *d.last().unwrap());
-        for k in probes {
-            assert!(k > lo && k < hi);
-            assert!(d.binary_search(&k).is_err());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "dense")]
-    fn dense_domain_cannot_miss() {
-        let dense: Vec<u64> = (0..100).collect();
-        probes_with_hit_rate(&dense, 10, 0.5, 1);
-    }
-
-    #[test]
     fn ranges_cover_requested_fraction() {
         let d = domain();
         for frac in [0.01, 0.05, 0.10, 0.20] {
@@ -149,10 +80,6 @@ mod tests {
         assert_eq!(
             probes_from_domain(&d, 100, 9),
             probes_from_domain(&d, 100, 9)
-        );
-        assert_eq!(
-            probes_with_hit_rate(&d, 100, 0.3, 9),
-            probes_with_hit_rate(&d, 100, 0.3, 9)
         );
         assert_eq!(range_queries(&d, 0.1, 10, 9), range_queries(&d, 0.1, 10, 9));
     }
