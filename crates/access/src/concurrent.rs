@@ -33,7 +33,7 @@ use crate::{
 /// # struct Noop;
 /// # impl AccessMethod for Noop {
 /// #     fn name(&self) -> &'static str { "noop" }
-/// #     fn build(&mut self, _: &Relation) -> Result<(), bftree_access::BuildError> { Ok(()) }
+/// #     fn build_slice(&mut self, _: &Relation, _: std::ops::RangeInclusive<u64>) -> Result<(), bftree_access::BuildError> { Ok(()) }
 /// #     fn probe_into(&self, _: u64, _: &Relation, _: &IoContext, _: &mut dyn bftree_access::MatchSink) -> Result<bftree_access::ProbeIo, bftree_access::ProbeError> { Ok(Default::default()) }
 /// #     fn range_cursor<'c>(&'c self, lo: u64, hi: u64, _: &'c Relation, io: &'c IoContext) -> Result<Box<dyn bftree_access::RangeCursor + 'c>, bftree_access::ProbeError> { Ok(Box::new(bftree_access::PageBatchCursor::new(Vec::new(), &io.data, (lo, hi, lo), None))) }
 /// #     fn resume_range_cursor<'c>(&'c self, c: &bftree_access::Continuation, rel: &'c Relation, io: &'c IoContext) -> Result<Box<dyn bftree_access::RangeCursor + 'c>, bftree_access::ProbeError> { self.range_cursor(c.key(), c.hi(), rel, io) }
@@ -290,10 +290,15 @@ mod tests {
             "vec"
         }
 
-        fn build(&mut self, rel: &Relation) -> Result<(), BuildError> {
+        fn build_slice(
+            &mut self,
+            rel: &Relation,
+            keys: std::ops::RangeInclusive<u64>,
+        ) -> Result<(), BuildError> {
             self.entries = rel
                 .heap()
                 .iter_attr(rel.attr())
+                .filter(|(_, _, v)| keys.contains(v))
                 .map(|(pid, slot, v)| (v, (pid, slot)))
                 .collect();
             self.entries.sort_unstable();

@@ -33,7 +33,7 @@
 //! `tests/self_healing.rs` only; it stays, as recovery code does.
 
 use std::collections::BTreeMap;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, RangeInclusive};
 
 use bftree_storage::tuple::AttrOffset;
 use bftree_storage::{HeapFile, IoContext, PageDevice, PageId, Relation};
@@ -698,8 +698,12 @@ impl<A: AccessMethod> AccessMethod for DurableIndex<A> {
         self.inner.name()
     }
 
-    fn build(&mut self, rel: &Relation) -> Result<(), BuildError> {
-        self.inner.build(rel)?;
+    /// Rebuilds the base over `keys` and starts a fresh log. The log
+    /// does not record the slice: [`DurableIndex::recover`] rebuilds
+    /// `inner` with `build`, so a slice survives a crash only when
+    /// `inner` keeps it itself, as a shard's range view does.
+    fn build_slice(&mut self, rel: &Relation, keys: RangeInclusive<u64>) -> Result<(), BuildError> {
+        self.inner.build_slice(rel, keys)?;
         self.base_tuples = rel.heap().tuple_count();
         self.mem = Memtable::default();
         // A rebuild obsoletes the old log: start a fresh one (same
@@ -1055,10 +1059,15 @@ mod tests {
             "mini"
         }
 
-        fn build(&mut self, rel: &Relation) -> Result<(), BuildError> {
+        fn build_slice(
+            &mut self,
+            rel: &Relation,
+            keys: RangeInclusive<u64>,
+        ) -> Result<(), BuildError> {
             self.entries = rel
                 .heap()
                 .iter_attr(rel.attr())
+                .filter(|(_, _, v)| keys.contains(v))
                 .map(|(pid, slot, v)| (v, (pid, slot)))
                 .collect();
             self.entries.sort_unstable();

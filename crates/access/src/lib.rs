@@ -50,6 +50,8 @@ pub use durable::{
 };
 pub use sink::{stream_sorted_matches, FirstMatch, FnSink, MatchSink};
 
+use std::ops::RangeInclusive;
+
 use bftree_storage::{IoContext, PageId, Relation, RelationError};
 
 /// Error raised while building (bulk-loading) an index.
@@ -226,10 +228,18 @@ pub trait AccessMethod: Send + Sync {
     /// Short human-readable name ("bf-tree", "b+tree", …) for reports.
     fn name(&self) -> &'static str;
 
-    /// (Re)build the index from `rel`'s current contents, replacing
-    /// whatever the index held. Implementations derive their duplicate
-    /// handling from [`Relation::duplicates`].
-    fn build(&mut self, rel: &Relation) -> Result<(), BuildError>;
+    /// (Re)build the index from the tuples of `rel` whose indexed
+    /// attribute lies in `keys`, replacing whatever the index held: a
+    /// bulk load of exactly that key slice, so that one shard indexes
+    /// its own keys and nothing else. Implementations derive their
+    /// duplicate handling from [`Relation::duplicates`].
+    fn build_slice(&mut self, rel: &Relation, keys: RangeInclusive<u64>) -> Result<(), BuildError>;
+
+    /// (Re)build the index from all of `rel`'s current contents:
+    /// [`AccessMethod::build_slice`] over the whole key domain.
+    fn build(&mut self, rel: &Relation) -> Result<(), BuildError> {
+        self.build_slice(rel, 0..=u64::MAX)
+    }
 
     /// Stream every tuple whose indexed attribute equals `key` into
     /// `sink`, in ascending `(page, slot)` order per candidate page
@@ -466,8 +476,8 @@ impl<A: AccessMethod + ?Sized> AccessMethod for Box<A> {
         (**self).name()
     }
 
-    fn build(&mut self, rel: &Relation) -> Result<(), BuildError> {
-        (**self).build(rel)
+    fn build_slice(&mut self, rel: &Relation, keys: RangeInclusive<u64>) -> Result<(), BuildError> {
+        (**self).build_slice(rel, keys)
     }
 
     fn probe_into(

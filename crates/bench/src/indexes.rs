@@ -147,7 +147,7 @@ pub fn build_btree_with_mode(rel: &Relation, duplicates: DuplicateMode) -> BPlus
         fill_factor: 1.0,
         duplicates,
     };
-    BPlusTree::bulk_build(config, relation_entries(rel, duplicates))
+    BPlusTree::bulk_build(config, relation_entries(rel, duplicates, 0..=u64::MAX))
 }
 
 /// Build the in-memory hash index baseline.

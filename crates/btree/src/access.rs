@@ -10,6 +10,8 @@
 //! cursors. The materializing `probe`/`range_scan` forms are the
 //! trait's default wrappers over these cores.
 
+use std::ops::RangeInclusive;
+
 use bftree_access::{
     check_relation, scan_page_in_range, stream_sorted_matches, AccessMethod, BuildError,
     Continuation, IndexStats, MatchSink, PageBatchCursor, Probe, ProbeError, ProbeIo, RangeCursor,
@@ -32,15 +34,20 @@ fn mode_for(rel: &Relation) -> DuplicateMode {
     }
 }
 
-/// Collect `rel`'s `(key, TupleRef)` entries in `(key, pid, slot)`
-/// order, deduped to first references under
-/// [`DuplicateMode::FirstRef`] — the one home of the bulk-load entry
-/// semantics, shared by the trait build, the bench harness's
+/// Collect the `(key, TupleRef)` entries of `rel` whose key lies in
+/// `keys`, in `(key, pid, slot)` order, deduped to first references
+/// under [`DuplicateMode::FirstRef`] — the one home of the bulk-load
+/// entry semantics, shared by the trait build, the bench harness's
 /// explicit-mode builder, and the FD-Tree's build.
-pub fn relation_entries(rel: &Relation, mode: DuplicateMode) -> Vec<(u64, TupleRef)> {
+pub fn relation_entries(
+    rel: &Relation,
+    mode: DuplicateMode,
+    keys: RangeInclusive<u64>,
+) -> Vec<(u64, TupleRef)> {
     let mut entries: Vec<(u64, TupleRef)> = rel
         .heap()
         .iter_attr(rel.attr())
+        .filter(|(_, _, key)| keys.contains(key))
         .map(|(pid, slot, key)| (key, TupleRef::new(pid, slot)))
         .collect();
     entries.sort_by_key(|&(k, r)| (k, r.pid(), r.slot()));
@@ -223,14 +230,14 @@ impl AccessMethod for BPlusTree {
         "b+tree"
     }
 
-    fn build(&mut self, rel: &Relation) -> Result<(), BuildError> {
+    fn build_slice(&mut self, rel: &Relation, keys: RangeInclusive<u64>) -> Result<(), BuildError> {
         let mode = mode_for(rel);
         let config = BTreeConfig {
             page_size: rel.heap().page_size(),
             duplicates: mode,
             ..*self.config()
         };
-        *self = BPlusTree::bulk_build(config, relation_entries(rel, mode));
+        *self = BPlusTree::bulk_build(config, relation_entries(rel, mode, keys));
         Ok(())
     }
 

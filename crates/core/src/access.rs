@@ -2,6 +2,7 @@
 //! index interface.
 
 use std::cell::RefCell;
+use std::ops::RangeInclusive;
 
 use bftree_access::{
     check_relation, AccessMethod, BuildError, Continuation, IndexStats, MatchSink, ProbeError,
@@ -25,13 +26,13 @@ impl AccessMethod for BfTree {
         "bf-tree"
     }
 
-    fn build(&mut self, rel: &Relation) -> Result<(), BuildError> {
+    fn build_slice(&mut self, rel: &Relation, keys: RangeInclusive<u64>) -> Result<(), BuildError> {
         // Re-derive duplicate handling from the relation: it is a
         // property of the data, not of the old tree.
         let rebuilt = BfTreeBuilder::default()
             .config(*self.config())
             .duplicates_from_relation()
-            .build(rel)?;
+            .build_slice(rel, keys)?;
         *self = rebuilt;
         Ok(())
     }

@@ -22,6 +22,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::ops::RangeInclusive;
+
 use bftree_access::BuildError;
 use bftree_storage::{Duplicates, Relation};
 
@@ -134,9 +136,19 @@ impl BfTreeBuilder {
     /// load). Fails with a typed error instead of panicking on
     /// invalid parameters.
     pub fn build(&self, rel: &Relation) -> Result<BfTree, BuildError> {
+        self.build_slice(rel, 0..=u64::MAX)
+    }
+
+    /// [`Self::build`] over only the tuples of `rel` whose key lies in
+    /// `slice` (see [`BfTree::bulk_build`]): one shard's index.
+    pub fn build_slice(
+        &self,
+        rel: &Relation,
+        slice: RangeInclusive<u64>,
+    ) -> Result<BfTree, BuildError> {
         let config = self.config_for(rel);
         config.try_validate()?;
-        Ok(BfTree::bulk_build(config, rel.heap(), rel.attr()))
+        Ok(BfTree::bulk_build(config, rel.heap(), rel.attr(), slice))
     }
 
     /// An empty BF-Tree ready for inserts (§4.2: "The initial node of

@@ -162,6 +162,15 @@ impl BfTreeConfig {
         math::capacity_for(self.leaf_filter_bits(), self.fpp).max(1)
     }
 
+    /// The hash count of a full leaf: `k` for the whole filter block at
+    /// [`Self::max_keys_per_leaf`] keys. An empty leaf starts with it,
+    /// and no leaf hashes more: for a fixed `k` the expected fpp
+    /// `(1 − e^{−kn/m})^k` only grows with the occupancy `n`, so a leaf
+    /// below capacity stays below a full leaf's fpp.
+    pub fn full_leaf_k(&self) -> u32 {
+        self.k_for(self.leaf_filter_bits(), self.max_keys_per_leaf())
+    }
+
     /// Bits available to a leaf's filter block.
     pub fn leaf_filter_bits(&self) -> u64 {
         ((self.page_size - self.leaf_header_reserve) * 8) as u64

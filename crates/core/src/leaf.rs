@@ -4,7 +4,7 @@ use bftree_bloom::hash::KeyFingerprint;
 use bftree_bloom::BloomGroup;
 use bftree_storage::PageId;
 
-use crate::config::BfTreeConfig;
+use crate::config::{BfTreeConfig, BitAllocation};
 
 /// A BF-Tree leaf node.
 ///
@@ -59,13 +59,10 @@ impl BfLeaf {
 
         let s = Self::buckets_for(min_pid, max_pid, config.pages_per_bf);
         let total_bits = config.leaf_filter_bits();
+        let k = Self::hash_count(config, s, n_distinct);
         let mut group = match config.bit_allocation {
-            crate::config::BitAllocation::Uniform => {
-                let per_filter_keys = (n_distinct.max(1)).div_ceil(s as u64);
-                let k = config.k_for((total_bits / s as u64).max(1), per_filter_keys);
-                BloomGroup::new(total_bits, s, k, config.seed)
-            }
-            crate::config::BitAllocation::Proportional => {
+            BitAllocation::Uniform => BloomGroup::new(total_bits, s, k, config.seed),
+            BitAllocation::Proportional => {
                 // Weight each bucket by the keys it will receive, so
                 // bits-per-key (and the fpp) stay uniform across
                 // buckets regardless of per-page skew.
@@ -73,8 +70,6 @@ impl BfLeaf {
                 for (pid, keys) in pages {
                     weights[((pid - min_pid) / config.pages_per_bf) as usize] += keys.len() as u64;
                 }
-                // The global bits-per-key ratio sets k (Equation 1).
-                let k = config.k_for(total_bits, n_distinct.max(1));
                 BloomGroup::new_weighted(total_bits, &weights, k, config.seed)
             }
         };
@@ -109,11 +104,29 @@ impl BfLeaf {
         }
     }
 
+    /// The hash count of a leaf of `s` filters over `n_distinct` keys:
+    /// sized for the occupancy — per filter under
+    /// [`BitAllocation::Uniform`], by the leaf's bits-per-key ratio
+    /// (Equation 1) under [`BitAllocation::Proportional`] — but never
+    /// above [`BfTreeConfig::full_leaf_k`]. A leaf of 22 keys would
+    /// otherwise hash a thousand times per probe.
+    fn hash_count(config: &BfTreeConfig, s: usize, n_distinct: u64) -> u32 {
+        let total_bits = config.leaf_filter_bits();
+        let n = n_distinct.max(1);
+        let k = match config.bit_allocation {
+            BitAllocation::Uniform => {
+                config.k_for((total_bits / s as u64).max(1), n.div_ceil(s as u64))
+            }
+            BitAllocation::Proportional => config.k_for(total_bits, n),
+        };
+        k.min(config.full_leaf_k())
+    }
+
     /// An empty leaf anchored at page `pid` (the initial node of a
     /// freshly created BF-Tree, §4.2).
     pub fn empty(config: &BfTreeConfig, pid: PageId) -> Self {
         let total_bits = config.leaf_filter_bits();
-        let k = config.k_for(total_bits, config.max_keys_per_leaf());
+        let k = config.full_leaf_k();
         Self {
             min_key: u64::MAX,
             max_key: 0,
@@ -395,6 +408,53 @@ mod tests {
             l.insert(k, 0);
         }
         assert!(l.current_fpp() > before);
+    }
+
+    /// For every occupancy up to a leaf's capacity, under both bit
+    /// allocations and from fpp 0.2 to 10⁻⁹: no leaf hashes more than
+    /// a full leaf, and no leaf's expected fpp exceeds a full leaf's
+    /// over as many pages (per filter under `Uniform`; `Proportional`
+    /// gives every filter the leaf's bits-per-key ratio).
+    #[test]
+    fn a_leaf_never_hashes_more_than_a_full_leaf() {
+        use bftree_bloom::math::expected_fpp;
+        for bit_allocation in [BitAllocation::Uniform, BitAllocation::Proportional] {
+            for fpp in [0.2, 1e-2, 1e-4, 1e-9] {
+                let config = BfTreeConfig {
+                    fpp,
+                    bit_allocation,
+                    ..BfTreeConfig::paper_default()
+                };
+                let (capacity, full_k) = (config.max_keys_per_leaf(), config.full_leaf_k());
+                for s in [1, 16] {
+                    let k_and_fpp = |n: u64| {
+                        let k = BfLeaf::hash_count(&config, s, n);
+                        let (m, n) = match bit_allocation {
+                            BitAllocation::Uniform => {
+                                (config.leaf_filter_bits() / s as u64, n.div_ceil(s as u64))
+                            }
+                            BitAllocation::Proportional => (config.leaf_filter_bits(), n),
+                        };
+                        (k, expected_fpp(m, k, n))
+                    };
+                    let (_, full) = k_and_fpp(capacity);
+                    for n in 1..=capacity {
+                        let (k, expected) = k_and_fpp(n);
+                        let case = format!("{bit_allocation:?}, fpp {fpp}, {s} pages, {n} keys");
+                        assert!(k <= full_k, "{case}: k {k} > {full_k}");
+                        assert!(expected <= full, "{case}: fpp {expected} > {full}");
+                    }
+                    // The leaves `from_pages` builds hash that count.
+                    for n in [1, 22, capacity / 2, capacity] {
+                        let pages: Vec<(PageId, Vec<u64>)> = (0..s as u64)
+                            .map(|p| (p, (p..n).step_by(s).collect()))
+                            .collect();
+                        let leaf = BfLeaf::from_pages(&config, &pages, n);
+                        assert_eq!(leaf.group().k(), BfLeaf::hash_count(&config, s, n));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, RangeInclusive};
 
 use bftree_access::{MatchSink, ProbeIo};
 use bftree_bloom::hash::{mix64, KeyFingerprint};
@@ -74,23 +74,44 @@ pub struct BfTree {
 }
 
 impl BfTree {
-    /// Bulk-load a BF-Tree over `heap`, indexing attribute `attr`, on
-    /// which the heap must be ordered or partitioned.
+    /// Bulk-load a BF-Tree over the tuples of `heap` whose attribute
+    /// `attr` lies in `slice`; the heap must be ordered or partitioned
+    /// on `attr`.
     ///
     /// One pass over the data packs BF-leaves up to
     /// [`BfTreeConfig::max_keys_per_leaf`] distinct keys each (leaf
     /// boundaries align to page boundaries); a second pass over the
     /// leaf level builds the internal structure — exactly the paper's
-    /// two-pass bulk load (§4.2).
-    pub fn bulk_build(config: BfTreeConfig, heap: &HeapFile, attr: AttrOffset) -> Self {
+    /// two-pass bulk load (§4.2). The leaves span the pages from the
+    /// first to the last that holds a key of `slice`; the pages outside
+    /// belong to no leaf and are read without allocating. When no page
+    /// holds one, the one empty leaf is anchored at the page the next
+    /// append lands on, so the first insert does not stretch it over
+    /// the pages before. `0..=u64::MAX` indexes the whole heap.
+    pub fn bulk_build(
+        config: BfTreeConfig,
+        heap: &HeapFile,
+        attr: AttrOffset,
+        slice: RangeInclusive<u64>,
+    ) -> Self {
         config.validate();
         let max_keys = config.max_keys_per_leaf();
+        let in_slice = |k: u64| slice.contains(&k);
+        let holds_slice_key = |pid: PageId| heap.page_attrs(pid, attr).any(in_slice);
+
+        // The pages from the first to the last holding a key of the
+        // slice; a full-range build takes every page.
+        let mut pids = 0..heap.page_count();
+        let span = pids.find(|&pid| holds_slice_key(pid)).map(|first| {
+            let last = pids.rev().find(|&pid| holds_slice_key(pid));
+            first..=last.unwrap_or(first)
+        });
 
         let mut leaves: Vec<BfLeaf> = Vec::new();
         let mut pending: Vec<(PageId, Vec<u64>)> = Vec::new();
         let mut distinct = KeySet::default();
-        for pid in 0..heap.page_count() {
-            let mut keys = page_keys(heap, pid, attr, |_| true);
+        for pid in span.into_iter().flatten() {
+            let mut keys = page_keys(heap, pid, attr, in_slice);
             let before = distinct.len() as u64;
             admit_keys(config.duplicates, &mut keys, &mut distinct);
             if !pending.is_empty() && distinct.len() as u64 > max_keys {
@@ -100,13 +121,13 @@ impl BfTree {
                 leaves.push(BfLeaf::from_pages(&config, &pending, before));
                 pending.clear();
                 distinct.clear();
-                keys = page_keys(heap, pid, attr, |_| true);
+                keys = page_keys(heap, pid, attr, in_slice);
                 admit_keys(config.duplicates, &mut keys, &mut distinct);
             }
             pending.push((pid, keys));
         }
         if pending.is_empty() {
-            leaves.push(BfLeaf::empty(&config, 0));
+            leaves.push(BfLeaf::empty(&config, heap.next_append_page()));
         } else {
             leaves.push(BfLeaf::from_pages(&config, &pending, distinct.len() as u64));
         }

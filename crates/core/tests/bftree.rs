@@ -535,10 +535,13 @@ fn construction_hash(tree: &BfTree, tombstones: bool) -> u64 {
 
 /// Bulk load, inserts through both split strategies (a batch at a
 /// time, out of order, and one key at a time) and a delete-and-rebuild
-/// build, byte for byte, the leaves recorded before `insert` became a
-/// batch of one and the three page-key scans became one. The rebuilt
-/// tree's tombstones are left out of its hash: a rebuild kept none
-/// then. Re-record the values only in a change that means to move
+/// build, byte for byte, the leaves recorded when a leaf's hash count
+/// became capped at a full leaf's (`BfTreeConfig::full_leaf_k`). All 17
+/// values moved then: every tree has a leaf below capacity — a bulk
+/// load's last leaf, a split's two halves — whose filters had hashed
+/// the `k` of its own occupancy. The rebuilt tree's tombstones are left
+/// out of its hash: a rebuild kept none when it was first recorded.
+/// Re-record the values only in a change that means to move
 /// construction.
 #[test]
 fn construction_is_byte_identical_to_the_recorded_parent() {
@@ -602,23 +605,23 @@ fn construction_is_byte_identical_to_the_recorded_parent() {
     built.push(("rebuilt".to_string(), rebuilt, false));
 
     let recorded: [u64; 17] = [
-        0x30ba_5fbe_249f_b46e,
-        0x4b26_050c_853f_dca0,
-        0xdc43_9875_158b_30c4,
-        0x5529_0c54_c753_6c23,
-        0xdf3a_a372_be29_ae53,
-        0xc0fc_00da_ac6e_68d8,
-        0xf449_0a08_065e_e790,
-        0xde4c_50ff_eda0_d735,
-        0x4cbf_1950_33cf_3549,
-        0x7286_f36b_ed34_99fc,
-        0x6d44_1c40_1de2_e7b4,
-        0x6b7e_1317_c4cc_8f52,
-        0x8b9d_2c96_a4b0_ed69,
-        0x8b9d_2c96_a4b0_ed69,
-        0xc7aa_93ea_726f_1002,
-        0xc7aa_93ea_726f_1002,
-        0x8c4c_a741_3bec_6ae5,
+        0x23e0_7706_d914_6146,
+        0x5990_3248_2d39_bd34,
+        0x2216_30fe_239e_0a7b,
+        0x74d4_29b3_8900_3480,
+        0xfdf2_1686_1bc2_08ea,
+        0x74ef_3e01_1931_dad7,
+        0x34dc_7d86_3249_1748,
+        0x8518_d9c5_e284_e1bb,
+        0x932f_184c_5cc5_5de3,
+        0x6555_c2e5_f969_57a1,
+        0x4e96_63ad_0d7c_0e46,
+        0x8208_1a41_e7ab_fdc9,
+        0x8078_b321_71f6_119a,
+        0x8078_b321_71f6_119a,
+        0x13c9_1758_eaec_beef,
+        0x13c9_1758_eaec_beef,
+        0xa79e_d0ee_d4be_4262,
     ];
     assert_eq!(built.len(), recorded.len());
     for ((name, tree, tombstones), want) in built.iter().zip(recorded) {

@@ -1,6 +1,8 @@
 //! [`AccessMethod`] implementation: the FD-Tree baseline behind the
 //! unified index interface.
 
+use std::ops::RangeInclusive;
+
 use bftree_access::{
     check_relation, stream_sorted_matches, AccessMethod, BuildError, Continuation, IndexStats,
     MatchSink, PageBatchCursor, Probe, ProbeError, ProbeIo, RangeCursor,
@@ -15,11 +17,11 @@ impl AccessMethod for FdTree {
         "fd-tree"
     }
 
-    fn build(&mut self, rel: &Relation) -> Result<(), BuildError> {
+    fn build_slice(&mut self, rel: &Relation, keys: RangeInclusive<u64>) -> Result<(), BuildError> {
         // `bulk_build` requires key order (`relation_entries` sorts);
         // the FD-Tree stores every tuple reference, i.e. per-tuple
         // duplicate mode.
-        *self = FdTree::bulk_build(relation_entries(rel, DuplicateMode::PerTuple));
+        *self = FdTree::bulk_build(relation_entries(rel, DuplicateMode::PerTuple, keys));
         Ok(())
     }
 

@@ -5,6 +5,8 @@
 //! Figures 5(b)/8(b)), so probes charge nothing to `io.index`; only
 //! the data-page fetches they trigger hit `io.data`.
 
+use std::ops::RangeInclusive;
+
 use bftree_access::{
     check_relation, stream_sorted_matches, AccessMethod, BuildError, Continuation, IndexStats,
     MatchSink, PageBatchCursor, Probe, ProbeError, ProbeIo, RangeCursor,
@@ -44,10 +46,11 @@ impl AccessMethod for HashIndex {
         "hash"
     }
 
-    fn build(&mut self, rel: &Relation) -> Result<(), BuildError> {
+    fn build_slice(&mut self, rel: &Relation, keys: RangeInclusive<u64>) -> Result<(), BuildError> {
         *self = HashIndex::build(
             rel.heap()
                 .iter_attr(rel.attr())
+                .filter(|(_, _, key)| keys.contains(key))
                 .map(|(pid, slot, key)| (key, TupleRef::new(pid, slot))),
             self.seed(),
         );

@@ -14,6 +14,7 @@
 //! deltas taken around the work done *for that shard*, whichever
 //! thread did it, so the makespan needs no thread per shard.
 
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -124,8 +125,9 @@ impl ShardedIndex {
     /// write path (`durable` tunes every shard's memtable/WAL
     /// identically) restricted to its slice of the key domain.
     ///
-    /// The index starts empty-built like its peers: call
-    /// [`AccessMethod::build`] to index `rel`'s current contents.
+    /// Each shard starts as the factory made its index: call
+    /// [`AccessMethod::build`] to have every shard bulk-load its own
+    /// key range of `rel`'s current contents.
     pub fn new(
         plan: ShardPlan,
         rel: &Relation,
@@ -363,12 +365,14 @@ impl AccessMethod for ShardedIndex {
         "sharded"
     }
 
-    fn build(&mut self, rel: &Relation) -> Result<(), BuildError> {
+    /// Each shard bulk-loads its own range of the plan intersected
+    /// with `keys` (its [`RangeView`] clamps the slice).
+    fn build_slice(&mut self, rel: &Relation, keys: RangeInclusive<u64>) -> Result<(), BuildError> {
         for cell in &mut self.shards {
             cell.state
                 .get_mut()
                 .unwrap_or_else(|e| e.into_inner())
-                .build(rel)?;
+                .build_slice(rel, keys.clone())?;
         }
         Ok(())
     }

@@ -1,11 +1,14 @@
 //! A range-restricted facade over any [`AccessMethod`].
 //!
 //! [`RangeView`] is what lets one shard reuse the whole single-node
-//! stack unchanged: it wraps an inner index and implements `build` as
-//! "index only the tuples whose key falls in my `[lo, hi]` slice of
-//! the relation". Everything downstream — `DurableIndex`'s WAL replay,
-//! memtable flushes, crash recovery — calls `build` through the trait
-//! and therefore shards for free.
+//! stack unchanged: it wraps an inner index and clamps every build to
+//! its `[lo, hi]` slice of the key domain, so the inner index
+//! bulk-loads exactly the shard's own keys through
+//! [`AccessMethod::build_slice`]. Everything downstream —
+//! `DurableIndex`'s WAL replay, memtable flushes, crash recovery —
+//! calls `build` through the trait and therefore shards for free.
+
+use std::ops::RangeInclusive;
 
 use bftree_access::{
     AccessMethod, BuildError, Continuation, IndexStats, MatchSink, PageBatchCursor, ProbeError,
@@ -55,30 +58,13 @@ impl<A: AccessMethod> AccessMethod for RangeView<A> {
         "range-view"
     }
 
-    /// Build the inner index over **only** the in-range tuples of
-    /// `rel`: build it empty, then bulk-insert every `(key, loc)` pair
-    /// whose key falls in `[lo, hi]`, sorted by key so batch-friendly
-    /// indexes get their one-descent path.
-    fn build(&mut self, rel: &Relation) -> Result<(), BuildError> {
-        let empty =
-            Relation::new(rel.heap().truncated(0), rel.attr(), rel.duplicates()).map_err(|e| {
-                BuildError::IncompatibleRelation {
-                    detail: e.to_string(),
-                }
-            })?;
-        self.inner.build(&empty)?;
-        let mut entries: Vec<(u64, (PageId, usize))> = rel
-            .heap()
-            .iter_attr(rel.attr())
-            .filter(|&(_, _, v)| self.in_range(v))
-            .map(|(pid, slot, v)| (v, (pid, slot)))
-            .collect();
-        entries.sort_unstable();
+    /// Build the inner index over only the tuples of `rel` whose key
+    /// lies in both `keys` and the view's `[lo, hi]`: the slice is
+    /// clamped and the inner index bulk-loads it.
+    fn build_slice(&mut self, rel: &Relation, keys: RangeInclusive<u64>) -> Result<(), BuildError> {
+        let (lo, hi) = (*keys.start(), *keys.end());
         self.inner
-            .insert_batch(&entries, rel)
-            .map_err(|e| BuildError::IncompatibleRelation {
-                detail: format!("bulk-loading range view [{}, {}]: {e}", self.lo, self.hi),
-            })
+            .build_slice(rel, lo.max(self.lo)..=hi.min(self.hi))
     }
 
     fn probe_into(

@@ -4,9 +4,10 @@
 //! shared-budget I/O fleet.
 
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use bftree::BfTree;
 use bftree_access::{
@@ -428,8 +429,8 @@ impl AccessMethod for PanicsOn {
     fn name(&self) -> &'static str {
         "panics-on"
     }
-    fn build(&mut self, rel: &Relation) -> Result<(), BuildError> {
-        self.inner.build(rel)
+    fn build_slice(&mut self, rel: &Relation, keys: RangeInclusive<u64>) -> Result<(), BuildError> {
+        self.inner.build_slice(rel, keys)
     }
     fn probe_into(
         &self,
@@ -497,6 +498,184 @@ fn a_panicking_shard_unwinds_to_the_caller_and_the_index_keeps_serving() {
         .probe_batch_sharded(&[7, POISON + 1, 3000], &rel, &ios)
         .expect("next batch");
     assert!(got.iter().all(|p| p.matches.len() == 1));
+}
+
+/// Where an [`Observed`] tree leaves its latest copy.
+type BfTreeCell = Arc<Mutex<Option<BfTree>>>;
+
+/// A BF-Tree that leaves a copy of itself in `seen` after every build
+/// and every insert: the leaves one shard holds, for a test to read.
+struct Observed {
+    tree: BfTree,
+    seen: BfTreeCell,
+}
+
+impl Observed {
+    fn record(&self) {
+        *self.seen.lock().unwrap() = Some(self.tree.clone());
+    }
+}
+
+impl AccessMethod for Observed {
+    fn name(&self) -> &'static str {
+        "observed"
+    }
+    fn build_slice(&mut self, rel: &Relation, keys: RangeInclusive<u64>) -> Result<(), BuildError> {
+        self.tree.build_slice(rel, keys)?;
+        self.record();
+        Ok(())
+    }
+    fn probe_into(
+        &self,
+        key: u64,
+        rel: &Relation,
+        io: &IoContext,
+        sink: &mut dyn MatchSink,
+    ) -> Result<ProbeIo, ProbeError> {
+        self.tree.probe_into(key, rel, io, sink)
+    }
+    fn range_cursor<'c>(
+        &'c self,
+        lo: u64,
+        hi: u64,
+        rel: &'c Relation,
+        io: &'c IoContext,
+    ) -> Result<Box<dyn RangeCursor + 'c>, ProbeError> {
+        self.tree.range_cursor(lo, hi, rel, io)
+    }
+    fn resume_range_cursor<'c>(
+        &'c self,
+        cont: &Continuation,
+        rel: &'c Relation,
+        io: &'c IoContext,
+    ) -> Result<Box<dyn RangeCursor + 'c>, ProbeError> {
+        self.tree.resume_range_cursor(cont, rel, io)
+    }
+    fn insert(&mut self, key: u64, loc: (PageId, usize), rel: &Relation) -> Result<(), ProbeError> {
+        AccessMethod::insert(&mut self.tree, key, loc, rel)?;
+        self.record();
+        Ok(())
+    }
+    fn insert_batch(
+        &mut self,
+        entries: &[(u64, (PageId, usize))],
+        rel: &Relation,
+    ) -> Result<(), ProbeError> {
+        AccessMethod::insert_batch(&mut self.tree, entries, rel)?;
+        self.record();
+        Ok(())
+    }
+    fn delete(&mut self, key: u64, rel: &Relation) -> Result<u64, ProbeError> {
+        AccessMethod::delete(&mut self.tree, key, rel)
+    }
+    fn size_bytes(&self) -> u64 {
+        AccessMethod::size_bytes(&self.tree)
+    }
+    fn stats(&self) -> IndexStats {
+        AccessMethod::stats(&self.tree)
+    }
+}
+
+/// A built index over `plan` whose shards are [`Observed`] BF-Trees,
+/// and each shard's latest tree.
+fn observed_shards(rel: &Relation, plan: ShardPlan) -> (ShardedIndex, Vec<BfTreeCell>) {
+    let cells: Vec<BfTreeCell> = (0..plan.shards()).map(|_| Arc::default()).collect();
+    let mut index = ShardedIndex::new(
+        plan,
+        rel,
+        durable(),
+        |s| {
+            Box::new(Observed {
+                tree: BfTree::builder()
+                    .fpp(1e-4)
+                    .empty(rel)
+                    .expect("valid config"),
+                seen: Arc::clone(&cells[s]),
+            })
+        },
+        |_| PageDevice::cold(DeviceKind::Ssd),
+    );
+    index.build(rel).expect("sharded build");
+    (index, cells)
+}
+
+fn latest(cell: &BfTreeCell) -> BfTree {
+    cell.lock().unwrap().clone().expect("the shard was built")
+}
+
+/// One shard over the whole key domain builds, leaf for leaf, the
+/// unsharded tree's page images.
+#[test]
+fn a_single_shard_builds_the_unsharded_trees_leaves() {
+    let rel = relation();
+    let (_index, cells) = observed_shards(&rel, ShardPlan::single());
+    let shard = latest(&cells[0]);
+    let direct = BfTree::builder()
+        .fpp(1e-4)
+        .build(&rel)
+        .expect("direct build");
+    let page_size = direct.config().page_size;
+    assert_eq!(shard.leaf_pages(), direct.leaf_pages());
+    for (idx, (a, b)) in shard.leaves().iter().zip(direct.leaves()).enumerate() {
+        assert_eq!(
+            a.to_page_bytes(page_size).expect("fits"),
+            b.to_page_bytes(page_size).expect("fits"),
+            "leaf {idx}"
+        );
+    }
+}
+
+/// Each shard of an equal four-way plan bulk-loads its own slice: its
+/// first leaf starts at the first page holding a key of the slice (not
+/// at heap page 0), and no leaf spans more than the unsharded tree's
+/// widest leaf plus the one page it may share with a neighbour.
+#[test]
+fn each_shard_bulk_loads_its_own_pages() {
+    let rel = relation();
+    let plan = ShardPlan::uniform(N, 4);
+    let (_index, cells) = observed_shards(&rel, plan.clone());
+    let direct = BfTree::builder()
+        .fpp(1e-4)
+        .build(&rel)
+        .expect("direct build");
+    let widest = direct.leaves().iter().map(|l| l.n_pages()).max().unwrap();
+    let heap = rel.heap();
+    for (s, cell) in cells.iter().enumerate() {
+        let tree = latest(cell);
+        let slice = plan.lo_of(s)..=plan.hi_of(s);
+        let first_page = (0..heap.page_count())
+            .find(|&pid| heap.page_attrs(pid, rel.attr()).any(|k| slice.contains(&k)))
+            .expect("every shard holds keys");
+        assert_eq!(tree.leaf(0).min_pid, first_page, "shard {s}");
+        for leaf in tree.leaves() {
+            assert!(
+                leaf.n_pages() <= widest + 1,
+                "shard {s}: {} pages",
+                leaf.n_pages()
+            );
+        }
+    }
+}
+
+/// A shard whose slice holds no key anchors its empty leaf where its
+/// first tuple lands, so that tuple does not stretch the leaf over the
+/// heap.
+#[test]
+fn an_empty_shard_anchors_its_leaf_at_its_first_append() {
+    let mut rel = relation();
+    let plan = ShardPlan::from_bounds(vec![N / 2, N, N + 1_000]);
+    let (index, cells) = observed_shards(&rel, plan);
+    let key = N + 7;
+    let loc = rel.heap_mut().append_record(key, key * 10);
+    assert!(loc.0 > 0, "the append lands past page 0");
+    index.route_insert(key, loc, &rel).expect("insert");
+    index.flush_all(&rel).expect("flush");
+    let tree = latest(&cells[2]);
+    assert_eq!(tree.leaf_pages(), 1);
+    assert_eq!(tree.leaf(0).min_pid, loc.0);
+    let io = IoContext::unmetered();
+    let probe = index.probe(key, &rel, &io).expect("probe");
+    assert_eq!(probe.matches, vec![loc]);
 }
 
 /// The serving setting of the retired `serve_scale` experiment, in
@@ -575,6 +754,13 @@ fn serve(index: &ShardedIndex, ios: &[IoContext], rel: &mut Relation, ops: &[Op]
 /// sample of the workload — an insert pays the shard log's write and
 /// weighs as many probes as it costs — so the shards split simulated
 /// *cost*, which is what the makespan rewards.
+///
+/// The one-shard clock was 20 820 900 sim ns while a shard was built
+/// empty and then fed its keys in one `insert_batch`: that left every
+/// leaf half full. Its one shard is now bulk-built like the unsharded
+/// stack, with full leaves, and the stream's scattered inserts stretch
+/// a full leaf's page range over the heap's tail (ROADMAP 2(a)), so the
+/// clock is 46 345 700. The eight-shard clock did not move.
 #[test]
 fn eight_shards_cut_the_simulated_makespan_at_least_threefold() {
     const KEYS: u64 = 8_192;
@@ -638,7 +824,7 @@ fn eight_shards_cut_the_simulated_makespan_at_least_threefold() {
         "8 shards: {eight} ns against {one} ns on one"
     );
     // Simulated clocks repeat to the nanosecond on any host.
-    assert_eq!((one, eight), (20_820_900, 2_550_400));
+    assert_eq!((one, eight), (46_345_700, 2_550_400));
 
     // The write half of the stream, through the merged view: after
     // every shard drains its memtable each acked insert still answers.

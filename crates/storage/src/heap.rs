@@ -60,6 +60,12 @@ impl HeapFile {
         self.n_tuples
     }
 
+    /// The page the next append lands on: the last page while it has
+    /// a free slot, else the page after it (page 0 for an empty file).
+    pub fn next_append_page(&self) -> PageId {
+        self.n_tuples / self.tuples_per_page() as u64
+    }
+
     /// Total bytes across pages.
     pub fn byte_size(&self) -> u64 {
         self.page_count() * self.page_size as u64
@@ -279,6 +285,16 @@ mod tests {
         assert_eq!(h.tuples_in_page(0), 4);
         assert_eq!(h.tuples_in_page(1), 4);
         assert_eq!(h.tuples_in_page(2), 2);
+    }
+
+    #[test]
+    fn the_next_append_lands_on_the_last_page_until_it_is_full() {
+        assert_eq!(small_heap(0).next_append_page(), 0);
+        for n in 1..=12 {
+            let mut h = small_heap(n);
+            let expected = h.next_append_page();
+            assert_eq!(h.append_record(n, n).0, expected, "after {n} tuples");
+        }
     }
 
     #[test]

@@ -254,6 +254,53 @@ fn conformance_on_contiguous_duplicates() {
     }
 }
 
+/// A build over a key slice indexes exactly that slice: every key of
+/// the slice answers its brute-force matches, every key outside it
+/// answers nothing, and a range scan of the slice returns its tuples.
+/// The slice's ends fall inside heap pages, so its first and last pages
+/// also hold keys it leaves out.
+#[test]
+fn a_slice_build_indexes_exactly_the_slice() {
+    for duplicates in [Duplicates::Unique, Duplicates::Contiguous] {
+        let rel = relation(duplicates);
+        let max = rel
+            .heap()
+            .iter_attr(rel.attr())
+            .map(|(_, _, v)| v)
+            .max()
+            .unwrap();
+        let (lo, hi) = (max / 4 + 3, max / 4 * 3 - 5);
+        let io = IoContext::unmetered();
+        for mut index in all_indexes(&rel) {
+            let name = index.name();
+            index
+                .build_slice(&rel, lo..=hi)
+                .unwrap_or_else(|e| panic!("{name}: slice build failed: {e}"));
+            let near = |k: u64| k.saturating_sub(40)..=k + 40;
+            for key in near(lo).chain(near(hi)).chain([0, (lo + hi) / 2, max]) {
+                let mut got = index.probe(key, &rel, &io).unwrap().matches;
+                got.sort_unstable();
+                let want = if (lo..=hi).contains(&key) {
+                    brute_force(&rel, key)
+                } else {
+                    Vec::new()
+                };
+                assert_eq!(got, want, "{name} over {duplicates:?}: probe({key})");
+            }
+            let mut got = index.range_scan(lo, hi, &rel, &io).unwrap().matches;
+            got.sort_unstable();
+            let mut want: Vec<(u64, usize)> = rel
+                .heap()
+                .iter_attr(rel.attr())
+                .filter(|&(_, _, v)| (lo..=hi).contains(&v))
+                .map(|(pid, slot, _)| (pid, slot))
+                .collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "{name} over {duplicates:?}: range [{lo}, {hi}]");
+        }
+    }
+}
+
 /// Concurrency conformance: N threads probing one shared index see
 /// exactly what a single thread sees, and the shared (sharded) I/O
 /// counters equal the sum of per-thread work — no lost updates, no

@@ -9,6 +9,7 @@
 
 use bftree::{BfLeaf, BfTreeConfig, BitAllocation, PageImageError};
 use bftree_access::Continuation;
+use bftree_bloom::BloomGroup;
 use bftree_net::{read_frame, write_frame, RemoteError, Request, Response, StatsReply};
 use bftree_shard::{ShardPlan, ShardedContinuation};
 use bftree_storage::{FileStore, ScratchDir, SyncPolicy, PAGE_SIZE};
@@ -255,6 +256,47 @@ fn leaf_images_decode_or_refuse_and_decoded_leaves_probe() {
             }
             Err(e) => assert!(matches!(e, PageImageError::Overflow { .. }), "{e}"),
         }
+    });
+}
+
+/// `BloomGroup::from_bytes` on the group images themselves, not only
+/// behind a leaf header: a sparse leaf's (proportional, so its image
+/// carries member offsets) and a full leaf's (one even size).
+#[test]
+fn filter_group_images_decode_or_refuse() {
+    let config = |bit_allocation| BfTreeConfig {
+        page_size: 512,
+        fpp: 1e-2,
+        bit_allocation,
+        ..BfTreeConfig::paper_default()
+    };
+    let sparse = {
+        let pages: Vec<(u64, Vec<u64>)> = (0..6u64).map(|p| (p, vec![p * 9])).collect();
+        BfLeaf::from_pages(&config(BitAllocation::Proportional), &pages, 6)
+    };
+    let full = {
+        let config = config(BitAllocation::Uniform);
+        let n = config.max_keys_per_leaf();
+        let pages: Vec<(u64, Vec<u64>)> = (0..4u64)
+            .map(|p| (p, (p * n / 4..(p + 1) * n / 4).collect()))
+            .collect();
+        BfLeaf::from_pages(&config, &pages, n)
+    };
+    let images: Vec<Vec<u8>> = [sparse, full]
+        .iter()
+        .map(|l| l.group().to_bytes())
+        .collect();
+    battery(&images, |bytes| {
+        let Some(group) = BloomGroup::from_bytes(bytes) else {
+            return;
+        };
+        let mut buckets = Vec::new();
+        for key in [0u64, 9, 27, u64::MAX] {
+            group.matching_buckets_into(&key, &mut buckets);
+        }
+        let image = group.to_bytes();
+        let again = BloomGroup::from_bytes(&image).expect("own image");
+        assert_eq!(again.to_bytes(), image);
     });
 }
 

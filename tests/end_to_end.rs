@@ -133,6 +133,7 @@ fn index_size_tracks_equation_10() {
             },
             &heap,
             PK_OFFSET,
+            0..=u64::MAX,
         );
         let keys_per_leaf = math::capacity_for(4096 * 8, fpp);
         let expect = 100_000u64.div_ceil(keys_per_leaf);

@@ -4,9 +4,10 @@
 //! then index it) and deletes. Each history runs on the sim backend
 //! against every access method at once — the BF-Tree under both
 //! duplicate handlings (its §7 `scan_range_probing` included), the
-//! B+-Tree, the FD-Tree, the hash index and a `DurableIndex<BfTree>`
-//! with a small flush batch — and every answer is checked against a
-//! `BTreeMap` oracle.
+//! B+-Tree, the FD-Tree, the hash index, a `DurableIndex<BfTree>`
+//! with a small flush batch and a three-shard `ShardedIndex` of
+//! BF-Trees with the same flush batch — and every answer is checked
+//! against a `BTreeMap` oracle.
 //!
 //! An `Unsupported` answer passes only where the index documents it:
 //! the hash index's range scan over a span of 2^20 keys or more.
@@ -22,6 +23,7 @@ use bftree_access::{
 use bftree_btree::{BPlusTree, BTreeConfig};
 use bftree_fdtree::FdTree;
 use bftree_hashindex::HashIndex;
+use bftree_shard::{ShardPlan, ShardedIndex};
 use bftree_storage::tuple::{ATT1_OFFSET, PK_OFFSET};
 use bftree_storage::{
     Backend, DeviceKind, Duplicates, HeapFile, IoContext, PageId, Relation, TupleLayout,
@@ -191,7 +193,9 @@ impl Subject {
 
 /// Every access method, built over `rel`. BF-Tree leaves are small
 /// (64-byte filter blocks) so histories cross dozens of leaves and
-/// their inserts split them.
+/// their inserts split them. The sharded subject cuts the base domain
+/// in three, so its writes, flushes and paginated scans cross
+/// bulk-built shard boundaries.
 fn subjects(rel: &Relation) -> Vec<(String, Subject)> {
     let config = BfTreeConfig {
         page_size: 512,
@@ -215,18 +219,38 @@ fn subjects(rel: &Relation) -> Vec<(String, Subject)> {
         index.build(rel).unwrap();
     }
     let log = Backend::Sim.device(DeviceKind::Ssd, "wal").unwrap();
+    let flush_batch_3 = DurableConfig {
+        flush_batch: 3,
+        durability: DurabilityMode::GroupCommit {
+            max_records: 4,
+            max_bytes: 4 * 1024,
+        },
+    };
     let durable = DurableIndex::new(
         bf(DuplicateHandling::FirstPageOnly),
         rel,
         log,
-        DurableConfig {
-            flush_batch: 3,
-            durability: DurabilityMode::GroupCommit {
-                max_records: 4,
-                max_bytes: 4 * 1024,
-            },
+        flush_batch_3,
+    );
+    // Three bulk-built shards, cut inside the base domain.
+    let keys: Vec<u64> = rel
+        .heap()
+        .iter_attr(rel.attr())
+        .map(|(_, _, k)| k)
+        .collect();
+    let cut = |i: usize| keys[i * keys.len() / 3];
+    let mut sharded = ShardedIndex::new(
+        ShardPlan::from_bounds(vec![cut(1), cut(2)]),
+        rel,
+        flush_batch_3,
+        |_| Box::new(BfTree::builder().config(config).empty(rel).unwrap()),
+        |s| {
+            Backend::Sim
+                .device(DeviceKind::Ssd, &format!("wal-shard{s}"))
+                .unwrap()
         },
     );
+    sharded.build(rel).unwrap();
     let mut all = vec![
         (
             "bf-tree/first-page-only".to_string(),
@@ -239,6 +263,10 @@ fn subjects(rel: &Relation) -> Vec<(String, Subject)> {
         (
             "durable bf-tree".to_string(),
             Subject::Other(Box::new(durable)),
+        ),
+        (
+            "three-shard bf-tree".to_string(),
+            Subject::Other(Box::new(sharded)),
         ),
     ];
     all.extend(
