@@ -307,8 +307,11 @@ pub trait AccessMethod: Send + Sync {
     /// conformance suite holds every implementation to this.
     ///
     /// The default is that loop in input order, so on cached devices
-    /// hits and evictions match it access for access too; all four
-    /// indexes use it. Only a router overrides it: `bftree-shard`'s
+    /// hits and evictions match it access for access too; the B+-Tree,
+    /// the hash index and the FD-Tree use it. The BF-Tree overrides it
+    /// to plan a group of keys and scan their pages together before it
+    /// executes each key in input order: the same accesses in the same
+    /// order, so cached devices match the loop too. `bftree-shard`'s
     /// `ShardedIndex` visits each shard once, grouping the batch by
     /// shard.
     fn probe_batch(

@@ -212,9 +212,15 @@ impl BPlusTree {
     /// leaf holding `key` has min ≤ `key`, and all later leaves have
     /// min > `key`).
     fn descend(&self, key: u64, dev: Option<&PageDevice>) -> NodeId {
+        self.descend_with(key, |id| self.charge(dev, id))
+    }
+
+    /// [`Self::descend`]'s walk, handing each node it reads to `visit`
+    /// instead of charging it.
+    fn descend_with(&self, key: u64, mut visit: impl FnMut(NodeId)) -> NodeId {
         let mut id = self.root;
         loop {
-            self.charge(dev, id);
+            visit(id);
             match &self.nodes[id as usize] {
                 Node::Internal { keys, children } => {
                     let child = keys.partition_point(|&k| k <= key);
@@ -261,7 +267,20 @@ impl BPlusTree {
     /// upper structure routes a probe to the BF-leaf whose key range
     /// covers it.
     pub fn search_le(&self, key: u64, dev: Option<&PageDevice>) -> Option<(u64, TupleRef)> {
-        let leaf = self.descend(key, dev);
+        self.floor_search(key, |id| self.charge(dev, id))
+    }
+
+    /// [`Self::search_le`] without a device: appends to `path` the
+    /// index page ids `search_le` would charge, in its order, so that a
+    /// caller can route now and charge the descent later.
+    pub fn search_le_path(&self, key: u64, path: &mut Vec<u64>) -> Option<(u64, TupleRef)> {
+        self.floor_search(key, |id| path.push(u64::from(id)))
+    }
+
+    /// [`Self::search_le`]'s search, handing each node it reads to
+    /// `visit`.
+    fn floor_search(&self, key: u64, mut visit: impl FnMut(NodeId)) -> Option<(u64, TupleRef)> {
+        let leaf = self.descend_with(key, &mut visit);
         let Node::Leaf { keys, refs, .. } = &self.nodes[leaf as usize] else {
             unreachable!("descend returns leaves");
         };
@@ -279,7 +298,7 @@ impl BPlusTree {
             return None;
         }
         let min = keys.first().copied()?;
-        let leaf = self.descend(min.checked_sub(1)?, dev);
+        let leaf = self.descend_with(min.checked_sub(1)?, &mut visit);
         let Node::Leaf { keys, refs, .. } = &self.nodes[leaf as usize] else {
             unreachable!()
         };
@@ -294,18 +313,10 @@ impl BPlusTree {
         dev: Option<&PageDevice>,
         path: &mut Vec<NodeId>,
     ) -> NodeId {
-        let mut id = self.root;
-        loop {
+        self.descend_with(key, |id| {
             self.charge(dev, id);
             path.push(id);
-            match &self.nodes[id as usize] {
-                Node::Internal { keys, children } => {
-                    let child = keys.partition_point(|&k| k <= key);
-                    id = children[child];
-                }
-                Node::Leaf { .. } => return id,
-            }
-        }
+        })
     }
 
     /// Smallest stored key at or after slot `at` of `leaf` (following
@@ -876,6 +887,36 @@ mod tests {
             cursor.hits(),
             cursor.misses()
         );
+    }
+
+    /// `search_le_path` routes like `search_le`, and charging its path
+    /// costs what `search_le` charged.
+    #[test]
+    fn search_le_path_records_what_search_le_charges() {
+        use bftree_storage::DeviceKind;
+        let mut t = BPlusTree::bulk_build(
+            small_config(),
+            (0..2_000u64).map(|k| (k * 7, TupleRef::new(k, 0))),
+        );
+        let mut state = 0x5EEDu64;
+        for _ in 0..500 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            t.insert(state % 15_000, TupleRef::new(state % (1 << 20), 1), None);
+        }
+        let (charged, replayed) = (
+            PageDevice::cold(DeviceKind::Ssd),
+            PageDevice::cold(DeviceKind::Ssd),
+        );
+        let mut path = Vec::new();
+        for key in (0..16_000u64).step_by(3) {
+            path.clear();
+            let expect = t.search_le(key, Some(&charged));
+            assert_eq!(t.search_le_path(key, &mut path), expect, "floor({key})");
+            for &node in &path {
+                replayed.read_random(node);
+            }
+            assert_eq!(charged.snapshot(), replayed.snapshot(), "floor({key})");
+        }
     }
 
     #[test]

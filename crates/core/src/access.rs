@@ -1,12 +1,18 @@
 //! [`AccessMethod`] implementation: the BF-Tree behind the unified
 //! index interface.
+//!
+//! `probe_into` plans one key and executes it; `probe_batch` plans a
+//! group of keys before it executes any, so the group's heap-page
+//! misses overlap (`BfTree::probe_batch_impl`). Both run the same plan
+//! and execute steps, so a batch charges, finds and counts exactly
+//! what a loop of scalar probes does.
 
 use std::cell::RefCell;
 use std::ops::RangeInclusive;
 
 use bftree_access::{
-    check_relation, AccessMethod, BuildError, Continuation, IndexStats, MatchSink, ProbeError,
-    ProbeIo, RangeCursor,
+    check_relation, AccessMethod, BuildError, Continuation, IndexStats, MatchSink, Probe,
+    ProbeError, ProbeIo, RangeCursor,
 };
 use bftree_storage::{IoContext, PageId, Relation};
 
@@ -16,8 +22,9 @@ use crate::tree::{BfTree, ProbeScratch};
 
 std::thread_local! {
     /// One probe scratch per thread: the trait's probe signatures take
-    /// `&self`, so reuse lives here — every probe on this thread runs
-    /// allocation-free once the buffers are warm.
+    /// `&self`, so reuse lives here — every probe and every batch's
+    /// plans on this thread run allocation-free once the buffers are
+    /// warm.
     static SCRATCH: RefCell<ProbeScratch> = RefCell::new(ProbeScratch::default());
 }
 
@@ -47,6 +54,18 @@ impl AccessMethod for BfTree {
         check_relation(rel)?;
         Ok(SCRATCH
             .with(|scratch| self.probe_sink_impl(key, rel, io, &mut scratch.borrow_mut(), sink)))
+    }
+
+    fn probe_batch(
+        &self,
+        keys: &[u64],
+        rel: &Relation,
+        io: &IoContext,
+    ) -> Result<Vec<Probe>, ProbeError> {
+        let mut span = bftree_obs::span(bftree_obs::SpanKind::BatchProbe);
+        span.set_detail(keys.len() as u64);
+        check_relation(rel)?;
+        Ok(SCRATCH.with(|scratch| self.probe_batch_impl(keys, rel, io, &mut scratch.borrow_mut())))
     }
 
     fn range_cursor<'c>(

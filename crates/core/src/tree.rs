@@ -15,9 +15,9 @@
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::{ControlFlow, RangeInclusive};
+use std::ops::{Range, RangeInclusive};
 
-use bftree_access::{MatchSink, ProbeIo};
+use bftree_access::{MatchSink, Probe, ProbeIo};
 use bftree_bloom::hash::{mix64, KeyFingerprint};
 use bftree_btree::{BPlusTree, BTreeConfig, DuplicateMode, TupleRef};
 use bftree_storage::tuple::AttrOffset;
@@ -26,22 +26,71 @@ use bftree_storage::{HeapFile, IoContext, PageDevice, PageId, Relation};
 use crate::config::{BfTreeConfig, DuplicateHandling, SplitStrategy};
 use crate::leaf::BfLeaf;
 
-/// Reusable buffers for one probe.
+/// Keys [`BfTree::probe_batch_impl`] plans and scans before it executes
+/// any: enough candidate pages to keep many cache misses in flight,
+/// few enough that the group's plans stay in L1.
+const PLAN_GROUP: usize = 16;
+
+/// Reusable buffers for the plans of one probe or one group of probes.
 ///
 /// Every BF-Tree probe needs a few small vectors (matching buckets,
 /// candidate pages, matching slots); at millions of probes per second,
 /// allocating them per probe dominates the data path. The
 /// `AccessMethod` entry points keep one per thread, so a probe
 /// allocates nothing once the buffers have grown to the workload's
-/// high-water mark.
+/// high-water mark. The planned keys' descents, candidates and slots
+/// share one flat vector each; a [`KeyPlan`] holds one key's ranges
+/// into them.
 #[derive(Debug, Default)]
 pub(crate) struct ProbeScratch {
     /// Matching bucket indices of one leaf sweep.
     buckets: Vec<usize>,
     /// Candidate data pages of one `(key, leaf)` pair.
     pages: Vec<PageId>,
-    /// Matching slots within one fetched heap page.
+    /// The group's plans, in input order.
+    plans: Vec<KeyPlan>,
+    /// Upper-structure node ids each planned descent reads.
+    descent: Vec<u64>,
+    /// Each planned key's candidate leaves and their candidate pages.
+    cands: Vec<Candidate>,
+    /// Matching slots of every scanned page.
     slots: Vec<usize>,
+    /// The planned `(page, key)` scans, in candidate order.
+    queries: Vec<(PageId, u64)>,
+    /// Their match masks (see [`HeapFile::match_masks`]).
+    masks: Vec<u64>,
+}
+
+impl ProbeScratch {
+    fn clear(&mut self) {
+        self.plans.clear();
+        self.descent.clear();
+        self.cands.clear();
+        self.slots.clear();
+    }
+}
+
+/// One key's plan: its ranges into the [`ProbeScratch`] vectors.
+#[derive(Debug)]
+struct KeyPlan {
+    key: u64,
+    descent: Range<usize>,
+    cands: Range<usize>,
+}
+
+/// A candidate of a planned key, in the order the probe visits them:
+/// a leaf its span reaches, then the leaf's candidate pages (filter
+/// matches below `page_count`).
+#[derive(Debug)]
+enum Candidate {
+    /// Leaf `idx`, and whether it tombstones the key.
+    Leaf { idx: u32, deleted: bool },
+    /// Data page `pid`; once a group scan has read it, the key's
+    /// matches on it are `slots` of [`ProbeScratch::slots`].
+    Page {
+        pid: PageId,
+        slots: Option<Range<usize>>,
+    },
 }
 
 /// Index-device page-id base for BF-leaves (upper-structure nodes use
@@ -251,7 +300,12 @@ impl BfTree {
     /// `idx_dev`.
     fn candidate_span(&self, key: u64, idx_dev: Option<&PageDevice>) -> Option<(u32, u32)> {
         let (_, tref) = self.upper.search_le(key, idx_dev)?;
-        let floor = tref.pid() as u32;
+        Some(self.span_to_floor(key, tref.pid() as u32))
+    }
+
+    /// The candidate span ending at floor leaf `floor`: walk left while
+    /// a sibling's keys reach `key`.
+    fn span_to_floor(&self, key: u64, floor: u32) -> (u32, u32) {
         let mut first = floor;
         while let Some(prev) = self.leaves[first as usize].prev {
             let pl = &self.leaves[prev as usize];
@@ -260,7 +314,7 @@ impl BfTree {
             }
             first = prev;
         }
-        Some((first, floor))
+        (first, floor)
     }
 
     /// The candidate after leaf `idx` in a span ending at `floor`.
@@ -279,20 +333,12 @@ impl BfTree {
             .map_or(FIRST_LEAF, |(first, _)| first)
     }
 
-    /// Algorithm 1 as a streaming core: every match is pushed into
-    /// `sink` the moment its page has been scanned, and the probe
-    /// stops charging I/O the moment the sink breaks.
-    ///
-    /// Charges index reads (internal descent + one read per BF-leaf
-    /// visited) to `io.index` and data-page fetches to `io.data`, in
-    /// ascending page order: a page right after the previous page read
-    /// (a duplicate run's next page included) at sequential cost,
-    /// every other page at random cost. Equation 13 charges every
-    /// false-positive page sequentially instead; ROADMAP 18 holds the
-    /// open decision between the two. `scratch` supplies the working
-    /// buffers, so the path allocates nothing once they are warm. The
-    /// public entry points are `AccessMethod::probe_into` and the
-    /// trait's `probe` / `probe_first` / `probe_batch` over it.
+    /// Algorithm 1 for one key: [`Self::plan`] it, then
+    /// [`Self::execute`] the plan into `sink`, which scans each page as
+    /// it charges it. The public entry point is
+    /// `AccessMethod::probe_into`, and the trait's `probe` /
+    /// `probe_first` over it; `scratch` supplies the working buffers, so
+    /// the path allocates nothing once they are warm.
     pub(crate) fn probe_sink_impl(
         &self,
         key: u64,
@@ -301,75 +347,195 @@ impl BfTree {
         scratch: &mut ProbeScratch,
         sink: &mut dyn MatchSink,
     ) -> ProbeIo {
-        let mut out = ProbeIo::default();
-        let Some((first, floor)) = self.candidate_span(key, Some(&io.index)) else {
-            return out;
-        };
-        let fp = KeyFingerprint::new(&key, self.config.seed);
-        // Highest page a duplicate run was followed to. Runs cross into
-        // the next candidate leaf, whose filters name that page too.
-        let mut run_frontier: Option<PageId> = None;
-        let mut at = Some(first);
-        while let Some(idx) = at {
-            let flow = self.probe_leaf(
-                key,
-                &fp,
-                idx,
-                rel,
-                io,
-                scratch,
-                sink,
-                &mut out,
-                &mut run_frontier,
-            );
-            if flow.is_break() {
-                break;
-            }
-            at = self.next_candidate(idx, floor);
-        }
-        out
+        scratch.clear();
+        self.plan(key, rel, scratch);
+        self.execute(0, rel, io, scratch, sink)
     }
 
-    /// Probe one candidate leaf: filter sweep, candidate-page fetch
-    /// (ascending runs at sequential cost), page scan — pushing each
-    /// match into `sink` — and duplicate-run following past
-    /// `run_frontier`. Breaks (and
-    /// stops fetching) the moment the sink does; the caller must then
-    /// stop visiting leaves.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_leaf(
+    /// Algorithm 1 over a batch, one [`Probe`] per key in input order:
+    /// `AccessMethod::probe_batch`'s body. Each group of
+    /// [`PLAN_GROUP`] keys is planned, then its candidate pages are
+    /// scanned together ([`Self::scan_planned`]), and only then is each
+    /// key executed in input order, inside its own `Probe` span.
+    /// Charges, matches and counts equal a loop of
+    /// [`Self::probe_sink_impl`], to the device access; what differs is
+    /// that the group's page misses overlap instead of each ending one
+    /// key's dependent chain.
+    pub(crate) fn probe_batch_impl(
         &self,
-        key: u64,
-        fp: &KeyFingerprint,
-        leaf_idx: u32,
+        keys: &[u64],
+        rel: &Relation,
+        io: &IoContext,
+        scratch: &mut ProbeScratch,
+    ) -> Vec<Probe> {
+        let mut probes = Vec::with_capacity(keys.len());
+        for group in keys.chunks(PLAN_GROUP) {
+            scratch.clear();
+            for &key in group {
+                self.plan(key, rel, scratch);
+            }
+            if group.len() > 1 {
+                // A lone key scans as it executes, as a scalar probe.
+                self.scan_planned(rel, scratch);
+            }
+            for at in 0..group.len() {
+                let _span = bftree_obs::span(bftree_obs::SpanKind::Probe);
+                let mut matches = Vec::new();
+                let got = self.execute(at, rel, io, scratch, &mut matches);
+                probes.push(Probe {
+                    matches,
+                    pages_read: got.pages_read,
+                    false_reads: got.false_reads,
+                });
+            }
+        }
+        probes
+    }
+
+    /// Plan `key`, charging nothing: route it and sweep its candidate
+    /// leaves. Appends the key's [`KeyPlan`]: the upper descent's node
+    /// ids and, per candidate leaf, the leaf and its deduplicated
+    /// filter matches. Filters may name pages the heap has not written
+    /// yet; those are left out.
+    fn plan(&self, key: u64, rel: &Relation, scratch: &mut ProbeScratch) {
+        let page_count = rel.heap().page_count();
+        let ProbeScratch {
+            buckets,
+            pages,
+            plans,
+            descent,
+            cands,
+            ..
+        } = scratch;
+        let (descent_at, cands_at) = (descent.len(), cands.len());
+        let floor = self.upper.search_le_path(key, descent);
+        if let Some((first, floor)) = floor.map(|(_, t)| self.span_to_floor(key, t.pid() as u32)) {
+            let fp = KeyFingerprint::new(&key, self.config.seed);
+            let mut at = Some(first);
+            while let Some(idx) = at {
+                let leaf = &self.leaves[idx as usize];
+                let covers = leaf.covers_key(key);
+                cands.push(Candidate::Leaf {
+                    idx,
+                    deleted: covers && leaf.is_deleted(key),
+                });
+                if covers {
+                    pages.clear();
+                    leaf.matching_pages_fp(&fp, pages, buckets);
+                    pages.dedup();
+                    cands.extend(
+                        pages
+                            .iter()
+                            .filter(|&&pid| pid < page_count)
+                            .map(|&pid| Candidate::Page { pid, slots: None }),
+                    );
+                }
+                at = self.next_candidate(idx, floor);
+            }
+        }
+        plans.push(KeyPlan {
+            key,
+            descent: descent_at..descent.len(),
+            cands: cands_at..cands.len(),
+        });
+    }
+
+    /// Scan every candidate page of the planned group for its key, in
+    /// one [`HeapFile::match_masks`], and list each page's matching
+    /// slots for the execute step. A tombstoned key's pages are scanned
+    /// too; execute counts them as false reads whatever they hold.
+    fn scan_planned(&self, rel: &Relation, scratch: &mut ProbeScratch) {
+        let ProbeScratch {
+            plans,
+            cands,
+            slots,
+            queries,
+            masks,
+            ..
+        } = scratch;
+        queries.clear();
+        for plan in plans.iter() {
+            queries.extend(
+                cands[plan.cands.clone()]
+                    .iter()
+                    .filter_map(|cand| match cand {
+                        Candidate::Page { pid, .. } => Some((*pid, plan.key)),
+                        Candidate::Leaf { .. } => None,
+                    }),
+            );
+        }
+        let words = rel.heap().match_masks(queries, rel.attr(), masks);
+        let mut page_masks = masks.chunks_exact(words);
+        for cand in cands.iter_mut() {
+            if let Candidate::Page { slots: found, .. } = cand {
+                let from = slots.len();
+                let page_mask = page_masks.next().expect("one mask per candidate page");
+                for (w, &word) in page_mask.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        slots.push(64 * w + bits.trailing_zeros() as usize);
+                        bits &= bits - 1;
+                    }
+                }
+                *found = Some(from..slots.len());
+            }
+        }
+    }
+
+    /// Execute plan `at`, the one page loop of a probe: charge its
+    /// reads, scan each page a group scan has not, push each match into
+    /// `sink` the moment its page is charged, and stop charging the
+    /// moment the sink breaks.
+    ///
+    /// Charges the upper descent and one read per BF-leaf visited to
+    /// `io.index`, and data-page fetches to `io.data`, ascending within
+    /// a leaf: a page right after the previous page read of the leaf (a
+    /// duplicate run's next page included) at sequential cost, every
+    /// other page at random cost. Equation 13 charges every
+    /// false-positive page sequentially instead; ROADMAP 18 holds the
+    /// open decision between the two.
+    ///
+    /// Under [`DuplicateHandling::FirstPageOnly`] a matching page's
+    /// duplicate run is followed forward here: only a run's first page
+    /// is in the filters, and the run spills into the next page exactly
+    /// when this page's last tuple still carries the key (data is
+    /// ordered). Runs cross into the next candidate leaf, whose filters
+    /// name that page too: a page at or below the highest page a run
+    /// reached is not read again.
+    fn execute(
+        &self,
+        at: usize,
         rel: &Relation,
         io: &IoContext,
         scratch: &mut ProbeScratch,
         sink: &mut dyn MatchSink,
-        out: &mut ProbeIo,
-        run_frontier: &mut Option<PageId>,
-    ) -> ControlFlow<()> {
-        let leaf = &self.leaves[leaf_idx as usize];
-        io.index.read_random(Self::leaf_page_id(leaf_idx));
-        if !leaf.covers_key(key) {
-            return ControlFlow::Continue(());
-        }
+    ) -> ProbeIo {
         let (heap, attr) = (rel.heap(), rel.attr());
         let ProbeScratch {
-            buckets,
-            pages,
+            plans,
+            descent,
+            cands,
             slots,
+            ..
         } = scratch;
-        pages.clear();
-        leaf.matching_pages_fp(fp, pages, buckets);
-        pages.dedup();
-
-        let deleted = leaf.is_deleted(key);
+        let plan = &plans[at];
+        let key = plan.key;
+        let mut out = ProbeIo::default();
+        for &node in &descent[plan.descent.clone()] {
+            io.index.read_random(node);
+        }
+        let mut run_frontier: Option<PageId> = None;
         let mut prev_fetched: Option<PageId> = None;
-        for &pid in pages.iter() {
-            if pid >= heap.page_count() {
-                continue; // filters may cover not-yet-written pages
-            }
+        let mut deleted = false;
+        for cand in &cands[plan.cands.clone()] {
+            let (pid, scanned) = match cand {
+                Candidate::Leaf { idx, deleted: d } => {
+                    io.index.read_random(Self::leaf_page_id(*idx));
+                    (prev_fetched, deleted) = (None, *d);
+                    continue;
+                }
+                Candidate::Page { pid, slots } => (*pid, slots.clone()),
+            };
             if run_frontier.is_some_and(|f| pid <= f) {
                 continue; // already read while following a run
             }
@@ -380,40 +546,47 @@ impl BfTree {
             }
             prev_fetched = Some(pid);
             out.pages_read += 1;
-
-            slots.clear();
-            heap.scan_page_for(pid, attr, key, slots);
-            if slots.is_empty() || deleted {
+            let found = if deleted {
+                0..0
+            } else {
+                scanned.unwrap_or_else(|| {
+                    let from = slots.len();
+                    heap.scan_page_for(pid, attr, key, slots);
+                    from..slots.len()
+                })
+            };
+            if found.is_empty() {
                 out.false_reads += 1;
                 continue;
             }
-            for &slot in slots.iter() {
-                sink.push(pid, slot)?;
+            for &slot in &slots[found] {
+                if sink.push(pid, slot).is_break() {
+                    return out;
+                }
             }
-            if self.config.duplicates == DuplicateHandling::FirstPageOnly {
-                // Only the first covering page is in the filters:
-                // follow the contiguous duplicate run forward. The run
-                // spills into the next page exactly when this page's
-                // last tuple still carries the key (data is ordered).
-                let mut cur = pid;
-                while cur + 1 < heap.page_count()
-                    && heap.tuples_in_page(cur) > 0
-                    && heap.attr(cur, heap.tuples_in_page(cur) - 1, attr) == key
-                {
-                    cur += 1;
-                    io.data.read_seq(cur);
-                    *run_frontier = Some(cur);
-                    prev_fetched = Some(cur);
-                    out.pages_read += 1;
-                    slots.clear();
-                    heap.scan_page_for(cur, attr, key, slots);
-                    for &slot in slots.iter() {
-                        sink.push(cur, slot)?;
+            if self.config.duplicates != DuplicateHandling::FirstPageOnly {
+                continue;
+            }
+            let mut cur = pid;
+            while cur + 1 < heap.page_count()
+                && heap.tuples_in_page(cur) > 0
+                && heap.attr(cur, heap.tuples_in_page(cur) - 1, attr) == key
+            {
+                cur += 1;
+                io.data.read_seq(cur);
+                run_frontier = Some(cur);
+                prev_fetched = Some(cur);
+                out.pages_read += 1;
+                let from = slots.len();
+                heap.scan_page_for(cur, attr, key, slots);
+                for &slot in &slots[from..] {
+                    if sink.push(cur, slot).is_break() {
+                        return out;
                     }
                 }
             }
         }
-        ControlFlow::Continue(())
+        out
     }
 
     /// Algorithm 3: index `key`, residing on data page `pid`, as a

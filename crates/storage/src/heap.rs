@@ -188,6 +188,59 @@ impl HeapFile {
         self.tuples_in_page(pid)
     }
 
+    /// [`Self::scan_page_for`] over a group of `(page, key)` queries,
+    /// as bit masks. `masks` receives `words` = ⌈tuples per page / 64⌉
+    /// words per query, in query order; bit `b` of a query's word `w`
+    /// is set when slot `64·w + b` of its page carries its key. Returns
+    /// `words`. Every page must exist.
+    ///
+    /// Several pages are compared slot-major, sixteen at a time: slot 0
+    /// of each page, then slot 1 of each, and so on, into a local array
+    /// of masks and with no branch on the data. So the group's cache
+    /// and TLB misses are in flight together, where a page-by-page scan
+    /// waits out one page's misses before it reaches the next page. For
+    /// a lone page [`Self::scan_page_for`] is the cheaper form.
+    pub fn match_masks(
+        &self,
+        queries: &[(PageId, u64)],
+        attr: AttrOffset,
+        masks: &mut Vec<u64>,
+    ) -> usize {
+        const BLOCK: usize = 16;
+        let per = self.tuples_per_page();
+        let words = per.div_ceil(64);
+        masks.clear();
+        masks.resize(queries.len() * words, 0);
+        let tuple_size = self.layout.tuple_size();
+        for (block, out) in queries.chunks(BLOCK).zip(masks.chunks_mut(BLOCK * words)) {
+            let mut pages: [&[u8]; BLOCK] = [&[]; BLOCK];
+            let mut keys = [0u64; BLOCK];
+            for (q, &(pid, key)) in block.iter().enumerate() {
+                let used = self.tuples_in_page(pid) * tuple_size;
+                pages[q] = &self.pages[pid as usize].bytes()[..used];
+                keys[q] = key;
+            }
+            for w in 0..words {
+                let mut hits = [0u64; BLOCK];
+                for slot in 64 * w..per.min(64 * w + 64) {
+                    let at = slot * tuple_size + attr.0;
+                    for q in 0..BLOCK {
+                        // Past its page's last tuple (or past the
+                        // block's last query) a page has no such slot.
+                        if let Some(v) = pages[q].get(at..at + 8) {
+                            let v = u64::from_le_bytes(v.try_into().expect("8 bytes"));
+                            hits[q] |= u64::from(v == keys[q]) << (slot % 64);
+                        }
+                    }
+                }
+                for (q, &hit) in hits[..block.len()].iter().enumerate() {
+                    out[q * words + w] = hit;
+                }
+            }
+        }
+        words
+    }
+
     /// Read tuple `slot`'s `attr` from `bytes` (the sorted scan's
     /// probe).
     #[inline]
@@ -390,6 +443,51 @@ mod tests {
         }
         assert_eq!(h.tuples_per_page(), 16);
         assert_eq!(h.page_count(), 4096);
+    }
+
+    /// `match_masks` marks exactly the slots `scan_page_for` lists, for
+    /// groups smaller than, equal to and larger than its block of 16
+    /// pages, with a partial last page, with keys on several slots of a
+    /// page and on none, and with 4, 16 and 256 tuples a page (one mask
+    /// word, and four).
+    #[test]
+    fn match_masks_mark_the_slots_scan_page_for_lists() {
+        for (tuple_size, page_size) in [(64, 256), (256, 4096), (16, 4096)] {
+            let mut h = HeapFile::with_page_size(TupleLayout::new(tuple_size), page_size);
+            let n = 3 * h.tuples_per_page() as u64 * 17 + 5; // partial last page
+            for pk in 0..n {
+                h.append_record(pk, pk / 3);
+            }
+            let pages = h.page_count();
+            let mut masks = Vec::new();
+            for group in [1usize, 2, 15, 16, 17, 40] {
+                for attr in [PK_OFFSET, ATT1_OFFSET] {
+                    let queries: Vec<(PageId, u64)> = (0..group as u64)
+                        .map(|i| {
+                            let pid = (i * 7 + pages - 1) % pages; // the last page first
+                            let first = h.attr(pid, 0, attr);
+                            // Present, present on several slots (att1),
+                            // or absent.
+                            (pid, first + i % 3 * (1 + n))
+                        })
+                        .collect();
+                    let words = h.match_masks(&queries, attr, &mut masks);
+                    assert_eq!(words, h.tuples_per_page().div_ceil(64));
+                    assert_eq!(masks.len(), group * words);
+                    for (q, &(pid, key)) in queries.iter().enumerate() {
+                        let mut expect = Vec::new();
+                        h.scan_page_for(pid, attr, key, &mut expect);
+                        let got: Vec<usize> = (0..64 * words)
+                            .filter(|&s| masks[q * words + s / 64] >> (s % 64) & 1 == 1)
+                            .collect();
+                        assert_eq!(
+                            got, expect,
+                            "{tuple_size} B tuples, group {group}, query {q}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

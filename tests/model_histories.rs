@@ -1,7 +1,7 @@
 //! Model-based differential histories: a seeded generator emits
-//! histories of probes, range scans, paginated scans (`limit(k)`, then
-//! a resume from the continuation token), inserts (append the tuple,
-//! then index it) and deletes. Each history runs on the sim backend
+//! histories of probes, batched probes, range scans, paginated scans
+//! (`limit(k)`, then a resume from the continuation token), inserts
+//! (append the tuple, then index it) and deletes. Each history runs on the sim backend
 //! against every access method at once — the BF-Tree under both
 //! duplicate handlings (its §7 `scan_range_probing` included), the
 //! B+-Tree, the FD-Tree, the hash index, a `DurableIndex<BfTree>`
@@ -66,9 +66,11 @@ const REGRESSION_SEEDS: &[u64] = &[
 
 type Loc = (PageId, usize);
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum Op {
     Probe(u64),
+    /// `probe_batch` over live, deleted and absent keys.
+    ProbeBatch(Vec<u64>),
     Range(u64, u64),
     /// Deliver `k` matches of `[lo, hi]`, then resume for the rest.
     Paginate(u64, u64, u64),
@@ -165,6 +167,50 @@ fn history(seed: u64, rel: &Relation) -> Vec<Op> {
         ops.push(op);
     }
     ops
+}
+
+/// `ops` with a `ProbeBatch` of 2–40 keys after about one op in four,
+/// drawn from a stream of its own, so the ops `history` emits for a
+/// seed stay what they were. Each batch mixes the keys live at its
+/// step (three in five), deleted ones and absent ones.
+fn with_batches(seed: u64, rel: &Relation, ops: Vec<Op>) -> Vec<Op> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C_4ED0);
+    let mut live: Vec<u64> = rel
+        .heap()
+        .iter_attr(rel.attr())
+        .map(|(_, _, k)| k)
+        .collect();
+    live.dedup();
+    let mut dead: Vec<u64> = Vec::new();
+    let mut out = Vec::with_capacity(ops.len() * 5 / 4);
+    for op in ops {
+        match op {
+            Op::Insert(key) if live.last() != Some(&key) => live.push(key),
+            Op::Delete(key) => {
+                if let Some(i) = live.iter().position(|&k| k == key) {
+                    dead.push(live.remove(i));
+                }
+            }
+            _ => {}
+        }
+        out.push(op);
+        if rng.random_range(0..4u32) == 0 {
+            let max = live
+                .last()
+                .copied()
+                .unwrap_or(0)
+                .max(dead.iter().copied().max().unwrap_or(0));
+            let keys = (0..rng.random_range(2..=40usize))
+                .map(|_| match rng.random_range(0..5u32) {
+                    0..=2 if !live.is_empty() => live[rng.random_range(0..live.len())],
+                    3 if !dead.is_empty() => dead[rng.random_range(0..dead.len())],
+                    _ => rng.random_range(0..=max + 10),
+                })
+                .collect();
+            out.push(Op::ProbeBatch(keys));
+        }
+    }
+    out
 }
 
 /// One access method under test.
@@ -319,14 +365,14 @@ fn run(label: &str, mut rel: Relation, ops: &[Op]) {
     }
     let mut subjects = subjects(&rel);
     let io = IoContext::unmetered();
-    for (step, &op) in ops.iter().enumerate() {
+    for (step, op) in ops.iter().enumerate() {
         let range = |lo: u64, hi: u64| -> Vec<Loc> {
             oracle
                 .range(lo..=hi)
                 .flat_map(|(_, l)| l.iter().copied())
                 .collect()
         };
-        match op {
+        match *op {
             Op::Insert(key) => {
                 let loc = append(rel.heap_mut(), unique, key);
                 oracle.entry(key).or_default().push(loc);
@@ -349,6 +395,20 @@ fn run(label: &str, mut rel: Relation, ops: &[Op]) {
                 for (name, s) in &subjects {
                     let got = s.index().probe(key, &rel, &io).map(|p| sorted(p.matches));
                     check(label, step, op, name, got, &want);
+                }
+            }
+            Op::ProbeBatch(ref keys) => {
+                for (name, s) in &subjects {
+                    let got = s
+                        .index()
+                        .probe_batch(keys, &rel, &io)
+                        .unwrap_or_else(|e| panic!("{label} step {step} {op:?}: {name}: {e}"));
+                    assert_eq!(got.len(), keys.len(), "{label} step {step}: {name}");
+                    for (i, (probe, key)) in got.into_iter().zip(keys).enumerate() {
+                        let want = oracle.get(key).cloned().unwrap_or_default();
+                        let name = format!("{name} (key #{i}, {key})");
+                        check(label, step, op, &name, Ok(sorted(probe.matches)), &want);
+                    }
                 }
             }
             Op::Range(lo, hi) => {
@@ -396,12 +456,12 @@ fn run(label: &str, mut rel: Relation, ops: &[Op]) {
 fn check(
     label: &str,
     step: usize,
-    op: Op,
+    op: &Op,
     name: &str,
     got: Result<Vec<Loc>, ProbeError>,
     want: &[Loc],
 ) {
-    let documented = match op {
+    let documented = match *op {
         Op::Range(lo, hi) | Op::Paginate(lo, hi, _) => name == "hash" && hi - lo >= HASH_RANGE_CAP,
         _ => false,
     };
@@ -428,7 +488,7 @@ fn check(
 fn run_seed(seed: u64) {
     for duplicates in [Duplicates::Unique, Duplicates::Contiguous] {
         let rel = relation(duplicates, seed);
-        let ops = history(seed, &rel);
+        let ops = with_batches(seed, &rel, history(seed, &rel));
         run(&format!("seed {seed:#x} / {duplicates:?}"), rel, &ops);
     }
 }

@@ -6,7 +6,7 @@
 //! is a CPU/cache optimization, never a change of the cost model;
 //! this suite is the contract's enforcement.
 
-use bftree::BfTree;
+use bftree::{BfTree, DuplicateHandling};
 use bftree_access::{AccessMethod, ConcurrentIndex, Probe};
 use bftree_btree::{BPlusTree, BTreeConfig};
 use bftree_fdtree::FdTree;
@@ -237,5 +237,172 @@ fn probe_batch_under_concurrent_index_from_8_threads() {
             "{name}: concurrent batched I/O totals must equal the scalar baseline"
         );
         assert_eq!(got.sim_ns, expect.sim_ns, "{name}: simulated time diverged");
+    }
+}
+
+/// Keys below this precede every indexed key.
+const BASE: u64 = 1_000;
+/// Tuples per duplicate run: runs cross 16-tuple pages.
+const RUN: u64 = 23;
+
+/// `n` tuples whose indexed attribute starts at [`BASE`]: unique on
+/// the pk, or in contiguous runs of [`RUN`] on att1.
+fn based_relation(n: u64, duplicates: Duplicates) -> Relation {
+    let mut heap = HeapFile::new(TupleLayout::new(256));
+    for i in 0..n {
+        heap.append_record(BASE + i, BASE + i / RUN);
+    }
+    let attr = if duplicates == Duplicates::Unique {
+        PK_OFFSET
+    } else {
+        ATT1_OFFSET
+    };
+    Relation::new(heap, attr, duplicates).expect("conventional layout")
+}
+
+/// The BF-Trees whose plans are hardest to get right, each with the
+/// relation its probes read:
+/// - a tree of small leaves, bulk-loaded over half its keys, so
+///   duplicate runs straddle sibling leaves and a key's candidate span
+///   covers several, then split many times by scattered inserts of the
+///   rest; some keys deleted; probed over a prefix of its heap, so
+///   filters name pages past `page_count`;
+/// - an `AllCoveringPages` tree over the same runs, some keys deleted;
+/// - a bulk-built unique tree, some keys deleted.
+fn hard_trees() -> Vec<(&'static str, BfTree, Relation)> {
+    let rel = based_relation(24_000, Duplicates::Contiguous);
+    let half = BASE + 12_000 / RUN;
+    let mut split = BfTree::builder()
+        .fpp(1e-3)
+        .page_size(512)
+        .build_slice(&rel, 0..=half)
+        .expect("valid config");
+    let heap = rel.heap();
+    let entries: Vec<(u64, (u64, usize))> = heap
+        .iter_attr(rel.attr())
+        .filter(|&(_, _, key)| key > half)
+        .map(|(pid, slot, key)| (key, (pid, slot)))
+        .collect();
+    let n = entries.len();
+    let scattered: Vec<_> = (0..n).map(|i| entries[i * 7_919 % n]).collect();
+    for chunk in scattered.chunks(500) {
+        AccessMethod::insert_batch(&mut split, chunk, &rel).expect("valid relation");
+    }
+    split.check_invariants();
+    let leaves = split.leaves();
+    assert!(
+        leaves
+            .iter()
+            .filter_map(|l| Some((l, &leaves[l.next? as usize])))
+            .any(|(l, r)| l.n_keys > 0 && l.max_key >= r.min_key),
+        "a run straddles two sibling leaves"
+    );
+    for key in (BASE..BASE + 24_000 / RUN).step_by(9) {
+        split.delete(key);
+    }
+    let prefix = heap.truncated(heap.tuple_count() - 700);
+    let prefix_pages = prefix.page_count();
+    let prefix = Relation::new(prefix, ATT1_OFFSET, Duplicates::Contiguous).expect("layout");
+    assert!(
+        split.leaves().iter().any(|l| l.max_pid >= prefix_pages),
+        "filters name pages past the probed heap's end"
+    );
+
+    let runs = based_relation(8_000, Duplicates::Contiguous);
+    let mut covering = BfTree::builder()
+        .fpp(1e-2)
+        .duplicates(DuplicateHandling::AllCoveringPages)
+        .build(&runs)
+        .expect("valid config");
+    for key in (BASE..BASE + 8_000 / RUN).step_by(7) {
+        covering.delete(key);
+    }
+
+    let unique = based_relation(8_000, Duplicates::Unique);
+    let mut bulk = BfTree::builder()
+        .fpp(1e-3)
+        .build(&unique)
+        .expect("valid config");
+    for key in (BASE..BASE + 8_000).step_by(13) {
+        bulk.delete(key);
+    }
+    vec![
+        ("split runs over a heap prefix", split, prefix),
+        ("all-covering runs", covering, runs),
+        ("bulk unique", bulk, unique),
+    ]
+}
+
+/// Keys below the first leaf, live, deleted and absent ones, in
+/// decorrelated order.
+fn hard_keys(rel: &Relation) -> Vec<u64> {
+    let top = rel.heap().iter_attr(rel.attr()).map(|(_, _, k)| k).max();
+    let span = top.expect("a non-empty relation") + 200;
+    (0..1_500u64).map(|i| i * 2_654_435_761 % span).collect()
+}
+
+/// Batch ≡ scalar where the plan is hardest: on every [`hard_trees`]
+/// case, batches of 15, 16, 17 and 33 keys — around the planned group
+/// of 16 — return the scalar loop's `Probe`s and leave both devices'
+/// `IoSnapshot`s equal to its, on cold devices and on one shared LRU
+/// pool. `probe_first` over the same keys keeps the early-termination
+/// contract: the probe's first match, a miss's whole probe, and no
+/// more reads than the probe.
+#[test]
+fn bf_tree_batches_equal_scalar_probes_where_the_plan_is_hardest() {
+    let cold = || IoContext::cold(StorageConfig::SsdSsd);
+    let pooled =
+        || IoContext::with_shared_budget(StorageConfig::SsdSsd, 48 * 4096, PolicyKind::Lru);
+    for (name, tree, rel) in hard_trees() {
+        let keys = hard_keys(&rel);
+        for (devices, fresh) in [("cold", &cold as &dyn Fn() -> IoContext), ("lru", &pooled)] {
+            let scalar_io = fresh();
+            let expect: Vec<Probe> = keys
+                .iter()
+                .map(|&key| tree.probe(key, &rel, &scalar_io).expect("valid relation"))
+                .collect();
+            assert!(expect.iter().any(|p| p.found()), "{name}: some hits");
+            assert!(
+                expect.iter().any(|p| p.false_reads > 0),
+                "{name}: false reads"
+            );
+            for batch in [15, 16, 17, 33] {
+                let batch_io = fresh();
+                let got: Vec<Probe> = keys
+                    .chunks(batch)
+                    .flat_map(|chunk| tree.probe_batch(chunk, &rel, &batch_io).expect("valid"))
+                    .collect();
+                for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+                    assert_eq!(g, e, "{name}, {devices}, batch {batch}: key {}", keys[i]);
+                }
+                assert_eq!(got.len(), expect.len(), "{name}: batch {batch} lost keys");
+                assert_eq!(
+                    batch_io.index.snapshot(),
+                    scalar_io.index.snapshot(),
+                    "{name}, {devices}, batch {batch}: index device"
+                );
+                assert_eq!(
+                    batch_io.data.snapshot(),
+                    scalar_io.data.snapshot(),
+                    "{name}, {devices}, batch {batch}: data device"
+                );
+            }
+
+            let first_io = fresh();
+            for (&key, full) in keys.iter().zip(&expect) {
+                let first = tree.probe_first(key, &rel, &first_io).expect("valid");
+                assert_eq!(first.matches, full.matches[..full.matches.len().min(1)]);
+                if full.found() {
+                    assert!(first.pages_read <= full.pages_read, "{name}: key {key}");
+                } else {
+                    assert_eq!(&first, full, "{name}: a miss reads every candidate");
+                }
+            }
+            assert!(
+                first_io.snapshot_total().device_reads()
+                    <= scalar_io.snapshot_total().device_reads(),
+                "{name}, {devices}: probe_first reads no more than probe"
+            );
+        }
     }
 }
