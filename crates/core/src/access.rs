@@ -100,6 +100,16 @@ impl AccessMethod for BfTree {
         rel: &Relation,
     ) -> Result<(), ProbeError> {
         check_relation(rel)?;
+        // Two keys on one page in the wrong slot order: the router sees
+        // pages only.
+        let mut by_key = entries.to_vec();
+        by_key.sort_unstable();
+        if by_key
+            .windows(2)
+            .any(|w| w[0].0 < w[1].0 && w[0].1 > w[1].1)
+        {
+            self.note_out_of_order();
+        }
         let batch: Vec<(u64, PageId)> = entries.iter().map(|&(key, (pid, _))| (key, pid)).collect();
         BfTree::insert_batch(self, &batch, Some(rel.heap()), rel.attr());
         Ok(())

@@ -52,13 +52,19 @@ const PROBING_ENUMERATION_CAP: u64 = 1 << 22;
 /// - **tail**: the walk ends after the first page whose last key is
 ///   above `hi`.
 ///
-/// On an `AllCoveringPages` tree (a partitioned relation), and under
-/// [`BfTree::scan_range_probing`] on either, the walk follows §7's
+/// On an `AllCoveringPages` tree (a partitioned relation), on a tree an
+/// insert put out of heap order (`BfTree::out_of_order`: its tuple
+/// lies after larger keys, where the head seek, the whole-page take
+/// and the tail stop would all miss it), and under
+/// [`BfTree::scan_range_probing`] on any tree, the walk follows §7's
 /// probed plan: a boundary leaf whose share of `[lo, hi]` spans fewer
 /// than 2^22 values reads the ascending union of the pages its filters
 /// name for them; every other leaf is read whole. On a `FirstPageOnly`
 /// tree a probed page ending with a key in range pulls in its
-/// successor. Under either plan, a duplicate run ending one leaf's last
+/// successor. On a tree out of heap order the overlapping leaves are
+/// all charged on entry and their probed plans merged into one
+/// ascending page list (`plan_merged`), every tuple filtered. Under
+/// either plan, a duplicate run ending one leaf's last
 /// page read is followed into the next leaf. A tuple is dropped when
 /// its key is tombstoned by the leaf that owns it, the rule a probe
 /// applies: the walked leaf, or the sibling on whose side of the walked
@@ -91,6 +97,10 @@ pub struct BfRangeCursor<'c> {
     ordered: bool,
     /// Leaves follow §7's probed plan rather than the ordered one.
     probing: bool,
+    /// An insert broke heap order (`BfTree::out_of_order`): the leaves'
+    /// probed plans are merged into one ascending page list
+    /// (`plan_merged`), and no page is taken whole.
+    merged: bool,
     /// The head seek is still due (fresh ordered-plan cursors only).
     seek: bool,
     /// The entered leaf's probed candidate pages, ascending; empty when
@@ -145,7 +155,8 @@ impl<'c> BfRangeCursor<'c> {
     ) -> Self {
         let first = tree.first_overlapping_leaf(entry_key, &io.index);
         let ordered = tree.config().duplicates == DuplicateHandling::FirstPageOnly;
-        let probing = published || !ordered;
+        let merged = tree.out_of_order();
+        let probing = published || !ordered || merged;
         // A resumed walk knows the last key of the page the producing
         // cursor read before the frontier (CPU only, no I/O).
         let (heap, before) = (rel.heap(), resume.map_or(0, |(page, _)| page));
@@ -167,6 +178,7 @@ impl<'c> BfRangeCursor<'c> {
             resume,
             ordered,
             probing,
+            merged,
             seek: !probing && resume.is_none(),
             candidates: Vec::new(),
             buckets: Vec::new(),
@@ -182,9 +194,9 @@ impl<'c> BfRangeCursor<'c> {
     /// (the partition walk is a sequential sweep).
     ///
     /// An ordered page whose first and last keys both lie in `[lo, hi]`
-    /// holds nothing but matches: unless a tombstone could drop one, it
-    /// is taken whole from its two end keys, without reading the tuples
-    /// between them.
+    /// holds nothing but matches: unless a tombstone could drop one, or
+    /// an insert broke heap order, it is taken whole from its two end
+    /// keys, without reading the tuples between them.
     fn read_page(&mut self, leaf_idx: u32, pid: PageId) {
         self.io.data.read_seq(pid);
         self.counters.pages_read += 1;
@@ -196,15 +208,21 @@ impl<'c> BfRangeCursor<'c> {
         // tombstone.
         let leaf = self.tree.leaf(leaf_idx);
         let [prev, next] = [leaf.prev, leaf.next].map(|s| s.map(|i| self.tree.leaf(i)));
-        let tombstones = [Some(leaf), prev, next]
-            .iter()
-            .flatten()
-            .any(|l| !l.deleted.is_empty());
+        let tombstones = if self.merged {
+            self.tree.leaves().iter().any(|l| !l.deleted.is_empty())
+        } else {
+            [Some(leaf), prev, next]
+                .iter()
+                .flatten()
+                .any(|l| !l.deleted.is_empty())
+        };
         let n = heap.tuples_in_page(pid);
         let ends =
             (self.ordered && n > 0).then(|| (heap.attr(pid, 0, attr), heap.attr(pid, n - 1, attr)));
         match ends {
-            Some((first, last)) if !tombstones && first >= self.lo && last <= self.hi => {
+            Some((first, last))
+                if !self.merged && !tombstones && first >= self.lo && last <= self.hi =>
+            {
                 let skip = match self.resume {
                     Some((p, slot)) if p == pid => slot,
                     _ => 0,
@@ -221,7 +239,11 @@ impl<'c> BfRangeCursor<'c> {
                     self.resume,
                     &mut self.buf,
                 );
-                if tombstones {
+                if tombstones && self.merged {
+                    let tree = self.tree;
+                    self.buf
+                        .retain(|&(p, slot)| !tree.tombstoned(heap.attr(p, slot, attr)));
+                } else if tombstones {
                     self.buf.retain(|&(p, slot)| {
                         let key = heap.attr(p, slot, attr);
                         let owner = match (prev, next) {
@@ -270,6 +292,47 @@ impl<'c> BfRangeCursor<'c> {
         if carry && self.candidates.first() != Some(&from) {
             self.candidates.insert(0, from);
         }
+        self.candidates.first().copied()
+    }
+
+    /// The merged plan of a tree an insert put out of heap order
+    /// (`BfTree::out_of_order`): leaf `first` and every later leaf the
+    /// range overlaps are charged now, and their probed plans merged
+    /// into one ascending page list. Their page ranges overlap (an
+    /// out-of-order key stretched its leaf's range to the heap's end),
+    /// so a leaf-by-leaf walk, whose frontier only moves forward, would
+    /// skip pages. Returns the first page to read; the walk may run to
+    /// the heap's last page, so that a duplicate run can spill on.
+    fn plan_merged(&mut self, first: u32, carry: bool) -> Option<PageId> {
+        let last = self.rel.heap().page_count().saturating_sub(1);
+        let mut pages = Vec::new();
+        let mut at = Some(first);
+        while let Some(i) = at {
+            let leaf = self.tree.leaf(i);
+            if i != first {
+                if leaf.n_keys > 0 && leaf.min_key > self.hi {
+                    break;
+                }
+                self.io.index.read_random(BfTree::leaf_page_id(i));
+            }
+            let from = self.frontier.map_or(leaf.min_pid, |f| f.max(leaf.min_pid));
+            let to = leaf.max_pid.min(last);
+            if from <= to && self.plan(leaf, from, to, false).is_some() {
+                if self.candidates.is_empty() {
+                    pages.extend(from..=to);
+                } else {
+                    pages.extend_from_slice(&self.candidates);
+                }
+            }
+            at = leaf.next;
+        }
+        pages.sort_unstable();
+        pages.dedup();
+        let from = self.frontier.unwrap_or(0);
+        if carry && from <= last && pages.first() != Some(&from) {
+            pages.insert(0, from);
+        }
+        self.candidates = pages;
         self.candidates.first().copied()
     }
 
@@ -328,8 +391,11 @@ impl RangeCursor for BfRangeCursor<'_> {
                     self.loaded = true;
                     return Some(&self.buf);
                 }
-                // Partition exhausted: move to the right sibling.
-                self.pending = self.tree.leaf(leaf_idx).next;
+                // Partition exhausted: move to the right sibling (a
+                // merged plan has taken them all).
+                self.pending = (!self.merged)
+                    .then(|| self.tree.leaf(leaf_idx).next)
+                    .flatten();
                 self.current = None;
             }
             let Some(i) = self.pending.take() else {
@@ -356,6 +422,11 @@ impl RangeCursor for BfRangeCursor<'_> {
                 return None;
             }
             self.io.index.read_random(BfTree::leaf_page_id(i));
+            if self.merged {
+                let last = self.rel.heap().page_count().saturating_sub(1);
+                self.current = self.plan_merged(i, carry).map(|first| (i, first, last));
+                continue;
+            }
             match self.plan(leaf, from, last, carry) {
                 Some(first) => self.current = Some((i, first, last)),
                 // Nothing of the range here. The frontier stays put:

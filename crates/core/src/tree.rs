@@ -120,6 +120,11 @@ pub struct BfTree {
     config: BfTreeConfig,
     leaves: Vec<BfLeaf>,
     upper: BPlusTree,
+    /// An insert landed out of heap order: below a key already indexed,
+    /// or on a page before a smaller key's. Its tuple then sits after
+    /// larger keys in the heap, so a range walk may not trust heap
+    /// order (see `BfRangeCursor`).
+    out_of_order: bool,
 }
 
 impl BfTree {
@@ -196,6 +201,7 @@ impl BfTree {
             config,
             leaves,
             upper,
+            out_of_order: false,
         }
     }
 
@@ -209,6 +215,7 @@ impl BfTree {
             config,
             leaves,
             upper,
+            out_of_order: false,
         }
     }
 
@@ -233,6 +240,26 @@ impl BfTree {
     /// Tree configuration.
     pub fn config(&self) -> &BfTreeConfig {
         &self.config
+    }
+
+    /// Whether an insert ever landed out of heap order (see
+    /// [`BfTree::insert_batch`]); range scans then filter every tuple.
+    pub(crate) fn out_of_order(&self) -> bool {
+        self.out_of_order
+    }
+
+    /// Record that the heap no longer follows key order.
+    pub(crate) fn note_out_of_order(&mut self) {
+        self.out_of_order = true;
+    }
+
+    /// The largest key indexed so far, if any.
+    fn largest_key(&self) -> Option<u64> {
+        let mut leaf = &self.leaves[self.floor_leaf(u64::MAX) as usize];
+        while leaf.n_keys == 0 {
+            leaf = &self.leaves[leaf.prev? as usize];
+        }
+        Some(leaf.max_key)
     }
 
     /// Number of BF-leaves (the paper's `BFleaves`).
@@ -324,6 +351,22 @@ impl BfTree {
                 .next
                 .expect("the sibling chain reaches the floor leaf")
         })
+    }
+
+    /// Whether `key` is tombstoned in a leaf a probe for it consults
+    /// (the leaves [`BfTree::delete`] marks), found without I/O.
+    pub(crate) fn tombstoned(&self, key: u64) -> bool {
+        let (first, floor) = self
+            .candidate_span(key, None)
+            .unwrap_or((FIRST_LEAF, FIRST_LEAF));
+        let mut at = Some(first);
+        while let Some(idx) = at {
+            if self.leaves[idx as usize].is_deleted(key) {
+                return true;
+            }
+            at = self.next_candidate(idx, floor);
+        }
+        false
     }
 
     /// The leaf a range walk over keys `≥ lo` starts on: `lo`'s first
@@ -612,6 +655,10 @@ impl BfTree {
     /// separators), so the batch routes exactly as its keys inserted
     /// one at a time in sorted order would.
     ///
+    /// A key below the largest key indexed before it, or one whose page
+    /// precedes a smaller key's, is out of heap order: the tree marks
+    /// itself, and its range walks stop trusting heap order.
+    ///
     /// `heap` is required when the configured split strategy is
     /// [`SplitStrategy::RebuildFromData`] and a split fires.
     pub fn insert_batch(
@@ -628,6 +675,14 @@ impl BfTree {
             owned.sort_unstable();
             &owned
         };
+        // Out of heap order: a key below the largest indexed before it,
+        // or on a page before a smaller key's.
+        self.out_of_order |= sorted
+            .first()
+            .is_some_and(|&(key, _)| self.largest_key().is_some_and(|largest| key < largest))
+            || sorted
+                .windows(2)
+                .any(|w| w[0].0 < w[1].0 && w[0].1 > w[1].1);
         // (floor leaf, exclusive key bound of its separator interval).
         let mut cached: Option<(u32, Option<u64>)> = None;
         for (i, &(key, pid)) in sorted.iter().enumerate() {

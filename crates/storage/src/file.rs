@@ -12,10 +12,10 @@
 //! # File layout
 //!
 //! ```text
-//! +--------------+----------------+----------------+----
-//! |  superblock  |    slot 0      |    slot 1      | ...
-//! |  (4096 B)    | header+payload | header+payload |
-//! +--------------+----------------+----------------+----
+//! +--------------+----------------+-----+----------------+----------------+-----+
+//! |  superblock  |    slot 0      | ... | slot count - 1 |  zeroed slot   | ... |
+//! |  (4096 B)    | header+payload |     | header+payload | (extent tail)  |     |
+//! +--------------+----------------+-----+----------------+----------------+-----+
 //! ```
 //!
 //! * **superblock** — magic, version, page size, slot count, free-list
@@ -31,6 +31,20 @@
 //!   `next_free` header field, head in the superblock. [`FileStore::alloc`]
 //!   pops the list before growing the file, so freed space is always
 //!   reused first.
+//! * **extent tail** — the file is grown ahead of its slots. When a new
+//!   slot reaches the end of the written file, one `pwrite` of zeros
+//!   appends an extent of slots: as many as the store already holds,
+//!   at least `MIN_EXTENT_SLOTS` and at most `MAX_EXTENT_SLOTS`
+//!   (about 1 MiB). Every later new slot, and every growing rewrite of
+//!   a short page such as the log's tail, then overwrites allocated
+//!   blocks instead of extending the file. The reason is the barrier:
+//!   an `fdatasync` after a size change must also commit the
+//!   filesystem's journal, one after an overwrite need not. A zeroed
+//!   slot is no page (its magic is 0), the superblock's slot count never
+//!   covers it until it is handed out, and [`FileStore::open`] derives
+//!   the written capacity from the file length, so a file without a
+//!   tail (an older store) opens unchanged and grows its first extent
+//!   from its slot count, past a short last slot.
 //!
 //! # Durability
 //!
@@ -40,7 +54,9 @@
 //! WAL's job, one layer up: `DurabilityMode::GroupCommit`).
 //! Wall-clock nanoseconds of every read, write, and issued fsync
 //! accumulate in a [`WallSnapshot`], the measured twin of the
-//! simulator's `sim_ns`.
+//! simulator's `sim_ns`. An extent is not a page write: it rolls no
+//! fault and counts in `extents` and `extent_ns`, so `write_ns /
+//! writes` stays the cost of one page write.
 
 use bftree_obs::WallTimer;
 use std::collections::HashMap;
@@ -77,6 +93,14 @@ pub const PAGE_HEADER: usize = 40;
 const SLOT_SIZE: usize = PAGE_HEADER + PAGE_SIZE;
 /// "No slot" sentinel in free-list links.
 const NO_SLOT: u64 = u64::MAX;
+/// Slots of the smallest extent the file grows by (a fresh store's
+/// first).
+const MIN_EXTENT_SLOTS: u64 = 8;
+/// Slots of the largest extent the file grows by.
+const MAX_EXTENT_SLOTS: u64 = 256;
+/// The zeros every extent is written from.
+static ZERO_EXTENT: [u8; MAX_EXTENT_SLOTS as usize * SLOT_SIZE] =
+    [0; MAX_EXTENT_SLOTS as usize * SLOT_SIZE];
 
 /// Slot state: holds a live page.
 const STATE_LIVE: u32 = 1;
@@ -233,16 +257,20 @@ pub struct WallSnapshot {
     pub syncs_issued: u64,
     /// Wall nanoseconds spent in reads.
     pub read_ns: u64,
-    /// Wall nanoseconds spent in writes.
+    /// Wall nanoseconds spent in page writes.
     pub write_ns: u64,
     /// Wall nanoseconds spent in issued syncs.
     pub sync_ns: u64,
+    /// Zero-filled extents written ahead of the slots (no page writes).
+    pub extents: u64,
+    /// Wall nanoseconds spent writing extents.
+    pub extent_ns: u64,
 }
 
 impl WallSnapshot {
-    /// Total wall nanoseconds across reads, writes, and syncs.
+    /// Total wall nanoseconds across reads, writes, syncs, and extents.
     pub fn wall_ns(&self) -> u64 {
-        self.read_ns + self.write_ns + self.sync_ns
+        self.read_ns + self.write_ns + self.sync_ns + self.extent_ns
     }
 
     /// Counter-wise difference `self - earlier`.
@@ -256,6 +284,8 @@ impl WallSnapshot {
             read_ns: self.read_ns - earlier.read_ns,
             write_ns: self.write_ns - earlier.write_ns,
             sync_ns: self.sync_ns - earlier.sync_ns,
+            extents: self.extents - earlier.extents,
+            extent_ns: self.extent_ns - earlier.extent_ns,
         }
     }
 }
@@ -270,6 +300,8 @@ struct WallStats {
     read_ns: AtomicU64,
     write_ns: AtomicU64,
     sync_ns: AtomicU64,
+    extents: AtomicU64,
+    extent_ns: AtomicU64,
 }
 
 impl WallStats {
@@ -283,6 +315,8 @@ impl WallStats {
             read_ns: self.read_ns.load(Ordering::Relaxed),
             write_ns: self.write_ns.load(Ordering::Relaxed),
             sync_ns: self.sync_ns.load(Ordering::Relaxed),
+            extents: self.extents.load(Ordering::Relaxed),
+            extent_ns: self.extent_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -395,6 +429,10 @@ struct Inner {
     /// Live page id → slot index.
     map: HashMap<PageId, u64>,
     sb: Superblock,
+    /// Whole slots the file has been written out to: a new slot below
+    /// it overwrites allocated blocks; one at or past it grows an
+    /// extent first.
+    capacity: u64,
     /// Next page LSN (monotone across the whole store).
     next_lsn: u64,
     /// Rolled by every read, write and issued sync once installed.
@@ -487,6 +525,7 @@ impl FileStore {
                     next_id: 0,
                     free_len: 0,
                 },
+                capacity: 0,
                 next_lsn: 1,
                 injector: None,
                 retry: RetryPolicy::exponential(),
@@ -508,6 +547,7 @@ impl FileStore {
         let mut sb = [0u8; SUPER_LEN];
         let got = read_full_at(&file, &mut sb, 0)?;
         let sb = Superblock::decode(&sb[..got]).map_err(DeviceError::BadSuperblock)?;
+        let capacity = file.metadata()?.len().saturating_sub(SUPER_SIZE) / SLOT_SIZE as u64;
 
         // Rebuild the live map and the LSN horizon from slot headers.
         let mut map = HashMap::new();
@@ -539,6 +579,7 @@ impl FileStore {
                 file,
                 map,
                 sb,
+                capacity,
                 next_lsn: max_lsn + 1,
                 injector: None,
                 retry: RetryPolicy::exponential(),
@@ -973,6 +1014,9 @@ impl FileStore {
             }
             None => {
                 let slot = inner.sb.slot_count;
+                if slot >= inner.capacity {
+                    self.grow_locked(inner, page)?;
+                }
                 inner.sb.slot_count += 1;
                 inner.map.insert(page, slot);
                 (slot, true)
@@ -1020,6 +1064,36 @@ impl FileStore {
             self.persist_superblock(inner)?;
         }
         Ok(lsn)
+    }
+
+    /// Write the zero-filled extent that makes slot `slot_count` (the
+    /// one `page` is about to take) an overwrite, and every slot after
+    /// it up to the new capacity. The extent starts at `slot_count`,
+    /// never below, so a short last slot an older file ends with keeps
+    /// its bytes. Not a page write: no fault roll, and it counts in
+    /// `extents` and `extent_ns`, not in `writes` or `write_ns`.
+    fn grow_locked(&self, inner: &mut Inner, page: PageId) -> Result<(), DeviceError> {
+        let start = inner.sb.slot_count;
+        let end = start
+            .saturating_add(start.clamp(MIN_EXTENT_SLOTS, MAX_EXTENT_SLOTS))
+            .min(MAX_SLOTS);
+        if end <= start {
+            return Err(DeviceError::BadHeader {
+                page,
+                reason: "slot horizon exhausted",
+            });
+        }
+        let len = (end - start) as usize * SLOT_SIZE;
+        let t = WallTimer::start();
+        inner
+            .file
+            .write_all_at(&ZERO_EXTENT[..len], slot_offset(start))?;
+        self.wall
+            .extent_ns
+            .fetch_add(t.elapsed_ns(), Ordering::Relaxed);
+        self.wall.extents.fetch_add(1, Ordering::Relaxed);
+        inner.capacity = end;
+        Ok(())
     }
 
     /// Hot-path read for device charging: materialize the page on
@@ -1196,6 +1270,18 @@ impl FileStore {
             l,
             w.sync_ns,
         );
+        reg.counter(
+            "bftree_file_extents_total",
+            "Zero-filled extents written ahead of the slots",
+            l,
+            w.extents,
+        );
+        reg.counter(
+            "bftree_file_extent_ns_total",
+            "Wall nanoseconds spent writing extents",
+            l,
+            w.extent_ns,
+        );
         self.faults.stats.register_metrics(reg, store);
         reg.gauge(
             "bftree_fault_quarantine_pages",
@@ -1331,7 +1417,9 @@ mod tests {
         0xCF, 0x31, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
     ];
     /// Byte-loop CRC-32 of the parent's whole 16 504-byte file image
-    /// (superblock, three slots, both full stamped payloads).
+    /// (superblock, three slots, both full stamped payloads): the file
+    /// as it stood before stores grew in extents, and still the first
+    /// `PINNED_IMAGE_LEN` bytes of the same store today.
     const PINNED_IMAGE_LEN: usize = 16_504;
     const PINNED_IMAGE_CRC: u32 = 0x26BB_AFC0;
 
@@ -1352,14 +1440,171 @@ mod tests {
             raw[slot(2)..slot(2) + PAGE_HEADER],
             PINNED_HEADER_MATERIALIZED_11
         );
-        assert_eq!(raw.len(), PINNED_IMAGE_LEN);
-        assert_eq!(crc32_bytewise(&raw), PINNED_IMAGE_CRC);
-        // ...and the new reader verifies what the old writer wrote.
+        assert_eq!(crc32_bytewise(&raw[..PINNED_IMAGE_LEN]), PINNED_IMAGE_CRC);
+        // Past the parent's image: the rest of the store's one extent,
+        // zeros.
+        assert_eq!(raw.len(), slot(MIN_EXTENT_SLOTS));
+        assert!(raw[PINNED_IMAGE_LEN..].iter().all(|&b| b == 0));
+        // ...and the new reader verifies what the old writer wrote,
+        // with or without the tail.
+        let parent = path.with_extension("parent");
+        std::fs::write(&parent, &raw[..PINNED_IMAGE_LEN]).unwrap();
+        for image in [&path, &parent] {
+            let store = FileStore::open(image, SyncPolicy::Deferred).unwrap();
+            assert_eq!(store.read_page(7).unwrap(), b"abc");
+            assert_eq!(store.read_page(9).unwrap().len(), PAGE_SIZE);
+            assert_eq!(store.charged_read(11), IoOutcome::Ok);
+            assert_eq!(store.wall().materialized, 0);
+        }
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
+    }
+
+    #[test]
+    fn the_file_grows_in_zeroed_extents_ahead_of_its_slots() {
+        let (_dir, path) = scratch("extents");
+        let store = FileStore::create(&path, SyncPolicy::Deferred).unwrap();
+        // Extents double the store until they reach the largest.
+        let mut ends = Vec::new();
+        for page in 0..600u64 {
+            store.write_page(page, &[page as u8; 100]).unwrap();
+            let len = file_len(&path);
+            if ends.last() != Some(&len) {
+                ends.push(len);
+            }
+            // Bytes past the last live slot are zero.
+            if page % 97 == 0 {
+                let raw = std::fs::read(&path).unwrap();
+                let live_end = slot_offset(page) as usize + PAGE_HEADER + 100;
+                assert!(raw[live_end..].iter().all(|&b| b == 0), "page {page}");
+            }
+        }
+        let slots = [8, 16, 32, 64, 128, 256, 512, 768];
+        assert_eq!(ends, slots.map(slot_offset));
+        assert_eq!(store.lock().capacity, 768);
+        // An extent is not a page write.
+        let wall = store.wall();
+        assert_eq!((wall.writes, wall.extents), (600, slots.len() as u64));
+    }
+
+    #[test]
+    fn allocations_inside_an_extent_leave_the_length_unchanged() {
+        let (_dir, path) = scratch("extent-inside");
+        let store = FileStore::create(&path, SyncPolicy::Deferred).unwrap();
+        store.write_page(0, b"first").unwrap();
+        let len = file_len(&path);
+        assert_eq!(len, slot_offset(MIN_EXTENT_SLOTS));
+        for page in 1..MIN_EXTENT_SLOTS {
+            store.alloc().unwrap();
+            store.write_page(100 + page, &[7; PAGE_SIZE]).unwrap();
+            store.free(100 + page).unwrap();
+            assert_eq!(file_len(&path), len, "page {page}");
+        }
+        // Freed slots are reused before the next extent.
+        assert_eq!(store.slot_count(), MIN_EXTENT_SLOTS);
+        store.write_page(1_000, b"reuses a freed slot").unwrap();
+        assert_eq!(file_len(&path), len);
+    }
+
+    #[test]
+    fn a_reopened_store_derives_its_capacity_and_allocates_without_growing() {
+        let (_dir, path) = scratch("extent-reopen");
+        {
+            let store = FileStore::create(&path, SyncPolicy::Deferred).unwrap();
+            for page in 0..3 {
+                store.write_page(page, b"before").unwrap();
+            }
+        }
+        let len = file_len(&path);
         let store = FileStore::open(&path, SyncPolicy::Deferred).unwrap();
+        assert_eq!(store.lock().capacity, MIN_EXTENT_SLOTS);
+        for page in 3..MIN_EXTENT_SLOTS {
+            store.write_page(page, b"after").unwrap();
+        }
+        assert_eq!(file_len(&path), len);
+        assert_eq!(store.slot_count(), MIN_EXTENT_SLOTS);
+        store.write_page(99, b"grows").unwrap();
+        assert_eq!(file_len(&path), slot_offset(2 * MIN_EXTENT_SLOTS));
+    }
+
+    #[test]
+    fn a_short_last_slot_survives_the_next_extent() {
+        let (_dir, path) = scratch("extent-short-slot");
+        // A store as the parent's format left it: the file ends with
+        // the short slot of `write_page(7, b"abc")`.
+        FileStore::create(&path, SyncPolicy::Deferred)
+            .unwrap()
+            .write_page(7, b"abc")
+            .unwrap();
+        let short_end = slot_offset(0) + PINNED_SLOT_7_ABC.len() as u64;
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(short_end)
+            .unwrap();
+        let store = FileStore::open(&path, SyncPolicy::Deferred).unwrap();
+        assert_eq!(store.lock().capacity, 0);
+        store.write_page(8, b"next").unwrap();
+        let raw = std::fs::read(&path).unwrap();
+        assert_eq!(
+            raw[slot_offset(0) as usize..short_end as usize],
+            PINNED_SLOT_7_ABC
+        );
+        assert_eq!(raw.len() as u64, slot_offset(1 + MIN_EXTENT_SLOTS));
         assert_eq!(store.read_page(7).unwrap(), b"abc");
-        assert_eq!(store.read_page(9).unwrap().len(), PAGE_SIZE);
-        assert_eq!(store.charged_read(11), IoOutcome::Ok);
-        assert_eq!(store.wall().materialized, 0);
+        assert_eq!(store.read_page(8).unwrap(), b"next");
+        // A short slot at the end of a full extent: the next extent
+        // starts after it.
+        for page in 9..9 + MIN_EXTENT_SLOTS - 1 {
+            store.write_page(page, b"abc").unwrap();
+        }
+        let last = slot_offset(store.slot_count() - 1) as usize;
+        let before = std::fs::read(&path).unwrap()[last..last + 43].to_vec();
+        store.write_page(100, b"grows").unwrap();
+        assert!(std::fs::read(&path).unwrap()[last..last + 43] == before[..]);
+        assert_eq!(store.read_page(9 + MIN_EXTENT_SLOTS - 2).unwrap(), b"abc");
+    }
+
+    /// Which of 40 fresh pages failed to write (`w`), read back corrupt
+    /// (`c`), failed their read otherwise (`r`) or round-tripped (`.`),
+    /// recorded at the parent of the extent tail: an extent rolls no
+    /// fault, so the injector's ordinals still name the same page
+    /// operations.
+    const PINNED_FAULT_OUTCOMES: &str = "w.rr.r......r....r..c..rr......w.r..rc.r";
+    const PINNED_FAULTS_INJECTED: u64 = 16;
+
+    #[test]
+    fn a_seeded_fault_schedule_fires_at_the_parents_ordinals() {
+        use crate::fault::{FaultConfig, ScheduledFault};
+        let (_dir, path) = scratch("extent-faults");
+        let store = FileStore::create(&path, SyncPolicy::Deferred).unwrap();
+        store.set_retry_policy(RetryPolicy::none());
+        let injector = Arc::new(FaultInjector::new(FaultConfig {
+            schedule: vec![ScheduledFault {
+                op: 33,
+                kind: FaultKind::TornWrite,
+            }],
+            ..FaultConfig::uniform(0.04, 44)
+        }));
+        store.set_fault_injector(Arc::clone(&injector));
+        // 40 new pages cross the extents that start at slots 0, 8, 16
+        // and 32.
+        let outcomes: String = (0..40u64)
+            .map(|page| {
+                let wrote = store.write_page(page, &[page as u8; 200]);
+                match (wrote, store.read_page(page)) {
+                    (Err(_), _) => 'w',
+                    (Ok(_), Err(DeviceError::ChecksumMismatch { .. })) => 'c',
+                    (Ok(_), Err(_)) => 'r',
+                    (Ok(_), Ok(_)) => '.',
+                }
+            })
+            .collect();
+        assert_eq!(outcomes, PINNED_FAULT_OUTCOMES);
+        assert_eq!(injector.total_injected(), PINNED_FAULTS_INJECTED);
     }
 
     fn patch(path: &Path, offset: u64, bytes: &[u8]) {
@@ -1451,6 +1696,16 @@ mod tests {
             Err(DeviceError::BadHeader { .. })
         ));
         drop(next_id_at_the_horizon);
+        // A slot count at the horizon leaves no slot to grow into.
+        let horizon = mutant(16, MAX_SLOTS).unwrap();
+        assert!(matches!(
+            horizon.write_page(2, b"new"),
+            Err(DeviceError::BadHeader {
+                page: 2,
+                reason: "slot horizon exhausted"
+            })
+        ));
+        drop(horizon);
         let slot_count_past_any_file = (16, u64::MAX);
         let free_len_past_the_slot_count = (40, 2);
         for (at, value) in [slot_count_past_any_file, free_len_past_the_slot_count] {

@@ -14,6 +14,8 @@ use crate::tuple::{AttrOffset, TupleLayout};
 pub struct HeapFile {
     layout: TupleLayout,
     page_size: usize,
+    /// `page_size / tuple size`, divided once.
+    per_page: usize,
     pages: Vec<Page>,
     n_tuples: u64,
 }
@@ -30,6 +32,7 @@ impl HeapFile {
         Self {
             layout,
             page_size,
+            per_page: layout.tuples_per_page(page_size),
             pages: Vec::new(),
             n_tuples: 0,
         }
@@ -47,7 +50,7 @@ impl HeapFile {
 
     /// Tuples that fit one page.
     pub fn tuples_per_page(&self) -> usize {
-        self.layout.tuples_per_page(self.page_size)
+        self.per_page
     }
 
     /// Number of pages.
@@ -89,10 +92,12 @@ impl HeapFile {
     /// location: the one append behind [`Self::append`],
     /// [`Self::append_record`] and `Relation::append_tuple`.
     pub(crate) fn append_with(&mut self, write: impl FnOnce(&mut [u8])) -> (PageId, usize) {
-        let per = self.tuples_per_page();
-        let slot = (self.n_tuples % per as u64) as usize;
-        if slot == 0 {
+        // The last page's fill: tuples past the full pages before it.
+        let full_before = self.pages.len().saturating_sub(1) as u64 * self.per_page as u64;
+        let mut slot = (self.n_tuples - full_before) as usize;
+        if self.pages.is_empty() || slot == self.per_page {
             self.pages.push(Page::zeroed(self.page_size));
+            slot = 0;
         }
         let pid = (self.pages.len() - 1) as PageId;
         let size = self.layout.tuple_size();
@@ -124,6 +129,7 @@ impl HeapFile {
         HeapFile {
             layout: self.layout,
             page_size: self.page_size,
+            per_page: self.per_page,
             pages,
             n_tuples: n,
         }
@@ -327,6 +333,19 @@ mod tests {
             h.append_record(pk, pk / 3);
         }
         h
+    }
+
+    /// A cut heap keeps packing where the cut left off: into the last
+    /// kept page, or a fresh one after a full page or no page at all.
+    #[test]
+    fn appends_after_a_cut_continue_the_packing() {
+        let h = small_heap(10);
+        for (cut, next) in [(0, (0, 0)), (3, (0, 3)), (4, (1, 0)), (9, (2, 1))] {
+            let mut t = h.truncated(cut);
+            assert_eq!(t.tuples_per_page(), 4);
+            assert_eq!(t.append_record(99, 99), next, "cut at {cut}");
+            assert_eq!(t.tuple_count(), cut + 1);
+        }
     }
 
     #[test]

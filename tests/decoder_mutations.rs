@@ -12,7 +12,7 @@ use bftree_access::Continuation;
 use bftree_bloom::BloomGroup;
 use bftree_net::{read_frame, write_frame, RemoteError, Request, Response, StatsReply};
 use bftree_shard::{ShardPlan, ShardedContinuation};
-use bftree_storage::{FileStore, ScratchDir, SyncPolicy, PAGE_SIZE};
+use bftree_storage::{DeviceError, FileStore, ScratchDir, SyncPolicy, PAGE_HEADER, PAGE_SIZE};
 use bftree_wal::{TailState, WalReader, WalRecord};
 use rand::mutate::each_mutant;
 
@@ -343,4 +343,104 @@ fn a_mutated_superblock_opens_or_refuses() {
         let _ = store.write_page(9, b"new");
         let _ = store.alloc();
     });
+}
+
+/// A slot header is parsed before its checksum is checked: whatever the
+/// first live slot's header claims, opening the store and reading any
+/// page must end in a typed result, and a read that succeeds returns
+/// the page's own payload (the checksum covers the id, the LSN and the
+/// length).
+#[test]
+fn a_mutated_slot_header_opens_and_reads_or_refuses() {
+    let dir = ScratchDir::new("slot-header-mutations").expect("scratch dir");
+    let path = dir.path().join("store");
+    let payload = |page: u64| vec![page as u8 + 1; 100];
+    {
+        let store = FileStore::create(&path, SyncPolicy::Deferred).expect("create");
+        for page in 0..3 {
+            store.write_page(page, &payload(page)).expect("write");
+        }
+    }
+    let file = std::fs::read(&path).expect("read back");
+    let header_at = |slot: usize| PAGE_SIZE + slot * (PAGE_HEADER + PAGE_SIZE);
+    let images = [0, 1].map(|slot| file[header_at(slot)..header_at(slot) + PAGE_HEADER].to_vec());
+    let mutant_path = dir.path().join("mutant");
+    battery(&images, |header| {
+        // A header of another length is a torn slot: the file ends
+        // after it.
+        let mut bytes = file[..header_at(0)].to_vec();
+        bytes.extend_from_slice(header);
+        if header.len() == PAGE_HEADER {
+            bytes.extend_from_slice(&file[header_at(0) + PAGE_HEADER..]);
+        }
+        std::fs::write(&mutant_path, &bytes).expect("write mutant");
+        let Ok(store) = FileStore::open(&mutant_path, SyncPolicy::Deferred) else {
+            return;
+        };
+        for page in store.live_page_ids().into_iter().chain(0..3) {
+            if let Ok(read) = store.read_page(page) {
+                assert!(page < 3 && read == payload(page), "page {page}");
+            }
+        }
+        let _ = store.write_page(9, b"new");
+        let _ = store.alloc();
+    });
+}
+
+/// The zeroed slots of a store's extent tail are no pages, whichever
+/// superblock field names them.
+#[test]
+fn a_zeroed_extent_slot_named_by_the_superblock_is_no_page() {
+    let dir = ScratchDir::new("extent-mutations").expect("scratch dir");
+    let path = dir.path().join("store");
+    {
+        let store = FileStore::create(&path, SyncPolicy::Deferred).expect("create");
+        for page in 0..3u64 {
+            store.write_page(page, b"page").expect("write");
+        }
+    }
+    let file = std::fs::read(&path).expect("read back");
+    let slots = ((file.len() - PAGE_SIZE) / (PAGE_HEADER + PAGE_SIZE)) as u64;
+    assert!(slots > 3, "the store has zeroed slots past its three pages");
+    let (slot_count_at, free_head_at, free_len_at) = (16, 24, 40);
+    let mutant = |fields: &[(usize, u64)]| {
+        let mut bytes = file.clone();
+        for &(at, value) in fields {
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        }
+        let path = dir.path().join("mutant");
+        std::fs::write(&path, bytes).expect("write mutant");
+        FileStore::open(&path, SyncPolicy::Deferred).expect("opens")
+    };
+    // A slot count over the whole tail: the zeroed slots hold no page.
+    let store = mutant(&[(slot_count_at, slots)]);
+    assert_eq!(store.live_page_ids(), [0, 1, 2]);
+    for page in 3..slots {
+        assert!(matches!(
+            store.read_page(page),
+            Err(DeviceError::UnknownPage { .. })
+        ));
+    }
+    drop(store);
+    // A free list through a zeroed slot: the write that would pop it
+    // fails typed and allocates nothing.
+    for fields in [
+        vec![(free_head_at, 3), (free_len_at, 1), (slot_count_at, 4)],
+        vec![
+            (free_head_at, slots - 1),
+            (free_len_at, 1),
+            (slot_count_at, slots),
+        ],
+    ] {
+        let store = mutant(&fields);
+        assert!(matches!(
+            store.write_page(9, b"new"),
+            Err(DeviceError::BadHeader {
+                page: 9,
+                reason: "free-list head is not a free slot"
+            })
+        ));
+        assert!(!store.contains(9));
+        assert_eq!(store.read_page(1).expect("spared"), b"page");
+    }
 }

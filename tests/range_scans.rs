@@ -271,3 +271,124 @@ fn inverted_range_is_a_typed_error() {
     let err = AccessMethod::range_scan(&tree, 10, 5, &rel, &io).unwrap_err();
     assert_eq!(err, ProbeError::InvertedRange { lo: 10, hi: 5 });
 }
+
+/// A key inserted below the tree's largest key lands on the heap's last
+/// page, out of heap order: page 40 reads `[1280, 1282, 1284, 1286, 7,
+/// 2000]`. A walk that trusts heap order took that page whole for a
+/// range holding its two end keys, and missed the key wherever the
+/// page lies past the range's own pages. The tree remembers the
+/// insert and scans with §7's probed plan, filtering every tuple.
+#[test]
+fn a_key_inserted_out_of_heap_order_is_scanned_where_it_lies() {
+    let mut heap = HeapFile::new(TupleLayout::new(256));
+    for k in 0..644u64 {
+        heap.append_record(2 * k, 2 * k);
+    }
+    let mut rel = Relation::new(heap, PK_OFFSET, Duplicates::Unique).unwrap();
+    let io = IoContext::unmetered();
+    let mut tree = BfTree::builder().build(&rel).unwrap();
+    for key in [7, 2000] {
+        let loc = rel.append_tuple(key, key, &io);
+        AccessMethod::insert(&mut tree, key, loc, &rel).unwrap();
+    }
+    let page_40: Vec<u64> = rel.heap().page_attrs(40, PK_OFFSET).collect();
+    assert_eq!(page_40, [1280, 1282, 1284, 1286, 7, 2000]);
+    assert_eq!(tree.probe(7, &rel, &io).unwrap().matches, [(40, 4)]);
+    for (lo, hi) in [(1200, 3000), (0, 10), (6, 8), (7, 7), (0, 3000), (1, 1286)] {
+        let got = AccessMethod::range_scan(&tree, lo, hi, &rel, &io).unwrap();
+        let mut matches = got.matches;
+        matches.sort_unstable();
+        assert_eq!(
+            matches,
+            brute(rel.heap(), PK_OFFSET, lo, hi),
+            "[{lo}, {hi}]"
+        );
+    }
+}
+
+/// Out-of-order inserts and deletes across many small leaves, both
+/// duplicate handlings: every range scan equals brute force over the
+/// live keys, and so does every
+/// eighth one drained a page at a time through continuation tokens.
+#[test]
+fn ranges_after_out_of_order_inserts_equal_brute_force() {
+    let mut rng = StdRng::seed_from_u64(0xBF44);
+    for handling in [
+        DuplicateHandling::FirstPageOnly,
+        DuplicateHandling::AllCoveringPages,
+    ] {
+        let mut rel = ordered_relation(Duplicates::Unique, 0xBF44_0001);
+        let io = IoContext::unmetered();
+        let config = BfTreeConfig {
+            page_size: 512,
+            fpp: 1e-4,
+            ..BfTreeConfig::paper_default()
+        };
+        let mut tree = BfTree::builder()
+            .config(config)
+            .duplicates(handling)
+            .build(&rel)
+            .unwrap();
+        assert!(tree.leaves().len() >= 3);
+        let keys: Vec<u64> = rel.heap().iter_attr(PK_OFFSET).map(|(_, _, v)| v).collect();
+        let (first, last) = (keys[0], keys[keys.len() - 1]);
+        // Absent keys from the domain's gaps, appended in random order,
+        // then one past the end.
+        let mut absent: Vec<u64> = keys
+            .windows(2)
+            .filter(|w| w[1] > w[0] + 1)
+            .map(|w| w[0] + 1)
+            .collect();
+        for i in (1..absent.len()).rev() {
+            absent.swap(i, rng.random_range(0..=i));
+        }
+        absent.truncate(40);
+        absent.push(last + 5);
+        for &key in &absent {
+            let loc = rel.append_tuple(key, key, &io);
+            AccessMethod::insert(&mut tree, key, loc, &rel).unwrap();
+        }
+        // Tombstones on both kinds of key.
+        let deleted: Vec<u64> = absent
+            .iter()
+            .step_by(8)
+            .chain(keys.iter().step_by(997))
+            .copied()
+            .collect();
+        for &key in &deleted {
+            AccessMethod::delete(&mut tree, key, &rel).unwrap();
+        }
+        let mut cases: Vec<(u64, u64)> = absent.iter().map(|&k| (k, k)).collect();
+        for _ in 0..64 {
+            let lo = rng.random_range(first - 10..=last);
+            cases.push((lo, lo + rng.random_range(0..3_000u64)));
+        }
+        cases.push((0, u64::MAX));
+        for (case, (lo, hi)) in cases.into_iter().enumerate() {
+            let label = format!("{handling:?}, range [{lo}, {hi}]");
+            let mut want = brute(rel.heap(), PK_OFFSET, lo, hi);
+            want.retain(|&(pid, slot)| !deleted.contains(&rel.heap().attr(pid, slot, PK_OFFSET)));
+            let mut got = AccessMethod::range_scan(&tree, lo, hi, &rel, &io)
+                .unwrap()
+                .matches;
+            got.sort_unstable();
+            assert_eq!(got, want, "{label}");
+            if case % 8 != 0 {
+                continue;
+            }
+            // Paginated: resume from a token after every page.
+            let mut drained = Vec::new();
+            let mut cursor = AccessMethod::range_cursor(&tree, lo, hi, &rel, &io).unwrap();
+            while let Some(page) = cursor.next_page_matches() {
+                drained.extend_from_slice(page);
+                cursor.advance();
+                let Some(token) = cursor.continuation() else {
+                    break;
+                };
+                cursor = AccessMethod::resume_range_cursor(&tree, &token, &rel, &io).unwrap();
+            }
+            drained.sort_unstable();
+            assert_eq!(drained, want, "{label}, resumed");
+        }
+    }
+}
