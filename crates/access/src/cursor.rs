@@ -299,15 +299,15 @@ impl<C: RangeCursor> RangeCursor for Limited<C> {
     }
 }
 
-/// Scan heap page `pid` for attribute values in `[lo, hi]`, appending
-/// the matching `(page, slot)` pairs to `buf` — honoring a sub-page
-/// [`Continuation`] frontier (slots below `resume`'s slot are skipped
-/// on exactly the frontier page, nowhere else).
+/// Scan heap page `pid` for live tuples whose attribute lies in
+/// `[lo, hi]`, appending the matching `(page, slot)` pairs to `buf` —
+/// honoring a sub-page [`Continuation`] frontier (slots below
+/// `resume`'s slot are skipped on exactly the frontier page, nowhere
+/// else).
 ///
 /// The one home of the page-walk cursors' scan-and-filter step (the
 /// BF-Tree partition walk and the B+-Tree contiguous-run walk);
-/// charging and dropping deleted keys stay with the callers, whose
-/// cost models and delete records differ.
+/// charging stays with the callers, whose cost models differ.
 pub fn scan_page_in_range(
     heap: &bftree_storage::HeapFile,
     attr: bftree_storage::tuple::AttrOffset,
@@ -322,7 +322,7 @@ pub fn scan_page_in_range(
         _ => 0,
     };
     for (slot, v) in heap.page_attrs(pid, attr).enumerate().skip(skip_below) {
-        if v >= lo && v <= hi {
+        if v >= lo && v <= hi && heap.is_live(pid, slot) {
             buf.push((pid, slot));
         }
     }

@@ -12,10 +12,13 @@
 //! 1. every `insert`/`delete` is appended to a write-ahead log first
 //!    (`bftree_wal`), whose [`DurabilityMode`] sets the fsync policy
 //!    (per-record, group commit, async);
-//! 2. the operation is absorbed into the memtable, **immediately
-//!    visible** to probes and range scans — the read path merges
-//!    memtable matches with the base index through the same
-//!    [`MatchSink`]/[`RangeCursor`] cores every index uses;
+//! 2. an insert is absorbed into the memtable, **immediately visible**
+//!    to probes and range scans — the read path merges memtable
+//!    matches with the base index through the same
+//!    [`MatchSink`]/[`RangeCursor`] cores every index uses. A delete
+//!    applies at once: it marks the key's buffered tuples dead in the
+//!    heap and drops them, and the base index's [`AccessMethod::delete`]
+//!    does the rest. It still counts one buffered operation;
 //! 3. when `flush_batch` operations have accumulated, the memtable is
 //!    drained into the base index via [`AccessMethod::insert_batch`]
 //!    (one sorted bulk application) and a synced checkpoint record
@@ -70,35 +73,27 @@ impl Default for DurableConfig {
 }
 
 /// Rough resident bytes per buffered operation (B-tree-map node plus
-/// key state plus one location) — what the memtable reserves from a
-/// shared buffer budget per `flush_batch` slot.
+/// one location) — what the memtable reserves from a shared buffer
+/// budget per `flush_batch` slot.
 const EST_OP_BYTES: u64 = 80;
 
-/// Buffered, not-yet-flushed state of one key.
-#[derive(Debug, Default)]
-struct KeyState {
-    /// A delete was buffered: every base-index entry for this key is
-    /// logically gone (probes and scans filter them out), applied as a
-    /// real delete at flush.
-    wipe_base: bool,
-    /// Heap locations inserted for this key since the last flush (and,
-    /// if `wipe_base`, since the buffered delete).
-    adds: Vec<(PageId, usize)>,
-}
-
-/// The sorted write buffer.
+/// The sorted write buffer: the heap locations inserted per key since
+/// the last flush.
 #[derive(Debug, Default)]
 struct Memtable {
-    keys: BTreeMap<u64, KeyState>,
+    keys: BTreeMap<u64, Vec<(PageId, usize)>>,
     /// Operations buffered since the last flush (inserts + deletes).
     ops: usize,
-    /// Total buffered heap locations across all keys.
-    adds: usize,
 }
 
 impl Memtable {
+    /// Buffered heap locations across all keys.
+    fn adds(&self) -> usize {
+        self.keys.values().map(Vec::len).sum()
+    }
+
     fn bytes(&self) -> u64 {
-        (self.keys.len() as u64) * 64 + (self.adds as u64) * 16
+        (self.keys.len() as u64) * 64 + (self.adds() as u64) * 16
     }
 }
 
@@ -252,7 +247,6 @@ fn records_covering(image: &[u8], lo: usize, hi: usize) -> u64 {
         }
         start = end;
     }
-    let _ = start;
     covered
 }
 
@@ -336,6 +330,8 @@ impl<A: AccessMethod> DurableIndex<A> {
     /// `rel` is the relation as found after the crash; heap pages are
     /// durable at append time, so the heap may run past what the log
     /// acknowledges — the index simply does not point at the excess.
+    /// Delete marks do not survive a crash: replaying the surviving
+    /// Delete records marks and unindexes their keys again.
     pub fn recover(
         mut inner: A,
         rel: &Relation,
@@ -402,25 +398,22 @@ impl<A: AccessMethod> DurableIndex<A> {
             page: loc.0,
             slot: loc.1 as u64,
         });
-        let state = self.mem.keys.entry(key).or_default();
-        state.adds.push(loc);
-        self.mem.adds += 1;
+        self.mem.keys.entry(key).or_default().push(loc);
         self.mem.ops += 1;
         self.maybe_flush(rel)
     }
 
+    /// Log the delete, mark the key's buffered tuples dead and drop
+    /// them, then delete the key from the base index at once. Returns
+    /// the tuples marked dead.
     fn apply_delete(&mut self, key: u64, rel: &Relation) -> Result<u64, ProbeError> {
         self.wal.append(&WalRecord::Delete { key });
-        let state = self.mem.keys.entry(key).or_default();
-        let dropped = state.adds.len();
-        state.adds.clear();
-        state.wipe_base = true;
-        self.mem.adds -= dropped;
+        let adds = self.mem.keys.remove(&key).unwrap_or_default();
         self.mem.ops += 1;
+        let buffered = adds.iter().filter(|&&(p, s)| rel.heap().delete_tuple(p, s));
+        let marked = buffered.count() as u64 + self.inner.delete(key, rel)?;
         self.maybe_flush(rel)?;
-        // Buffered locations dropped, plus the tombstone now shadowing
-        // the base index.
-        Ok(dropped as u64 + 1)
+        Ok(marked)
     }
 
     fn maybe_flush(&mut self, rel: &Relation) -> Result<(), ProbeError> {
@@ -430,28 +423,21 @@ impl<A: AccessMethod> DurableIndex<A> {
         Ok(())
     }
 
-    /// Drain the memtable into the base index: buffered deletes first
-    /// (a delete-then-reinsert must keep the reinsert), then every
-    /// buffered location as one sorted [`AccessMethod::insert_batch`]
-    /// — the bulk application that amortizes the base index's
-    /// structural maintenance. A synced checkpoint record marks the
-    /// flush. Returns the operations drained.
+    /// Drain the memtable into the base index: every buffered location
+    /// as one sorted [`AccessMethod::insert_batch`] — the bulk
+    /// application that amortizes the base index's structural
+    /// maintenance. A synced checkpoint record marks the flush.
+    /// Returns the operations drained (deletes included: they were
+    /// applied when they arrived).
     pub fn flush(&mut self, rel: &Relation) -> Result<usize, ProbeError> {
         if self.mem.ops == 0 {
             return Ok(0);
         }
         let mut span = bftree_obs::span(bftree_obs::SpanKind::MemtableFlush);
         span.set_detail(self.mem.ops as u64);
-        for (&key, state) in self.mem.keys.iter() {
-            if state.wipe_base {
-                self.inner.delete(key, rel)?;
-            }
-        }
-        let mut entries: Vec<(u64, (PageId, usize))> = Vec::with_capacity(self.mem.adds);
-        for (&key, state) in self.mem.keys.iter() {
-            for &loc in &state.adds {
-                entries.push((key, loc));
-            }
+        let mut entries: Vec<(u64, (PageId, usize))> = Vec::with_capacity(self.mem.adds());
+        for (&key, adds) in self.mem.keys.iter() {
+            entries.extend(adds.iter().map(|&loc| (key, loc)));
         }
         self.inner.insert_batch(&entries, rel)?;
         let drained = self.mem.ops;
@@ -652,14 +638,12 @@ impl<A: AccessMethod> DurableIndex<A> {
         io: &'c IoContext,
         frontier: Option<(PageId, usize)>,
     ) -> MergedCursor<'c> {
-        let mut adds: Vec<(PageId, usize)> = Vec::new();
-        let mut tombstones: Vec<u64> = Vec::new();
-        for (&key, state) in self.mem.keys.range(lo..=hi) {
-            if state.wipe_base {
-                tombstones.push(key); // BTreeMap range ⇒ already sorted
-            }
-            adds.extend_from_slice(&state.adds);
-        }
+        let mut adds: Vec<(PageId, usize)> = self
+            .mem
+            .keys
+            .range(lo..=hi)
+            .flat_map(|(_, adds)| adds.iter().copied())
+            .collect();
         adds.sort_unstable();
         if let Some((fpage, fslot)) = frontier {
             adds.retain(|&(p, s)| (p, s) >= (fpage, fslot));
@@ -678,7 +662,6 @@ impl<A: AccessMethod> DurableIndex<A> {
             data: &io.data,
             heap: rel.heap(),
             attr: rel.attr(),
-            tombstones,
             extra: ScanIo::default(),
             lo,
             hi,
@@ -726,20 +709,15 @@ impl<A: AccessMethod> AccessMethod for DurableIndex<A> {
         io: &IoContext,
         sink: &mut dyn MatchSink,
     ) -> Result<ProbeIo, ProbeError> {
-        let state = self.mem.keys.get(&key);
-        let wiped = state.is_some_and(|s| s.wipe_base);
-        let mut adds = state.map(|s| s.adds.clone()).unwrap_or_default();
-        let mut total = ProbeIo::default();
-        if !wiped {
-            let mut tracker = TrackBreak {
-                inner: sink,
-                broke: false,
-                adds: &mut adds,
-            };
-            total = self.inner.probe_into(key, rel, io, &mut tracker)?;
-            if tracker.broke {
-                return Ok(total);
-            }
+        let mut adds = self.mem.keys.get(&key).cloned().unwrap_or_default();
+        let mut tracker = TrackBreak {
+            inner: sink,
+            broke: false,
+            adds: &mut adds,
+        };
+        let mut total = self.inner.probe_into(key, rel, io, &mut tracker)?;
+        if tracker.broke {
+            return Ok(total);
         }
         if !adds.is_empty() {
             let extra = stream_sorted_matches(adds, &io.data, sink);
@@ -799,7 +777,7 @@ impl<A: AccessMethod> AccessMethod for DurableIndex<A> {
     fn stats(&self) -> IndexStats {
         let mut stats = self.inner.stats();
         stats.bytes += self.mem.bytes();
-        stats.entries += self.mem.adds as u64;
+        stats.entries += self.mem.adds() as u64;
         stats
     }
 }
@@ -829,10 +807,12 @@ impl MatchSink for TrackBreak<'_> {
 
 /// Range cursor merging a base-index cursor with the memtable: page
 /// groups are delivered in ascending page order across both sources,
-/// base matches shadowed by a buffered delete are filtered out
-/// (CPU-only — the tombstone check reads the resident heap), and
-/// memtable-only pages are charged to the data device under the same
-/// random/sequential adjacency rules as everything else.
+/// and memtable-only pages are charged to the data device under the
+/// same random/sequential adjacency rules as everything else. A base
+/// match outside `[lo, hi]` is dropped (CPU only, a read of the
+/// resident heap): a buffered tuple appended behind larger keys breaks
+/// the heap order a base walk trusts, for instance when it takes an
+/// ordered page whole from its two end keys.
 struct MergedCursor<'c> {
     base: Box<dyn RangeCursor + 'c>,
     /// The base cursor proved exhaustion (`next_page_matches` → None).
@@ -855,8 +835,6 @@ struct MergedCursor<'c> {
     data: &'c PageDevice,
     heap: &'c HeapFile,
     attr: AttrOffset,
-    /// Keys with a buffered delete, sorted (filter for base matches).
-    tombstones: Vec<u64>,
     /// Charges for memtable-only pages (the base cursor accounts its
     /// own).
     extra: ScanIo,
@@ -865,16 +843,11 @@ struct MergedCursor<'c> {
 }
 
 impl MergedCursor<'_> {
-    fn surviving(&self, group: &[(PageId, usize)]) -> Vec<(PageId, usize)> {
+    fn in_range(&self, mut group: Vec<(PageId, usize)>) -> Vec<(PageId, usize)> {
+        group.retain(|&(pid, slot)| {
+            (self.lo..=self.hi).contains(&self.heap.attr(pid, slot, self.attr))
+        });
         group
-            .iter()
-            .copied()
-            .filter(|&(pid, slot)| {
-                self.tombstones
-                    .binary_search(&self.heap.attr(pid, slot, self.attr))
-                    .is_err()
-            })
-            .collect()
     }
 
     /// End of the adds run on page `pid` starting at `adds_at`.
@@ -942,7 +915,7 @@ impl RangeCursor for MergedCursor<'_> {
             (None, None) => return None,
             (Some(group), None) => {
                 let pid = group[0].0;
-                (self.surviving(&group), pid, true, self.adds_at)
+                (self.in_range(group), pid, true, self.adds_at)
             }
             (None, Some(pid)) => {
                 let end = self.adds_run_end(pid);
@@ -958,14 +931,14 @@ impl RangeCursor for MergedCursor<'_> {
                     self.charge_adds_page(pid);
                     (self.adds[self.adds_at..end].to_vec(), pid, false, end)
                 } else if pid > base_pid {
-                    (self.surviving(&group), base_pid, true, self.adds_at)
+                    (self.in_range(group), base_pid, true, self.adds_at)
                 } else {
                     // Both sources on one page: one delivery, one
                     // fetch (the base's), slots in order. A base that
                     // scans the heap page sees the buffered tuples on
                     // it too; each is delivered once.
                     let end = self.adds_run_end(pid);
-                    let mut both = self.surviving(&group);
+                    let mut both = self.in_range(group);
                     both.extend_from_slice(&self.adds[self.adds_at..end]);
                     both.sort_unstable();
                     both.dedup();
@@ -1004,7 +977,8 @@ impl RangeCursor for MergedCursor<'_> {
             if let Some(&(pid, slot)) = self.buf.first() {
                 return Some(self.frontier_token(pid, slot));
             }
-            // Loaded but empty (overhead or fully tombstoned page):
+            // Loaded but empty (an overhead page, or one whose base
+            // matches lay out of range):
             // the frontier is whatever comes next, below.
         }
         let base_token = if self.base_done {
@@ -1156,10 +1130,10 @@ mod tests {
             Ok(())
         }
 
-        fn delete(&mut self, key: u64, _rel: &Relation) -> Result<u64, ProbeError> {
-            let before = self.entries.len();
+        fn delete(&mut self, key: u64, rel: &Relation) -> Result<u64, ProbeError> {
+            let marked = crate::mark_dead(self, key, rel)?;
             self.entries.retain(|&(k, _)| k != key);
-            Ok((before - self.entries.len()) as u64)
+            Ok(marked)
         }
 
         fn size_bytes(&self) -> u64 {
@@ -1238,7 +1212,7 @@ mod tests {
         assert_eq!(
             scan_keys(&idx, &rel, 0, 9),
             vec![0, 1, 2, 3, 5, 6, 7, 8, 9],
-            "tombstoned base match filtered out of the scan"
+            "deleted base match filtered out of the scan"
         );
     }
 
@@ -1325,10 +1299,15 @@ mod tests {
         let loc_b = rel.append_tuple(31, 0, &io);
         idx.insert(31, loc_b, &rel).unwrap(); // buffered, unflushed
 
+        // The crash keeps every appended tuple but no delete mark: the
+        // replay must delete key 1 again.
+        let mut crashed = relation(10);
+        assert_eq!(crashed.append_tuple(30, 0, &io), loc_a);
+        assert_eq!(crashed.append_tuple(31, 0, &io), loc_b);
         let image = idx.wal().bytes().to_vec();
         let (rec, report) = DurableIndex::recover(
             MiniIndex::default(),
-            &rel,
+            &crashed,
             &image,
             PageDevice::cold(DeviceKind::Ssd),
             idx.config(),
@@ -1338,14 +1317,18 @@ mod tests {
         assert_eq!(report.replayed_inserts, 2);
         assert_eq!(report.replayed_deletes, 1);
         assert_eq!(report.tail, TailState::Clean);
+        assert!(!crashed.heap().is_live(0, 1), "the replay marks key 1 dead");
         for key in 0..35 {
             assert_eq!(
                 idx.probe(key, &rel, &io).unwrap().matches,
-                rec.probe(key, &rel, &io).unwrap().matches,
+                rec.probe(key, &crashed, &io).unwrap().matches,
                 "key {key} must answer identically after recovery"
             );
         }
-        assert_eq!(scan_keys(&rec, &rel, 0, 100), scan_keys(&idx, &rel, 0, 100));
+        assert_eq!(
+            scan_keys(&rec, &crashed, 0, 100),
+            scan_keys(&idx, &rel, 0, 100)
+        );
     }
 
     #[test]

@@ -158,6 +158,18 @@ pub fn check_relation(rel: &Relation) -> Result<(), ProbeError> {
     })
 }
 
+/// The first half of [`AccessMethod::delete`]: probe `key` on `index`
+/// without charging a device, and mark every live tuple the probe
+/// finds dead in `rel`'s heap. Returns how many were live.
+pub fn mark_dead(index: &dyn AccessMethod, key: u64, rel: &Relation) -> Result<u64, ProbeError> {
+    let mut found: Vec<(PageId, usize)> = Vec::new();
+    let _ = index.probe_into(key, rel, &IoContext::unmetered(), &mut found)?;
+    let marked = found
+        .iter()
+        .filter(|&&(pid, slot)| rel.heap().delete_tuple(pid, slot));
+    Ok(marked.count() as u64)
+}
+
 /// Outcome of a point probe, uniform across access methods.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[must_use]
@@ -447,9 +459,11 @@ pub trait AccessMethod: Send + Sync {
         Ok(())
     }
 
-    /// Remove every index entry for `key`; later probes must miss.
-    /// Returns how many entries (or leaves, for tombstoning indexes)
-    /// were affected.
+    /// Delete `key`: mark its live tuples dead in `rel`'s heap, then
+    /// unindex them; later probes and scans miss them, and a tuple
+    /// appended with `key` afterwards is found alone. Finding the
+    /// tuples charges no device (see [`mark_dead`]). Returns
+    /// the number of tuples marked dead.
     fn delete(&mut self, key: u64, rel: &Relation) -> Result<u64, ProbeError>;
 
     /// Index size in bytes.

@@ -18,7 +18,8 @@
 //! BF-leaves over [`BloomGroup`]; `figures fig14_inserts` measures
 //! Equation 14 on a [`BloomFilter`]. The delete-capable variants
 //! Section 7 points at (counting \[7\], deletable \[39\]) are not here:
-//! a BF-leaf handles deletes with a tombstone list and a rebuild.
+//! a delete marks its tuples dead in the heap, and a BF-leaf counts it
+//! until a rebuild.
 //!
 //! All filters are deterministic: the same seed and the same inserts
 //! produce bit-identical filters, which the storage layer relies on

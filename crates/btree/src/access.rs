@@ -13,7 +13,7 @@
 use std::ops::RangeInclusive;
 
 use bftree_access::{
-    check_relation, scan_page_in_range, stream_sorted_matches, AccessMethod, BuildError,
+    check_relation, mark_dead, scan_page_in_range, stream_sorted_matches, AccessMethod, BuildError,
     Continuation, IndexStats, MatchSink, PageBatchCursor, Probe, ProbeError, ProbeIo, RangeCursor,
     ScanIo,
 };
@@ -34,20 +34,20 @@ fn mode_for(rel: &Relation) -> DuplicateMode {
     }
 }
 
-/// Collect the `(key, TupleRef)` entries of `rel` whose key lies in
-/// `keys`, in `(key, pid, slot)` order, deduped to first references
-/// under [`DuplicateMode::FirstRef`] — the one home of the bulk-load
-/// entry semantics, shared by the trait build, the bench harness's
-/// explicit-mode builder, and the FD-Tree's build.
+/// Collect the `(key, TupleRef)` entries of `rel`'s live tuples whose
+/// key lies in `keys`, in `(key, pid, slot)` order, deduped to first
+/// references under [`DuplicateMode::FirstRef`] — the one home of the
+/// bulk-load entry semantics, shared by the trait build, the bench
+/// harness's explicit-mode builder, and the FD-Tree's build.
 pub fn relation_entries(
     rel: &Relation,
     mode: DuplicateMode,
     keys: RangeInclusive<u64>,
 ) -> Vec<(u64, TupleRef)> {
-    let mut entries: Vec<(u64, TupleRef)> = rel
-        .heap()
+    let heap = rel.heap();
+    let mut entries: Vec<(u64, TupleRef)> = heap
         .iter_attr(rel.attr())
-        .filter(|(_, _, key)| keys.contains(key))
+        .filter(|&(pid, slot, key)| keys.contains(&key) && heap.is_live(pid, slot))
         .map(|(pid, slot, key)| (key, TupleRef::new(pid, slot)))
         .collect();
     entries.sort_by_key(|&(k, r)| (k, r.pid(), r.slot()));
@@ -77,14 +77,10 @@ fn push_page_matches(
 /// heap, so after the index names the first page the scan is a pure
 /// page walk guided by each page's attribute range — which is what
 /// makes **resume index-free**: the continuation's page frontier is
-/// all the state there is.
+/// all the state there is. A deleted tuple is dead in the heap, and
+/// the page scan skips it.
 #[must_use]
 struct RunCursor<'c> {
-    /// Consulted per distinct key: a deleted key's tuples stay in the
-    /// heap, and only the index knows it is gone.
-    tree: &'c BPlusTree,
-    /// The last key looked up, and whether the index still names it.
-    live: Option<(u64, bool)>,
     heap: &'c HeapFile,
     attr: AttrOffset,
     data: &'c PageDevice,
@@ -104,7 +100,6 @@ struct RunCursor<'c> {
 
 impl<'c> RunCursor<'c> {
     fn new(
-        tree: &'c BPlusTree,
         start: Option<PageId>,
         lo: u64,
         hi: u64,
@@ -113,8 +108,6 @@ impl<'c> RunCursor<'c> {
         resume: Option<(PageId, usize)>,
     ) -> Self {
         Self {
-            tree,
-            live: None,
             heap: rel.heap(),
             attr: rel.attr(),
             data: &io.data,
@@ -155,29 +148,15 @@ impl RangeCursor for RunCursor<'_> {
         }
         self.counters.pages_read += 1;
         self.buf.clear();
-        let (heap, attr, tree) = (self.heap, self.attr, self.tree);
         scan_page_in_range(
-            heap,
-            attr,
+            self.heap,
+            self.attr,
             pid,
             self.lo,
             self.hi,
             self.resume,
             &mut self.buf,
         );
-        let mut live = self.live;
-        self.buf.retain(|&(p, slot)| {
-            let key = heap.attr(p, slot, attr);
-            match live {
-                Some((k, named)) if k == key => named,
-                _ => {
-                    let named = tree.search(key, None).is_some();
-                    live = Some((key, named));
-                    named
-                }
-            }
-        });
-        self.live = live;
         if self.buf.is_empty() {
             self.counters.overhead_pages += 1;
         }
@@ -329,7 +308,7 @@ impl AccessMethod for BPlusTree {
             // range's leaf walk — cursor creation stays O(height)
             // however wide the range is.
             let start = self.seek_ge(lo, hi, Some(&io.index)).map(|(_, t)| t.pid());
-            Ok(Box::new(RunCursor::new(self, start, lo, hi, rel, io, None)))
+            Ok(Box::new(RunCursor::new(start, lo, hi, rel, io, None)))
         } else {
             let matches = self.per_tuple_range_matches(lo, hi, io);
             Ok(Box::new(PageBatchCursor::new(
@@ -354,7 +333,6 @@ impl AccessMethod for BPlusTree {
             // Contiguity makes resume index-free: re-enter the page
             // walk at the frontier page, no descent, no prefix pages.
             Ok(Box::new(RunCursor::new(
-                self,
                 Some(cont.page()),
                 lo,
                 hi,
@@ -380,15 +358,11 @@ impl AccessMethod for BPlusTree {
     }
 
     fn delete(&mut self, key: u64, rel: &Relation) -> Result<u64, ProbeError> {
-        check_relation(rel)?;
-        let trefs = self.search_all(key, None);
-        let mut n = 0u64;
-        for tref in trefs {
-            if BPlusTree::delete(self, key, tref, None) {
-                n += 1;
-            }
+        let marked = mark_dead(self, key, rel)?;
+        for tref in self.search_all(key, None) {
+            BPlusTree::delete(self, key, tref, None);
         }
-        Ok(n)
+        Ok(marked)
     }
 
     fn size_bytes(&self) -> u64 {

@@ -11,8 +11,8 @@ use std::cell::RefCell;
 use std::ops::RangeInclusive;
 
 use bftree_access::{
-    check_relation, AccessMethod, BuildError, Continuation, IndexStats, MatchSink, Probe,
-    ProbeError, ProbeIo, RangeCursor,
+    check_relation, mark_dead, AccessMethod, BuildError, Continuation, IndexStats, MatchSink,
+    Probe, ProbeError, ProbeIo, RangeCursor,
 };
 use bftree_storage::{IoContext, PageId, Relation};
 
@@ -89,9 +89,7 @@ impl AccessMethod for BfTree {
     }
 
     fn insert(&mut self, key: u64, loc: (PageId, usize), rel: &Relation) -> Result<(), ProbeError> {
-        check_relation(rel)?;
-        BfTree::insert_batch(self, &[(key, loc.0)], Some(rel.heap()), rel.attr());
-        Ok(())
+        AccessMethod::insert_batch(self, &[(key, loc)], rel)
     }
 
     fn insert_batch(
@@ -107,6 +105,9 @@ impl AccessMethod for BfTree {
         if by_key
             .windows(2)
             .any(|w| w[0].0 < w[1].0 && w[0].1 > w[1].1)
+            || entries
+                .iter()
+                .any(|&(key, loc)| behind_a_larger_key(rel, key, loc))
         {
             self.note_out_of_order();
         }
@@ -115,9 +116,15 @@ impl AccessMethod for BfTree {
         Ok(())
     }
 
+    /// Marks the key's live tuples dead (an uncharged probe finds
+    /// them), then counts the delete in the leaves whose filters name
+    /// them (the inherent `BfTree::delete` counter step).
     fn delete(&mut self, key: u64, rel: &Relation) -> Result<u64, ProbeError> {
-        check_relation(rel)?;
-        Ok(BfTree::delete(self, key) as u64)
+        let marked = mark_dead(self, key, rel)?;
+        if marked > 0 {
+            BfTree::delete(self, key);
+        }
+        Ok(marked)
     }
 
     fn size_bytes(&self) -> u64 {
@@ -132,6 +139,15 @@ impl AccessMethod for BfTree {
             entries: self.n_keys(),
         }
     }
+}
+
+/// Whether the tuple before `(pid, slot)` in the heap carries a key
+/// above `key`, one the tree need not index (a shard neighbour's, or a
+/// deleted one): an insert a range walk may not meet in heap order.
+fn behind_a_larger_key(rel: &Relation, key: u64, (pid, slot): (PageId, usize)) -> bool {
+    let per = rel.heap().tuples_per_page() as u64;
+    let before = (pid * per + slot as u64).checked_sub(1);
+    before.is_some_and(|t| rel.heap().attr(t / per, (t % per) as usize, rel.attr()) > key)
 }
 
 #[cfg(test)]

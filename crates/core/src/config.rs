@@ -114,7 +114,7 @@ pub struct BfTreeConfig {
     /// Per-filter bit budgeting (see [`BitAllocation`]).
     pub bit_allocation: BitAllocation,
     /// Bytes of each leaf page reserved for the header (ranges,
-    /// `#keys`, sibling pointer, tombstone slack); the filters share
+    /// `#keys`, sibling pointers, delete count); the filters share
     /// the remainder. Equation 5 idealizes the whole page as filter
     /// bits — materializing leaves as real fixed-size nodes
     /// ([`crate::BfLeaf::to_page_bytes`]) needs this reserve, costing

@@ -30,10 +30,13 @@ pub struct BfLeaf {
     pub next: Option<u32>,
     /// Left sibling (needed when a duplicate run spans leaves).
     pub prev: Option<u32>,
-    /// Tombstones for logically deleted keys (§7's deleted-keys list).
-    pub deleted: Vec<u64>,
-    group: BloomGroup,
-    pages_per_bf: u64,
+    /// Deletes absorbed since the leaf's filters were built: §7's
+    /// deleted-keys list, kept as its length. The deleted tuples are
+    /// dead in the heap; the count tells when a rebuild pays
+    /// (`fpp_after_deletes`).
+    pub deletes: u32,
+    pub(crate) group: BloomGroup,
+    pub(crate) pages_per_bf: u64,
 }
 
 impl BfLeaf {
@@ -98,7 +101,7 @@ impl BfLeaf {
             n_keys: n_distinct,
             next: None,
             prev: None,
-            deleted: Vec::new(),
+            deletes: 0,
             group,
             pages_per_bf: config.pages_per_bf,
         }
@@ -135,7 +138,7 @@ impl BfLeaf {
             n_keys: 0,
             next: None,
             prev: None,
-            deleted: Vec::new(),
+            deletes: 0,
             group: BloomGroup::new(total_bits, 1, k, config.seed),
             pages_per_bf: config.pages_per_bf,
         }
@@ -169,11 +172,6 @@ impl BfLeaf {
     pub fn bucket_of(&self, pid: PageId) -> usize {
         debug_assert!(self.covers_pid(pid));
         ((pid - self.min_pid) / self.pages_per_bf) as usize
-    }
-
-    /// Whether `key` is tombstoned.
-    pub fn is_deleted(&self, key: u64) -> bool {
-        self.deleted.contains(&key)
     }
 
     /// Probe all `S` filters with `key` and append the candidate data
@@ -237,7 +235,6 @@ impl BfLeaf {
         let bucket = self.bucket_of(pid);
         self.group.insert(bucket, &key);
         self.n_keys += 1;
-        self.deleted.retain(|&d| d != key); // re-inserted key is live again
     }
 
     /// Direct access to the filter group (used by `ProbeDomain` splits
@@ -249,34 +246,6 @@ impl BfLeaf {
     /// Indexing granularity: consecutive data pages per filter.
     pub fn pages_per_bf(&self) -> u64 {
         self.pages_per_bf
-    }
-
-    /// Reassemble a leaf from its stored parts (page-image
-    /// deserialization); `config` is consulted only for validation.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        min_key: u64,
-        max_key: u64,
-        min_pid: PageId,
-        max_pid: PageId,
-        n_keys: u64,
-        group: BloomGroup,
-        pages_per_bf: u64,
-        config: &BfTreeConfig,
-    ) -> Self {
-        config.validate();
-        Self {
-            min_key,
-            max_key,
-            min_pid,
-            max_pid,
-            n_keys,
-            next: None,
-            prev: None,
-            deleted: Vec::new(),
-            group,
-            pages_per_bf,
-        }
     }
 
     /// Estimated *current* fpp of the leaf's filters, from their fill
@@ -388,16 +357,6 @@ mod tests {
     fn insert_below_min_pid_panics() {
         let mut l = BfLeaf::empty(&cfg(), 5);
         l.insert(1, 4);
-    }
-
-    #[test]
-    fn tombstones() {
-        let mut l = BfLeaf::empty(&cfg(), 0);
-        l.insert(9, 0);
-        l.deleted.push(9);
-        assert!(l.is_deleted(9));
-        l.insert(9, 0);
-        assert!(!l.is_deleted(9), "re-insert revives the key");
     }
 
     #[test]

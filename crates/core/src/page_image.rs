@@ -4,16 +4,18 @@
 //! or 8 KB)").
 //!
 //! [`BfLeaf::to_page_bytes`] lays a leaf out as one fixed-size page:
-//! a header carrying the leaf's ranges, `#keys`, sibling pointer, and
-//! tombstones, followed by the bit-packed filter block. The page-size
+//! a header carrying the leaf's ranges, `#keys`, sibling pointers and
+//! delete count, followed by the bit-packed filter block. The page-size
 //! invariant is *checked*, not assumed — a leaf whose metadata plus
 //! filters exceed the node size is a construction bug, and
 //! round-tripping through the image is tested to preserve probe
 //! behavior bit-for-bit.
 //!
 //! Nothing writes these images to a device yet (ROADMAP item 7 gives
-//! them that caller). The module stays as the check that a leaf *with
-//! its tombstones* fits its node. That holds for evenly divided leaves
+//! them that caller). The module stays as the check that a leaf fits
+//! its node, however many deletes it absorbed: the deleted tuples are
+//! dead in the heap, and the image keeps only their count, a fixed
+//! `u32`. That holds for evenly divided leaves
 //! (`BitAllocation::Uniform`, which every `bfbench` workload builds),
 //! so the `size_bytes` behind `bfbench`'s `index_bytes_per_key` counts
 //! nodes that really exist. It does not hold for proportionally
@@ -28,7 +30,7 @@
 //! [magic u32][version u16][flags u16]
 //! [min_key u64][max_key u64][min_pid u64][max_pid u64]
 //! [n_keys u64][next u32][prev u32][pages_per_bf u64]
-//! [n_deleted u32][deleted u64 × n][group_len u32][group bytes...]
+//! [deletes u32][group_len u32][group bytes...]
 //! [zero padding to page_size]
 //! ```
 
@@ -39,7 +41,7 @@ use crate::config::BfTreeConfig;
 use crate::leaf::BfLeaf;
 
 const MAGIC: u32 = 0xBF1E_AF01;
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 /// Sentinel for "no sibling".
 const NO_SIBLING: u32 = u32::MAX;
 
@@ -96,10 +98,7 @@ impl BfLeaf {
         out.put_u32(self.next.unwrap_or(NO_SIBLING));
         out.put_u32(self.prev.unwrap_or(NO_SIBLING));
         out.put_u64(self.pages_per_bf());
-        out.put_u32(self.deleted.len() as u32);
-        for &d in &self.deleted {
-            out.put_u64(d);
-        }
+        out.put_u32(self.deletes);
         out.put_bytes(&group_bytes);
         if out.len() > page_size {
             return Err(PageImageError::Overflow {
@@ -116,6 +115,7 @@ impl BfLeaf {
     /// the image does not carry (it must match the writing tree's; an
     /// image whose `pages_per_bf` differs is refused).
     pub fn from_page_bytes(data: &[u8], config: &BfTreeConfig) -> Result<Self, PageImageError> {
+        config.validate();
         let mut r = Reader::new(data);
         if r.u32()? != MAGIC {
             return Err(r.err("bad magic").into());
@@ -124,40 +124,33 @@ impl BfLeaf {
             return Err(r.err("unknown version").into());
         }
         r.u16()?; // flags
-        let min_key = r.u64()?;
-        let max_key = r.u64()?;
-        let min_pid = r.u64()?;
-        let max_pid = r.u64()?;
+        let (min_key, max_key, min_pid, max_pid) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
         let n_keys = r.u64()?;
-        let next = r.u32()?;
-        let prev = r.u32()?;
-        if r.u64()? != config.pages_per_bf {
+        let sibling = |link: u32| (link != NO_SIBLING).then_some(link);
+        let (next, prev) = (sibling(r.u32()?), sibling(r.u32()?));
+        let pages_per_bf = config.pages_per_bf;
+        if r.u64()? != pages_per_bf {
             return Err(r.err("pages_per_bf differs from the config").into());
         }
-        let pages_per_bf = config.pages_per_bf;
-        let n_deleted = r.u32()? as usize;
-        let deleted = r.counted(n_deleted, 8, Reader::u64)?;
+        let deletes = r.u32()?;
         let group = BloomGroup::from_bytes(r.prefixed()?).ok_or(r.err("filter block"))?;
         // One filter per `pages_per_bf` pages of `[min_pid, max_pid]`.
         let buckets = max_pid.checked_sub(min_pid).map(|d| d / pages_per_bf + 1);
         if buckets != Some(group.len() as u64) {
             return Err(r.err("page range does not match the filter count").into());
         }
-
-        let mut leaf = BfLeaf::from_parts(
+        Ok(BfLeaf {
             min_key,
             max_key,
             min_pid,
             max_pid,
             n_keys,
+            next,
+            prev,
+            deletes,
             group,
             pages_per_bf,
-            config,
-        );
-        leaf.next = (next != NO_SIBLING).then_some(next);
-        leaf.prev = (prev != NO_SIBLING).then_some(prev);
-        leaf.deleted = deleted;
-        Ok(leaf)
+        })
     }
 }
 
@@ -171,17 +164,22 @@ mod tests {
             fpp,
             ..BfTreeConfig::paper_default()
         };
+        (sample_leaf_of(&config), config)
+    }
+
+    /// 320 keys over 40 pages.
+    fn sample_leaf_of(config: &BfTreeConfig) -> BfLeaf {
         let pages: Vec<(PageId, Vec<u64>)> = (0..40u64)
             .map(|p| (p + 10, (p * 8..p * 8 + 8).collect()))
             .collect();
-        (BfLeaf::from_pages(&config, &pages, 320), config)
+        BfLeaf::from_pages(config, &pages, 320)
     }
 
     #[test]
     fn round_trip_preserves_probe_behavior() {
         let (mut leaf, config) = sample_leaf(1e-4);
         leaf.next = Some(7);
-        leaf.deleted.push(42);
+        leaf.deletes = 42;
         let bytes = leaf.to_page_bytes(config.page_size).expect("fits");
         assert_eq!(bytes.len(), config.page_size);
         let back = BfLeaf::from_page_bytes(&bytes, &config).expect("valid");
@@ -190,7 +188,7 @@ mod tests {
         assert_eq!((back.min_pid, back.max_pid), (leaf.min_pid, leaf.max_pid));
         assert_eq!(back.n_keys, leaf.n_keys);
         assert_eq!(back.next, Some(7));
-        assert!(back.is_deleted(42));
+        assert_eq!(back.deletes, 42);
         // Bit-for-bit probe agreement.
         for key in 0..400u64 {
             let mut a = Vec::new();
@@ -274,17 +272,6 @@ mod tests {
         assert!(BfLeaf::from_page_bytes(&vec![0u8; config.page_size], &config).is_err());
     }
 
-    #[test]
-    fn a_corrupt_tombstone_count_is_a_typed_error_not_an_abort() {
-        let (leaf, config) = sample_leaf(1e-3);
-        let mut bytes = leaf.to_page_bytes(config.page_size).expect("fits");
-        bytes[64..68].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            BfLeaf::from_page_bytes(&bytes, &config),
-            Err(PageImageError::Corrupt(_))
-        ));
-    }
-
     /// Found by `tests/decoder_mutations.rs`: a page range its filters
     /// do not cover decoded, and `n_pages` then underflowed.
     #[test]
@@ -303,29 +290,64 @@ mod tests {
         }
     }
 
+    /// A proportionally divided leaf's image carries its filters'
+    /// member offsets past the leaf's bit budget (ROADMAP 12(c)): the
+    /// image that does not fit is refused, not cut.
     #[test]
     fn overflow_is_detected_not_truncated() {
-        let (mut leaf, _) = sample_leaf(1e-3);
-        // A pathological tombstone list cannot silently spill.
-        leaf.deleted = (0..600u64).collect();
-        let err = leaf.to_page_bytes(512).expect_err("cannot fit");
+        let config = BfTreeConfig {
+            fpp: 1e-3,
+            bit_allocation: crate::config::BitAllocation::Proportional,
+            ..BfTreeConfig::paper_default()
+        };
+        let err = sample_leaf_of(&config)
+            .to_page_bytes(config.page_size)
+            .expect_err("cannot fit");
         assert!(matches!(err, PageImageError::Overflow { .. }));
-        assert!(err.to_string().contains("512"));
+        assert!(err.to_string().contains("4096"));
+    }
+
+    /// A leaf keeps its deletes as one fixed `u32`: 600 deletes in one
+    /// leaf, whose keys took 4 800 bytes of its image while the leaf
+    /// listed them, leave the image inside its node.
+    #[test]
+    fn a_leaf_image_fits_its_node_after_600_deletes() {
+        use bftree_access::AccessMethod;
+        use bftree_storage::tuple::PK_OFFSET;
+        use bftree_storage::{Duplicates, HeapFile, Relation, TupleLayout};
+        let mut heap = HeapFile::new(TupleLayout::new(256));
+        for pk in 0..20_000u64 {
+            heap.append_record(pk, pk);
+        }
+        let rel = Relation::new(heap, PK_OFFSET, Duplicates::Unique).unwrap();
+        let mut tree = crate::BfTree::builder()
+            .fpp(1e-3)
+            .bit_allocation(crate::config::BitAllocation::Uniform)
+            .build(&rel)
+            .unwrap();
+        assert!(tree.leaf(0).n_keys > 600);
+        for key in 0..600 {
+            assert_eq!(AccessMethod::delete(&mut tree, key, &rel), Ok(1));
+        }
+        let (leaf, config) = (tree.leaf(0), tree.config());
+        assert_eq!(leaf.deletes, 600);
+        let bytes = leaf.to_page_bytes(config.page_size).expect("fits");
+        let back = BfLeaf::from_page_bytes(&bytes, config).expect("its own image");
+        assert_eq!(back.deletes, 600);
     }
 
     /// The CRC-32 of `sample_leaf(1e-3)`'s image, in the style of the
     /// heap's page pins: re-record only in a change that means to move
-    /// the image. Last re-recorded when a leaf's hash count became
-    /// capped at a full leaf's: the 320-key sample leaf is far below
-    /// its capacity, so its filters now hash the full leaf's `k`
-    /// instead of its occupancy's, and their bits move.
+    /// the image. Last re-recorded when the image's list of deleted
+    /// keys became one `u32` delete count (version 2): the header's
+    /// version and that field moved, the filter block did not.
     #[test]
     fn the_leaf_image_is_byte_identical_to_the_recorded_parent() {
         let (mut leaf, config) = sample_leaf(1e-3);
         leaf.next = Some(7);
-        leaf.deleted.push(42);
+        leaf.deletes = 1;
         let bytes = leaf.to_page_bytes(config.page_size).expect("fits");
         assert_eq!(bytes.len(), config.page_size);
-        assert_eq!(bftree_storage::codec::crc32(&bytes), 0x8A07_FCD6);
+        assert_eq!(bftree_storage::codec::crc32(&bytes), 0x56DE_A384);
     }
 }

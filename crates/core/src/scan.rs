@@ -11,7 +11,9 @@
 //! `AccessMethod::range_scan` is its full drain, and so is
 //! [`BfTree::scan_range_probing`], the probed plan on any tree, which
 //! Figure 13 measures. A page's matches are collected with
-//! `bftree_access::scan_page_in_range`.
+//! `bftree_access::scan_page_in_range`, which skips the heap's dead
+//! slots: a deleted key is dropped by the page it sits on, whichever
+//! leaf's walk reads it.
 
 use bftree_access::{
     check_relation, scan_page_in_range, Continuation, ProbeError, RangeCursor, RangeScan, ScanIo,
@@ -65,10 +67,7 @@ const PROBING_ENUMERATION_CAP: u64 = 1 << 22;
 /// all charged on entry and their probed plans merged into one
 /// ascending page list (`plan_merged`), every tuple filtered. Under
 /// either plan, a duplicate run ending one leaf's last
-/// page read is followed into the next leaf. A tuple is dropped when
-/// its key is tombstoned by the leaf that owns it, the rule a probe
-/// applies: the walked leaf, or the sibling on whose side of the walked
-/// leaf's key range the key lies.
+/// page read is followed into the next leaf.
 ///
 /// The continuation frontier is `(leaf min key, next data page)`;
 /// resuming re-descends to that leaf and re-enters its page walk at
@@ -153,9 +152,13 @@ impl<'c> BfRangeCursor<'c> {
         resume: Option<(PageId, usize)>,
         published: bool,
     ) -> Self {
-        let first = tree.first_overlapping_leaf(entry_key, &io.index);
         let ordered = tree.config().duplicates == DuplicateHandling::FirstPageOnly;
         let merged = tree.out_of_order();
+        // A merged walk re-plans from `lo`'s leaf on a resume too: a
+        // leaf left of the frontier key's may hold a page past the
+        // frontier (a key inserted behind larger ones), and the
+        // frontier page skips what the prefix delivered.
+        let first = tree.first_overlapping_leaf(if merged { lo } else { entry_key }, &io.index);
         let probing = published || !ordered || merged;
         // A resumed walk knows the last key of the page the producing
         // cursor read before the frontier (CPU only, no I/O).
@@ -190,38 +193,28 @@ impl<'c> BfRangeCursor<'c> {
         }
     }
 
-    /// Fetch page `pid` of leaf `leaf_idx`'s walk: one sequential read
-    /// (the partition walk is a sequential sweep).
+    /// Fetch page `pid` of the walk: one sequential read (the
+    /// partition walk is a sequential sweep).
     ///
     /// An ordered page whose first and last keys both lie in `[lo, hi]`
-    /// holds nothing but matches: unless a tombstone could drop one, or
+    /// holds nothing but matches: unless one of its tuples is dead, or
     /// an insert broke heap order, it is taken whole from its two end
     /// keys, without reading the tuples between them.
-    fn read_page(&mut self, leaf_idx: u32, pid: PageId) {
+    fn read_page(&mut self, pid: PageId) {
         self.io.data.read_seq(pid);
         self.counters.pages_read += 1;
         self.frontier = Some(pid + 1);
         self.buf.clear();
         let (heap, attr) = (self.rel.heap(), self.rel.attr());
-        // A key outside this leaf's range sits on a page it shares with
-        // a sibling (a split boundary); that sibling owns the key's
-        // tombstone.
-        let leaf = self.tree.leaf(leaf_idx);
-        let [prev, next] = [leaf.prev, leaf.next].map(|s| s.map(|i| self.tree.leaf(i)));
-        let tombstones = if self.merged {
-            self.tree.leaves().iter().any(|l| !l.deleted.is_empty())
-        } else {
-            [Some(leaf), prev, next]
-                .iter()
-                .flatten()
-                .any(|l| !l.deleted.is_empty())
-        };
         let n = heap.tuples_in_page(pid);
         let ends =
             (self.ordered && n > 0).then(|| (heap.attr(pid, 0, attr), heap.attr(pid, n - 1, attr)));
         match ends {
             Some((first, last))
-                if !self.merged && !tombstones && first >= self.lo && last <= self.hi =>
+                if !self.merged
+                    && first >= self.lo
+                    && last <= self.hi
+                    && heap.dead_in_page(pid) == 0 =>
             {
                 let skip = match self.resume {
                     Some((p, slot)) if p == pid => slot,
@@ -229,32 +222,15 @@ impl<'c> BfRangeCursor<'c> {
                 };
                 self.buf.extend((skip..n).map(|slot| (pid, slot)));
             }
-            _ => {
-                scan_page_in_range(
-                    heap,
-                    attr,
-                    pid,
-                    self.lo,
-                    self.hi,
-                    self.resume,
-                    &mut self.buf,
-                );
-                if tombstones && self.merged {
-                    let tree = self.tree;
-                    self.buf
-                        .retain(|&(p, slot)| !tree.tombstoned(heap.attr(p, slot, attr)));
-                } else if tombstones {
-                    self.buf.retain(|&(p, slot)| {
-                        let key = heap.attr(p, slot, attr);
-                        let owner = match (prev, next) {
-                            (Some(p), _) if key < leaf.min_key => p,
-                            (_, Some(n)) if key > leaf.max_key => n,
-                            _ => leaf,
-                        };
-                        !owner.is_deleted(key)
-                    });
-                }
-            }
+            _ => scan_page_in_range(
+                heap,
+                attr,
+                pid,
+                self.lo,
+                self.hi,
+                self.resume,
+                &mut self.buf,
+            ),
         }
         if self.buf.is_empty() {
             self.counters.overhead_pages += 1;
@@ -387,7 +363,7 @@ impl RangeCursor for BfRangeCursor<'_> {
         loop {
             if let Some((leaf_idx, next, last)) = self.current {
                 if next <= last {
-                    self.read_page(leaf_idx, next);
+                    self.read_page(next);
                     self.loaded = true;
                     return Some(&self.buf);
                 }

@@ -4,14 +4,19 @@
 //! Each is written once. [`BfTree::insert`] is a batch of one through
 //! [`BfTree::insert_batch`], the one router (floor leaf, walk left,
 //! split then re-route). Bulk load, the [`SplitStrategy::RebuildFromData`]
-//! split and [`BfTree::rebuild_leaf`] read a data page's distinct keys
-//! through one collector, which applies the
+//! split and [`BfTree::rebuild_leaf`] read a data page's distinct live
+//! keys through one collector, which applies the
 //! [`DuplicateHandling::FirstPageOnly`] rule in one place, into one
 //! kind of distinct-key set (`KeySet`).
 //!
+//! A delete lives in the heap ([`HeapFile::delete_tuple`]), whose dead
+//! slots a probe's page scan skips: a deleted key's pages are false
+//! reads. Filters cannot forget a key, so a leaf counts the deletes it
+//! absorbed (§7's deleted-keys list, kept as its length), and
 //! [`BfTree::rebuild_leaf`] (§7: "recalculate the BF from the
-//! beginning" once the deleted-keys list has grown) has no caller in
-//! the write path yet; `examples/cold_storage.rs` drives it.
+//! beginning") rebuilds its filters over live tuples and resets the
+//! count. Nothing triggers a rebuild in the write path yet;
+//! `examples/cold_storage.rs` drives it.
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -83,8 +88,8 @@ struct KeyPlan {
 /// matches below `page_count`).
 #[derive(Debug)]
 enum Candidate {
-    /// Leaf `idx`, and whether it tombstones the key.
-    Leaf { idx: u32, deleted: bool },
+    /// The leaf of this arena index.
+    Leaf(u32),
     /// Data page `pid`; once a group scan has read it, the key's
     /// matches on it are `slots` of [`ProbeScratch::slots`].
     Page {
@@ -344,29 +349,21 @@ impl BfTree {
         (first, floor)
     }
 
-    /// The candidate after leaf `idx` in a span ending at `floor`.
-    fn next_candidate(&self, idx: u32, floor: u32) -> Option<u32> {
-        (idx != floor).then(|| {
-            self.leaves[idx as usize]
-                .next
-                .expect("the sibling chain reaches the floor leaf")
+    /// The leaves of the span `(first, floor)`, left to right.
+    fn span_leaves(&self, (first, floor): (u32, u32)) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors(Some(first), move |&idx| {
+            let next = self.leaves[idx as usize].next;
+            (idx != floor).then(|| next.expect("the sibling chain reaches the floor leaf"))
         })
     }
 
-    /// Whether `key` is tombstoned in a leaf a probe for it consults
-    /// (the leaves [`BfTree::delete`] marks), found without I/O.
-    pub(crate) fn tombstoned(&self, key: u64) -> bool {
-        let (first, floor) = self
-            .candidate_span(key, None)
-            .unwrap_or((FIRST_LEAF, FIRST_LEAF));
-        let mut at = Some(first);
-        while let Some(idx) = at {
-            if self.leaves[idx as usize].is_deleted(key) {
-                return true;
-            }
-            at = self.next_candidate(idx, floor);
-        }
-        false
+    /// The leaves whose filters a probe for `key` sweeps: its candidate
+    /// leaves that cover it.
+    fn covering_leaves(&self, key: u64) -> impl Iterator<Item = u32> + '_ {
+        let span = self.candidate_span(key, None);
+        span.into_iter()
+            .flat_map(|span| self.span_leaves(span))
+            .filter(move |&idx| self.leaves[idx as usize].covers_key(key))
     }
 
     /// The leaf a range walk over keys `≥ lo` starts on: `lo`'s first
@@ -451,18 +448,12 @@ impl BfTree {
             ..
         } = scratch;
         let (descent_at, cands_at) = (descent.len(), cands.len());
-        let floor = self.upper.search_le_path(key, descent);
-        if let Some((first, floor)) = floor.map(|(_, t)| self.span_to_floor(key, t.pid() as u32)) {
+        if let Some((_, floor)) = self.upper.search_le_path(key, descent) {
             let fp = KeyFingerprint::new(&key, self.config.seed);
-            let mut at = Some(first);
-            while let Some(idx) = at {
+            for idx in self.span_leaves(self.span_to_floor(key, floor.pid() as u32)) {
                 let leaf = &self.leaves[idx as usize];
-                let covers = leaf.covers_key(key);
-                cands.push(Candidate::Leaf {
-                    idx,
-                    deleted: covers && leaf.is_deleted(key),
-                });
-                if covers {
+                cands.push(Candidate::Leaf(idx));
+                if leaf.covers_key(key) {
                     pages.clear();
                     leaf.matching_pages_fp(&fp, pages, buckets);
                     pages.dedup();
@@ -473,7 +464,6 @@ impl BfTree {
                             .map(|&pid| Candidate::Page { pid, slots: None }),
                     );
                 }
-                at = self.next_candidate(idx, floor);
             }
         }
         plans.push(KeyPlan {
@@ -485,8 +475,7 @@ impl BfTree {
 
     /// Scan every candidate page of the planned group for its key, in
     /// one [`HeapFile::match_masks`], and list each page's matching
-    /// slots for the execute step. A tombstoned key's pages are scanned
-    /// too; execute counts them as false reads whatever they hold.
+    /// live slots for the execute step.
     fn scan_planned(&self, rel: &Relation, scratch: &mut ProbeScratch) {
         let ProbeScratch {
             plans,
@@ -503,7 +492,7 @@ impl BfTree {
                     .iter()
                     .filter_map(|cand| match cand {
                         Candidate::Page { pid, .. } => Some((*pid, plan.key)),
-                        Candidate::Leaf { .. } => None,
+                        Candidate::Leaf(_) => None,
                     }),
             );
         }
@@ -528,7 +517,9 @@ impl BfTree {
     /// Execute plan `at`, the one page loop of a probe: charge its
     /// reads, scan each page a group scan has not, push each match into
     /// `sink` the moment its page is charged, and stop charging the
-    /// moment the sink breaks.
+    /// moment the sink breaks. A page with no live match of the key —
+    /// a filter false positive, or a deleted key's page — is a false
+    /// read.
     ///
     /// Charges the upper descent and one read per BF-leaf visited to
     /// `io.index`, and data-page fetches to `io.data`, ascending within
@@ -569,12 +560,11 @@ impl BfTree {
         }
         let mut run_frontier: Option<PageId> = None;
         let mut prev_fetched: Option<PageId> = None;
-        let mut deleted = false;
         for cand in &cands[plan.cands.clone()] {
             let (pid, scanned) = match cand {
-                Candidate::Leaf { idx, deleted: d } => {
+                Candidate::Leaf(idx) => {
                     io.index.read_random(Self::leaf_page_id(*idx));
-                    (prev_fetched, deleted) = (None, *d);
+                    prev_fetched = None;
                     continue;
                 }
                 Candidate::Page { pid, slots } => (*pid, slots.clone()),
@@ -589,15 +579,11 @@ impl BfTree {
             }
             prev_fetched = Some(pid);
             out.pages_read += 1;
-            let found = if deleted {
-                0..0
-            } else {
-                scanned.unwrap_or_else(|| {
-                    let from = slots.len();
-                    heap.scan_page_for(pid, attr, key, slots);
-                    from..slots.len()
-                })
-            };
+            let found = scanned.unwrap_or_else(|| {
+                let from = slots.len();
+                heap.scan_page_for(pid, attr, key, slots);
+                from..slots.len()
+            });
             if found.is_empty() {
                 out.false_reads += 1;
                 continue;
@@ -773,8 +759,6 @@ impl BfTree {
         n1.next = Some(new_idx);
         n2.prev = Some(idx);
         n2.next = old.next;
-        n1.deleted = old.deleted.iter().copied().filter(|&k| k <= mid).collect();
-        n2.deleted = old.deleted.iter().copied().filter(|&k| k > mid).collect();
         let old_next = old.next;
 
         let n2_min = n2.min_key;
@@ -863,56 +847,41 @@ impl BfTree {
         (n1, n2)
     }
 
-    /// Logical delete: tombstone `key` in every candidate leaf covering
-    /// it (§7), or, when none does yet, in the leaf an insert of `key`
-    /// routes to: a tuple appended but never indexed must stay hidden
-    /// once that leaf's range grows over it. Subsequent probes treat its
-    /// pages as false reads. Returns the number of leaves tombstoned.
+    /// Count a delete of `key` (§7's deleted-keys list, kept as its
+    /// length) in every candidate leaf covering it, whose filters still
+    /// name its pages; returns the leaves counted. A counter step, not a
+    /// delete: it hides nothing. `AccessMethod::delete(&mut tree, key,
+    /// &rel)` marks the tuples dead in the heap, then calls this.
+    #[doc(hidden)]
     pub fn delete(&mut self, key: u64) -> usize {
-        let span = self.candidate_span(key, None);
-        let (first, floor) = span.unwrap_or((FIRST_LEAF, FIRST_LEAF));
-        let mut covered = false;
-        let mut n = 0;
-        let mut at = Some(first);
-        while let Some(idx) = at {
+        let covering: Vec<u32> = self.covering_leaves(key).collect();
+        for &idx in &covering {
             let leaf = &mut self.leaves[idx as usize];
-            covered |= leaf.covers_key(key);
-            if leaf.covers_key(key) && !leaf.is_deleted(key) {
-                leaf.deleted.push(key);
-                n += 1;
-            }
-            at = self.next_candidate(idx, floor);
+            leaf.deletes = leaf.deletes.saturating_add(1);
         }
-        let host = &mut self.leaves[floor as usize];
-        if !covered && !host.is_deleted(key) {
-            host.deleted.push(key);
-            n += 1;
-        }
-        n
+        covering.len()
     }
 
-    /// Rebuild leaf `idx`'s filters from the heap ("recalculate the BF
-    /// from the beginning when [the deleted-keys] list has reached the
-    /// maximum size", §7): only the filters and the key count change.
-    /// Tombstoned keys and keys outside the leaf's range (a sibling's,
-    /// on a page the two share) are left out of the filters. The key
-    /// range and the tombstones stand: the heap still holds the deleted
-    /// tuples, which a range walk reads and a filter false positive
-    /// fetches.
+    /// Rebuild leaf `idx`'s filters from the heap's live tuples
+    /// ("recalculate the BF from the beginning when [the deleted-keys]
+    /// list has reached the maximum size", §7): the filters and the key
+    /// count change, and the delete count restarts at 0. Keys outside
+    /// the leaf's range (a sibling's, on a page the two share) are left
+    /// out of the filters. The key range stands: the heap still holds
+    /// the dead tuples, which order its pages.
     pub fn rebuild_leaf(&mut self, idx: u32, heap: &HeapFile, attr: AttrOffset) {
         let old = &self.leaves[idx as usize];
-        let live = |k: u64| (old.min_key..=old.max_key).contains(&k) && !old.is_deleted(k);
+        let in_range = |k: u64| (old.min_key..=old.max_key).contains(&k);
         let mut pages: Vec<(PageId, Vec<u64>)> = Vec::new();
         let mut distinct = KeySet::default();
         for pid in old.min_pid..=old.max_pid.min(heap.page_count().saturating_sub(1)) {
-            let mut keys = page_keys(heap, pid, attr, live);
+            let mut keys = page_keys(heap, pid, attr, in_range);
             admit_keys(self.config.duplicates, &mut keys, &mut distinct);
             pages.push((pid, keys));
         }
         let mut fresh = BfLeaf::from_pages(&self.config, &pages, distinct.len() as u64);
         (fresh.min_key, fresh.max_key) = (old.min_key, old.max_key);
         (fresh.prev, fresh.next) = (old.prev, old.next);
-        fresh.deleted = old.deleted.clone();
         self.leaves[idx as usize] = fresh;
     }
 
@@ -937,10 +906,44 @@ impl BfTree {
         }
         assert_eq!(seen, self.leaves.len(), "sibling chain misses leaves");
     }
+
+    /// [`Self::check_invariants`], plus the heap-aware one (tests): no
+    /// false negatives over `rel`, every live tuple of which the tree
+    /// indexes. The leaves a probe for a live tuple's key sweeps name
+    /// the tuple's page or, under [`DuplicateHandling::FirstPageOnly`],
+    /// a page of the key's run before it that holds the key live: the
+    /// probe follows a run forward from a page where it finds the key.
+    pub fn check_heap_invariants(&self, rel: &Relation) {
+        self.check_invariants();
+        let (heap, attr) = (rel.heap(), rel.attr());
+        let (mut pages, mut slots) = (Vec::new(), Vec::new());
+        for (pid, slot, key) in heap.iter_attr(attr).filter(|&(p, s, _)| heap.is_live(p, s)) {
+            let mut first = pid;
+            while self.config.duplicates == DuplicateHandling::FirstPageOnly
+                && first > 0
+                && heap.attr(first - 1, heap.tuples_per_page() - 1, attr) == key
+            {
+                first -= 1;
+            }
+            pages.clear();
+            for idx in self.covering_leaves(key) {
+                self.leaves[idx as usize].matching_pages(key, &mut pages);
+            }
+            let mut reaches = |p: PageId| {
+                slots.clear();
+                heap.scan_page_for(p, attr, key, &mut slots);
+                p == pid || (first..pid).contains(&p) && !slots.is_empty()
+            };
+            assert!(
+                pages.iter().any(|&p| reaches(p)),
+                "false negative: no leaf a probe for {key} sweeps names ({pid}, {slot})"
+            );
+        }
+    }
 }
 
-/// The distinct values of `attr` on data page `pid` that `keep`
-/// admits, ascending: the one page-key scan behind bulk load,
+/// The distinct values of `attr` on data page `pid`'s live tuples that
+/// `keep` admits, ascending: the one page-key scan behind bulk load,
 /// data-driven splits and leaf rebuilds.
 fn page_keys(
     heap: &HeapFile,
@@ -949,7 +952,15 @@ fn page_keys(
     keep: impl Fn(u64) -> bool,
 ) -> Vec<u64> {
     let mut keys = Vec::with_capacity(heap.tuples_in_page(pid));
-    keys.extend(heap.page_attrs(pid, attr).filter(|&k| keep(k)));
+    let attrs = heap.page_attrs(pid, attr);
+    if heap.dead_in_page(pid) == 0 {
+        keys.extend(attrs.filter(|&k| keep(k)));
+    } else {
+        let live = attrs
+            .enumerate()
+            .filter(|&(slot, _)| heap.is_live(pid, slot));
+        keys.extend(live.map(|(_, k)| k).filter(|&k| keep(k)));
+    }
     keys.sort_unstable();
     keys.dedup();
     keys

@@ -253,6 +253,70 @@ fn delete_tombstones_then_rebuild() {
     t.check_invariants();
 }
 
+/// Delete key 100 of a 5 000-key PK tree, then append and index key
+/// 100 again: probes and scans find the new tuple alone. A per-key
+/// tombstone revived the old tuple, `(6, 4)`, once the key was
+/// inserted again.
+#[test]
+fn a_key_inserted_again_after_its_delete_is_found_alone() {
+    let mut rel = pk_relation(5_000, 11);
+    let io = IoContext::unmetered();
+    let mut t = BfTree::builder().fpp(1e-6).build(&rel).unwrap();
+    assert_eq!(AccessMethod::delete(&mut t, 100, &rel), Ok(1));
+    let loc = rel.append_tuple(100, 8, &io);
+    assert_eq!(loc, (312, 8));
+    AccessMethod::insert(&mut t, 100, loc, &rel).unwrap();
+    assert_eq!(
+        AccessMethod::probe(&t, 100, &rel, &io).unwrap().matches,
+        vec![loc]
+    );
+    let mut scan = AccessMethod::range_scan(&t, 99, 101, &rel, &io)
+        .unwrap()
+        .matches;
+    scan.sort_unstable();
+    assert_eq!(scan, vec![(6, 3), (6, 5), loc]);
+    t.check_heap_invariants(&rel);
+}
+
+/// The same through `DurableIndex<BfTree>`, with the re-insert
+/// buffered (and flushed by hand), flushed at once after the delete,
+/// and flushed together with it; and after `recover` from the log,
+/// whose replay flushes where the run did.
+#[test]
+fn a_durable_key_inserted_again_after_its_delete_is_found_alone() {
+    use bftree_access::{DurableConfig, DurableIndex};
+    for flush_batch in [1_000, 1, 2] {
+        let mut rel = pk_relation(5_000, 11);
+        let io = IoContext::unmetered();
+        let config = DurableConfig {
+            flush_batch,
+            ..DurableConfig::default()
+        };
+        let tree = BfTree::builder().fpp(1e-6).build(&rel).unwrap();
+        let mut idx = DurableIndex::new(tree, &rel, PageDevice::cold(DeviceKind::Ssd), config);
+        assert_eq!(idx.delete(100, &rel), Ok(1));
+        let loc = rel.append_tuple(100, 8, &io);
+        idx.insert(100, loc, &rel).unwrap();
+        let probe =
+            |index: &dyn AccessMethod, rel: &Relation| index.probe(100, rel, &io).unwrap().matches;
+        let case = format!("flush batch {flush_batch}");
+        assert_eq!(probe(&idx, &rel), vec![loc], "{case}: as written");
+        idx.flush(&rel).unwrap();
+        assert_eq!(probe(&idx, &rel), vec![loc], "{case}: flushed");
+        idx.inner().check_heap_invariants(&rel);
+
+        // A crash keeps the tuples but no delete mark: the replay must
+        // delete the old tuple again.
+        let mut crashed = pk_relation(5_000, 11);
+        assert_eq!(crashed.append_tuple(100, 8, &io), loc);
+        let image = idx.wal().bytes().to_vec();
+        let empty = BfTree::builder().fpp(1e-6).empty(&crashed).unwrap();
+        let cold = PageDevice::cold(DeviceKind::Ssd);
+        let (recovered, _) = DurableIndex::recover(empty, &crashed, &image, cold, config).unwrap();
+        assert_eq!(probe(&recovered, &crashed), vec![loc], "{case}: recovered");
+    }
+}
+
 #[test]
 fn range_scan_finds_exact_matches_with_bounded_overhead() {
     let rel = pk_relation(50_000, 1);
@@ -509,8 +573,8 @@ fn trait_build_refreshes_after_appends() {
 
 /// xxh64 over every leaf of `tree`, in arena order: key and page
 /// ranges, distinct-key count, sibling links, the filter group's image
-/// and, when `tombstones`, the tombstone list.
-fn construction_hash(tree: &BfTree, tombstones: bool) -> u64 {
+/// and, when `deletes`, the delete count.
+fn construction_hash(tree: &BfTree, deletes: bool) -> u64 {
     let link = |l: Option<u32>| l.map_or(u64::MAX, u64::from);
     let mut bytes = Vec::new();
     for l in tree.leaves() {
@@ -524,9 +588,8 @@ fn construction_hash(tree: &BfTree, tombstones: bool) -> u64 {
             link(l.next),
         ];
         bytes.extend(fields.iter().flat_map(|v| v.to_le_bytes()));
-        if tombstones {
-            bytes.extend((l.deleted.len() as u64).to_le_bytes());
-            bytes.extend(l.deleted.iter().flat_map(|d| d.to_le_bytes()));
+        if deletes {
+            bytes.extend(u64::from(l.deletes).to_le_bytes());
         }
         bytes.extend(l.group().to_bytes());
     }
@@ -539,10 +602,12 @@ fn construction_hash(tree: &BfTree, tombstones: bool) -> u64 {
 /// became capped at a full leaf's (`BfTreeConfig::full_leaf_k`). All 17
 /// values moved then: every tree has a leaf below capacity — a bulk
 /// load's last leaf, a split's two halves — whose filters had hashed
-/// the `k` of its own occupancy. The rebuilt tree's tombstones are left
+/// the `k` of its own occupancy. The rebuilt tree's deletes are left
 /// out of its hash: a rebuild kept none when it was first recorded.
-/// Re-record the values only in a change that means to move
-/// construction.
+/// The deletes field was a length-prefixed list of keys until the leaf
+/// kept only their count; the count is hashed as the list's length
+/// was, so no tree hashed with it (none has a delete) moved. Re-record
+/// the values only in a change that means to move construction.
 #[test]
 fn construction_is_byte_identical_to_the_recorded_parent() {
     let unique = pk_relation(20_000, 11);
@@ -597,7 +662,7 @@ fn construction_is_byte_identical_to_the_recorded_parent() {
 
     let mut rebuilt = BfTree::builder().build(&rel).unwrap();
     for key in (500..12_000).step_by(997) {
-        rebuilt.delete(key);
+        AccessMethod::delete(&mut rebuilt, key, &rel).unwrap();
     }
     for idx in 0..rebuilt.leaf_pages() as u32 {
         rebuilt.rebuild_leaf(idx, heap, attr);
@@ -624,9 +689,9 @@ fn construction_is_byte_identical_to_the_recorded_parent() {
         0xa79e_d0ee_d4be_4262,
     ];
     assert_eq!(built.len(), recorded.len());
-    for ((name, tree, tombstones), want) in built.iter().zip(recorded) {
+    for ((name, tree, deletes), want) in built.iter().zip(recorded) {
         tree.check_invariants();
-        let got = construction_hash(tree, *tombstones);
+        let got = construction_hash(tree, *deletes);
         assert_eq!(got, want, "{name}: {got:#018x}");
     }
 }

@@ -4,8 +4,8 @@
 use std::ops::RangeInclusive;
 
 use bftree_access::{
-    check_relation, stream_sorted_matches, AccessMethod, BuildError, Continuation, IndexStats,
-    MatchSink, PageBatchCursor, Probe, ProbeError, ProbeIo, RangeCursor,
+    check_relation, mark_dead, stream_sorted_matches, AccessMethod, BuildError, Continuation,
+    IndexStats, MatchSink, PageBatchCursor, Probe, ProbeError, ProbeIo, RangeCursor,
 };
 use bftree_btree::{relation_entries, DuplicateMode, TupleRef};
 use bftree_storage::{IoContext, PageId, Relation};
@@ -104,8 +104,9 @@ impl AccessMethod for FdTree {
     }
 
     fn delete(&mut self, key: u64, rel: &Relation) -> Result<u64, ProbeError> {
-        check_relation(rel)?;
-        Ok(self.delete_all(key))
+        let marked = mark_dead(self, key, rel)?;
+        self.delete_all(key);
+        Ok(marked)
     }
 
     fn size_bytes(&self) -> u64 {

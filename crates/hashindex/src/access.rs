@@ -8,8 +8,8 @@
 use std::ops::RangeInclusive;
 
 use bftree_access::{
-    check_relation, stream_sorted_matches, AccessMethod, BuildError, Continuation, IndexStats,
-    MatchSink, PageBatchCursor, Probe, ProbeError, ProbeIo, RangeCursor,
+    check_relation, mark_dead, stream_sorted_matches, AccessMethod, BuildError, Continuation,
+    IndexStats, MatchSink, PageBatchCursor, Probe, ProbeError, ProbeIo, RangeCursor,
 };
 use bftree_btree::TupleRef;
 use bftree_storage::{IoContext, PageId, Relation};
@@ -47,10 +47,10 @@ impl AccessMethod for HashIndex {
     }
 
     fn build_slice(&mut self, rel: &Relation, keys: RangeInclusive<u64>) -> Result<(), BuildError> {
+        let heap = rel.heap();
         *self = HashIndex::build(
-            rel.heap()
-                .iter_attr(rel.attr())
-                .filter(|(_, _, key)| keys.contains(key))
+            heap.iter_attr(rel.attr())
+                .filter(|&(pid, slot, key)| keys.contains(&key) && heap.is_live(pid, slot))
                 .map(|(pid, slot, key)| (key, TupleRef::new(pid, slot))),
             self.seed(),
         );
@@ -132,14 +132,11 @@ impl AccessMethod for HashIndex {
     }
 
     fn delete(&mut self, key: u64, rel: &Relation) -> Result<u64, ProbeError> {
-        check_relation(rel)?;
-        let mut n = 0u64;
+        let marked = mark_dead(self, key, rel)?;
         for tref in self.get_all(key) {
-            if self.remove(key, tref) {
-                n += 1;
-            }
+            self.remove(key, tref);
         }
-        Ok(n)
+        Ok(marked)
     }
 
     fn size_bytes(&self) -> u64 {

@@ -5,6 +5,15 @@
 //! clustering of §1.1). The heap file does not enforce order — it packs
 //! tuples in append order, exactly like loading a file ordered by
 //! creation time.
+//!
+//! A delete lives here, with the tuple: one liveness bit per slot, in
+//! atomic words, so a `&HeapFile` marks ([`HeapFile::delete_tuple`])
+//! and reads it without a lock. The readers that deliver matches skip
+//! dead slots; structural readers ([`HeapFile::attr`],
+//! [`HeapFile::page_attrs`], [`HeapFile::iter_attr`]) see every slot:
+//! a dead tuple still orders the page it sits on.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::page::{Page, PageId, PAGE_SIZE};
 use crate::tuple::{AttrOffset, TupleLayout};
@@ -18,6 +27,21 @@ pub struct HeapFile {
     per_page: usize,
     pages: Vec<Page>,
     n_tuples: u64,
+    /// The dead slots: `⌈per_page / 64⌉` words per page, bit `s % 64`
+    /// of a page's word `s / 64` set once slot `s` is deleted.
+    dead: DeadBits,
+}
+
+/// A heap file's deleted-slot bits. A clone copies them. Relaxed
+/// ordering throughout: a mark publishes no other data.
+#[derive(Debug, Default)]
+struct DeadBits(Vec<AtomicU64>);
+
+impl Clone for DeadBits {
+    fn clone(&self) -> Self {
+        let copy = |w: &AtomicU64| AtomicU64::new(w.load(Ordering::Relaxed));
+        Self(self.0.iter().map(copy).collect())
+    }
 }
 
 impl HeapFile {
@@ -35,6 +59,7 @@ impl HeapFile {
             per_page: layout.tuples_per_page(page_size),
             pages: Vec::new(),
             n_tuples: 0,
+            dead: DeadBits::default(),
         }
     }
 
@@ -97,6 +122,8 @@ impl HeapFile {
         let mut slot = (self.n_tuples - full_before) as usize;
         if self.pages.is_empty() || slot == self.per_page {
             self.pages.push(Page::zeroed(self.page_size));
+            let words = 0..self.per_page.div_ceil(64);
+            self.dead.0.extend(words.map(|_| AtomicU64::new(0)));
             slot = 0;
         }
         let pid = (self.pages.len() - 1) as PageId;
@@ -108,15 +135,19 @@ impl HeapFile {
     }
 
     /// A copy of this heap file cut back to its first `n_tuples`
-    /// tuples — the file as it stood before later appends. Crash
-    /// recovery uses this to rebuild an index over the heap frontier a
-    /// WAL checkpoint recorded, then replay logged inserts on top.
-    /// `n_tuples` beyond the current count clamps to a full copy.
+    /// tuples — the file as it stood before later appends, with the
+    /// kept tuples' delete marks. Crash recovery uses this to rebuild
+    /// an index over the heap frontier a WAL checkpoint recorded, then
+    /// replay logged operations on top. `n_tuples` beyond the current
+    /// count clamps to a full copy.
     pub fn truncated(&self, n_tuples: u64) -> HeapFile {
         let n = n_tuples.min(self.n_tuples);
         let per = self.tuples_per_page() as u64;
         let n_pages = n.div_ceil(per) as usize;
         let mut pages: Vec<Page> = self.pages[..n_pages].to_vec();
+        let words = self.per_page.div_ceil(64);
+        let mut dead = self.dead.clone();
+        dead.0.truncate(n_pages * words);
         // Zero the dropped tail of the last kept page so the copy is
         // byte-identical to the heap before the extra appends.
         if let Some(last) = pages.last_mut() {
@@ -125,6 +156,10 @@ impl HeapFile {
             for b in &mut last.bytes_mut()[from..] {
                 *b = 0;
             }
+            for (w, word) in dead.0[(n_pages - 1) * words..].iter_mut().enumerate() {
+                let keep = kept.saturating_sub(64 * w).min(64) as u32;
+                *word.get_mut() &= u64::MAX.checked_shr(64 - keep).unwrap_or(0);
+            }
         }
         HeapFile {
             layout: self.layout,
@@ -132,6 +167,7 @@ impl HeapFile {
             per_page: self.per_page,
             pages,
             n_tuples: n,
+            dead,
         }
     }
 
@@ -141,6 +177,33 @@ impl HeapFile {
         let per = self.tuples_per_page() as u64;
         let full_before = pid.saturating_mul(per);
         (self.n_tuples.saturating_sub(full_before).min(per)) as usize
+    }
+
+    /// Word `w` of page `pid`'s dead-slot bits.
+    fn dead_word(&self, pid: PageId, w: usize) -> &AtomicU64 {
+        &self.dead.0[pid as usize * self.per_page.div_ceil(64) + w]
+    }
+
+    /// Delete tuple `(pid, slot)`: mark its slot dead, through a shared
+    /// reference. Returns whether it was live. The bytes stay, so
+    /// structural readers still see the tuple; the readers that deliver
+    /// matches skip it from now on.
+    pub fn delete_tuple(&self, pid: PageId, slot: usize) -> bool {
+        debug_assert!(slot < self.tuples_in_page(pid), "slot out of range");
+        let (word, bit) = (self.dead_word(pid, slot / 64), 1u64 << (slot % 64));
+        word.fetch_or(bit, Ordering::Relaxed) & bit == 0
+    }
+
+    /// Whether tuple `(pid, slot)` has not been deleted.
+    pub fn is_live(&self, pid: PageId, slot: usize) -> bool {
+        self.dead_word(pid, slot / 64).load(Ordering::Relaxed) >> (slot % 64) & 1 == 0
+    }
+
+    /// Deleted tuples on page `pid`.
+    pub fn dead_in_page(&self, pid: PageId) -> usize {
+        (0..self.per_page.div_ceil(64))
+            .map(|w| self.dead_word(pid, w).load(Ordering::Relaxed).count_ones() as usize)
+            .sum()
     }
 
     /// Raw bytes of tuple `(pid, slot)`.
@@ -175,10 +238,10 @@ impl HeapFile {
             })
     }
 
-    /// Scan page `pid` for tuples whose `attr` equals `key`, appending
-    /// matching slots to `out`. Returns the number of tuples examined
-    /// (the CPU cost the paper's §6.3 mentions: "every tuple of that
-    /// page has to be read and checked").
+    /// Scan page `pid` for live tuples whose `attr` equals `key`,
+    /// appending matching slots to `out`. Returns the number of tuples
+    /// examined (the CPU cost the paper's §6.3 mentions: "every tuple
+    /// of that page has to be read and checked").
     pub fn scan_page_for(
         &self,
         pid: PageId,
@@ -187,7 +250,7 @@ impl HeapFile {
         out: &mut Vec<usize>,
     ) -> usize {
         for (slot, v) in self.page_attrs(pid, attr).enumerate() {
-            if v == key {
+            if v == key && self.is_live(pid, slot) {
                 out.push(slot);
             }
         }
@@ -197,8 +260,8 @@ impl HeapFile {
     /// [`Self::scan_page_for`] over a group of `(page, key)` queries,
     /// as bit masks. `masks` receives `words` = ⌈tuples per page / 64⌉
     /// words per query, in query order; bit `b` of a query's word `w`
-    /// is set when slot `64·w + b` of its page carries its key. Returns
-    /// `words`. Every page must exist.
+    /// is set when slot `64·w + b` of its page carries its key and is
+    /// live. Returns `words`. Every page must exist.
     ///
     /// Several pages are compared slot-major, sixteen at a time: slot 0
     /// of each page, then slot 1 of each, and so on, into a local array
@@ -239,8 +302,8 @@ impl HeapFile {
                         }
                     }
                 }
-                for (q, &hit) in hits[..block.len()].iter().enumerate() {
-                    out[q * words + w] = hit;
+                for (q, (&hit, &(pid, _))) in hits.iter().zip(block).enumerate() {
+                    out[q * words + w] = hit & !self.dead_word(pid, w).load(Ordering::Relaxed);
                 }
             }
         }
@@ -294,7 +357,7 @@ impl HeapFile {
             if v > key {
                 break;
             }
-            if v == key {
+            if v == key && self.is_live(pid, slot) {
                 out.push(slot);
             }
         }
@@ -507,6 +570,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A deleted slot stays in place for structural readers and is
+    /// skipped by every reader that delivers matches, on 4 and on 256
+    /// tuples a page (one dead-bit word, and four).
+    #[test]
+    fn deleted_slots_are_skipped_by_match_readers_only() {
+        for (tuple_size, page_size) in [(64, 256), (16, 4096)] {
+            let mut h = HeapFile::with_page_size(TupleLayout::new(tuple_size), page_size);
+            let n = 2 * h.tuples_per_page() as u64 + 3;
+            for pk in 0..n {
+                h.append_record(pk, pk / 3);
+            }
+            let dead = |pk: u64| pk % 5 == 1;
+            let per = h.tuples_per_page() as u64;
+            for pk in (0..n).filter(|&pk| dead(pk)) {
+                assert!(h.delete_tuple(pk / per, (pk % per) as usize));
+                assert!(!h.delete_tuple(pk / per, (pk % per) as usize), "once");
+            }
+            assert_eq!(h.iter_attr(PK_OFFSET).count() as u64, n, "structural");
+            let mut masks = Vec::new();
+            for pk in 0..n {
+                let (pid, slot) = (pk / per, (pk % per) as usize);
+                assert_eq!(h.is_live(pid, slot), !dead(pk));
+                let mut out = Vec::new();
+                h.scan_page_for(pid, PK_OFFSET, pk, &mut out);
+                assert_eq!(out.is_empty(), dead(pk), "scan_page_for, pk {pk}");
+                let words = h.match_masks(&[(pid, pk)], PK_OFFSET, &mut masks);
+                let bit = masks[slot / 64] >> (slot % 64) & 1;
+                assert_eq!(words, h.tuples_per_page().div_ceil(64));
+                assert_eq!(bit == 0, dead(pk), "match_masks, pk {pk}");
+            }
+            for pid in 0..h.page_count() {
+                let want = (pid * per..(pid * per + per).min(n)).filter(|&pk| dead(pk));
+                assert_eq!(h.dead_in_page(pid), want.count());
+            }
+        }
+    }
+
+    /// Clones and cuts keep the kept tuples' marks; a cut forgets the
+    /// marks of the tuples it drops, so appends after it start live.
+    #[test]
+    fn clones_and_cuts_copy_the_delete_marks() {
+        let mut h = HeapFile::with_page_size(TupleLayout::new(64), 256); // 4 tuples/page
+        for pk in 0..10 {
+            h.append_record(pk, pk);
+        }
+        for (pid, slot) in [(0, 1), (1, 2), (1, 3), (2, 0)] {
+            h.delete_tuple(pid, slot);
+        }
+        let copy = h.clone();
+        assert!(!copy.is_live(1, 3) && copy.is_live(1, 1));
+        h.delete_tuple(0, 0);
+        assert!(copy.is_live(0, 0), "a clone is a copy, not a view");
+        let mut cut = h.truncated(6);
+        assert_eq!((cut.dead_in_page(0), cut.dead_in_page(1)), (2, 0));
+        assert_eq!(cut.append_record(6, 6), (1, 2));
+        assert_eq!(cut.append_record(7, 7), (1, 3));
+        assert!(cut.is_live(1, 2) && cut.is_live(1, 3));
+        assert_eq!(h.truncated(8).dead_in_page(1), 2);
     }
 
     #[test]

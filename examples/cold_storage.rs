@@ -1,9 +1,10 @@
 //! Cold-storage scenario (paper §1.1): immutable, time-ordered data
 //! parked on cheap flash, where index *capacity* is the scarce
 //! resource. Shows the capacity/performance trade-off end to end:
-//! pick a capacity budget, find the tightest fpp that fits, and watch
-//! what trickling in extra inserts does to accuracy (Equation 14) —
-//! plus the leaf-rebuild remedy.
+//! pick a capacity budget, find the tightest fpp that fits, watch what
+//! trickling in extra inserts does to accuracy (Equation 14) and what
+//! expiring the oldest tuples leaves behind (§7's deletes) — plus the
+//! leaf-rebuild remedy for both.
 //!
 //! ```text
 //! cargo run --release --example cold_storage
@@ -72,17 +73,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fpp_after_inserts(fpp, 0.05)
     );
 
-    // Remedy: rebuild the affected leaves from the data (cheap, §4.2 /
-    // §7 — the small index size "enables fast rebuilds if needed").
+    // Retention expires the oldest 1% (§7's deletes). A delete marks
+    // the tuple dead in the heap, which every probe and scan skips; the
+    // filters cannot forget the key, so its page stays a candidate (a
+    // false read) and the leaf counts the delete.
+    let expired = n0 / 100;
+    for pk in 0..expired {
+        AccessMethod::delete(&mut tree, pk, &relation)?;
+    }
+    let io = IoContext::unmetered();
+    let counted =
+        |tree: &BfTree| -> u64 { tree.leaves().iter().map(|l| u64::from(l.deletes)).sum() };
+    let r = AccessMethod::probe_first(&tree, expired / 2, &relation, &io)?;
+    assert!(
+        !r.found() && r.false_reads > 0,
+        "an expired tuple's page is a false read"
+    );
+    println!(
+        "expired the oldest {expired} tuples: the leaves count {} deletes",
+        counted(&tree)
+    );
+
+    // Remedy: rebuild the affected leaves from the live data (cheap,
+    // §4.2 / §7 — the small index size "enables fast rebuilds if
+    // needed"): the filters take the late arrivals and drop the
+    // expired keys, and the delete counts restart.
     for idx in 0..tree.leaf_pages() as u32 {
         tree.rebuild_leaf(idx, relation.heap(), PK_OFFSET);
     }
-    tree.check_invariants();
-    let io = IoContext::unmetered();
+    tree.check_heap_invariants(&relation);
     let r = AccessMethod::probe_first(&tree, n0 + extra / 2, &relation, &io)?;
     assert!(r.found(), "late arrival must be indexed after rebuild");
+    assert_eq!(counted(&tree), 0);
+    let r = AccessMethod::probe_first(&tree, expired / 2, &relation, &io)?;
+    assert!(!r.found(), "an expired tuple stays deleted");
     println!(
-        "rebuilt {} leaves; late arrivals probe correctly",
+        "rebuilt {} leaves; late arrivals probe correctly, expired keys miss, \
+         no deletes left to count",
         tree.leaf_pages()
     );
     Ok(())

@@ -613,6 +613,9 @@ fn range_scans_skip_deleted_keys() {
         }
 
         for mut index in all_indexes(&rel) {
+            // A delete marks the heap: each index deletes from, and is
+            // checked over, a relation of its own.
+            let rel = rel.clone();
             index.build(&rel).unwrap();
             for &k in &deleted {
                 index.delete(k, &rel).unwrap();

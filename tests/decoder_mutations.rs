@@ -234,7 +234,7 @@ fn leaf_images_decode_or_refuse_and_decoded_leaves_probe() {
     };
     let mut a = leaf(10, 7);
     a.next = Some(3);
-    a.deleted.extend([5, 9]);
+    a.deletes = 2;
     let b = leaf(0, 2);
     let images: Vec<Vec<u8>> = [a, b]
         .iter()

@@ -1,20 +1,25 @@
 //! Model-based differential histories: a seeded generator emits
 //! histories of probes, batched probes, range scans, paginated scans
 //! (`limit(k)`, then a resume from the continuation token), inserts
-//! (append the tuple, then index it) and deletes. Each history runs on the sim backend
+//! (append the tuple, then index it), deletes and, on a unique
+//! relation, inserts of a deleted key again at the heap's tail. Each
+//! history runs on the sim backend
 //! against every access method at once — the BF-Tree under both
 //! duplicate handlings (its §7 `scan_range_probing` included), the
 //! B+-Tree, the FD-Tree, the hash index, a `DurableIndex<BfTree>`
 //! with a small flush batch and a three-shard `ShardedIndex` of
 //! BF-Trees with the same flush batch — and every answer is checked
-//! against a `BTreeMap` oracle.
+//! against a `BTreeMap` oracle. A delete marks the heap, so every
+//! access method runs over a relation of its own, each the same
+//! tuples at the same locations. A BF-Tree's history ends with its
+//! heap-aware invariant (`BfTree::check_heap_invariants`).
 //!
 //! An `Unsupported` answer passes only where the index documents it:
 //! the hash index's range scan over a span of 2^20 keys or more.
 //! A seed that once failed stays in `REGRESSION_SEEDS`. Not here yet:
 //! a shrinker, and crash / recover / fault histories.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use bftree::{BfTree, BfTreeConfig, DuplicateHandling};
 use bftree_access::{
@@ -45,6 +50,10 @@ const HASH_RANGE_CAP: u64 = 1 << 20;
 const REGRESSION_SEEDS: &[u64] = &[
     // The §7 probing scan returned a deleted key; a durable range scan
     // delivered a buffered tuple twice (the base's heap scan saw it).
+    // With deleted keys inserted again: a durable scan took a buffered
+    // tuple behind larger keys in a page taken whole, a shard delivered
+    // another shard's such tuple, and a resumed merged walk skipped a
+    // leaf left of the frontier key's.
     0xB0DE_6A00,
     // A BF-Tree probe delivered a duplicate run twice when it crossed
     // into the next candidate leaf.
@@ -62,6 +71,9 @@ const REGRESSION_SEEDS: &[u64] = &[
     // The ordered range walk stopped at a leaf starting above `hi`
     // while a run of `hi` went on into its first page.
     0xB0DE_6DB4,
+    // A shard's key inserted again behind another shard's larger keys:
+    // its shard's ordered walk stopped before the key's page.
+    0xB0DE_6B15,
 ];
 
 type Loc = (PageId, usize);
@@ -112,9 +124,7 @@ fn append(heap: &mut HeapFile, unique: bool, key: u64) -> Loc {
 /// The history for `seed` over `rel`. Inserts append keys at or above
 /// the largest key so far, so the relation stays ordered; a `Unique`
 /// relation gets a fresh key each time, a `Contiguous` one may extend
-/// the last run. A deleted key is never inserted again: the heap keeps
-/// deleted tuples, and a key-granular index cannot tell them from new
-/// ones.
+/// the last run. `with_reinserts` adds the inserts of deleted keys.
 fn history(seed: u64, rel: &Relation) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed);
     let unique = rel.duplicates() == Duplicates::Unique;
@@ -213,11 +223,52 @@ fn with_batches(seed: u64, rel: &Relation, ops: Vec<Op>) -> Vec<Op> {
     out
 }
 
+/// `ops` with, on a `Unique` relation, an insert of a deleted key after
+/// about one op in six: the key's tuple appended again at the heap's
+/// tail, behind larger keys. Drawn from a stream of its own, so the
+/// ops `history` and `with_batches` emit for a seed stay what they
+/// were. A `Contiguous` relation gets none: a key appended behind
+/// larger ones breaks the ordered layout it declares, which the
+/// B+-Tree's first-reference range walk relies on.
+fn with_reinserts(seed: u64, rel: &Relation, ops: Vec<Op>) -> Vec<Op> {
+    if rel.duplicates() != Duplicates::Unique {
+        return ops;
+    }
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x4E1A_5E27);
+    let mut live: BTreeSet<u64> = rel
+        .heap()
+        .iter_attr(rel.attr())
+        .map(|(_, _, k)| k)
+        .collect();
+    let mut dead: Vec<u64> = Vec::new();
+    let mut out = Vec::with_capacity(ops.len() * 7 / 6);
+    for op in ops {
+        match op {
+            Op::Delete(key) if live.remove(&key) => dead.push(key),
+            Op::Insert(key) => {
+                live.insert(key);
+                dead.retain(|&k| k != key);
+            }
+            _ => {}
+        }
+        out.push(op);
+        if !dead.is_empty() && rng.random_range(0..6u32) == 0 {
+            let key = dead.swap_remove(rng.random_range(0..dead.len()));
+            live.insert(key);
+            out.push(Op::Insert(key));
+        }
+    }
+    out
+}
+
 /// One access method under test.
 enum Subject {
     /// A BF-Tree checked through the trait and through its §7 probing
     /// scan.
     Bf(BfTree),
+    /// A `DurableIndex` over a BF-Tree, whose base tree is checked once
+    /// its memtable is flushed.
+    Durable(Box<DurableIndex<BfTree>>),
     Other(Box<dyn AccessMethod>),
 }
 
@@ -225,6 +276,7 @@ impl Subject {
     fn index(&self) -> &dyn AccessMethod {
         match self {
             Subject::Bf(tree) => tree,
+            Subject::Durable(index) => index,
             Subject::Other(index) => index.as_ref(),
         }
     }
@@ -232,7 +284,21 @@ impl Subject {
     fn index_mut(&mut self) -> &mut dyn AccessMethod {
         match self {
             Subject::Bf(tree) => tree,
+            Subject::Durable(index) => index,
             Subject::Other(index) => index.as_mut(),
+        }
+    }
+
+    /// The heap-aware invariant of a BF-Tree subject over `rel`, all of
+    /// whose live tuples it indexes.
+    fn check_heap_invariants(&mut self, rel: &Relation) {
+        match self {
+            Subject::Bf(tree) => tree.check_heap_invariants(rel),
+            Subject::Durable(index) => {
+                index.flush(rel).expect("flush");
+                index.inner().check_heap_invariants(rel);
+            }
+            Subject::Other(_) => {}
         }
     }
 }
@@ -308,7 +374,7 @@ fn subjects(rel: &Relation) -> Vec<(String, Subject)> {
         ),
         (
             "durable bf-tree".to_string(),
-            Subject::Other(Box::new(durable)),
+            Subject::Durable(Box::new(durable)),
         ),
         (
             "three-shard bf-tree".to_string(),
@@ -357,51 +423,61 @@ fn sorted(mut locs: Vec<Loc>) -> Vec<Loc> {
 
 /// Run `ops` over `rel` on every subject, checking each answer against
 /// the oracle: every live key and the heap locations indexed for it.
+/// Each subject runs over its own copy of `rel`, whose appends land
+/// where the oracle's do.
 fn run(label: &str, mut rel: Relation, ops: &[Op]) {
     let unique = rel.duplicates() == Duplicates::Unique;
     let mut oracle: BTreeMap<u64, Vec<Loc>> = BTreeMap::new();
     for (pid, slot, key) in rel.heap().iter_attr(rel.attr()) {
         oracle.entry(key).or_default().push((pid, slot));
     }
-    let mut subjects = subjects(&rel);
+    let mut subjects: Vec<(String, Subject, Relation)> = subjects(&rel)
+        .into_iter()
+        .map(|(name, s)| (name, s, rel.clone()))
+        .collect();
     let io = IoContext::unmetered();
     for (step, op) in ops.iter().enumerate() {
+        // In location order: a key inserted again sits behind larger
+        // keys.
         let range = |lo: u64, hi: u64| -> Vec<Loc> {
-            oracle
-                .range(lo..=hi)
-                .flat_map(|(_, l)| l.iter().copied())
-                .collect()
+            sorted(
+                oracle
+                    .range(lo..=hi)
+                    .flat_map(|(_, l)| l.iter().copied())
+                    .collect(),
+            )
         };
         match *op {
             Op::Insert(key) => {
                 let loc = append(rel.heap_mut(), unique, key);
                 oracle.entry(key).or_default().push(loc);
-                for (name, s) in &mut subjects {
+                for (name, s, rel) in &mut subjects {
+                    assert_eq!(append(rel.heap_mut(), unique, key), loc, "{name}'s heap");
                     s.index_mut()
-                        .insert(key, loc, &rel)
+                        .insert(key, loc, rel)
                         .unwrap_or_else(|e| panic!("{label} step {step} {op:?}: {name}: {e}"));
                 }
             }
             Op::Delete(key) => {
                 oracle.remove(&key);
-                for (name, s) in &mut subjects {
+                for (name, s, rel) in &mut subjects {
                     s.index_mut()
-                        .delete(key, &rel)
+                        .delete(key, rel)
                         .unwrap_or_else(|e| panic!("{label} step {step} {op:?}: {name}: {e}"));
                 }
             }
             Op::Probe(key) => {
                 let want = oracle.get(&key).cloned().unwrap_or_default();
-                for (name, s) in &subjects {
-                    let got = s.index().probe(key, &rel, &io).map(|p| sorted(p.matches));
+                for (name, s, rel) in &subjects {
+                    let got = s.index().probe(key, rel, &io).map(|p| sorted(p.matches));
                     check(label, step, op, name, got, &want);
                 }
             }
             Op::ProbeBatch(ref keys) => {
-                for (name, s) in &subjects {
+                for (name, s, rel) in &subjects {
                     let got = s
                         .index()
-                        .probe_batch(keys, &rel, &io)
+                        .probe_batch(keys, rel, &io)
                         .unwrap_or_else(|e| panic!("{label} step {step} {op:?}: {name}: {e}"));
                     assert_eq!(got.len(), keys.len(), "{label} step {step}: {name}");
                     for (i, (probe, key)) in got.into_iter().zip(keys).enumerate() {
@@ -413,15 +489,15 @@ fn run(label: &str, mut rel: Relation, ops: &[Op]) {
             }
             Op::Range(lo, hi) => {
                 let want = range(lo, hi);
-                for (name, s) in &subjects {
+                for (name, s, rel) in &subjects {
                     let got = s
                         .index()
-                        .range_scan(lo, hi, &rel, &io)
+                        .range_scan(lo, hi, rel, &io)
                         .map(|r| sorted(r.matches));
                     check(label, step, op, name, got, &want);
                     if let Subject::Bf(tree) = s {
                         let got = tree
-                            .scan_range_probing(lo, hi, &rel, &io)
+                            .scan_range_probing(lo, hi, rel, &io)
                             .map(|r| sorted(r.matches));
                         check(
                             label,
@@ -436,8 +512,8 @@ fn run(label: &str, mut rel: Relation, ops: &[Op]) {
             }
             Op::Paginate(lo, hi, k) => {
                 let want = range(lo, hi);
-                for (name, s) in &subjects {
-                    let got = paginate(s.index(), lo, hi, k, &rel).map(|(got, head)| {
+                for (name, s, rel) in &subjects {
+                    let got = paginate(s.index(), lo, hi, k, rel).map(|(got, head)| {
                         assert_eq!(
                             head,
                             want.len().min(k as usize),
@@ -449,6 +525,9 @@ fn run(label: &str, mut rel: Relation, ops: &[Op]) {
                 }
             }
         }
+    }
+    for (_, s, rel) in &mut subjects {
+        s.check_heap_invariants(rel);
     }
 }
 
@@ -489,6 +568,7 @@ fn run_seed(seed: u64) {
     for duplicates in [Duplicates::Unique, Duplicates::Contiguous] {
         let rel = relation(duplicates, seed);
         let ops = with_batches(seed, &rel, history(seed, &rel));
+        let ops = with_reinserts(seed, &rel, ops);
         run(&format!("seed {seed:#x} / {duplicates:?}"), rel, &ops);
     }
 }

@@ -261,7 +261,8 @@ fn based_relation(n: u64, duplicates: Duplicates) -> Relation {
 }
 
 /// The BF-Trees whose plans are hardest to get right, each with the
-/// relation its probes read:
+/// relation its probes read and the keys deleted from it (through
+/// [`AccessMethod::delete`], so the relation's heap marks them dead):
 /// - a tree of small leaves, bulk-loaded over half its keys, so
 ///   duplicate runs straddle sibling leaves and a key's candidate span
 ///   covers several, then split many times by scattered inserts of the
@@ -269,7 +270,7 @@ fn based_relation(n: u64, duplicates: Duplicates) -> Relation {
 ///   filters name pages past `page_count`;
 /// - an `AllCoveringPages` tree over the same runs, some keys deleted;
 /// - a bulk-built unique tree, some keys deleted.
-fn hard_trees() -> Vec<(&'static str, BfTree, Relation)> {
+fn hard_trees() -> Vec<(&'static str, BfTree, Relation, Vec<u64>)> {
     let rel = based_relation(24_000, Duplicates::Contiguous);
     let half = BASE + 12_000 / RUN;
     let mut split = BfTree::builder()
@@ -297,8 +298,9 @@ fn hard_trees() -> Vec<(&'static str, BfTree, Relation)> {
             .any(|(l, r)| l.n_keys > 0 && l.max_key >= r.min_key),
         "a run straddles two sibling leaves"
     );
-    for key in (BASE..BASE + 24_000 / RUN).step_by(9) {
-        split.delete(key);
+    let split_deleted: Vec<u64> = (BASE..BASE + 24_000 / RUN).step_by(9).collect();
+    for &key in &split_deleted {
+        AccessMethod::delete(&mut split, key, &rel).expect("valid relation");
     }
     let prefix = heap.truncated(heap.tuple_count() - 700);
     let prefix_pages = prefix.page_count();
@@ -314,8 +316,9 @@ fn hard_trees() -> Vec<(&'static str, BfTree, Relation)> {
         .duplicates(DuplicateHandling::AllCoveringPages)
         .build(&runs)
         .expect("valid config");
-    for key in (BASE..BASE + 8_000 / RUN).step_by(7) {
-        covering.delete(key);
+    let covering_deleted: Vec<u64> = (BASE..BASE + 8_000 / RUN).step_by(7).collect();
+    for &key in &covering_deleted {
+        AccessMethod::delete(&mut covering, key, &runs).expect("valid relation");
     }
 
     let unique = based_relation(8_000, Duplicates::Unique);
@@ -323,13 +326,19 @@ fn hard_trees() -> Vec<(&'static str, BfTree, Relation)> {
         .fpp(1e-3)
         .build(&unique)
         .expect("valid config");
-    for key in (BASE..BASE + 8_000).step_by(13) {
-        bulk.delete(key);
+    let bulk_deleted: Vec<u64> = (BASE..BASE + 8_000).step_by(13).collect();
+    for &key in &bulk_deleted {
+        AccessMethod::delete(&mut bulk, key, &unique).expect("valid relation");
     }
     vec![
-        ("split runs over a heap prefix", split, prefix),
-        ("all-covering runs", covering, runs),
-        ("bulk unique", bulk, unique),
+        (
+            "split runs over a heap prefix",
+            split,
+            prefix,
+            split_deleted,
+        ),
+        ("all-covering runs", covering, runs, covering_deleted),
+        ("bulk unique", bulk, unique, bulk_deleted),
     ]
 }
 
@@ -353,7 +362,7 @@ fn bf_tree_batches_equal_scalar_probes_where_the_plan_is_hardest() {
     let cold = || IoContext::cold(StorageConfig::SsdSsd);
     let pooled =
         || IoContext::with_shared_budget(StorageConfig::SsdSsd, 48 * 4096, PolicyKind::Lru);
-    for (name, tree, rel) in hard_trees() {
+    for (name, tree, rel, deleted) in hard_trees() {
         let keys = hard_keys(&rel);
         for (devices, fresh) in [("cold", &cold as &dyn Fn() -> IoContext), ("lru", &pooled)] {
             let scalar_io = fresh();
@@ -365,6 +374,17 @@ fn bf_tree_batches_equal_scalar_probes_where_the_plan_is_hardest() {
             assert!(
                 expect.iter().any(|p| p.false_reads > 0),
                 "{name}: false reads"
+            );
+            let dead_reads = keys
+                .iter()
+                .zip(&expect)
+                .filter(|(k, _)| deleted.contains(*k));
+            for (&key, p) in dead_reads.clone() {
+                assert!(!p.found(), "{name}: deleted key {key} found");
+            }
+            assert!(
+                dead_reads.clone().any(|(_, p)| p.false_reads > 0),
+                "{name}: a deleted key's probe reads its dead tuples' pages"
             );
             for batch in [15, 16, 17, 33] {
                 let batch_io = fresh();

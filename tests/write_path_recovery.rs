@@ -9,7 +9,11 @@
 //!
 //! The script deletes base keys it never reinserts (and inserts only
 //! fresh keys), so a direct-apply reference is exact: the answers are
-//! a pure function of the surviving operation set.
+//! a pure function of the surviving operation set. A delete marks the
+//! heap, and the marks are in memory, so a crash loses them all: each
+//! cut's recovery, reference and oracle get their own copy of the
+//! relation a crash leaves (`crash_relation`), every scripted tuple
+//! appended and none marked, and the replay must delete again.
 
 use bftree::BfTree;
 use bftree_access::{AccessMethod, DurableConfig, DurableIndex, RecoverError};
@@ -65,6 +69,20 @@ fn script_ops() -> Vec<WalRecord> {
         }
     }
     ops
+}
+
+/// `rel` with every insert of `script` appended and no tuple marked
+/// dead: the relation a crash leaves. Heap pages are durable at append
+/// time; delete marks live in memory only, so recovery's replay of the
+/// surviving Delete records must mark them again.
+fn crash_relation(mut rel: Relation, script: &[WalRecord]) -> Relation {
+    let io = IoContext::unmetered();
+    for op in script {
+        if let WalRecord::Insert { key, .. } = *op {
+            rel.append_tuple(key, key, &io);
+        }
+    }
+    rel
 }
 
 /// Keys whose answers the battery compares: every scripted write key,
@@ -168,8 +186,8 @@ fn uncrashed_prefix(
 }
 
 struct Crashed {
-    /// The relation as a crash would find it: every scripted tuple
-    /// already appended (heap pages are durable at append time).
+    /// The uncrashed run's relation: every scripted tuple appended,
+    /// every scripted delete marked.
     rel: Relation,
     /// The uncrashed index, memtable tail and all.
     live: DurableIndex<Box<dyn AccessMethod>>,
@@ -245,13 +263,16 @@ fn kill_at_every_record_boundary_under(
     let (all_records, tail) = WalReader::drain(&image);
     assert_eq!(tail, TailState::Clean, "uncrashed log must parse cleanly");
     let keys = watched_keys();
+    let pristine = crash_relation(base_relation(), &script_ops());
 
     for cut in 0..all_records.len() {
         let boundary = all_records[cut].0;
         let truncated = &image[..boundary];
+        let surviving = &all_records[1..=cut];
+        let crashed = pristine.clone();
         let (recovered, report) = DurableIndex::recover(
             make(),
-            &rel,
+            &crashed,
             truncated,
             PageDevice::cold(DeviceKind::Ssd),
             config,
@@ -259,7 +280,6 @@ fn kill_at_every_record_boundary_under(
         .expect("boundary cut recovers");
         assert_eq!(report.tail, TailState::Clean, "cut at {boundary}");
         assert_eq!(report.base_tuples, N, "genesis names the base heap");
-        let surviving = &all_records[1..=cut];
         let (wants_i, wants_d) = surviving.iter().fold((0, 0), |(i, d), &(_, r)| match r {
             WalRecord::Insert { .. } => (i + 1, d),
             WalRecord::Delete { .. } => (i, d + 1),
@@ -268,19 +288,31 @@ fn kill_at_every_record_boundary_under(
         assert_eq!(report.replayed_inserts, wants_i, "cut at {boundary}");
         assert_eq!(report.replayed_deletes, wants_d, "cut at {boundary}");
 
-        let expect = reference(make, &rel, N, surviving);
+        let expect_rel = pristine.clone();
+        let expect = reference(make, &expect_rel, N, surviving);
         for &k in &keys {
             assert_eq!(
-                sorted_probe(&recovered, k, &rel),
-                sorted_probe(expect.as_ref(), k, &rel),
+                sorted_probe(&recovered, k, &crashed),
+                sorted_probe(expect.as_ref(), k, &expect_rel),
                 "{}: probe({k}) diverged after a cut at byte {boundary}",
                 recovered.name(),
             );
         }
-        let oracle = uncrashed_prefix(make, &rel, N, surviving, config);
+        // A delete the cut lost is undone: its key is found again.
+        for &(_, rec) in &all_records[cut + 1..] {
+            if let WalRecord::Delete { key } = rec {
+                assert!(
+                    !sorted_probe(&recovered, key, &crashed).is_empty(),
+                    "{}: delete of {key} past the cut at byte {boundary} stuck",
+                    recovered.name(),
+                );
+            }
+        }
+        let oracle_rel = pristine.clone();
+        let oracle = uncrashed_prefix(make, &oracle_rel, N, surviving, config);
         assert_eq!(
-            sorted_scan(&recovered, &rel),
-            sorted_scan(&oracle, &rel),
+            sorted_scan(&recovered, &crashed),
+            sorted_scan(&oracle, &oracle_rel),
             "{}: range scan diverged after a cut at byte {boundary}",
             recovered.name(),
         );
@@ -289,9 +321,10 @@ fn kill_at_every_record_boundary_under(
     // Killing after the final record loses nothing: the recovered
     // index answers exactly like the uncrashed one, unflushed
     // memtable tail included.
+    let crashed = pristine.clone();
     let (recovered, report) = DurableIndex::recover(
         make(),
-        &rel,
+        &crashed,
         &image,
         PageDevice::cold(DeviceKind::Ssd),
         config,
@@ -300,13 +333,13 @@ fn kill_at_every_record_boundary_under(
     assert_eq!(report.tail, TailState::Clean);
     for &k in &keys {
         assert_eq!(
-            sorted_probe(&recovered, k, &rel),
+            sorted_probe(&recovered, k, &crashed),
             sorted_probe(&live, k, &rel),
             "probe({k}): recovered index diverged from the uncrashed one",
         );
     }
     assert_eq!(
-        sorted_scan(&recovered, &rel),
+        sorted_scan(&recovered, &crashed),
         sorted_scan(&live, &rel),
         "recovered range scan diverged from the uncrashed one",
     );
@@ -345,11 +378,15 @@ fn kill_at_every_record_boundary_fd_tree() {
 
 #[test]
 fn a_torn_tail_recovers_the_longest_valid_prefix() {
-    let Crashed { rel, image, .. } = run_script(&make_bf_tree);
+    let Crashed { image, .. } = run_script(&make_bf_tree);
     let (all_records, _) = WalReader::drain(&image);
     // Cut mid-record: a few bytes past a boundary in the middle.
     let cut = all_records[all_records.len() / 2];
     let torn = &image[..cut.0 + 3];
+    let surviving_cut = all_records.iter().position(|r| r.0 == cut.0).unwrap();
+    let surviving = &all_records[1..=surviving_cut];
+    let rel = crash_relation(base_relation(), &script_ops());
+    let expect_rel = rel.clone();
     let (recovered, report) = DurableIndex::recover(
         make_bf_tree(),
         &rel,
@@ -363,12 +400,11 @@ fn a_torn_tail_recovers_the_longest_valid_prefix() {
         TailState::Torn { valid_len: cut.0 },
         "the torn verdict names the last boundary"
     );
-    let surviving_cut = all_records.iter().position(|r| r.0 == cut.0).unwrap();
-    let expect = reference(&make_bf_tree, &rel, N, &all_records[1..=surviving_cut]);
+    let expect = reference(&make_bf_tree, &expect_rel, N, surviving);
     for &k in &watched_keys() {
         assert_eq!(
             sorted_probe(&recovered, k, &rel),
-            sorted_probe(expect.as_ref(), k, &rel),
+            sorted_probe(expect.as_ref(), k, &expect_rel),
             "probe({k}) diverged after a torn tail",
         );
     }
@@ -376,10 +412,12 @@ fn a_torn_tail_recovers_the_longest_valid_prefix() {
 
 #[test]
 fn a_corrupt_frame_truncates_recovery_at_the_damage() {
-    let Crashed { rel, image, .. } = run_script(&make_bf_tree);
+    let Crashed { image, .. } = run_script(&make_bf_tree);
     let (all_records, _) = WalReader::drain(&image);
     let cut = all_records.len() / 2;
     let boundary = all_records[cut].0;
+    let rel = crash_relation(base_relation(), &script_ops());
+    let expect_rel = rel.clone();
     // Flip a payload byte of the record after the boundary: its CRC
     // fails, and everything from there on is untrusted.
     let mut corrupt = image.clone();
@@ -398,11 +436,11 @@ fn a_corrupt_frame_truncates_recovery_at_the_damage() {
             valid_len: boundary
         }
     );
-    let expect = reference(&make_bf_tree, &rel, N, &all_records[1..=cut]);
+    let expect = reference(&make_bf_tree, &expect_rel, N, &all_records[1..=cut]);
     for &k in &watched_keys() {
         assert_eq!(
             sorted_probe(&recovered, k, &rel),
-            sorted_probe(expect.as_ref(), k, &rel),
+            sorted_probe(expect.as_ref(), k, &expect_rel),
             "probe({k}) diverged after frame corruption",
         );
     }
@@ -443,20 +481,22 @@ fn scripted_run_is_backend_invariant_and_recovers_from_disk() {
     // …and recovering from those on-disk bytes matches a direct-apply
     // reference over exactly the records they hold.
     let (records, _) = WalReader::drain(&disk);
+    let rel = crash_relation(base_relation(), &script_ops());
+    let expect_rel = rel.clone();
     let (recovered, report) = DurableIndex::recover(
         make_bf_tree(),
-        &file.rel,
+        &rel,
         &disk,
         PageDevice::cold(DeviceKind::Ssd),
         config(),
     )
     .expect("on-disk image recovers");
     assert_eq!(report.base_tuples, N);
-    let expect = reference(&make_bf_tree, &file.rel, N, &records[1..]);
+    let expect = reference(&make_bf_tree, &expect_rel, N, &records[1..]);
     for &k in &watched_keys() {
         assert_eq!(
-            sorted_probe(&recovered, k, &file.rel),
-            sorted_probe(expect.as_ref(), k, &file.rel),
+            sorted_probe(&recovered, k, &rel),
+            sorted_probe(expect.as_ref(), k, &expect_rel),
             "probe({k}) diverged when recovering from the on-disk log",
         );
     }
@@ -611,6 +651,9 @@ fn shards_cut_at_different_wal_positions_recover_to_the_merged_view() {
         surviving.push(records[1..=cut].to_vec());
     }
 
+    // The relation the crash leaves: every routed tuple, none dead.
+    let rel = crash_relation(sharded_relation(), &sharded_script());
+    let oracle_rel = rel.clone();
     let (recovered, reports) = ShardedIndex::recover_all(
         ShardPlan::uniform(SHARD_DOMAIN, 3),
         &rel,
@@ -634,11 +677,11 @@ fn shards_cut_at_different_wal_positions_recover_to_the_merged_view() {
 
     // The oracle: a fresh fleet over the base heap prefix with each
     // shard's surviving records routed in directly — never from log
-    // bytes.
+    // bytes — over its own copy of the crashed relation.
     let base_rel = Relation::new(
-        rel.heap().truncated(SHARD_BASE),
-        rel.attr(),
-        rel.duplicates(),
+        oracle_rel.heap().truncated(SHARD_BASE),
+        oracle_rel.attr(),
+        oracle_rel.duplicates(),
     )
     .expect("base prefix is a valid relation");
     let mut oracle = ShardedIndex::new(
@@ -653,10 +696,12 @@ fn shards_cut_at_different_wal_positions_recover_to_the_merged_view() {
         for &(_, rec) in per_shard {
             match rec {
                 WalRecord::Insert { key, page, slot } => oracle
-                    .route_insert(key, (page, slot as usize), &rel)
+                    .route_insert(key, (page, slot as usize), &oracle_rel)
                     .expect("oracle insert"),
                 WalRecord::Delete { key } => {
-                    oracle.route_delete(key, &rel).expect("oracle delete");
+                    oracle
+                        .route_delete(key, &oracle_rel)
+                        .expect("oracle delete");
                 }
                 WalRecord::Checkpoint { .. } => {}
             }
@@ -674,12 +719,12 @@ fn shards_cut_at_different_wal_positions_recover_to_the_merged_view() {
     keys.push(SHARD_DOMAIN * 3);
     assert_eq!(
         sharded_probe(&recovered, &keys, &rel),
-        sharded_probe(&oracle, &keys, &rel),
+        sharded_probe(&oracle, &keys, &oracle_rel),
         "merged probe answers diverged from the direct-apply oracle",
     );
     assert_eq!(
         sharded_drain(&recovered, &rel),
-        sharded_drain(&oracle, &rel),
+        sharded_drain(&oracle, &oracle_rel),
         "merged paginated scan diverged from the direct-apply oracle",
     );
 }
