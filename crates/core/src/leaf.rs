@@ -337,6 +337,41 @@ mod tests {
         assert!(out.contains(&0) && out.contains(&3));
     }
 
+    /// A sweep's candidate pages ascend without repeats, so a probe's
+    /// plan takes them as they come: each matching bucket is distinct
+    /// and covers a page run of its own. Pinned over `Proportional`
+    /// leaves whose skewed pages give their filters several sizes (the
+    /// sweep then sorts the size classes' matches together), at a loose
+    /// fpp so that most keys match several buckets.
+    #[test]
+    fn matching_pages_ascend_without_repeats_over_a_multi_class_group() {
+        for pages_per_bf in [1, 3] {
+            let config = BfTreeConfig {
+                fpp: 0.2,
+                bit_allocation: BitAllocation::Proportional,
+                pages_per_bf,
+                ..BfTreeConfig::paper_default()
+            };
+            let pages: Vec<(PageId, Vec<u64>)> = (0..40u64)
+                .map(|p| (p, (0..1 + p % 7 * 60).map(|i| p * 1_000 + i).collect()))
+                .collect();
+            let n: usize = pages.iter().map(|(_, keys)| keys.len()).sum();
+            let l = BfLeaf::from_pages(&config, &pages, n as u64);
+            let sizes: crate::tree::KeySet = (0..l.group().len())
+                .map(|b| l.group().member_bits(b))
+                .collect();
+            assert!(sizes.len() > 1, "one size class");
+            let (mut out, mut several) = (Vec::new(), 0);
+            for key in 0..4_000u64 {
+                out.clear();
+                l.matching_pages(key, &mut out);
+                assert!(out.windows(2).all(|w| w[0] < w[1]), "key {key}: {out:?}");
+                several += usize::from(out.len() > pages_per_bf as usize);
+            }
+            assert!(several > 1_000, "{several} keys matched several buckets");
+        }
+    }
+
     #[test]
     fn insert_extends_ranges_and_filters() {
         let mut l = BfLeaf::empty(&cfg(), 5);

@@ -158,7 +158,11 @@ impl<'c> BfRangeCursor<'c> {
         // leaf left of the frontier key's may hold a page past the
         // frontier (a key inserted behind larger ones), and the
         // frontier page skips what the prefix delivered.
-        let first = tree.first_overlapping_leaf(if merged { lo } else { entry_key }, &io.index);
+        let mut descent = Vec::new();
+        let (first, _) = tree.route(if merged { lo } else { entry_key }, &mut descent);
+        for &node in &descent {
+            io.index.read_random(node);
+        }
         let probing = published || !ordered || merged;
         // A resumed walk knows the last key of the page the producing
         // cursor read before the frontier (CPU only, no I/O).

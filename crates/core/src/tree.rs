@@ -1,9 +1,11 @@
 //! The BF-Tree: bulk load, search (Algorithm 1), insert (Algorithm 3),
 //! split (Algorithm 2), delete.
 //!
-//! Each is written once. [`BfTree::insert`] is a batch of one through
-//! [`BfTree::insert_batch`], the one router (floor leaf, walk left,
-//! split then re-route). Bulk load, the [`SplitStrategy::RebuildFromData`]
+//! Each is written once, and each finds a key's leaves by one route,
+//! `BfTree::route`, so a key is read where it was written.
+//! [`BfTree::insert`] is a batch of one through
+//! [`BfTree::insert_batch`] (route, walk left, split then re-route).
+//! Bulk load, the [`SplitStrategy::RebuildFromData`]
 //! split and [`BfTree::rebuild_leaf`] read a data page's distinct live
 //! keys through one collector, which applies the
 //! [`DuplicateHandling::FirstPageOnly`] rule in one place, into one
@@ -26,7 +28,7 @@ use bftree_access::{MatchSink, Probe, ProbeIo};
 use bftree_bloom::hash::{mix64, KeyFingerprint};
 use bftree_btree::{BPlusTree, BTreeConfig, DuplicateMode, TupleRef};
 use bftree_storage::tuple::AttrOffset;
-use bftree_storage::{HeapFile, IoContext, PageDevice, PageId, Relation};
+use bftree_storage::{HeapFile, IoContext, PageId, Relation};
 
 use crate::config::{BfTreeConfig, DuplicateHandling, SplitStrategy};
 use crate::leaf::BfLeaf;
@@ -102,10 +104,6 @@ enum Candidate {
 /// their arena ids directly, so the two spaces never collide).
 const LEAF_PAGE_BASE: u64 = 1 << 40;
 
-/// Arena index of the leftmost leaf: a split keeps its left half in
-/// place, so the first leaf never moves.
-const FIRST_LEAF: u32 = 0;
-
 /// Largest key-domain span `ProbeDomain` splits will enumerate.
 const PROBE_DOMAIN_SPAN_CAP: u64 = 1 << 22;
 
@@ -116,10 +114,12 @@ type SplitSides = (Vec<(PageId, Vec<u64>)>, Vec<(PageId, Vec<u64>)>);
 ///
 /// Internal routing reuses the B+-Tree machinery ("the code-base of the
 /// B+-Tree ... serves as the part of the BF-Tree above the leaves",
-/// §6): a [`BPlusTree`] maps each BF-leaf's `min_key` to the leaf's
-/// arena index. Probes land on the *floor* entry — the rightmost leaf
-/// whose key range can contain the key — then walk left siblings while
-/// a duplicate run spans leaves.
+/// §6): a [`BPlusTree`] maps each BF-leaf's routing key to the leaf's
+/// arena index, the first leaf's 0 and every other's the `min_key` it
+/// was created with. Reads and writes alike land on the *floor* entry
+/// — the rightmost leaf whose key range can contain the key — then
+/// walk left siblings while a duplicate run spans leaves. A split keeps
+/// its left half in place, so the first leaf stays arena index 0.
 #[derive(Debug, Clone)]
 pub struct BfTree {
     config: BfTreeConfig,
@@ -234,9 +234,10 @@ impl BfTree {
         };
         // Routing keys must be non-decreasing; bulk leaves are built in
         // page order and the heap is ordered/partitioned on the key, so
-        // min_keys ascend. Empty leaves route at key 0.
+        // min_keys ascend. The first leaf routes at key 0, the leftmost
+        // child's key: it owns every key below the second leaf's.
         let entries = leaves.iter().enumerate().map(|(i, l)| {
-            let key = if l.n_keys == 0 { 0 } else { l.min_key };
+            let key = if i == 0 { 0 } else { l.min_key };
             (key, TupleRef::new(i as u64, 0))
         });
         BPlusTree::bulk_build(btcfg, entries)
@@ -260,7 +261,8 @@ impl BfTree {
 
     /// The largest key indexed so far, if any.
     fn largest_key(&self) -> Option<u64> {
-        let mut leaf = &self.leaves[self.floor_leaf(u64::MAX) as usize];
+        let (_, floor) = self.route(u64::MAX, &mut Vec::new());
+        let mut leaf = &self.leaves[floor as usize];
         while leaf.n_keys == 0 {
             leaf = &self.leaves[leaf.prev? as usize];
         }
@@ -325,19 +327,20 @@ impl BfTree {
         &self.leaves
     }
 
-    /// The candidate leaves of `key`, a run of siblings given as its
-    /// first and last leaf: the last is the floor leaf, the first the
-    /// leftmost sibling a duplicate run reaches from it. `None` when
-    /// `key` precedes every leaf. Charges the upper descent to
-    /// `idx_dev`.
-    fn candidate_span(&self, key: u64, idx_dev: Option<&PageDevice>) -> Option<(u32, u32)> {
-        let (_, tref) = self.upper.search_le(key, idx_dev)?;
-        Some(self.span_to_floor(key, tref.pid() as u32))
-    }
-
-    /// The candidate span ending at floor leaf `floor`: walk left while
-    /// a sibling's keys reach `key`.
-    fn span_to_floor(&self, key: u64, floor: u32) -> (u32, u32) {
+    /// The one route of `key`, which search (Algorithm 1), insert
+    /// (Algorithm 3), delete and the range seek all take: its candidate
+    /// leaves, a run of siblings given as `(first, floor)`. The floor
+    /// leaf is the rightmost whose routing key is at or below `key`; the
+    /// first is the leftmost sibling a duplicate run reaches from it.
+    /// The first leaf routes at key 0, so every key has a floor leaf.
+    /// Appends the upper descent's node ids to `descent`, which the
+    /// caller charges (one random index read each) or drops.
+    pub(crate) fn route(&self, key: u64, descent: &mut Vec<u64>) -> (u32, u32) {
+        let (_, tref) = self
+            .upper
+            .search_le_path(key, descent)
+            .expect("the first leaf routes every key");
+        let floor = tref.pid() as u32;
         let mut first = floor;
         while let Some(prev) = self.leaves[first as usize].prev {
             let pl = &self.leaves[prev as usize];
@@ -360,17 +363,8 @@ impl BfTree {
     /// The leaves whose filters a probe for `key` sweeps: its candidate
     /// leaves that cover it.
     fn covering_leaves(&self, key: u64) -> impl Iterator<Item = u32> + '_ {
-        let span = self.candidate_span(key, None);
-        span.into_iter()
-            .flat_map(|span| self.span_leaves(span))
+        self.span_leaves(self.route(key, &mut Vec::new()))
             .filter(move |&idx| self.leaves[idx as usize].covers_key(key))
-    }
-
-    /// The leaf a range walk over keys `≥ lo` starts on: `lo`'s first
-    /// candidate leaf, or the first leaf when `lo` precedes them all.
-    pub(crate) fn first_overlapping_leaf(&self, lo: u64, idx_dev: &PageDevice) -> u32 {
-        self.candidate_span(lo, Some(idx_dev))
-            .map_or(FIRST_LEAF, |(first, _)| first)
     }
 
     /// Algorithm 1 for one key: [`Self::plan`] it, then
@@ -432,11 +426,12 @@ impl BfTree {
         probes
     }
 
-    /// Plan `key`, charging nothing: route it and sweep its candidate
-    /// leaves. Appends the key's [`KeyPlan`]: the upper descent's node
-    /// ids and, per candidate leaf, the leaf and its deduplicated
-    /// filter matches. Filters may name pages the heap has not written
-    /// yet; those are left out.
+    /// Plan `key`, charging nothing: [`Self::route`] it and sweep its
+    /// candidate leaves. Appends the key's [`KeyPlan`]: the upper
+    /// descent's node ids and, per candidate leaf, the leaf and its
+    /// filter matches, which ascend without repeats (a sweep's buckets
+    /// ascend, each over its own run of pages). Filters may name pages
+    /// the heap has not written yet; those are left out.
     fn plan(&self, key: u64, rel: &Relation, scratch: &mut ProbeScratch) {
         let page_count = rel.heap().page_count();
         let ProbeScratch {
@@ -448,22 +443,19 @@ impl BfTree {
             ..
         } = scratch;
         let (descent_at, cands_at) = (descent.len(), cands.len());
-        if let Some((_, floor)) = self.upper.search_le_path(key, descent) {
-            let fp = KeyFingerprint::new(&key, self.config.seed);
-            for idx in self.span_leaves(self.span_to_floor(key, floor.pid() as u32)) {
-                let leaf = &self.leaves[idx as usize];
-                cands.push(Candidate::Leaf(idx));
-                if leaf.covers_key(key) {
-                    pages.clear();
-                    leaf.matching_pages_fp(&fp, pages, buckets);
-                    pages.dedup();
-                    cands.extend(
-                        pages
-                            .iter()
-                            .filter(|&&pid| pid < page_count)
-                            .map(|&pid| Candidate::Page { pid, slots: None }),
-                    );
-                }
+        let fp = KeyFingerprint::new(&key, self.config.seed);
+        for idx in self.span_leaves(self.route(key, descent)) {
+            let leaf = &self.leaves[idx as usize];
+            cands.push(Candidate::Leaf(idx));
+            if leaf.covers_key(key) {
+                pages.clear();
+                leaf.matching_pages_fp(&fp, pages, buckets);
+                cands.extend(
+                    pages
+                        .iter()
+                        .filter(|&&pid| pid < page_count)
+                        .map(|&pid| Candidate::Page { pid, slots: None }),
+                );
             }
         }
         plans.push(KeyPlan {
@@ -627,11 +619,11 @@ impl BfTree {
     /// Algorithm 3 over a batch: index each `(key, pid)` — `key`
     /// residing on data page `pid` — in key order.
     ///
-    /// A key routes to its floor leaf (else the first leaf) and walks
-    /// left while `pid` precedes the leaf's page range; the leaf splits
-    /// when it is at its Equation-5 capacity, and finally takes the key
-    /// into its ranges and filter bits. The routed floor leaf is cached
-    /// across consecutive keys, so a run of keys landing between the
+    /// A key takes a probe's route (`BfTree::route`) to its floor leaf
+    /// and walks left while `pid` precedes the leaf's page range; the
+    /// leaf splits when it is at its Equation-5 capacity, and finally
+    /// takes the key into its ranges and filter bits. The floor leaf is
+    /// cached across consecutive keys, so a run of keys landing between the
     /// same two upper-structure separators pays one descent (plus one
     /// successor lookup to learn the run's bound) instead of one per
     /// key — the amortization that makes a memtable flush cheaper than
@@ -675,7 +667,7 @@ impl BfTree {
             let floor = match cached {
                 Some((leaf, bound)) if bound.is_none_or(|b| key < b) => leaf,
                 _ => {
-                    let leaf = self.floor_leaf(key);
+                    let (_, leaf) = self.route(key, &mut Vec::new());
                     // Only a later key of the batch can reuse the leaf.
                     if i + 1 < sorted.len() {
                         let bound = key
@@ -692,18 +684,10 @@ impl BfTree {
                 && self.split_leaf(idx, heap, attr)
             {
                 cached = None; // the split added a separator
-                idx = self.host_leaf(self.floor_leaf(key), pid);
+                idx = self.host_leaf(self.route(key, &mut Vec::new()).1, pid);
             }
             self.leaves[idx as usize].insert(key, pid);
         }
-    }
-
-    /// Arena index of `key`'s floor leaf, or of the first leaf when
-    /// `key` precedes every routing key.
-    fn floor_leaf(&self, key: u64) -> u32 {
-        self.upper
-            .search_le(key, None)
-            .map_or(FIRST_LEAF, |(_, tref)| tref.pid() as u32)
     }
 
     /// Walk left from leaf `idx` while data page `pid` precedes its page
@@ -886,12 +870,31 @@ impl BfTree {
     }
 
     /// Validate structural invariants (tests): sibling links form one
-    /// chain over all leaves, key ranges are sane, and the upper
-    /// structure's own invariants hold.
+    /// chain over all leaves, key ranges are sane, the upper
+    /// structure's own invariants hold, and so does the routing
+    /// `BfTree::route` reads: one routing key per leaf, the first 0 and
+    /// naming the first leaf, and no non-empty leaf holding a key below
+    /// its routing key (the structural form of "no false negative": a
+    /// leaf's keys route to it or to a sibling right of it).
     pub fn check_invariants(&self) {
         self.upper.check_invariants();
+        let routes = self.upper.range(0, u64::MAX, None);
+        let first = routes.first().map(|&(key, tref)| (key, tref.pid()));
+        assert_eq!(first, Some((0, 0)), "the first leaf routes at key 0");
+        let mut routed: Vec<u64> = routes.iter().map(|(_, tref)| tref.pid()).collect();
+        routed.sort_unstable();
+        let n = self.leaves.len() as u64;
+        assert!(routed.into_iter().eq(0..n), "one routing key per leaf");
+        for &(key, tref) in &routes {
+            let l = &self.leaves[tref.pid() as usize];
+            assert!(
+                l.n_keys == 0 || l.min_key >= key,
+                "leaf {} holds a key below its routing key {key}",
+                tref.pid()
+            );
+        }
         let mut seen = 0usize;
-        let mut idx = Some(FIRST_LEAF);
+        let mut idx = Some(0);
         let mut prev: Option<u32> = None;
         while let Some(i) = idx {
             let l = &self.leaves[i as usize];

@@ -253,6 +253,89 @@ fn delete_tombstones_then_rebuild() {
     t.check_invariants();
 }
 
+/// A PK relation over keys 10..5 010, leaving 0..=9 below every leaf.
+fn above_ten() -> Relation {
+    let mut heap = HeapFile::new(TupleLayout::new(256));
+    for pk in 10..5_010u64 {
+        heap.append_record(pk, pk / 11);
+    }
+    Relation::new(heap, PK_OFFSET, Duplicates::Unique).unwrap()
+}
+
+/// Every read of `index` over `above_ten()` plus key 5 at `loc` finds
+/// key 5 there alone: `probe`, `probe_first`, `probe_batch` beside a
+/// live and an absent key, and `range_scan` over `[0, 9]`.
+fn every_read_finds_key_5(index: &dyn AccessMethod, loc: (u64, usize), rel: &Relation, case: &str) {
+    let io = IoContext::unmetered();
+    let probe = index.probe(5, rel, &io).unwrap();
+    assert_eq!(probe.matches, vec![loc], "{case}: probe");
+    let first = index.probe_first(5, rel, &io).unwrap();
+    assert_eq!(first.matches, vec![loc], "{case}: probe_first");
+    let batch: Vec<_> = (index.probe_batch(&[5, 10, 7, 5], rel, &io).unwrap())
+        .into_iter()
+        .map(|p| p.matches)
+        .collect();
+    assert_eq!(
+        batch,
+        [vec![loc], vec![(0, 0)], vec![], vec![loc]],
+        "{case}: probe_batch"
+    );
+    let scan = index.range_scan(0, 9, rel, &io).unwrap();
+    assert_eq!(scan.matches, vec![loc], "{case}: range_scan");
+}
+
+/// Index key 5 into a PK tree over keys 10..5 010: it routes to the
+/// first leaf, below the leaf's keys, and every read finds it there,
+/// `scan_range_probing` included. While the first leaf routed at its
+/// smallest key, no probe of 5 found a leaf, and a range scan
+/// returned the key the probe missed.
+#[test]
+fn a_key_inserted_below_every_leaf_is_found_by_every_read() {
+    let (mut rel, io) = (above_ten(), IoContext::unmetered());
+    let mut t = BfTree::builder().fpp(1e-4).build(&rel).unwrap();
+    let loc = rel.append_tuple(5, 8, &io);
+    assert_eq!(loc, (312, 8));
+    AccessMethod::insert(&mut t, 5, loc, &rel).unwrap();
+    every_read_finds_key_5(&t, loc, &rel, "bare tree");
+    let probing = t.scan_range_probing(0, 9, &rel, &io).unwrap();
+    assert_eq!(probing.matches, vec![loc], "scan_range_probing");
+    t.check_heap_invariants(&rel);
+}
+
+/// The same through `DurableIndex<BfTree>`, once the insert is flushed
+/// into the base tree, and after `recover` from the log.
+#[test]
+fn a_durable_key_inserted_below_every_leaf_is_found_after_flush_and_recover() {
+    use bftree_access::{DurableConfig, DurableIndex};
+    let (mut rel, io) = (above_ten(), IoContext::unmetered());
+    let config = DurableConfig::default();
+    let tree = BfTree::builder().fpp(1e-4).build(&rel).unwrap();
+    let mut idx = DurableIndex::new(tree, &rel, PageDevice::cold(DeviceKind::Ssd), config);
+    let loc = rel.append_tuple(5, 8, &io);
+    idx.insert(5, loc, &rel).unwrap();
+    idx.flush(&rel).unwrap();
+    every_read_finds_key_5(&idx, loc, &rel, "flushed");
+    let probing = idx.inner().scan_range_probing(0, 9, &rel, &io).unwrap();
+    assert_eq!(probing.matches, vec![loc], "flushed: scan_range_probing");
+    idx.inner().check_heap_invariants(&rel);
+
+    let mut crashed = above_ten();
+    assert_eq!(crashed.append_tuple(5, 8, &io), loc);
+    let image = idx.wal().bytes().to_vec();
+    let empty = BfTree::builder().fpp(1e-4).empty(&crashed).unwrap();
+    let cold = PageDevice::cold(DeviceKind::Ssd);
+    let (mut recovered, _) = DurableIndex::recover(empty, &crashed, &image, cold, config).unwrap();
+    recovered.flush(&crashed).unwrap();
+    every_read_finds_key_5(&recovered, loc, &crashed, "recovered");
+    let probing = recovered.inner().scan_range_probing(0, 9, &crashed, &io);
+    assert_eq!(
+        probing.unwrap().matches,
+        vec![loc],
+        "recovered: scan_range_probing"
+    );
+    recovered.inner().check_heap_invariants(&crashed);
+}
+
 /// Delete key 100 of a 5 000-key PK tree, then append and index key
 /// 100 again: probes and scans find the new tuple alone. A per-key
 /// tombstone revived the old tuple, `(6, 4)`, once the key was

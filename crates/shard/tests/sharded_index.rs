@@ -248,6 +248,47 @@ fn writes_route_to_their_owning_shard_and_read_back() {
     }
 }
 
+/// A key below its shard's first key, and so below every leaf of the
+/// shard's bulk-built BF-Tree, is found by every read once the shard
+/// drains it into the tree: shard 0's key 5 over a base starting at 10,
+/// and shard 1's key 1 335 over a slice starting at 1 343.
+#[test]
+fn a_key_below_its_shards_first_key_is_found_after_the_drain() {
+    let mut heap = HeapFile::new(TupleLayout::new(128));
+    for pk in (10..N).filter(|pk| !(1_333..1_343).contains(pk)) {
+        heap.append_record(pk, pk * 10);
+    }
+    let mut rel = Relation::new(heap, PK_OFFSET, Duplicates::Unique).expect("conventional layout");
+    let mut index = sharded(&rel, 3);
+    let io = IoContext::unmetered();
+    let mut acked = Vec::new();
+    for key in [5, 1_335] {
+        let loc = rel.append_tuple(key, key * 10, &io);
+        index.insert(key, loc, &rel).expect("insert");
+        acked.push((key, loc));
+    }
+    index.flush_all(&rel).expect("drain");
+    for (key, loc) in acked {
+        let probe = index.probe(key, &rel, &io).expect("probe");
+        assert_eq!(probe.matches, vec![loc], "probe({key})");
+        let first = index.probe_first(key, &rel, &io).expect("probe_first");
+        assert_eq!(first.matches, vec![loc], "probe_first({key})");
+        let batch = index.probe_batch(&[key, key + 1, key], &rel, &io);
+        let batch: Vec<_> = batch
+            .expect("batch")
+            .into_iter()
+            .map(|p| p.matches)
+            .collect();
+        assert_eq!(
+            batch,
+            [vec![loc], vec![], vec![loc]],
+            "probe_batch around {key}"
+        );
+        let scan = index.range_scan(key - 2, key + 4, &rel, &io).expect("scan");
+        assert_eq!(scan.matches, vec![loc], "range_scan around {key}");
+    }
+}
+
 #[test]
 fn shard_clocks_accumulate_and_reset() {
     let rel = relation();

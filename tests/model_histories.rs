@@ -2,8 +2,9 @@
 //! histories of probes, batched probes, range scans, paginated scans
 //! (`limit(k)`, then a resume from the continuation token), inserts
 //! (append the tuple, then index it), deletes and, on a unique
-//! relation, inserts of a deleted key again at the heap's tail. Each
-//! history runs on the sim backend
+//! relation, inserts at the heap's tail of keys that are not live (a
+//! deleted key again, a key below every base key, a key in a gap
+//! between two base keys). Each history runs on the sim backend
 //! against every access method at once — the BF-Tree under both
 //! duplicate handlings (its §7 `scan_range_probing` included), the
 //! B+-Tree, the FD-Tree, the hash index, a `DurableIndex<BfTree>`
@@ -11,15 +12,18 @@
 //! BF-Trees with the same flush batch — and every answer is checked
 //! against a `BTreeMap` oracle. A delete marks the heap, so every
 //! access method runs over a relation of its own, each the same
-//! tuples at the same locations. A BF-Tree's history ends with its
-//! heap-aware invariant (`BfTree::check_heap_invariants`).
+//! tuples at the same locations. A BF-Tree's structural invariants
+//! (`BfTree::check_invariants`, its routing included) hold after every
+//! op, and its history ends with the heap-aware one
+//! (`BfTree::check_heap_invariants`, no false negatives).
 //!
 //! An `Unsupported` answer passes only where the index documents it:
 //! the hash index's range scan over a span of 2^20 keys or more.
 //! A seed that once failed stays in `REGRESSION_SEEDS`. Not here yet:
 //! a shrinker, and crash / recover / fault histories.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::panic::AssertUnwindSafe;
 
 use bftree::{BfTree, BfTreeConfig, DuplicateHandling};
 use bftree_access::{
@@ -41,8 +45,9 @@ use rand::{RngExt, SeedableRng};
 const BASE_TUPLES: u64 = 1_200;
 /// Operations per history.
 const OPS: usize = 70;
-/// Seeded histories per relation kind.
-const HISTORIES: u64 = 32;
+/// Seeded histories per relation kind: 32 in a debug build, what the
+/// tier-1 suite runs, and 256 in an optimised one.
+const HISTORIES: u64 = if cfg!(debug_assertions) { 32 } else { 256 };
 /// The hash index enumerates a range key by key and refuses a span of
 /// this many keys or more (`Unsupported`).
 const HASH_RANGE_CAP: u64 = 1 << 20;
@@ -261,6 +266,67 @@ fn with_reinserts(seed: u64, rel: &Relation, ops: Vec<Op>) -> Vec<Op> {
     out
 }
 
+/// `ops` with, on a `Unique` relation, an insert of a key that is not
+/// live after about one op in eight, probed right after: a key below
+/// the base's first key, a key absent from a gap between two base
+/// keys, or a deleted key that no later op inserts again. Drawn from a
+/// stream of its own, so the ops `history`, `with_batches` and
+/// `with_reinserts` emit for a seed stay what they were. A
+/// `Contiguous` relation gets none, for the reason `with_reinserts`
+/// gives.
+fn with_absent_inserts(seed: u64, rel: &Relation, ops: Vec<Op>) -> Vec<Op> {
+    if rel.duplicates() != Duplicates::Unique {
+        return ops;
+    }
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xAB5E_4700);
+    let mut live: BTreeSet<u64> = rel
+        .heap()
+        .iter_attr(rel.attr())
+        .map(|(_, _, k)| k)
+        .collect();
+    let (first, last) = (*live.first().unwrap(), *live.last().unwrap());
+    let mut below: Vec<u64> = (0..first).collect();
+    let mut gaps: Vec<u64> = (first..last).filter(|k| !live.contains(k)).collect();
+    let mut dead: Vec<u64> = Vec::new();
+    // Inserts still ahead, per key: a deleted key one of them takes
+    // back is not drawn (two live tuples of one `Unique` key).
+    let mut ahead: HashMap<u64, usize> = HashMap::new();
+    for op in &ops {
+        if let Op::Insert(key) = *op {
+            *ahead.entry(key).or_default() += 1;
+        }
+    }
+    let mut out = Vec::with_capacity(ops.len() * 5 / 4);
+    for op in ops {
+        match op {
+            Op::Delete(key) if live.remove(&key) => dead.push(key),
+            Op::Insert(key) => {
+                live.insert(key);
+                dead.retain(|&k| k != key);
+                *ahead.get_mut(&key).unwrap() -= 1;
+            }
+            _ => {}
+        }
+        out.push(op);
+        if rng.random_range(0..8u32) != 0 {
+            continue;
+        }
+        dead.retain(|k| ahead.get(k).is_none_or(|&n| n == 0));
+        let from = match rng.random_range(0..3u32) {
+            0 => &mut below,
+            1 => &mut gaps,
+            _ => &mut dead,
+        };
+        if !from.is_empty() {
+            let key = from.swap_remove(rng.random_range(0..from.len()));
+            live.insert(key);
+            out.push(Op::Insert(key));
+            out.push(Op::Probe(key));
+        }
+    }
+    out
+}
+
 /// One access method under test.
 enum Subject {
     /// A BF-Tree checked through the trait and through its §7 probing
@@ -286,6 +352,16 @@ impl Subject {
             Subject::Bf(tree) => tree,
             Subject::Durable(index) => index,
             Subject::Other(index) => index.as_mut(),
+        }
+    }
+
+    /// The structural invariants of a BF-Tree subject (of a durable
+    /// one's base tree, which need not hold every write yet).
+    fn check_invariants(&self) {
+        match self {
+            Subject::Bf(tree) => tree.check_invariants(),
+            Subject::Durable(index) => index.inner().check_invariants(),
+            Subject::Other(_) => {}
         }
     }
 
@@ -525,6 +601,10 @@ fn run(label: &str, mut rel: Relation, ops: &[Op]) {
                 }
             }
         }
+        for (name, s, _) in &subjects {
+            let checked = std::panic::catch_unwind(AssertUnwindSafe(|| s.check_invariants()));
+            checked.unwrap_or_else(|_| panic!("{label} step {step} {op:?}: {name}'s invariants"));
+        }
     }
     for (_, s, rel) in &mut subjects {
         s.check_heap_invariants(rel);
@@ -569,6 +649,7 @@ fn run_seed(seed: u64) {
         let rel = relation(duplicates, seed);
         let ops = with_batches(seed, &rel, history(seed, &rel));
         let ops = with_reinserts(seed, &rel, ops);
+        let ops = with_absent_inserts(seed, &rel, ops);
         run(&format!("seed {seed:#x} / {duplicates:?}"), rel, &ops);
     }
 }
