@@ -808,11 +808,9 @@ impl MatchSink for TrackBreak<'_> {
 /// Range cursor merging a base-index cursor with the memtable: page
 /// groups are delivered in ascending page order across both sources,
 /// and memtable-only pages are charged to the data device under the
-/// same random/sequential adjacency rules as everything else. A base
-/// match outside `[lo, hi]` is dropped (CPU only, a read of the
-/// resident heap): a buffered tuple appended behind larger keys breaks
-/// the heap order a base walk trusts, for instance when it takes an
-/// ordered page whole from its two end keys.
+/// same random/sequential adjacency rules as everything else. The base
+/// cursor delivers only keys of `[lo, hi]`, whatever the buffer
+/// appended behind them, so its matches pass through unfiltered.
 struct MergedCursor<'c> {
     base: Box<dyn RangeCursor + 'c>,
     /// The base cursor proved exhaustion (`next_page_matches` → None).
@@ -843,13 +841,6 @@ struct MergedCursor<'c> {
 }
 
 impl MergedCursor<'_> {
-    fn in_range(&self, mut group: Vec<(PageId, usize)>) -> Vec<(PageId, usize)> {
-        group.retain(|&(pid, slot)| {
-            (self.lo..=self.hi).contains(&self.heap.attr(pid, slot, self.attr))
-        });
-        group
-    }
-
     /// End of the adds run on page `pid` starting at `adds_at`.
     fn adds_run_end(&self, pid: PageId) -> usize {
         let mut end = self.adds_at;
@@ -915,7 +906,7 @@ impl RangeCursor for MergedCursor<'_> {
             (None, None) => return None,
             (Some(group), None) => {
                 let pid = group[0].0;
-                (self.in_range(group), pid, true, self.adds_at)
+                (group, pid, true, self.adds_at)
             }
             (None, Some(pid)) => {
                 let end = self.adds_run_end(pid);
@@ -931,14 +922,14 @@ impl RangeCursor for MergedCursor<'_> {
                     self.charge_adds_page(pid);
                     (self.adds[self.adds_at..end].to_vec(), pid, false, end)
                 } else if pid > base_pid {
-                    (self.in_range(group), base_pid, true, self.adds_at)
+                    (group, base_pid, true, self.adds_at)
                 } else {
                     // Both sources on one page: one delivery, one
                     // fetch (the base's), slots in order. A base that
                     // scans the heap page sees the buffered tuples on
                     // it too; each is delivered once.
                     let end = self.adds_run_end(pid);
-                    let mut both = self.in_range(group);
+                    let mut both = group;
                     both.extend_from_slice(&self.adds[self.adds_at..end]);
                     both.sort_unstable();
                     both.dedup();
@@ -977,9 +968,8 @@ impl RangeCursor for MergedCursor<'_> {
             if let Some(&(pid, slot)) = self.buf.first() {
                 return Some(self.frontier_token(pid, slot));
             }
-            // Loaded but empty (an overhead page, or one whose base
-            // matches lay out of range):
-            // the frontier is whatever comes next, below.
+            // Loaded but empty (an overhead page): the frontier is
+            // whatever comes next, below.
         }
         let base_token = if self.base_done {
             None

@@ -328,7 +328,7 @@ mod tests {
         let insert_keys: Vec<u64> = (100_000..100_200u64).collect();
         let locs: std::collections::HashMap<u64, (PageId, usize)> = insert_keys
             .iter()
-            .map(|&k| (k, rel.heap_mut().append_record(k, k)))
+            .map(|&k| (k, rel.append_tuple(k, k, &IoContext::unmetered())))
             .collect();
         let index = build_index(IndexKind::BfTree, &rel, 1e-4);
         let shared = ConcurrentIndex::new(index);
@@ -362,7 +362,7 @@ mod tests {
         let insert_keys: Vec<u64> = (100_000..100_160u64).collect();
         let locs: std::collections::HashMap<u64, (PageId, usize)> = insert_keys
             .iter()
-            .map(|&k| (k, rel.heap_mut().append_record(k, k)))
+            .map(|&k| (k, rel.append_tuple(k, k, &IoContext::unmetered())))
             .collect();
         // Deletes target base keys, spread across the domain.
         let delete_keys: Vec<u64> = (0..40u64).map(|i| i * 97).collect();

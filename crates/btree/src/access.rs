@@ -75,14 +75,14 @@ fn push_page_matches(
 
 /// The FirstRef-mode range cursor: duplicates are contiguous in the
 /// heap, so after the index names the first page the scan is a pure
-/// page walk guided by each page's attribute range — which is what
-/// makes **resume index-free**: the continuation's page frontier is
+/// page walk guided by each page's recorded key range
+/// ([`Relation::page_facts`]) — which is what makes **resume
+/// index-free**: the continuation's page frontier is
 /// all the state there is. A deleted tuple is dead in the heap, and
 /// the page scan skips it.
 #[must_use]
 struct RunCursor<'c> {
-    heap: &'c HeapFile,
-    attr: AttrOffset,
+    rel: &'c Relation,
     data: &'c PageDevice,
     lo: u64,
     hi: u64,
@@ -108,8 +108,7 @@ impl<'c> RunCursor<'c> {
         resume: Option<(PageId, usize)>,
     ) -> Self {
         Self {
-            heap: rel.heap(),
-            attr: rel.attr(),
+            rel,
             data: &io.data,
             lo,
             hi,
@@ -130,15 +129,11 @@ impl RangeCursor for RunCursor<'_> {
             return Some(&self.buf);
         }
         let pid = self.pid?;
-        if pid >= self.heap.page_count() {
-            self.pid = None;
-            return None;
-        }
-        let Some((page_lo, page_hi)) = self.heap.page_attr_range(pid, self.attr) else {
+        let Some(page) = self.rel.page_facts(pid) else {
             self.pid = None;
             return None;
         };
-        if page_lo > self.hi {
+        if page.min > self.hi {
             self.pid = None;
             return None;
         }
@@ -149,8 +144,8 @@ impl RangeCursor for RunCursor<'_> {
         self.counters.pages_read += 1;
         self.buf.clear();
         scan_page_in_range(
-            self.heap,
-            self.attr,
+            self.rel.heap(),
+            self.rel.attr(),
             pid,
             self.lo,
             self.hi,
@@ -160,7 +155,7 @@ impl RangeCursor for RunCursor<'_> {
         if self.buf.is_empty() {
             self.counters.overhead_pages += 1;
         }
-        self.last_of_run = page_hi > self.hi;
+        self.last_of_run = page.max > self.hi;
         self.loaded = true;
         Some(&self.buf)
     }
@@ -244,17 +239,12 @@ impl AccessMethod for BPlusTree {
                 if push_page_matches(heap, pid, attr, key, sink).is_break() {
                     return Ok(stats);
                 }
-                while pid + 1 < heap.page_count() {
-                    match heap.page_attr_range(pid + 1, attr) {
-                        Some((lo, _)) if lo <= key => {
-                            pid += 1;
-                            io.data.read_seq(pid);
-                            stats.pages_read += 1;
-                            if push_page_matches(heap, pid, attr, key, sink).is_break() {
-                                return Ok(stats);
-                            }
-                        }
-                        _ => break,
+                while rel.page_facts(pid + 1).is_some_and(|f| f.min <= key) {
+                    pid += 1;
+                    io.data.read_seq(pid);
+                    stats.pages_read += 1;
+                    if push_page_matches(heap, pid, attr, key, sink).is_break() {
+                        return Ok(stats);
                     }
                 }
             }

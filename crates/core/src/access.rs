@@ -98,19 +98,6 @@ impl AccessMethod for BfTree {
         rel: &Relation,
     ) -> Result<(), ProbeError> {
         check_relation(rel)?;
-        // Two keys on one page in the wrong slot order: the router sees
-        // pages only.
-        let mut by_key = entries.to_vec();
-        by_key.sort_unstable();
-        if by_key
-            .windows(2)
-            .any(|w| w[0].0 < w[1].0 && w[0].1 > w[1].1)
-            || entries
-                .iter()
-                .any(|&(key, loc)| behind_a_larger_key(rel, key, loc))
-        {
-            self.note_out_of_order();
-        }
         let batch: Vec<(u64, PageId)> = entries.iter().map(|&(key, (pid, _))| (key, pid)).collect();
         BfTree::insert_batch(self, &batch, Some(rel.heap()), rel.attr());
         Ok(())
@@ -139,15 +126,6 @@ impl AccessMethod for BfTree {
             entries: self.n_keys(),
         }
     }
-}
-
-/// Whether the tuple before `(pid, slot)` in the heap carries a key
-/// above `key`, one the tree need not index (a shard neighbour's, or a
-/// deleted one): an insert a range walk may not meet in heap order.
-fn behind_a_larger_key(rel: &Relation, key: u64, (pid, slot): (PageId, usize)) -> bool {
-    let per = rel.heap().tuples_per_page() as u64;
-    let before = (pid * per + slot as u64).checked_sub(1);
-    before.is_some_and(|t| rel.heap().attr(t / per, (t % per) as usize, rel.attr()) > key)
 }
 
 #[cfg(test)]

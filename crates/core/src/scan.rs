@@ -10,10 +10,16 @@
 //! ordered plan of a `FirstPageOnly` tree, and §7's probed plan.
 //! `AccessMethod::range_scan` is its full drain, and so is
 //! [`BfTree::scan_range_probing`], the probed plan on any tree, which
-//! Figure 13 measures. A page's matches are collected with
+//! Figure 13 measures.
+//!
+//! The walk trusts heap order only where the relation records it
+//! (`Relation::page_facts`: each heap page's smallest and largest key,
+//! and whether it is in order). A page's matches are collected with
 //! `bftree_access::scan_page_in_range`, which skips the heap's dead
-//! slots: a deleted key is dropped by the page it sits on, whichever
-//! leaf's walk reads it.
+//! slots, or, when the page's recorded key range lies inside the range
+//! and none of its slots is dead, taken whole. So a walk delivers no
+//! key outside the range and no deleted key, whichever leaf's walk
+//! reads the page.
 
 use bftree_access::{
     check_relation, scan_page_in_range, Continuation, ProbeError, RangeCursor, RangeScan, ScanIo,
@@ -54,20 +60,27 @@ const PROBING_ENUMERATION_CAP: u64 = 1 << 22;
 /// - **tail**: the walk ends after the first page whose last key is
 ///   above `hi`.
 ///
-/// On an `AllCoveringPages` tree (a partitioned relation), on a tree an
-/// insert put out of heap order (`BfTree::out_of_order`: its tuple
-/// lies after larger keys, where the head seek, the whole-page take
-/// and the tail stop would all miss it), and under
-/// [`BfTree::scan_range_probing`] on any tree, the walk follows §7's
-/// probed plan: a boundary leaf whose share of `[lo, hi]` spans fewer
-/// than 2^22 values reads the ascending union of the pages its filters
-/// name for them; every other leaf is read whole. On a `FirstPageOnly`
-/// tree a probed page ending with a key in range pulls in its
-/// successor. On a tree out of heap order the overlapping leaves are
-/// all charged on entry and their probed plans merged into one
-/// ascending page list (`plan_merged`), every tuple filtered. Under
-/// either plan, a duplicate run ending one leaf's last
-/// page read is followed into the next leaf.
+/// That walk is exact while every page holding a key of `[lo, hi]` is
+/// in order (`Relation::disordered_in`): such a page starts at or above
+/// every earlier page's keys, so the range's keys ascend in heap order.
+/// When a page out of order holds one (a tuple appended behind larger
+/// keys), on an `AllCoveringPages` tree (a partitioned relation), and
+/// under [`BfTree::scan_range_probing`] on any tree, the walk follows
+/// §7's probed plan instead: a boundary leaf whose share of `[lo, hi]`
+/// spans fewer than 2^22 values reads the ascending union of the pages
+/// its filters name for them; every other leaf is read whole. On a
+/// `FirstPageOnly` tree a probed page ending with a key in range pulls
+/// in its successor. Under either plan, a duplicate run ending one
+/// leaf's last page read is followed into the next leaf.
+///
+/// A leaf the walk may enter (from `lo`'s leaf up to the first leaf
+/// above `hi`) can reach past its next sibling's first page: an insert
+/// behind larger keys stretches its host leaf's page range over the
+/// heap's tail (ROADMAP 2(a)). A leaf-by-leaf walk, whose frontier only
+/// moves forward, would skip the pages in between, so such a walk
+/// charges every overlapping leaf on entry and merges their probed
+/// plans into one ascending page list (`plan_merged`). The choice
+/// depends on `(lo, hi)` alone, so a resume makes it again.
 ///
 /// The continuation frontier is `(leaf min key, next data page)`;
 /// resuming re-descends to that leaf and re-enters its page walk at
@@ -96,9 +109,9 @@ pub struct BfRangeCursor<'c> {
     ordered: bool,
     /// Leaves follow §7's probed plan rather than the ordered one.
     probing: bool,
-    /// An insert broke heap order (`BfTree::out_of_order`): the leaves'
-    /// probed plans are merged into one ascending page list
-    /// (`plan_merged`), and no page is taken whole.
+    /// A leaf the walk may enter is stretched past its sibling's
+    /// pages: the leaves' probed plans are merged into one ascending
+    /// page list (`plan_merged`).
     merged: bool,
     /// The head seek is still due (fresh ordered-plan cursors only).
     seek: bool,
@@ -153,17 +166,21 @@ impl<'c> BfRangeCursor<'c> {
         published: bool,
     ) -> Self {
         let ordered = tree.config().duplicates == DuplicateHandling::FirstPageOnly;
-        let merged = tree.out_of_order();
+        let mut descent = Vec::new();
+        let (mut first, _) = tree.route(lo, &mut descent);
+        let merged = stretched(tree, first, hi);
         // A merged walk re-plans from `lo`'s leaf on a resume too: a
         // leaf left of the frontier key's may hold a page past the
         // frontier (a key inserted behind larger ones), and the
         // frontier page skips what the prefix delivered.
-        let mut descent = Vec::new();
-        let (first, _) = tree.route(if merged { lo } else { entry_key }, &mut descent);
+        if !merged && entry_key != lo {
+            descent.clear();
+            first = tree.route(entry_key, &mut descent).0;
+        }
         for &node in &descent {
             io.index.read_random(node);
         }
-        let probing = published || !ordered || merged;
+        let probing = published || !ordered || merged || rel.disordered_in(lo, hi);
         // A resumed walk knows the last key of the page the producing
         // cursor read before the frontier (CPU only, no I/O).
         let (heap, before) = (rel.heap(), resume.map_or(0, |(page, _)| page));
@@ -200,10 +217,9 @@ impl<'c> BfRangeCursor<'c> {
     /// Fetch page `pid` of the walk: one sequential read (the
     /// partition walk is a sequential sweep).
     ///
-    /// An ordered page whose first and last keys both lie in `[lo, hi]`
-    /// holds nothing but matches: unless one of its tuples is dead, or
-    /// an insert broke heap order, it is taken whole from its two end
-    /// keys, without reading the tuples between them.
+    /// A page whose recorded key range lies inside `[lo, hi]` holds
+    /// nothing but matches: unless one of its tuples is dead, it is
+    /// taken whole, without reading a tuple.
     fn read_page(&mut self, pid: PageId) {
         self.io.data.read_seq(pid);
         self.counters.pages_read += 1;
@@ -211,22 +227,15 @@ impl<'c> BfRangeCursor<'c> {
         self.buf.clear();
         let (heap, attr) = (self.rel.heap(), self.rel.attr());
         let n = heap.tuples_in_page(pid);
-        let ends =
-            (self.ordered && n > 0).then(|| (heap.attr(pid, 0, attr), heap.attr(pid, n - 1, attr)));
-        match ends {
-            Some((first, last))
-                if !self.merged
-                    && first >= self.lo
-                    && last <= self.hi
-                    && heap.dead_in_page(pid) == 0 =>
-            {
-                let skip = match self.resume {
-                    Some((p, slot)) if p == pid => slot,
-                    _ => 0,
-                };
-                self.buf.extend((skip..n).map(|slot| (pid, slot)));
-            }
-            _ => scan_page_in_range(
+        let page = self.rel.page_facts(pid).expect("the walk reads heap pages");
+        if self.lo <= page.min && page.max <= self.hi && heap.dead_in_page(pid) == 0 {
+            let skip = match self.resume {
+                Some((p, slot)) if p == pid => slot,
+                _ => 0,
+            };
+            self.buf.extend((skip..n).map(|slot| (pid, slot)));
+        } else {
+            scan_page_in_range(
                 heap,
                 attr,
                 pid,
@@ -234,12 +243,12 @@ impl<'c> BfRangeCursor<'c> {
                 self.hi,
                 self.resume,
                 &mut self.buf,
-            ),
+            );
         }
         if self.buf.is_empty() {
             self.counters.overhead_pages += 1;
         }
-        self.tail = ends.map(|(_, last)| last);
+        self.tail = self.ordered.then(|| heap.attr(pid, n - 1, attr));
     }
 
     /// Choose the page plan of `leaf`, whose walk may read `[from,
@@ -275,14 +284,14 @@ impl<'c> BfRangeCursor<'c> {
         self.candidates.first().copied()
     }
 
-    /// The merged plan of a tree an insert put out of heap order
-    /// (`BfTree::out_of_order`): leaf `first` and every later leaf the
-    /// range overlaps are charged now, and their probed plans merged
-    /// into one ascending page list. Their page ranges overlap (an
-    /// out-of-order key stretched its leaf's range to the heap's end),
-    /// so a leaf-by-leaf walk, whose frontier only moves forward, would
-    /// skip pages. Returns the first page to read; the walk may run to
-    /// the heap's last page, so that a duplicate run can spill on.
+    /// The merged plan of a walk that meets a stretched leaf
+    /// (`stretched`): leaf `first` and every later leaf the range
+    /// overlaps are charged now, and their probed plans merged into one
+    /// ascending page list. Their page ranges overlap (an insert behind
+    /// larger keys stretched its leaf's range to the heap's end), so a
+    /// leaf-by-leaf walk, whose frontier only moves forward, would skip
+    /// pages. Returns the first page to read; the walk may run to the
+    /// heap's last page, so that a duplicate run can spill on.
     fn plan_merged(&mut self, first: u32, carry: bool) -> Option<PageId> {
         let last = self.rel.heap().page_count().saturating_sub(1);
         let mut pages = Vec::new();
@@ -354,6 +363,27 @@ impl<'c> BfRangeCursor<'c> {
         }
         None
     }
+}
+
+/// Whether a leaf a walk from leaf `first` may enter, every leaf up to
+/// the first whose keys lie above `hi`, has a page range reaching past
+/// its next sibling's first page.
+fn stretched(tree: &BfTree, first: u32, hi: u64) -> bool {
+    let mut at = Some(first);
+    while let Some(i) = at {
+        let leaf = tree.leaf(i);
+        if leaf
+            .next
+            .is_some_and(|next| leaf.max_pid > tree.leaf(next).min_pid)
+        {
+            return true;
+        }
+        if leaf.n_keys > 0 && leaf.min_key > hi {
+            return false;
+        }
+        at = leaf.next;
+    }
+    false
 }
 
 impl RangeCursor for BfRangeCursor<'_> {

@@ -125,11 +125,6 @@ pub struct BfTree {
     config: BfTreeConfig,
     leaves: Vec<BfLeaf>,
     upper: BPlusTree,
-    /// An insert landed out of heap order: below a key already indexed,
-    /// or on a page before a smaller key's. Its tuple then sits after
-    /// larger keys in the heap, so a range walk may not trust heap
-    /// order (see `BfRangeCursor`).
-    out_of_order: bool,
 }
 
 impl BfTree {
@@ -206,7 +201,6 @@ impl BfTree {
             config,
             leaves,
             upper,
-            out_of_order: false,
         }
     }
 
@@ -220,7 +214,6 @@ impl BfTree {
             config,
             leaves,
             upper,
-            out_of_order: false,
         }
     }
 
@@ -246,27 +239,6 @@ impl BfTree {
     /// Tree configuration.
     pub fn config(&self) -> &BfTreeConfig {
         &self.config
-    }
-
-    /// Whether an insert ever landed out of heap order (see
-    /// [`BfTree::insert_batch`]); range scans then filter every tuple.
-    pub(crate) fn out_of_order(&self) -> bool {
-        self.out_of_order
-    }
-
-    /// Record that the heap no longer follows key order.
-    pub(crate) fn note_out_of_order(&mut self) {
-        self.out_of_order = true;
-    }
-
-    /// The largest key indexed so far, if any.
-    fn largest_key(&self) -> Option<u64> {
-        let (_, floor) = self.route(u64::MAX, &mut Vec::new());
-        let mut leaf = &self.leaves[floor as usize];
-        while leaf.n_keys == 0 {
-            leaf = &self.leaves[leaf.prev? as usize];
-        }
-        Some(leaf.max_key)
     }
 
     /// Number of BF-leaves (the paper's `BFleaves`).
@@ -633,10 +605,6 @@ impl BfTree {
     /// separators), so the batch routes exactly as its keys inserted
     /// one at a time in sorted order would.
     ///
-    /// A key below the largest key indexed before it, or one whose page
-    /// precedes a smaller key's, is out of heap order: the tree marks
-    /// itself, and its range walks stop trusting heap order.
-    ///
     /// `heap` is required when the configured split strategy is
     /// [`SplitStrategy::RebuildFromData`] and a split fires.
     pub fn insert_batch(
@@ -653,14 +621,6 @@ impl BfTree {
             owned.sort_unstable();
             &owned
         };
-        // Out of heap order: a key below the largest indexed before it,
-        // or on a page before a smaller key's.
-        self.out_of_order |= sorted
-            .first()
-            .is_some_and(|&(key, _)| self.largest_key().is_some_and(|largest| key < largest))
-            || sorted
-                .windows(2)
-                .any(|w| w[0].0 < w[1].0 && w[0].1 > w[1].1);
         // (floor leaf, exclusive key bound of its separator interval).
         let mut cached: Option<(u32, Option<u64>)> = None;
         for (i, &(key, pid)) in sorted.iter().enumerate() {

@@ -182,7 +182,7 @@ fn inserts_into_fresh_tree_are_searchable() {
     let io = IoContext::unmetered();
     let mut t = BfTree::builder().fpp(1e-4).empty(&rel).unwrap();
     for pk in 0..5_000u64 {
-        let loc = rel.heap_mut().append_record(pk, pk / 11);
+        let loc = rel.append_tuple(pk, pk / 11, &IoContext::unmetered());
         AccessMethod::insert(&mut t, pk, loc, &rel).unwrap();
     }
     t.check_invariants();
@@ -432,7 +432,7 @@ fn range_scans_around_a_page_shared_by_split_siblings() {
     let io = IoContext::unmetered();
     let mut t = BfTree::builder().fpp(1e-4).empty(&rel).unwrap();
     for pk in (0..10_000u64).step_by(2) {
-        let loc = rel.heap_mut().append_record(pk, pk);
+        let loc = rel.append_tuple(pk, pk, &IoContext::unmetered());
         AccessMethod::insert(&mut t, pk, loc, &rel).unwrap();
     }
     let leaves = t.leaves();
@@ -648,7 +648,7 @@ fn trait_build_refreshes_after_appends() {
     let mut t = BfTree::builder().fpp(1e-4).build(&rel).unwrap();
     assert!(!AccessMethod::probe(&t, 1_500, &rel, &io).unwrap().found());
     for pk in 1_000..2_000u64 {
-        rel.heap_mut().append_record(pk, pk / 11);
+        rel.append_tuple(pk, pk / 11, &IoContext::unmetered());
     }
     AccessMethod::build(&mut t, &rel).unwrap();
     assert!(AccessMethod::probe(&t, 1_500, &rel, &io).unwrap().found());

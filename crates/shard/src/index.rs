@@ -627,17 +627,13 @@ impl<'c> ShardedCursor<'c> {
         while !self.done && self.current.is_none() {
             let cell = &self.index.shards[self.shard];
             let io = self.ios.get(self.shard);
-            // The shard's slice of the range: its stack drops the rest.
-            let (plan, s) = (&self.index.plan, self.shard);
-            let (lo, hi) = (self.lo.max(plan.lo_of(s)), self.hi.min(plan.hi_of(s)));
+            // The shard's stack clamps the range to its slice
+            // (`RangeView`).
             let pulled = cell.timed(|| {
                 let guard = cell.read();
                 let mut cur = match &self.entry {
-                    Some(t) => {
-                        let token = Continuation::from_parts(lo, hi, t.key(), t.page(), t.slot());
-                        guard.resume_range_cursor(&token, self.rel, io)
-                    }
-                    None => guard.range_cursor(lo, hi, self.rel, io),
+                    Some(t) => guard.resume_range_cursor(t, self.rel, io),
+                    None => guard.range_cursor(self.lo, self.hi, self.rel, io),
                 }
                 // Per-shard open errors are structural (bad attr,
                 // unsupported inner index) and identical across

@@ -707,7 +707,7 @@ fn an_empty_shard_anchors_its_leaf_at_its_first_append() {
     let plan = ShardPlan::from_bounds(vec![N / 2, N, N + 1_000]);
     let (index, cells) = observed_shards(&rel, plan);
     let key = N + 7;
-    let loc = rel.heap_mut().append_record(key, key * 10);
+    let loc = rel.append_tuple(key, key * 10, &IoContext::unmetered());
     assert!(loc.0 > 0, "the append lands past page 0");
     index.route_insert(key, loc, &rel).expect("insert");
     index.flush_all(&rel).expect("flush");

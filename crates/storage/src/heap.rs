@@ -364,16 +364,6 @@ impl HeapFile {
         examined
     }
 
-    /// Minimum and maximum of `attr` within page `pid`; `None` for an
-    /// empty page.
-    pub fn page_attr_range(&self, pid: PageId, attr: AttrOffset) -> Option<(u64, u64)> {
-        self.page_attrs(pid, attr)
-            .fold(None, |range, v| match range {
-                None => Some((v, v)),
-                Some((lo, hi)) => Some((v.min(lo), v.max(hi))),
-            })
-    }
-
     /// Iterate all tuples as `(pid, slot, attr_value)` for one attribute.
     pub fn iter_attr(&self, attr: AttrOffset) -> impl Iterator<Item = (PageId, usize, u64)> + '_ {
         (0..self.page_count()).flat_map(move |pid| {
@@ -485,7 +475,8 @@ mod tests {
                 if pid > 0 && h.attr(pid, 0, ATT1_OFFSET) == h.attr(pid - 1, per - 1, ATT1_OFFSET) {
                     straddles += 1;
                 }
-                let (lo, hi) = h.page_attr_range(pid, ATT1_OFFSET).unwrap();
+                let lo = h.page_attrs(pid, ATT1_OFFSET).min().unwrap();
+                let hi = h.page_attrs(pid, ATT1_OFFSET).max().unwrap();
                 for probe in (lo.saturating_sub(3)..=hi + 3).chain([0, u64::MAX]) {
                     sorted.clear();
                     linear.clear();
@@ -501,11 +492,14 @@ mod tests {
         }
     }
 
+    /// The relation over a heap records each page's tight key range.
     #[test]
     fn page_attr_range_is_tight() {
-        let h = small_heap(12);
-        assert_eq!(h.page_attr_range(0, PK_OFFSET), Some((0, 3)));
-        assert_eq!(h.page_attr_range(2, PK_OFFSET), Some((8, 11)));
+        let rel = Relation::new(small_heap(12), PK_OFFSET, Duplicates::Unique).unwrap();
+        let range = |pid| rel.page_facts(pid).map(|f| (f.min, f.max));
+        assert_eq!(range(0), Some((0, 3)));
+        assert_eq!(range(2), Some((8, 11)));
+        assert_eq!(range(3), None);
     }
 
     #[test]

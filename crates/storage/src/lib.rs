@@ -75,7 +75,7 @@ pub use file::{
 pub use heap::HeapFile;
 pub use io::{thread_sim_ns, IoSnapshot, IoStats};
 pub use page::{PageId, PAGE_SIZE};
-pub use relation::{Duplicates, Relation, RelationError};
+pub use relation::{Duplicates, PageFacts, Relation, RelationError};
 pub use scrub::{ScrubReport, Scrubber};
 pub use search::{binary_search, interpolation_search, SearchResult};
 pub use tuple::TupleLayout;

@@ -5,6 +5,13 @@
 //! call; a `Relation` bundles the heap file, the indexed attribute,
 //! and how duplicate key occurrences lie in the file — the three
 //! things an index needs to know about its data.
+//!
+//! It also records how the heap's pages actually lie on the indexed
+//! attribute ([`PageFacts`]: each page's smallest and largest key, and
+//! whether the page is in order), so a reader checks order instead of
+//! trusting §1.1's implicit clustering. [`Relation::new`] computes the
+//! facts in one pass, and [`Relation::append_tuple`], the one way to
+//! grow a relation's heap, keeps them in O(1). A clone copies them.
 
 use crate::context::IoContext;
 use crate::heap::HeapFile;
@@ -58,6 +65,20 @@ impl std::fmt::Display for RelationError {
 
 impl std::error::Error for RelationError {}
 
+/// What a [`Relation`] records of one heap page's keys on the indexed
+/// attribute. Every slot counts, dead ones included: a deleted tuple
+/// still orders the page it sits on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageFacts {
+    /// The page's smallest key.
+    pub min: u64,
+    /// The page's largest key.
+    pub max: u64,
+    /// The page's slots ascend, and its first key is at or above the
+    /// largest key of every earlier page.
+    pub in_order: bool,
+}
+
 /// A heap file plus the attribute an index is built on and the
 /// layout of duplicate keys — everything an access method needs to
 /// build and probe.
@@ -78,24 +99,93 @@ pub struct Relation {
     heap: HeapFile,
     attr: AttrOffset,
     duplicates: Duplicates,
+    order: Order,
+}
+
+/// The heap's [`PageFacts`], kept as tuples are appended.
+#[derive(Debug, Clone, Default)]
+struct Order {
+    /// One entry per heap page.
+    facts: Vec<PageFacts>,
+    /// The pages whose `in_order` bit is clear, ascending.
+    disordered: Vec<PageId>,
+    /// The largest key of every page before the last.
+    max_before_last: Option<u64>,
+}
+
+impl Order {
+    /// The facts of every page of `heap`, one page at a time.
+    fn of(heap: &HeapFile, attr: AttrOffset) -> Self {
+        let mut order = Self {
+            facts: Vec::with_capacity(heap.page_count() as usize),
+            ..Self::default()
+        };
+        for pid in 0..heap.page_count() {
+            let mut keys = heap.page_attrs(pid, attr);
+            let first = keys.next().expect("a heap page holds a tuple");
+            let (mut range, mut prev, mut ascending) = ((first, first), first, true);
+            for key in keys {
+                ascending &= key >= prev;
+                prev = key;
+                range = (range.0.min(key), range.1.max(key));
+            }
+            order.push(pid, first, range, ascending);
+        }
+        order
+    }
+
+    /// Record page `pid`, the page after the last recorded one: its
+    /// first key, its key range and whether its slots ascend.
+    fn push(&mut self, pid: PageId, first: u64, (min, max): (u64, u64), ascending: bool) {
+        if let Some(last) = self.facts.last() {
+            self.max_before_last = Some(self.max_before_last.map_or(last.max, |m| m.max(last.max)));
+        }
+        let in_order = ascending && self.max_before_last.is_none_or(|m| first >= m);
+        self.facts.push(PageFacts { min, max, in_order });
+        if !in_order {
+            self.disordered.push(pid);
+        }
+    }
+
+    /// Fold the tuple just appended at `(pid, slot)`, carrying `key`.
+    /// Only the last page changes.
+    fn note(&mut self, (pid, slot): (PageId, usize), key: u64) {
+        if slot == 0 {
+            return self.push(pid, key, (key, key), true);
+        }
+        let page = self
+            .facts
+            .last_mut()
+            .expect("a later slot's page is recorded");
+        // An ordered page's largest key is its last slot's.
+        if page.in_order && key < page.max {
+            page.in_order = false;
+            self.disordered.push(pid);
+        }
+        page.min = page.min.min(key);
+        page.max = page.max.max(key);
+    }
 }
 
 impl Relation {
     /// Bundle `heap` with the indexed attribute `attr`, declaring how
     /// duplicates lie in the file. Fails if `attr` does not fit the
     /// heap's tuple layout — the check that used to be a slice panic
-    /// deep inside a probe.
+    /// deep inside a probe. Records the heap's [`PageFacts`] in one
+    /// pass.
     pub fn new(
         heap: HeapFile,
         attr: AttrOffset,
         duplicates: Duplicates,
     ) -> Result<Self, RelationError> {
-        let rel = Self {
+        let mut rel = Self {
             heap,
             attr,
             duplicates,
+            order: Order::default(),
         };
         rel.check_attr()?;
+        rel.order = Order::of(&rel.heap, attr);
         Ok(rel)
     }
 
@@ -118,9 +208,25 @@ impl Relation {
         &self.heap
     }
 
-    /// Mutable access to the heap file (append-then-insert workloads).
-    pub fn heap_mut(&mut self) -> &mut HeapFile {
-        &mut self.heap
+    /// What is recorded of page `pid`'s keys; `None` past the last
+    /// page.
+    pub fn page_facts(&self, pid: PageId) -> Option<PageFacts> {
+        self.order.facts.get(pid as usize).copied()
+    }
+
+    /// Whether a page out of order holds a key of `[lo, hi]` (dead
+    /// slots included): a reader that trusts heap order within the
+    /// range would miss or misplace it.
+    pub fn disordered_in(&self, lo: u64, hi: u64) -> bool {
+        self.order.disordered.iter().any(|&pid| {
+            let f = self.order.facts[pid as usize];
+            f.min <= hi
+                && f.max >= lo
+                && self
+                    .heap
+                    .page_attrs(pid, self.attr)
+                    .any(|k| (lo..=hi).contains(&k))
+        })
     }
 
     /// The indexed attribute.
@@ -131,7 +237,8 @@ impl Relation {
     /// Append one tuple carrying `key` on the **indexed** attribute
     /// (and `attr` on the other conventional attribute), written
     /// straight into its page slot, extending the heap file and
-    /// charging write I/O to `io`'s data device. Returns
+    /// charging write I/O to `io`'s data device, and updating the last
+    /// page's [`PageFacts`]. Returns
     /// the new tuple's `(page, slot)` location — exactly what
     /// `AccessMethod::insert` wants next.
     ///
@@ -165,6 +272,7 @@ impl Relation {
         if loc.1 == 0 {
             io.data.write(loc.0);
         }
+        self.order.note(loc, key);
         loc
     }
 
@@ -262,6 +370,71 @@ mod tests {
         let mut rel = Relation::new(heap, AttrOffset(24), Duplicates::Unique).unwrap();
         let loc = rel.append_tuple(99, 3, &io);
         assert_eq!(rel.heap().attr(loc.0, loc.1, AttrOffset(24)), 99);
+    }
+
+    /// `rel`'s page facts recomputed from its tuples.
+    fn recomputed(rel: &Relation) -> Vec<PageFacts> {
+        let heap = rel.heap();
+        let mut before: Option<u64> = None;
+        (0..heap.page_count())
+            .map(|pid| {
+                let keys: Vec<u64> = heap.page_attrs(pid, rel.attr()).collect();
+                let (min, max) = (*keys.iter().min().unwrap(), *keys.iter().max().unwrap());
+                let in_order = keys.is_sorted() && before.is_none_or(|b| keys[0] >= b);
+                before = Some(before.map_or(max, |b| b.max(max)));
+                PageFacts { min, max, in_order }
+            })
+            .collect()
+    }
+
+    fn assert_recorded(rel: &Relation, label: &str) {
+        let want = recomputed(rel);
+        let pages = rel.heap().page_count();
+        let got: Vec<PageFacts> = (0..pages).map(|p| rel.page_facts(p).unwrap()).collect();
+        assert_eq!(got, want, "{label}");
+        assert_eq!(rel.page_facts(pages), None, "{label}: past the last page");
+        let clear: Vec<PageId> = (0..pages).filter(|&p| !want[p as usize].in_order).collect();
+        assert_eq!(rel.order.disordered, clear, "{label}: pages out of order");
+    }
+
+    /// Seeded appends in order, behind a larger key and of equal keys,
+    /// starting in a partly filled page: the facts `append_tuple` keeps
+    /// equal a recomputation from the tuples, and so do a clone's and
+    /// those of a relation over a cut of the heap.
+    #[test]
+    fn recorded_page_facts_equal_a_recomputation() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let io = IoContext::unmetered();
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(0xFAC7 + seed);
+            let mut heap = HeapFile::with_page_size(TupleLayout::new(64), 256); // 4 a page
+            for key in 10..16 {
+                heap.append_record(key, 0);
+            }
+            let mut rel = Relation::new(heap, PK_OFFSET, Duplicates::Unique).unwrap();
+            assert_recorded(&rel, "base");
+            let mut top = 15u64;
+            for i in 0..400 {
+                let key = match rng.random_range(0..10u32) {
+                    0..=4 => top + rng.random_range(1..4u64),
+                    5..=6 => rng.random_range(0..top),
+                    _ => top,
+                };
+                rel.append_tuple(key, i, &io);
+                top = top.max(key);
+            }
+            let label = format!("seed {seed}");
+            assert_recorded(&rel, &label);
+            assert!(!rel.order.disordered.is_empty(), "{label}");
+            assert_recorded(&rel.clone(), &format!("{label}, clone"));
+            let n = rel.heap().tuple_count();
+            for cut in [0, 1, 5, 8, 97, n / 2, n] {
+                let heap = rel.heap().truncated(cut);
+                let cut_rel = Relation::new(heap, PK_OFFSET, Duplicates::Unique).unwrap();
+                assert_recorded(&cut_rel, &format!("{label}, cut at {cut}"));
+            }
+        }
     }
 
     #[test]

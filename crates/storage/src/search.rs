@@ -85,7 +85,7 @@ pub fn interpolation_search(
     }
     // The boundary pages may already hold the key.
     for edge in [lo, hi] {
-        let (pmin, pmax) = heap.page_attr_range(edge, attr).expect("non-empty page");
+        let (pmin, pmax) = page_attr_range(heap, edge, attr).expect("non-empty page");
         if key >= pmin && key <= pmax {
             collect_run(heap, attr, key, edge, dev, &mut result);
             return result;
@@ -132,7 +132,16 @@ fn read_range(
         d.read_random(pid);
     }
     result.pages_read += 1;
-    heap.page_attr_range(pid, attr)
+    page_attr_range(heap, pid, attr)
+}
+
+/// Minimum and maximum of `attr` within page `pid`, folded over its
+/// tuples: the search models reading each page it inspects. `None`
+/// for an empty page.
+fn page_attr_range(heap: &HeapFile, pid: PageId, attr: AttrOffset) -> Option<(u64, u64)> {
+    let mut keys = heap.page_attrs(pid, attr);
+    let first = keys.next()?;
+    Some(keys.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v))))
 }
 
 /// Collect every duplicate of `key` around anchor page `pid`
@@ -148,7 +157,7 @@ fn collect_run(
 ) {
     let mut first = pid;
     while first > 0 {
-        match heap.page_attr_range(first - 1, attr) {
+        match page_attr_range(heap, first - 1, attr) {
             Some((_, pmax)) if pmax >= key => {
                 first -= 1;
                 if let Some(d) = dev {

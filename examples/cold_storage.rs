@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n0 = relation.heap().tuple_count();
     let extra = n0 / 20;
     for pk in n0..n0 + extra {
-        let loc = relation.heap_mut().append_record(pk, pk);
+        let loc = relation.append_tuple(pk, pk, &IoContext::unmetered());
         AccessMethod::insert(&mut tree, pk, loc, &relation)?;
     }
     tree.check_invariants();

@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let insert_keys: Vec<u64> = (1_000_000..1_000_400u64).collect();
     let locs: HashMap<u64, (PageId, usize)> = insert_keys
         .iter()
-        .map(|&k| (k, relation.heap_mut().append_record(k, k)))
+        .map(|&k| (k, relation.append_tuple(k, k, &IoContext::unmetered())))
         .collect();
     let shared = ConcurrentIndex::new(tree);
     let streams = mixed_streams(

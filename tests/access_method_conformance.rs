@@ -197,7 +197,7 @@ fn battery(index: &mut Box<dyn AccessMethod>, rel: &mut Relation) {
     // Insert: append a fresh tuple past the current domain, register
     // it, and find it again.
     let new_key = N * CARD + 1;
-    let loc = rel.heap_mut().append_record(new_key, new_key);
+    let loc = rel.append_tuple(new_key, new_key, &IoContext::unmetered());
     index.insert(new_key, loc, rel).unwrap();
     let got = index.probe(new_key, rel, &io).unwrap();
     assert!(got.matches.contains(&loc), "{name}: inserted key not found");
@@ -385,7 +385,7 @@ fn concurrent_mixed_inserts_are_linearizable() {
         let fresh: Vec<(u64, (u64, usize))> = (0..THREADS * PER_THREAD)
             .map(|i| {
                 let key = 10 * N + i;
-                (key, rel.heap_mut().append_record(key, key))
+                (key, rel.append_tuple(key, key, &IoContext::unmetered()))
             })
             .collect();
         let shared = ConcurrentIndex::new(index);

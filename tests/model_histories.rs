@@ -101,29 +101,32 @@ enum Op {
 fn relation(duplicates: Duplicates, seed: u64) -> Relation {
     let mut rng = StdRng::seed_from_u64(seed);
     let unique = duplicates == Duplicates::Unique;
-    let mut heap = HeapFile::new(TupleLayout::new(256));
+    let attr = if unique { PK_OFFSET } else { ATT1_OFFSET };
+    let heap = HeapFile::new(TupleLayout::new(256));
+    let mut rel = Relation::new(heap, attr, duplicates).unwrap();
     let mut key = 10u64;
-    while heap.tuple_count() < BASE_TUPLES {
+    while rel.heap().tuple_count() < BASE_TUPLES {
         let run = if unique {
             1
         } else {
             rng.random_range(1..=6u64)
         };
         for _ in 0..run {
-            append(&mut heap, unique, key);
+            append(&mut rel, key);
         }
         key += rng.random_range(1..=2u64);
     }
-    let attr = if unique { PK_OFFSET } else { ATT1_OFFSET };
-    Relation::new(heap, attr, duplicates).unwrap()
+    rel
 }
 
-fn append(heap: &mut HeapFile, unique: bool, key: u64) -> Loc {
-    if unique {
-        heap.append_record(key, key / 3)
+/// Append a tuple carrying `key` on `rel`'s indexed attribute.
+fn append(rel: &mut Relation, key: u64) -> Loc {
+    let other = if rel.is_unique() {
+        key / 3
     } else {
-        heap.append_record(heap.tuple_count(), key)
-    }
+        rel.heap().tuple_count()
+    };
+    rel.append_tuple(key, other, &IoContext::unmetered())
 }
 
 /// The history for `seed` over `rel`. Inserts append keys at or above
@@ -502,7 +505,6 @@ fn sorted(mut locs: Vec<Loc>) -> Vec<Loc> {
 /// Each subject runs over its own copy of `rel`, whose appends land
 /// where the oracle's do.
 fn run(label: &str, mut rel: Relation, ops: &[Op]) {
-    let unique = rel.duplicates() == Duplicates::Unique;
     let mut oracle: BTreeMap<u64, Vec<Loc>> = BTreeMap::new();
     for (pid, slot, key) in rel.heap().iter_attr(rel.attr()) {
         oracle.entry(key).or_default().push((pid, slot));
@@ -525,10 +527,10 @@ fn run(label: &str, mut rel: Relation, ops: &[Op]) {
         };
         match *op {
             Op::Insert(key) => {
-                let loc = append(rel.heap_mut(), unique, key);
+                let loc = append(&mut rel, key);
                 oracle.entry(key).or_default().push(loc);
                 for (name, s, rel) in &mut subjects {
-                    assert_eq!(append(rel.heap_mut(), unique, key), loc, "{name}'s heap");
+                    assert_eq!(append(rel, key), loc, "{name}'s heap");
                     s.index_mut()
                         .insert(key, loc, rel)
                         .unwrap_or_else(|e| panic!("{label} step {step} {op:?}: {name}: {e}"));

@@ -5,7 +5,9 @@
 use bftree::scan::exact_range_pages;
 use bftree::{AccessMethod, BfLeaf, BfTree, BfTreeConfig, DuplicateHandling, ProbeError};
 use bftree_storage::tuple::{AttrOffset, ATT1_OFFSET, PK_OFFSET};
-use bftree_storage::{Duplicates, HeapFile, IoContext, Relation, StorageConfig, TupleLayout};
+use bftree_storage::{
+    Duplicates, HeapFile, IoContext, IoSnapshot, Relation, StorageConfig, TupleLayout,
+};
 use bftree_workloads::{build_relation_r, SyntheticConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -376,17 +378,186 @@ fn ranges_after_out_of_order_inserts_equal_brute_force() {
             if case % 8 != 0 {
                 continue;
             }
-            // Paginated: resume from a token after every page.
-            let mut drained = Vec::new();
-            let mut cursor = AccessMethod::range_cursor(&tree, lo, hi, &rel, &io).unwrap();
-            while let Some(page) = cursor.next_page_matches() {
-                drained.extend_from_slice(page);
-                cursor.advance();
-                let Some(token) = cursor.continuation() else {
-                    break;
-                };
-                cursor = AccessMethod::resume_range_cursor(&tree, &token, &rel, &io).unwrap();
+            let mut drained = drain_paginated(&tree, lo, hi, &rel, &io);
+            drained.sort_unstable();
+            assert_eq!(drained, want, "{label}, resumed");
+        }
+    }
+}
+
+/// `[lo, hi]` drained a page at a time, resuming from a continuation
+/// token after every page.
+fn drain_paginated(
+    tree: &BfTree,
+    lo: u64,
+    hi: u64,
+    rel: &Relation,
+    io: &IoContext,
+) -> Vec<(u64, usize)> {
+    let mut drained = Vec::new();
+    let mut cursor = AccessMethod::range_cursor(tree, lo, hi, rel, io).unwrap();
+    while let Some(page) = cursor.next_page_matches() {
+        drained.extend_from_slice(page);
+        cursor.advance();
+        let Some(token) = cursor.continuation() else {
+            break;
+        };
+        cursor = AccessMethod::resume_range_cursor(tree, &token, rel, io).unwrap();
+    }
+    drained
+}
+
+/// A tuple appended behind larger keys and never indexed (what a
+/// shard's neighbours and a `DurableIndex`'s buffer leave in a base
+/// tree's heap) is never delivered outside `[lo, hi]`: not by a page
+/// taken whole, under either duplicate handling, by a full drain, the
+/// probed scan or a paginated drain. Every delivered tuple is live and
+/// in range, and every indexed live tuple in range is delivered.
+#[test]
+fn an_unindexed_append_never_leaks_into_a_range() {
+    let io = IoContext::unmetered();
+    for handling in [
+        DuplicateHandling::FirstPageOnly,
+        DuplicateHandling::AllCoveringPages,
+    ] {
+        let heap = HeapFile::new(TupleLayout::new(256));
+        let mut rel = Relation::new(heap, PK_OFFSET, Duplicates::Unique).unwrap();
+        for pk in 0..5_000u64 {
+            rel.append_tuple(pk, pk / 11, &io);
+        }
+        let mut tree = BfTree::builder()
+            .fpp(1e-4)
+            .duplicates(handling)
+            .build(&rel)
+            .unwrap();
+        let indexed = rel.heap().tuple_count();
+        rel.append_tuple(3, 0, &io);
+        for key in [7, 4_500] {
+            AccessMethod::delete(&mut tree, key, &rel).unwrap();
+        }
+        let heap = rel.heap();
+        let per = heap.tuples_per_page() as u64;
+        for (lo, hi) in [(4_990, 6_000), (0, 10), (0, 5_000), (2, 4), (4_000, 4_999)] {
+            let mut want = brute(heap, PK_OFFSET, lo, hi);
+            want.retain(|&(pid, slot)| pid * per + (slot as u64) < indexed);
+            want.retain(|&(pid, slot)| heap.is_live(pid, slot));
+            let drains = [
+                (
+                    "range_scan",
+                    AccessMethod::range_scan(&tree, lo, hi, &rel, &io)
+                        .unwrap()
+                        .matches,
+                ),
+                (
+                    "probing",
+                    tree.scan_range_probing(lo, hi, &rel, &io).unwrap().matches,
+                ),
+                ("paginated", drain_paginated(&tree, lo, hi, &rel, &io)),
+            ];
+            for (how, got) in drains {
+                let label = format!("{handling:?}, {how} [{lo}, {hi}]");
+                for &(pid, slot) in &got {
+                    let key = heap.attr(pid, slot, PK_OFFSET);
+                    assert!((lo..=hi).contains(&key), "{label}: key {key} delivered");
+                    assert!(heap.is_live(pid, slot), "{label}: dead key {key} delivered");
+                }
+                for loc in &want {
+                    assert!(got.contains(loc), "{label}: {loc:?} missing");
+                }
             }
+        }
+    }
+}
+
+/// Two keys appended and inserted at the heap's tail, the second behind
+/// the first, leave every range that does not reach the tail page
+/// exactly as it was: the same matches and the same index and data
+/// charges, drained whole or a page at a time. Ranges that reach it
+/// equal brute force.
+#[test]
+fn an_out_of_order_tail_insert_leaves_other_ranges_unchanged() {
+    let mut rng = StdRng::seed_from_u64(0xBF48);
+    for handling in [
+        DuplicateHandling::FirstPageOnly,
+        DuplicateHandling::AllCoveringPages,
+    ] {
+        // Cut so that the tail leaf has room: a split would move the
+        // charges of the ranges near it for a reason other than order.
+        let full = ordered_relation(Duplicates::Unique, 0xBF48_0001);
+        let cut = full.heap().truncated(full.heap().tuple_count() - 40);
+        let mut rel = Relation::new(cut, PK_OFFSET, Duplicates::Unique).unwrap();
+        let config = BfTreeConfig {
+            page_size: 512,
+            fpp: 1e-4,
+            ..BfTreeConfig::paper_default()
+        };
+        let mut tree = BfTree::builder()
+            .config(config)
+            .duplicates(handling)
+            .build(&rel)
+            .unwrap();
+        let leaves = tree.leaves().len();
+        assert!(leaves >= 3);
+        let heap = rel.heap();
+        let last_page = heap.page_count() - 1;
+        let first = heap.attr(0, 0, PK_OFFSET);
+        // Below every key of the tail page.
+        let below_tail = heap.attr(last_page, 0, PK_OFFSET) - 1;
+        let mut ranges: Vec<(u64, u64)> = (0..48)
+            .map(|_| {
+                let lo = rng.random_range(first - 10..below_tail);
+                (lo, below_tail.min(lo + rng.random_range(0..1_500u64)))
+            })
+            .collect();
+        ranges.push((0, below_tail));
+        type Run = (Vec<(u64, usize)>, IoSnapshot, IoSnapshot);
+        let measure = |tree: &BfTree, rel: &Relation| -> Vec<(Run, Run)> {
+            let run = |drain: &dyn Fn(&IoContext) -> Vec<(u64, usize)>| -> Run {
+                let io = IoContext::cold(StorageConfig::SsdSsd);
+                let got = drain(&io);
+                (got, io.index.snapshot(), io.data.snapshot())
+            };
+            ranges
+                .iter()
+                .map(|&(lo, hi)| {
+                    let whole = run(&|io| {
+                        AccessMethod::range_scan(tree, lo, hi, rel, io)
+                            .unwrap()
+                            .matches
+                    });
+                    let paged = run(&|io| drain_paginated(tree, lo, hi, rel, io));
+                    (whole, paged)
+                })
+                .collect()
+        };
+        let before = measure(&tree, &rel);
+        let tail = heap.attr(last_page, heap.tuples_in_page(last_page) - 1, PK_OFFSET);
+        let io = IoContext::unmetered();
+        for key in [tail + 10, tail + 5] {
+            let loc = rel.append_tuple(key, key, &io);
+            AccessMethod::insert(&mut tree, key, loc, &rel).unwrap();
+        }
+        assert_eq!(tree.leaves().len(), leaves, "the tail leaf had room");
+        let after = measure(&tree, &rel);
+        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+            let label = format!("{handling:?}, range {:?}", ranges[i]);
+            for ((got_b, index_b, data_b), (got_a, index_a, data_a)) in [(&b.0, &a.0), (&b.1, &a.1)]
+            {
+                assert_eq!(got_b, got_a, "{label}: matches");
+                assert_eq!(index_b, index_a, "{label}: index charges");
+                assert_eq!(data_b, data_a, "{label}: data charges");
+            }
+        }
+        let tail_pages = rel.heap().page_count() - last_page;
+        for (lo, hi) in [(below_tail, tail + 10), (tail + 5, tail + 5), (0, u64::MAX)] {
+            let label = format!("{handling:?}, {tail_pages} tail pages, [{lo}, {hi}]");
+            let want = brute(rel.heap(), PK_OFFSET, lo, hi);
+            let mut got = AccessMethod::range_scan(&tree, lo, hi, &rel, &io)
+                .unwrap()
+                .matches;
+            got.sort_unstable();
+            assert_eq!(got, want, "{label}");
+            let mut drained = drain_paginated(&tree, lo, hi, &rel, &io);
             drained.sort_unstable();
             assert_eq!(drained, want, "{label}, resumed");
         }
